@@ -164,31 +164,33 @@ def _save_env(env: SimCloud, state_dir: Optional[str]) -> None:
     env.save_state(path)
 
 
-def _outcome_report(outcome, env) -> dict:
-    report = json.loads(outcome.to_json())
+def _measure_or_none(outcome, env):
+    """The outcome's metric report, or None when the ledger refuses one."""
     try:
-        report["metrics"] = json.loads(measure(outcome, env.ledger).to_json())
+        return measure(outcome, env.ledger)
     except CloudRerunError:
-        report["metrics"] = None
+        return None
+
+
+def _outcome_report(outcome, metrics) -> dict:
+    report = json.loads(outcome.to_json())
+    report["metrics"] = None if metrics is None else json.loads(metrics.to_json())
     return report
 
 
-def _write_reports(out_dir: Optional[str], outcome, env) -> None:
+def _write_reports(out_dir: Optional[str], outcome, metrics) -> None:
     if not out_dir:
         return
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / f"{outcome.instance_id}-outcome.json").write_text(outcome.to_json())
-    try:
-        metrics = measure(outcome, env.ledger)
-    except CloudRerunError:
-        return
-    (directory / f"{outcome.instance_id}-metrics.json").write_text(metrics.to_json())
+    if metrics is not None:
+        (directory / f"{outcome.instance_id}-metrics.json").write_text(metrics.to_json())
 
 
-def _print_outcome(outcome, env, as_json: bool) -> None:
+def _print_outcome(outcome, metrics, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_outcome_report(outcome, env), sort_keys=True, indent=2))
+        print(json.dumps(_outcome_report(outcome, metrics), sort_keys=True, indent=2))
         return
     print(f"execution : {outcome.instance_id}")
     print(f"provider  : {outcome.provider}")
@@ -200,13 +202,10 @@ def _print_outcome(outcome, env, as_json: bool) -> None:
         print(f"history   : {outcome.history_url}")
     if outcome.failure:
         print(f"failure   : {outcome.failure}")
-    try:
-        metrics = measure(outcome, env.ledger)
-    except CloudRerunError:
-        return
-    print(f"m1        : {float(metrics.m1_hours):.6f} h")
-    print(f"m2        : {float(metrics.m2_cost):.6f} $")
-    print(f"m3        : {float(metrics.m3_ppr):.8f} h*$")
+    if metrics is not None:
+        print(f"m1        : {float(metrics.m1_hours):.6f} h")
+        print(f"m2        : {float(metrics.m2_cost):.6f} $")
+        print(f"m3        : {float(metrics.m3_ppr):.8f} h*$")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -228,8 +227,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         outcome = orchestrator.run_serverless(doc, record_history=not args.no_history)
     _save_env(env, args.state_dir)
-    _write_reports(args.out_dir, outcome, env)
-    _print_outcome(outcome, env, args.json)
+    metrics = _measure_or_none(outcome, env)
+    _write_reports(args.out_dir, outcome, metrics)
+    _print_outcome(outcome, metrics, args.json)
     return EXIT_OK if outcome.state is ExecutionState.COMPLETED else EXIT_EXECUTION_FAILED
 
 
@@ -256,11 +256,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         record_history=not args.no_history,
     )
     _save_env(env, args.state_dir)
-    _write_reports(args.out_dir, result.outcome, env)
+    metrics = _measure_or_none(result.outcome, env)
+    _write_reports(args.out_dir, result.outcome, metrics)
     if not args.json:
         print(f"ancestor  : {result.ancestor_url}")
         print(f"kind      : {result.reproduction_mode}")
-    _print_outcome(result.outcome, env, args.json)
+    _print_outcome(result.outcome, metrics, args.json)
     return (
         EXIT_OK
         if result.outcome.state is ExecutionState.COMPLETED

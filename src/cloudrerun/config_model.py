@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -196,6 +196,8 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 _RESOURCES_SECTIONS = ("resources", "cloud.aws", "cloud.azure", "reproduce")
+_APPLICATION_SECTIONS = ("application",)
+_PERSONAL_SECTIONS = ("personal",)
 _KNOWN_KEYS = {
     "resources": {"bigdata_engine"},
     "cloud.aws": {"region", "instance_number", "subnet_id", "instance_type", "vpc_id"},
@@ -206,7 +208,9 @@ _KNOWN_KEYS = {
 }
 
 
-def _read_ini(text: str, label: str) -> dict[str, dict[str, str]]:
+def _read_ini(text: str, label: str, known_sections) -> tuple[dict, tuple]:
+    """Read one INI text into its sections, plus the unknown sections and
+    the unknown keys of known sections as sorted extras."""
     parser = configparser.ConfigParser(
         interpolation=None, delimiters=("=",), comment_prefixes=("#",), strict=True
     )
@@ -216,9 +220,15 @@ def _read_ini(text: str, label: str) -> dict[str, dict[str, str]]:
     except configparser.Error as exc:
         raise MalformedValue(f"{label}: {exc}") from exc
     sections: dict[str, dict[str, str]] = {}
+    extras = []
     for name in parser.sections():
-        sections[name] = {k: v.strip() for k, v in parser.items(name)}
-    return sections
+        data = sections[name] = {k: v.strip() for k, v in parser.items(name)}
+        if name in known_sections:
+            data = {k: v for k, v in data.items() if k not in _KNOWN_KEYS[name]}
+            if not data:
+                continue
+        extras.append((name, tuple(sorted(data.items()))))
+    return sections, tuple(sorted(extras))
 
 
 def _split_list(value: str) -> tuple[str, ...]:
@@ -247,28 +257,8 @@ def _positive_int(value: str, label: str) -> int:
     return number
 
 
-def _extras_of(section: str, data: Mapping[str, str], warnings: list[str]):
-    unknown = {k: v for k, v in data.items() if k not in _KNOWN_KEYS.get(section, set())}
-    for key in unknown:
-        warnings.append(f"unknown key {key!r} in [{section}]")
-    if not unknown:
-        return None
-    return (section, tuple(sorted(unknown.items())))
-
-
-def parse_resources(text: str, warnings: Optional[list[str]] = None) -> ResourcesSpec:
-    warnings = warnings if warnings is not None else []
-    sections = _read_ini(text, "resources.ini")
-
-    extras = []
-    for name, data in sections.items():
-        if name not in _RESOURCES_SECTIONS:
-            warnings.append(f"unknown section [{name}] in resources.ini")
-            extras.append((name, tuple(sorted(data.items()))))
-            continue
-        extra = _extras_of(name, data, warnings)
-        if extra:
-            extras.append(extra)
+def parse_resources(text: str) -> ResourcesSpec:
+    sections, extras = _read_ini(text, "resources.ini", _RESOURCES_SECTIONS)
 
     res = sections.get("resources", {})
     engine_raw = res.get("bigdata_engine", DEFAULTS["bigdata_engine"])
@@ -318,23 +308,12 @@ def parse_resources(text: str, warnings: Optional[list[str]] = None) -> Resource
         cloud_aws=aws,
         cloud_azure=azure,
         reproduce=reproduce,
-        extras=tuple(sorted(extras)),
+        extras=extras,
     )
 
 
-def parse_application(text: str, warnings: Optional[list[str]] = None) -> ApplicationSpec:
-    warnings = warnings if warnings is not None else []
-    sections = _read_ini(text, "application.ini")
-
-    extras = []
-    for name, data in sections.items():
-        if name != "application":
-            warnings.append(f"unknown section [{name}] in application.ini")
-            extras.append((name, tuple(sorted(data.items()))))
-            continue
-        extra = _extras_of(name, data, warnings)
-        if extra:
-            extras.append(extra)
+def parse_application(text: str) -> ApplicationSpec:
+    sections, extras = _read_ini(text, "application.ini", _APPLICATION_SECTIONS)
 
     app = sections.get("application", {})
     image = app.get("docker_image", "").strip()
@@ -346,29 +325,14 @@ def parse_application(text: str, warnings: Optional[list[str]] = None) -> Applic
         data_uri=_split_list(app.get("data_uri", "")),
         command=app.get("command", "").strip(),
         bootstrap=_split_list(app.get("bootstrap", "")),
-        extras=tuple(sorted(extras)),
+        extras=extras,
     )
 
 
-def parse_personal(
-    text: str,
-    env: Optional[Mapping[str, str]] = None,
-    warnings: Optional[list[str]] = None,
-) -> PersonalSpec:
+def parse_personal(text: str, env: Optional[Mapping[str, str]] = None) -> PersonalSpec:
     """Parse personal.ini; credentials may arrive or be overridden via
     CLOUDRERUN_CREDENTIAL_* environment variables."""
-    warnings = warnings if warnings is not None else []
-    sections = _read_ini(text, "personal.ini")
-
-    extras = []
-    for name, data in sections.items():
-        if name != "personal":
-            warnings.append(f"unknown section [{name}] in personal.ini")
-            extras.append((name, tuple(sorted(data.items()))))
-            continue
-        extra = _extras_of(name, data, warnings)
-        if extra:
-            extras.append(extra)
+    sections, extras = _read_ini(text, "personal.ini", _PERSONAL_SECTIONS)
 
     personal = sections.get("personal", {})
     provider = personal.get("cloud_provider", "").strip()
@@ -386,7 +350,7 @@ def parse_personal(
         key_name=personal.get("key_name", DEFAULTS["key_name"]),
         python_runtime=personal.get("python_runtime", DEFAULTS["python_runtime"]),
         cloud_credentials=tuple(sorted(credentials.items())),
-        extras=tuple(sorted(extras)),
+        extras=extras,
     )
 
 
@@ -435,10 +399,9 @@ def parse_abstract_request(
     or ProviderMismatch on invalid input; anything else parses to a valid,
     default-filled request.
     """
-    warnings: list[str] = []
-    resources = parse_resources(resources_text, warnings)
-    application = parse_application(application_text, warnings)
-    personal = parse_personal(personal_text, env, warnings)
+    resources = parse_resources(resources_text)
+    application = parse_application(application_text)
+    personal = parse_personal(personal_text, env)
 
     req = fill_defaults(AbstractRequest(resources, application, personal))
 
@@ -537,7 +500,17 @@ def validate(req: AbstractRequest) -> ValidationReport:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
-def _render(sections: list[tuple[str, dict[str, str]]]) -> str:
+def _render(sections: list[tuple[str, dict[str, str]]], extras, known_sections) -> str:
+    """Merge the extras into their known sections, append the unknown
+    sections by name, and write every section with its keys sorted."""
+    merged: dict[str, dict[str, str]] = {}
+    for section, pairs in extras:
+        merged.setdefault(section, {}).update(pairs)
+    for name, data in sections:
+        data.update(merged.get(name, {}))
+    sections = sections + [
+        (name, data) for name, data in sorted(merged.items()) if name not in known_sections
+    ]
     out = io.StringIO()
     first = True
     for name, data in sections:
@@ -550,22 +523,9 @@ def _render(sections: list[tuple[str, dict[str, str]]]) -> str:
     return out.getvalue()
 
 
-def _extras_sections(extras, known_names) -> list[tuple[str, dict[str, str]]]:
-    merged: dict[str, dict[str, str]] = {}
-    for section, pairs in extras:
-        merged.setdefault(section, {}).update(dict(pairs))
-    return [(name, data) for name, data in sorted(merged.items()) if name not in known_names]
-
-
 def serialize_resources(res: ResourcesSpec) -> str:
-    extras_by_section: dict[str, dict[str, str]] = {}
-    for section, pairs in res.extras:
-        extras_by_section.setdefault(section, {}).update(dict(pairs))
-
     sections: list[tuple[str, dict[str, str]]] = []
-    base = {"bigdata_engine": res.bigdata_engine.value}
-    base.update(extras_by_section.get("resources", {}))
-    sections.append(("resources", base))
+    sections.append(("resources", {"bigdata_engine": res.bigdata_engine.value}))
     if res.cloud_aws is not None:
         data = {
             "region": res.cloud_aws.region,
@@ -574,7 +534,6 @@ def serialize_resources(res: ResourcesSpec) -> str:
             "instance_type": res.cloud_aws.instance_type,
             "vpc_id": res.cloud_aws.vpc_id,
         }
-        data.update(extras_by_section.get("cloud.aws", {}))
         sections.append(("cloud.aws", data))
     if res.cloud_azure is not None:
         data = {
@@ -583,7 +542,6 @@ def serialize_resources(res: ResourcesSpec) -> str:
             "resource_group_name": res.cloud_azure.resource_group_name,
             "instance_type": res.cloud_azure.instance_type,
         }
-        data.update(extras_by_section.get("cloud.azure", {}))
         sections.append(("cloud.azure", data))
     sections.append(
         (
@@ -594,32 +552,20 @@ def serialize_resources(res: ResourcesSpec) -> str:
             },
         )
     )
-    sections.extend(_extras_sections(res.extras, set(_RESOURCES_SECTIONS)))
-    return _render(sections)
+    return _render(sections, res.extras, _RESOURCES_SECTIONS)
 
 
 def serialize_application(app: ApplicationSpec) -> str:
-    extras_by_section: dict[str, dict[str, str]] = {}
-    for section, pairs in app.extras:
-        extras_by_section.setdefault(section, {}).update(dict(pairs))
-
     data = {"docker_image": app.docker_image, "command": app.command}
     if app.data_uri:
         data["data_uri"] = ", ".join(app.data_uri)
     if app.bootstrap:
         data["bootstrap"] = ", ".join(app.bootstrap)
-    data.update(extras_by_section.get("application", {}))
-    sections = [("application", data)]
-    sections.extend(_extras_sections(app.extras, {"application"}))
-    return _render(sections)
+    return _render([("application", data)], app.extras, _APPLICATION_SECTIONS)
 
 
 def serialize_personal(personal: PersonalSpec, redact: bool = False) -> str:
     spec = personal.redacted() if redact else personal
-    extras_by_section: dict[str, dict[str, str]] = {}
-    for section, pairs in spec.extras:
-        extras_by_section.setdefault(section, {}).update(dict(pairs))
-
     data = {
         "cloud_provider": spec.cloud_provider,
         "key_path": spec.key_path,
@@ -628,10 +574,7 @@ def serialize_personal(personal: PersonalSpec, redact: bool = False) -> str:
     }
     if spec.cloud_credentials:
         data["cloud_credentials"] = ", ".join(f"{k}:{v}" for k, v in spec.cloud_credentials)
-    data.update(extras_by_section.get("personal", {}))
-    sections = [("personal", data)]
-    sections.extend(_extras_sections(spec.extras, {"personal"}))
-    return _render(sections)
+    return _render([("personal", data)], spec.extras, _PERSONAL_SECTIONS)
 
 
 def canonical_serialize(req: AbstractRequest, redact_personal: bool = False) -> tuple[str, str, str]:

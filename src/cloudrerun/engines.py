@@ -10,10 +10,10 @@ SSH from the client machine reaches the head node only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-import shlex
+from dataclasses import dataclass
 
 from .config_model import AbstractRequest, Engine
+from .simcloud.workload import parse_flags
 
 __all__ = [
     "NodeRole",
@@ -140,17 +140,7 @@ def capture_engine_config(req: AbstractRequest) -> dict:
     block = req.resources.provider_block(req.personal.cloud_provider)
     node_count = block.instance_number if block is not None else 1
 
-    flags: dict[str, str] = {}
-    tokens = shlex.split(req.application.command) if req.application.command else []
-    index = 0
-    while index < len(tokens):
-        token = tokens[index]
-        if token.startswith("--") and index + 1 < len(tokens):
-            flags[token[2:]] = tokens[index + 1]
-            index += 2
-        else:
-            index += 1
-
+    flags = parse_flags(req.application.command)
     ssh_port = int(flags.get("ssh-port", DEFAULT_SSH_DAEMON_PORT))
     return {
         "engine": engine.value,

@@ -68,7 +68,7 @@ class NoSuchImage(CloudRerunError):
 
 
 class ClockModeViolation(CloudRerunError):
-    """Explicit clock advance attempted outside deterministic mode."""
+    """Attempt to move the virtual clock backwards."""
 
 
 # --- pipeline execution ----------------------------------------------------

@@ -197,8 +197,10 @@ def reproduce(
 
     target = overrides.target_provider or new_personal.cloud_provider
     get_adapter(target)
+    personal_text = overrides.personal_text
     if new_personal.cloud_provider != target:
         new_personal = replace(new_personal, cloud_provider=target)
+        personal_text = serialize_personal(new_personal)
 
     try:
         resources = parse_resources(resources_text)
@@ -210,11 +212,7 @@ def reproduce(
         resources_text = serialize_resources(resources)
 
     try:
-        request = parse_abstract_request(
-            resources_text,
-            application_text,
-            _personal_with_provider(overrides.personal_text, target),
-        )
+        request = parse_abstract_request(resources_text, application_text, personal_text)
     except ConfigError as exc:
         raise InvalidMerge(f"merged request is invalid: {exc}") from exc
 
@@ -243,10 +241,3 @@ def reproduce(
         outcome=outcome,
     )
 
-
-def _personal_with_provider(personal_text: str, target: str) -> str:
-    """Force cloud_provider in the personal text to the target provider."""
-    personal = parse_personal(personal_text)
-    if personal.cloud_provider == target:
-        return personal_text
-    return serialize_personal(replace(personal, cloud_provider=target))

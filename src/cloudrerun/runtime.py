@@ -239,7 +239,6 @@ class Orchestrator:
         mode: str = "serverless",
         record_history: bool = True,
         poll_window: Optional[Fraction] = None,
-        install_rules: bool = True,
         extra_parameters: Optional[dict] = None,
     ) -> PipelineInstance:
         body = doc.body
@@ -279,7 +278,8 @@ class Orchestrator:
             extra_parameters=dict(extra_parameters or {}),
         )
         self.instances[instance.instance_id] = instance
-        if install_rules:
+        # sdk mode polls for each stage instead of reacting to trigger rules.
+        if mode != "sdk":
             self._install_rules(instance)
         return instance
 
@@ -643,7 +643,6 @@ class Orchestrator:
             mode="sdk",
             record_history=record_history,
             poll_window=poll_window,
-            install_rules=False,
             extra_parameters=extra_parameters,
         )
         self.start(inst)

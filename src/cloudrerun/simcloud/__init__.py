@@ -1,6 +1,6 @@
 """Deterministic simulated cloud: virtual clock, providers, cost ledger."""
 
-from .clock import ClockMode, VirtualClock
+from .clock import VirtualClock
 from .ledger import CostLedger, LedgerEntry
 from .provider import (
     Cluster,
@@ -8,13 +8,11 @@ from .provider import (
     Event,
     SimCloud,
     SimProvider,
-    instance_catalog,
     price_catalog,
 )
 from .workload import WorkloadProfile, parse_workload, workload_duration, workload_result
 
 __all__ = [
-    "ClockMode",
     "VirtualClock",
     "CostLedger",
     "LedgerEntry",
@@ -23,7 +21,6 @@ __all__ = [
     "Event",
     "SimCloud",
     "SimProvider",
-    "instance_catalog",
     "price_catalog",
     "WorkloadProfile",
     "parse_workload",

@@ -2,45 +2,31 @@
 
 from __future__ import annotations
 
-import time
-from enum import Enum
 from fractions import Fraction
 from typing import Union
 
 from ..errors import ClockModeViolation
 
-__all__ = ["ClockMode", "VirtualClock"]
+__all__ = ["VirtualClock"]
 
 Seconds = Union[int, Fraction]
 
 
-class ClockMode(str, Enum):
-    DETERMINISTIC = "deterministic"
-    REALTIME = "realtime"
-
-
 class VirtualClock:
-    """Monotonic clock; advanced explicitly in deterministic mode.
+    """Deterministic monotonic clock, advanced only explicitly.
 
-    Deterministic mode keeps time as an exact Fraction of seconds so that
-    durations and costs derived from it admit exact arithmetic.  Realtime
-    mode reads the wall clock and rejects manual advancement.
+    Time is an exact Fraction of seconds so that durations and costs
+    derived from it admit exact arithmetic.
     """
 
-    def __init__(self, mode: ClockMode = ClockMode.DETERMINISTIC) -> None:
-        self.mode = mode
+    def __init__(self) -> None:
         self._now = Fraction(0)
-        self._epoch = time.monotonic() if mode is ClockMode.REALTIME else None
 
     def now(self) -> Fraction:
-        if self.mode is ClockMode.REALTIME:
-            return Fraction(time.monotonic() - self._epoch).limit_denominator(10**9)
         return self._now
 
     def advance(self, delta: Seconds) -> Fraction:
         """Move forward by ``delta`` seconds; never backwards."""
-        if self.mode is not ClockMode.DETERMINISTIC:
-            raise ClockModeViolation("advance() is only valid in deterministic mode")
         delta = Fraction(delta)
         if delta < 0:
             raise ClockModeViolation(f"cannot move the clock backwards ({delta}s)")
@@ -48,8 +34,6 @@ class VirtualClock:
         return self._now
 
     def advance_to(self, timestamp: Seconds) -> Fraction:
-        if self.mode is not ClockMode.DETERMINISTIC:
-            raise ClockModeViolation("advance_to() is only valid in deterministic mode")
         timestamp = Fraction(timestamp)
         if timestamp < self._now:
             raise ClockModeViolation(

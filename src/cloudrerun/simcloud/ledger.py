@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -94,6 +93,14 @@ class CostLedger:
             if e.close_time is None and (scope is None or e.scope == scope)
         ]
 
+    def _fees(self, scope: Optional[str]) -> Fraction:
+        """Request fees charged to ``scope``, or to every scope when None."""
+        fees = Fraction(0)
+        for (entry_scope, operation), count in self.request_counts.items():
+            if scope is None or entry_scope == scope:
+                fees += self.request_prices.get(operation, Fraction(0)) * count
+        return fees
+
     def compute_cost(
         self, at: Optional[Fraction] = None, scope: Optional[str] = None
     ) -> Fraction:
@@ -104,11 +111,7 @@ class CostLedger:
             if scope is not None and entry.scope != scope:
                 continue
             total += entry.cost(at)
-        for (entry_scope, operation), count in self.request_counts.items():
-            if scope is not None and entry_scope != scope:
-                continue
-            total += self.request_prices.get(operation, Fraction(0)) * count
-        return total
+        return total + self._fees(scope)
 
     def breakdown(self, scope: Optional[str] = None) -> dict[str, Fraction]:
         """Closed-entry cost per category, request fees under 'requests'."""
@@ -117,17 +120,17 @@ class CostLedger:
             if scope is not None and entry.scope != scope:
                 continue
             per_category[entry.category] = per_category.get(entry.category, Fraction(0)) + entry.cost()
-        fees = Fraction(0)
-        for (entry_scope, operation), count in self.request_counts.items():
-            if scope is not None and entry_scope != scope:
-                continue
-            fees += self.request_prices.get(operation, Fraction(0)) * count
+        fees = self._fees(scope)
         if fees:
             per_category["requests"] = fees
         return per_category
 
-    def to_json(self) -> str:
-        payload = {
+    # -- persistence -------------------------------------------------------
+
+    def to_state(self) -> dict:
+        """Entries and request counts; request prices come from the catalog
+        and are not captured."""
+        return {
             "entries": [
                 {
                     "resource_id": e.resource_id,
@@ -143,6 +146,19 @@ class CostLedger:
                 {"scope": scope, "operation": op, "count": count}
                 for (scope, op), count in sorted(self.request_counts.items())
             ],
-            "request_prices": {op: str(p) for op, p in sorted(self.request_prices.items())},
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def restore_state(self, state: dict) -> None:
+        """Append the entries and request counts of a ``to_state`` snapshot."""
+        for e in state["entries"]:
+            entry = self.open_entry(
+                resource_id=e["resource_id"],
+                category=e["category"],
+                unit_price_hour=Fraction(e["unit_price_hour"]),
+                open_time=Fraction(e["open_time"]),
+                scope=e["scope"],
+            )
+            if e["close_time"] is not None:
+                entry.close_time = Fraction(e["close_time"])
+        for rc in state["request_counts"]:
+            self.charge_request(rc["scope"], rc["operation"], rc["count"])

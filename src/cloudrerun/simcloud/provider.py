@@ -27,7 +27,7 @@ from ..errors import (
     UnknownInstanceType,
     UnsupportedProvider,
 )
-from .clock import ClockMode, VirtualClock
+from .clock import VirtualClock
 from .ledger import CostLedger
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "DelayProfile",
     "SimProvider",
     "SimCloud",
-    "instance_catalog",
     "price_catalog",
     "PROVIDERS",
 ]
@@ -45,17 +44,9 @@ PROVIDERS = ("aws", "azure")
 
 
 @lru_cache(maxsize=None)
-def _catalog_text(name: str) -> str:
-    return resources.files("cloudrerun.data").joinpath(name).read_text(encoding="utf-8")
-
-
-def instance_catalog() -> dict:
-    return json.loads(_catalog_text("instance_catalog.json"))
-
-
-@lru_cache(maxsize=None)
 def price_catalog() -> dict:
-    raw = json.loads(_catalog_text("price_catalog.json"))
+    catalog = resources.files("cloudrerun.data").joinpath("price_catalog.json")
+    raw = json.loads(catalog.read_text(encoding="utf-8"))
     return {
         "instance_hour": {
             provider: {t: Fraction(p) for t, p in types.items()}
@@ -308,12 +299,8 @@ class SimProvider:
 class SimCloud:
     """Shared environment: clock, providers, ledger, scheduler, event fanout."""
 
-    def __init__(
-        self,
-        mode: ClockMode = ClockMode.DETERMINISTIC,
-        delays: Optional[DelayProfile] = None,
-    ) -> None:
-        self.clock = VirtualClock(mode)
+    def __init__(self, delays: Optional[DelayProfile] = None) -> None:
+        self.clock = VirtualClock()
         self.delays = delays or DelayProfile()
         self.ledger = CostLedger()
         for op, price in price_catalog()["request"].items():
@@ -351,7 +338,7 @@ class SimCloud:
         if not self._completions:
             return False
         when, _, callback = heapq.heappop(self._completions)
-        if self.clock.mode is ClockMode.DETERMINISTIC and when > self.clock.now():
+        if when > self.clock.now():
             self.clock.advance_to(when)
         callback()
         return True
@@ -394,7 +381,6 @@ class SimCloud:
     def to_state(self) -> dict:
         """Snapshot for cross-invocation use.  Pending completions and
         subscribers are transient and not captured."""
-        ledger = self.ledger
         return {
             "clock": str(self.clock.now()),
             "event_counter": self._event_counter,
@@ -427,28 +413,12 @@ class SimCloud:
                 }
                 for name, p in self.providers.items()
             },
-            "ledger": {
-                "entries": [
-                    {
-                        "resource_id": e.resource_id,
-                        "category": e.category,
-                        "unit_price_hour": str(e.unit_price_hour),
-                        "open_time": str(e.open_time),
-                        "close_time": None if e.close_time is None else str(e.close_time),
-                        "scope": e.scope,
-                    }
-                    for e in ledger.entries
-                ],
-                "request_counts": [
-                    {"scope": s, "operation": op, "count": n}
-                    for (s, op), n in sorted(ledger.request_counts.items())
-                ],
-            },
+            "ledger": self.ledger.to_state(),
         }
 
     @classmethod
     def from_state(cls, state: dict, delays: Optional[DelayProfile] = None) -> "SimCloud":
-        env = cls(ClockMode.DETERMINISTIC, delays)
+        env = cls(delays)
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = state["event_counter"]
         for name, pstate in state["providers"].items():
@@ -475,18 +445,7 @@ class SimCloud:
             }
             p.tables = {table: [dict(r) for r in rows] for table, rows in pstate["tables"].items()}
             p.registry = None if pstate["registry"] is None else set(pstate["registry"])
-        for e in state["ledger"]["entries"]:
-            entry = env.ledger.open_entry(
-                resource_id=e["resource_id"],
-                category=e["category"],
-                unit_price_hour=Fraction(e["unit_price_hour"]),
-                open_time=Fraction(e["open_time"]),
-                scope=e["scope"],
-            )
-            if e["close_time"] is not None:
-                entry.close_time = Fraction(e["close_time"])
-        for rc in state["ledger"]["request_counts"]:
-            env.ledger.charge_request(rc["scope"], rc["operation"], rc["count"])
+        env.ledger.restore_state(state["ledger"])
         return env
 
     def save_state(self, path) -> None:

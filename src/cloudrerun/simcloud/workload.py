@@ -26,6 +26,7 @@ from ..errors import MalformedValue
 
 __all__ = [
     "WorkloadProfile",
+    "parse_flags",
     "parse_workload",
     "workload_duration",
     "workload_result",
@@ -68,9 +69,9 @@ def _int_flag(value: str, flag: str) -> int:
         raise MalformedValue(f"--{flag}: expected an integer, got {value!r}") from exc
 
 
-def parse_workload(command: str) -> WorkloadProfile:
-    """Extract the workload profile from a command line; unknown flags are
-    someone else's business and are ignored."""
+def parse_flags(command: str) -> dict[str, str]:
+    """Every ``--flag value`` pair of a command line, keyed by flag name;
+    a later repeat of a flag wins."""
     tokens = shlex.split(command)
     values: dict[str, str] = {}
     index = 0
@@ -81,7 +82,13 @@ def parse_workload(command: str) -> WorkloadProfile:
             index += 2
         else:
             index += 1
+    return values
 
+
+def parse_workload(command: str) -> WorkloadProfile:
+    """Extract the workload profile from a command line; unknown flags are
+    someone else's business and are ignored."""
+    values = parse_flags(command)
     serial = _fraction_flag(values["serial-seconds"], "serial-seconds") if "serial-seconds" in values else _FLAG_DEFAULTS["serial-seconds"]
     parallel = _fraction_flag(values["parallel-seconds"], "parallel-seconds") if "parallel-seconds" in values else _FLAG_DEFAULTS["parallel-seconds"]
     comm = _fraction_flag(values["comm-seconds"], "comm-seconds") if "comm-seconds" in values else _FLAG_DEFAULTS["comm-seconds"]

@@ -1,5 +1,7 @@
 """Request configuration: parsing, validation, defaults, serialization."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,12 +91,12 @@ class TestParsing:
         assert dict(personal.cloud_credentials)["access_key"] == "new"
 
     def test_unknown_keys_kept_as_extras_with_warning(self):
-        warnings = []
-        res = parse_resources(
-            "[resources]\nbigdata_engine = none\nfuture_flag = on\n", warnings
-        )
+        res = parse_resources("[resources]\nbigdata_engine = none\nfuture_flag = on\n")
         assert ("resources", (("future_flag", "on"),)) in res.extras
-        assert any("future_flag" in w for w in warnings)
+        req = parse_triple(resources_text(), application_text(), personal_text())
+        report = validate(fill_defaults(replace(req, resources=res)))
+        assert report.ok
+        assert any("future_flag" in w for w in report.warnings)
 
     def test_comments_and_whitespace(self):
         res = parse_resources(
@@ -151,11 +153,8 @@ class TestValidation:
         assert validate(req).ok
 
     def test_secret_outside_personal_is_flagged(self):
-        warnings = []
-        res = parse_resources(
-            "[resources]\nbigdata_engine = none\naccess_key_id = AKIA123\n",
-            warnings,
-        )
+        res = parse_resources("[resources]\nbigdata_engine = none\naccess_key_id = AKIA123\n")
+        assert ("resources", (("access_key_id", "AKIA123"),)) in res.extras
         req = parse_triple(resources_text(), application_text(), personal_text())
         req = req.__class__(resources=res, application=req.application, personal=req.personal)
         req = fill_defaults(req)

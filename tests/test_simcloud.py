@@ -16,15 +16,17 @@ from cloudrerun.errors import (
     StorageFailure,
     UnknownInstanceType,
 )
-from cloudrerun.simcloud.clock import ClockMode, VirtualClock
+from cloudrerun.simcloud.clock import VirtualClock
 from cloudrerun.simcloud.ledger import CostLedger
-from cloudrerun.simcloud.provider import SimCloud, instance_catalog, price_catalog
+from cloudrerun.simcloud.provider import SimCloud, price_catalog
 from cloudrerun.simcloud.workload import (
     WorkloadProfile,
     parse_workload,
     workload_duration,
     workload_result,
 )
+
+from cloudrerun.reproducer import INSTANCE_TYPE_EQUIVALENCE
 
 from oracles import per_second_cost
 
@@ -43,12 +45,6 @@ class TestClock:
             clock.advance(-1)
         with pytest.raises(ClockModeViolation):
             clock.advance_to(5)
-
-    def test_realtime_rejects_manual_advance(self):
-        clock = VirtualClock(ClockMode.REALTIME)
-        with pytest.raises(ClockModeViolation):
-            clock.advance(1)
-        assert clock.now() >= 0
 
 
 class TestLedger:
@@ -149,14 +145,12 @@ class TestWorkload:
 
 class TestProvider:
     def test_catalog_shapes(self):
-        catalog = instance_catalog()
-        assert catalog["aws"]["c5d.4xlarge"] == {"vcpus": 16, "memory_gb": 32, "gpus": 0}
-        assert catalog["azure"]["F16s_v2"]["vcpus"] == 16
-        assert catalog["aws"]["p3.8xlarge"]["gpus"] == 4
-        assert catalog["azure"]["NC24s_v3"]["gpus"] == 4
-        prices = price_catalog()
-        for provider in ("aws", "azure"):
-            assert set(prices["instance_hour"][provider]) == set(catalog[provider])
+        # Every priced instance type translates to a priced type of the
+        # other cloud, and nothing else does.
+        priced = price_catalog()["instance_hour"]
+        for (source, target), table in INSTANCE_TYPE_EQUIVALENCE.items():
+            assert set(table) == set(priced[source])
+            assert set(table.values()) == set(priced[target])
 
     def test_cluster_lifecycle_emits_ready_event(self):
         env = SimCloud()
@@ -269,12 +263,15 @@ class TestProvider:
         provider.db_put("t", {"execution_id": "e1", "status": "Completed"}, "e1")
         provider.delete_cluster(cluster.cluster_id)
         provider.delete_network(net)
+        open_net = provider.create_network("r2")
 
         path = tmp_path / "state.json"
         env.save_state(path)
         again = SimCloud.load_state(path)
         assert again.clock.now() == env.clock.now()
-        assert again.ledger.compute_cost() == env.ledger.compute_cost()
+        assert again.ledger.compute_cost(at=env.clock.now()) == env.ledger.compute_cost(at=env.clock.now())
+        assert [e.resource_id for e in again.ledger.open_entries()] == [open_net]
         assert again.provider("aws").storage_get("bucket", "k", "r") == b"payload"
         assert again.provider("aws").tables == provider.tables
-        assert again.provider("aws").inventory() == {"clusters": [], "networks": []}
+        assert again.provider("aws").inventory() == {"clusters": [], "networks": [open_net]}
+        assert SimCloud.from_state(env.to_state()).to_state() == env.to_state()
