@@ -168,9 +168,6 @@ class _BaseAdapter:
     provider: str = ""
     unsupported_engines: frozenset[Engine] = frozenset()
 
-    def _block(self, req: AbstractRequest):
-        return req.resources.provider_block(self.provider)
-
     def _check_engine(self, req: AbstractRequest) -> None:
         engine = req.resources.bigdata_engine
         if engine in self.unsupported_engines:
@@ -179,7 +176,14 @@ class _BaseAdapter:
             )
 
     def provisioning_doc(self, req: AbstractRequest) -> dict:
-        raise NotImplementedError
+        """The mapped services plus every field of the provider block."""
+        return {
+            "cluster_service": lookup_service(self.provider, "cluster"),
+            "network_service": lookup_service(self.provider, "network"),
+            "registry_service": lookup_service(self.provider, "container_registry"),
+            **vars(req.resources.provider_block(self.provider)),
+            "emits": "HardwareEnvReady",
+        }
 
     def application_doc(self, req: AbstractRequest) -> dict:
         return _application_doc(req)
@@ -282,39 +286,12 @@ class _BaseAdapter:
 class AwsAdapter(_BaseAdapter):
     provider = "aws"
 
-    def provisioning_doc(self, req: AbstractRequest) -> dict:
-        block = self._block(req)
-        return {
-            "cluster_service": lookup_service("aws", "cluster"),
-            "network_service": lookup_service("aws", "network"),
-            "registry_service": lookup_service("aws", "container_registry"),
-            "region": block.region,
-            "instance_type": block.instance_type,
-            "instance_number": block.instance_number,
-            "subnet_id": block.subnet_id,
-            "vpc_id": block.vpc_id,
-            "emits": "HardwareEnvReady",
-        }
-
 
 class AzureAdapter(_BaseAdapter):
     provider = "azure"
     # HDInsight offers no Docker-based engine deployment, so the
     # containerized engine path is unavailable on this provider.
     unsupported_engines = frozenset({Engine.SPARK})
-
-    def provisioning_doc(self, req: AbstractRequest) -> dict:
-        block = self._block(req)
-        return {
-            "cluster_service": lookup_service("azure", "cluster"),
-            "network_service": lookup_service("azure", "network"),
-            "registry_service": lookup_service("azure", "container_registry"),
-            "region": block.region,
-            "instance_type": block.instance_type,
-            "instance_number": block.instance_number,
-            "resource_group_name": block.resource_group_name,
-            "emits": "HardwareEnvReady",
-        }
 
 
 _ADAPTERS: dict[str, CloudAdapter] = {}

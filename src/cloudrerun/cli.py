@@ -327,6 +327,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     levels = tuple(int(x) for x in args.levels.split(",") if x.strip())
     if not levels or any(level < 1 for level in levels):
         raise ValueError(f"--levels must be positive integers, got {args.levels!r}")
+    if args.suite in ("efficiency", "all") and args.repeats < 2:
+        # The t-test needs two runs per mode; fail before any run starts.
+        raise ValueError(f"--repeats must be at least 2 for the efficiency suite, got {args.repeats}")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -101,27 +101,32 @@ REDACTED = "<redacted>"
 CREDENTIAL_ENV_PREFIX = "CLOUDRERUN_CREDENTIAL_"
 
 
+# The block dataclasses are the one definition of their INI sections: the
+# field names are the section's keys and the field defaults fill what a
+# request leaves out.  Parsing, serializing, porting and the adapters'
+# provisioning documents all read the fields from here.
+
 @dataclass(frozen=True)
 class AwsBlock:
-    region: str
-    instance_number: int
-    subnet_id: str
-    instance_type: str
-    vpc_id: str
+    region: str = DEFAULTS["aws_region"]
+    instance_number: int = DEFAULTS["instance_number"]
+    subnet_id: str = DEFAULTS["subnet_id"]
+    instance_type: str = DEFAULTS["aws_instance_type"]
+    vpc_id: str = DEFAULTS["vpc_id"]
 
 
 @dataclass(frozen=True)
 class AzureBlock:
-    region: str
-    instance_number: int
-    resource_group_name: str
-    instance_type: str
+    region: str = DEFAULTS["azure_region"]
+    instance_number: int = DEFAULTS["instance_number"]
+    resource_group_name: str = DEFAULTS["resource_group_name"]
+    instance_type: str = DEFAULTS["azure_instance_type"]
 
 
 @dataclass(frozen=True)
 class ReproduceBlock:
-    reproduce_storage: str
-    reproduce_database: str
+    reproduce_storage: str = DEFAULTS["reproduce_storage"]
+    reproduce_database: str = DEFAULTS["reproduce_database"]
 
 
 @dataclass(frozen=True)
@@ -153,9 +158,9 @@ class ApplicationSpec:
 @dataclass(frozen=True)
 class PersonalSpec:
     cloud_provider: str
-    key_path: str
-    key_name: str
-    python_runtime: str
+    key_path: str = DEFAULTS["key_path"]
+    key_name: str = DEFAULTS["key_name"]
+    python_runtime: str = DEFAULTS["python_runtime"]
     cloud_credentials: tuple[tuple[str, str], ...] = ()
     extras: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
 
@@ -195,14 +200,13 @@ class ValidationReport:
 # parsing
 # ---------------------------------------------------------------------------
 
-_RESOURCES_SECTIONS = ("resources", "cloud.aws", "cloud.azure", "reproduce")
+_BLOCKS = {"cloud.aws": AwsBlock, "cloud.azure": AzureBlock, "reproduce": ReproduceBlock}
+_RESOURCES_SECTIONS = ("resources", *_BLOCKS)
 _APPLICATION_SECTIONS = ("application",)
 _PERSONAL_SECTIONS = ("personal",)
 _KNOWN_KEYS = {
     "resources": {"bigdata_engine"},
-    "cloud.aws": {"region", "instance_number", "subnet_id", "instance_type", "vpc_id"},
-    "cloud.azure": {"region", "instance_number", "resource_group_name", "instance_type"},
-    "reproduce": {"reproduce_storage", "reproduce_database"},
+    **{name: {f.name for f in fields(block)} for name, block in _BLOCKS.items()},
     "application": {"docker_image", "data_uri", "command", "bootstrap"},
     "personal": {"cloud_provider", "key_path", "key_name", "python_runtime", "cloud_credentials"},
 }
@@ -257,6 +261,23 @@ def _positive_int(value: str, label: str) -> int:
     return number
 
 
+def _parse_block(sections: dict, name: str):
+    """The block of section ``name`` built from its known keys, with the
+    dataclass defaults for the rest; None when the section is absent."""
+    if name not in sections:
+        return None
+    data = {k: v for k, v in sections[name].items() if k in _KNOWN_KEYS[name]}
+    if "instance_number" in data:
+        data["instance_number"] = _positive_int(data["instance_number"], f"{name}.instance_number")
+    return _BLOCKS[name](**data)
+
+
+def _blocks(res: ResourcesSpec) -> list:
+    """(section name, block) for every block present, in file order."""
+    pairs = (("cloud.aws", res.cloud_aws), ("cloud.azure", res.cloud_azure), ("reproduce", res.reproduce))
+    return [(name, block) for name, block in pairs if block is not None]
+
+
 def parse_resources(text: str) -> ResourcesSpec:
     sections, extras = _read_ini(text, "resources.ini", _RESOURCES_SECTIONS)
 
@@ -270,44 +291,11 @@ def parse_resources(text: str) -> ResourcesSpec:
             f"bigdata_engine {engine_raw!r} not one of: {accepted}"
         ) from exc
 
-    aws = None
-    if "cloud.aws" in sections:
-        a = sections["cloud.aws"]
-        aws = AwsBlock(
-            region=a.get("region", DEFAULTS["aws_region"]),
-            instance_number=_positive_int(
-                a.get("instance_number", str(DEFAULTS["instance_number"])),
-                "cloud.aws.instance_number",
-            ),
-            subnet_id=a.get("subnet_id", DEFAULTS["subnet_id"]),
-            instance_type=a.get("instance_type", DEFAULTS["aws_instance_type"]),
-            vpc_id=a.get("vpc_id", DEFAULTS["vpc_id"]),
-        )
-
-    azure = None
-    if "cloud.azure" in sections:
-        a = sections["cloud.azure"]
-        azure = AzureBlock(
-            region=a.get("region", DEFAULTS["azure_region"]),
-            instance_number=_positive_int(
-                a.get("instance_number", str(DEFAULTS["instance_number"])),
-                "cloud.azure.instance_number",
-            ),
-            resource_group_name=a.get("resource_group_name", DEFAULTS["resource_group_name"]),
-            instance_type=a.get("instance_type", DEFAULTS["azure_instance_type"]),
-        )
-
-    rep = sections.get("reproduce", {})
-    reproduce = ReproduceBlock(
-        reproduce_storage=rep.get("reproduce_storage", DEFAULTS["reproduce_storage"]),
-        reproduce_database=rep.get("reproduce_database", DEFAULTS["reproduce_database"]),
-    )
-
     return ResourcesSpec(
         bigdata_engine=engine,
-        cloud_aws=aws,
-        cloud_azure=azure,
-        reproduce=reproduce,
+        cloud_aws=_parse_block(sections, "cloud.aws"),
+        cloud_azure=_parse_block(sections, "cloud.azure"),
+        reproduce=_parse_block(sections, "reproduce") or ReproduceBlock(),
         extras=extras,
     )
 
@@ -344,14 +332,9 @@ def parse_personal(text: str, env: Optional[Mapping[str, str]] = None) -> Person
         if var.startswith(CREDENTIAL_ENV_PREFIX):
             credentials[var[len(CREDENTIAL_ENV_PREFIX):].lower()] = value
 
-    return PersonalSpec(
-        cloud_provider=provider,
-        key_path=personal.get("key_path", DEFAULTS["key_path"]),
-        key_name=personal.get("key_name", DEFAULTS["key_name"]),
-        python_runtime=personal.get("python_runtime", DEFAULTS["python_runtime"]),
-        cloud_credentials=tuple(sorted(credentials.items())),
-        extras=extras,
-    )
+    known = {k: v for k, v in personal.items() if k in _KNOWN_KEYS["personal"]}
+    known["cloud_credentials"] = tuple(sorted(credentials.items()))
+    return PersonalSpec(**known, extras=extras)
 
 
 def fill_defaults(req: AbstractRequest) -> AbstractRequest:
@@ -364,26 +347,9 @@ def fill_defaults(req: AbstractRequest) -> AbstractRequest:
     res = req.resources
     if res.cloud_aws is None and res.cloud_azure is None:
         if req.personal.cloud_provider == "aws":
-            res = replace(
-                res,
-                cloud_aws=AwsBlock(
-                    region=DEFAULTS["aws_region"],
-                    instance_number=DEFAULTS["instance_number"],
-                    subnet_id=DEFAULTS["subnet_id"],
-                    instance_type=DEFAULTS["aws_instance_type"],
-                    vpc_id=DEFAULTS["vpc_id"],
-                ),
-            )
+            res = replace(res, cloud_aws=AwsBlock())
         elif req.personal.cloud_provider == "azure":
-            res = replace(
-                res,
-                cloud_azure=AzureBlock(
-                    region=DEFAULTS["azure_region"],
-                    instance_number=DEFAULTS["instance_number"],
-                    resource_group_name=DEFAULTS["resource_group_name"],
-                    instance_type=DEFAULTS["azure_instance_type"],
-                ),
-            )
+            res = replace(res, cloud_azure=AzureBlock())
     return replace(req, resources=res)
 
 
@@ -446,17 +412,13 @@ def validate(req: AbstractRequest) -> ValidationReport:
         findings.append(Finding("resources", "bigdata_engine", "unknown engine"))
     if res.cloud_aws is None and res.cloud_azure is None:
         findings.append(Finding("resources", "cloud.*", "no provider block present"))
-    for name, block in (("cloud.aws", res.cloud_aws), ("cloud.azure", res.cloud_azure)):
-        if block is None:
-            continue
-        if block.instance_number < 1:
+    for name, block in _blocks(res):
+        values = vars(block)
+        if values.get("instance_number", 1) < 1:
             findings.append(Finding(name, "instance_number", "instance_number must be >= 1"))
-        for key, value in vars(block).items():
+        for key, value in values.items():
             if isinstance(value, str) and not value:
                 findings.append(Finding(name, key, f"{key} must be non-empty"))
-    for key in ("reproduce_storage", "reproduce_database"):
-        if not getattr(res.reproduce, key):
-            findings.append(Finding("reproduce", key, f"{key} must be non-empty"))
 
     app = req.application
     if not app.docker_image:
@@ -482,11 +444,11 @@ def validate(req: AbstractRequest) -> ValidationReport:
             )
         )
 
-    # Secret material must live only in the personal section.
-    for spec, origin in ((res, "resources"), (app, "application")):
+    # Secret material must live only in the personal file.
+    for spec, origin in ((res, "resources"), (app, "application"), (personal, "personal")):
         for section, pairs in spec.extras:
             for key, _ in pairs:
-                if _looks_secret(key):
+                if origin != "personal" and _looks_secret(key):
                     findings.append(
                         Finding(section, key, "credentials outside personal section")
                     )
@@ -524,34 +486,9 @@ def _render(sections: list[tuple[str, dict[str, str]]], extras, known_sections) 
 
 
 def serialize_resources(res: ResourcesSpec) -> str:
-    sections: list[tuple[str, dict[str, str]]] = []
-    sections.append(("resources", {"bigdata_engine": res.bigdata_engine.value}))
-    if res.cloud_aws is not None:
-        data = {
-            "region": res.cloud_aws.region,
-            "instance_number": str(res.cloud_aws.instance_number),
-            "subnet_id": res.cloud_aws.subnet_id,
-            "instance_type": res.cloud_aws.instance_type,
-            "vpc_id": res.cloud_aws.vpc_id,
-        }
-        sections.append(("cloud.aws", data))
-    if res.cloud_azure is not None:
-        data = {
-            "region": res.cloud_azure.region,
-            "instance_number": str(res.cloud_azure.instance_number),
-            "resource_group_name": res.cloud_azure.resource_group_name,
-            "instance_type": res.cloud_azure.instance_type,
-        }
-        sections.append(("cloud.azure", data))
-    sections.append(
-        (
-            "reproduce",
-            {
-                "reproduce_storage": res.reproduce.reproduce_storage,
-                "reproduce_database": res.reproduce.reproduce_database,
-            },
-        )
-    )
+    sections = [("resources", {"bigdata_engine": res.bigdata_engine.value})]
+    for name, block in _blocks(res):
+        sections.append((name, {k: str(v) for k, v in vars(block).items()}))
     return _render(sections, res.extras, _RESOURCES_SECTIONS)
 
 

@@ -26,7 +26,6 @@ from typing import Optional, Sequence, Union
 
 from .caam import generate_pipeline
 from .config_model import (
-    DEFAULTS,
     AbstractRequest,
     ApplicationSpec,
     AwsBlock,
@@ -288,30 +287,16 @@ def make_suite_request(
     return AbstractRequest(
         resources=ResourcesSpec(
             bigdata_engine=engine,
-            cloud_aws=AwsBlock(
-                region=DEFAULTS["aws_region"],
-                instance_number=nodes,
-                subnet_id=DEFAULTS["subnet_id"],
-                instance_type=DEFAULTS["aws_instance_type"],
-                vpc_id=DEFAULTS["vpc_id"],
-            ),
+            cloud_aws=AwsBlock(instance_number=nodes),
             cloud_azure=None,
-            reproduce=ReproduceBlock(
-                reproduce_storage=DEFAULTS["reproduce_storage"],
-                reproduce_database=DEFAULTS["reproduce_database"],
-            ),
+            reproduce=ReproduceBlock(),
         ),
         application=ApplicationSpec(
             docker_image="registry.example/analytics:1.0",
             data_uri=("s3://datasets/benchmark",),
             command=command,
         ),
-        personal=PersonalSpec(
-            cloud_provider="aws",
-            key_path=DEFAULTS["key_path"],
-            key_name=DEFAULTS["key_name"],
-            python_runtime=DEFAULTS["python_runtime"],
-        ),
+        personal=PersonalSpec(cloud_provider="aws"),
     )
 
 

@@ -69,9 +69,6 @@ REGION_EQUIVALENCE = {
     ("azure", "aws"): {v: k for k, v in _AWS_TO_AZURE_REGIONS.items()},
 }
 
-_DEFAULT_REGION = {"aws": DEFAULTS["aws_region"], "azure": DEFAULTS["azure_region"]}
-
-
 @dataclass(frozen=True)
 class OverrideSet:
     """Wholesale section replacements for a reproduction.
@@ -108,28 +105,17 @@ def translate_resources(resources: ResourcesSpec, source: str, target: str) -> R
         raise InvalidMerge(
             f"instance type {block.instance_type!r} has no {target} equivalent"
         )
-    region = REGION_EQUIVALENCE[(source, target)].get(block.region, _DEFAULT_REGION[target])
-    if target == "azure":
-        return replace(
-            resources,
-            cloud_aws=None,
-            cloud_azure=AzureBlock(
-                region=region,
-                instance_number=block.instance_number,
-                resource_group_name=DEFAULTS["resource_group_name"],
-                instance_type=instance_type,
-            ),
-        )
+    block_type = AwsBlock if target == "aws" else AzureBlock
+    ported = block_type(
+        # An unmapped region falls back to the target block's default region.
+        region=REGION_EQUIVALENCE[(source, target)].get(block.region, block_type.region),
+        instance_number=block.instance_number,
+        instance_type=instance_type,
+    )
     return replace(
         resources,
-        cloud_azure=None,
-        cloud_aws=AwsBlock(
-            region=region,
-            instance_number=block.instance_number,
-            subnet_id=DEFAULTS["subnet_id"],
-            instance_type=instance_type,
-            vpc_id=DEFAULTS["vpc_id"],
-        ),
+        cloud_aws=ported if target == "aws" else None,
+        cloud_azure=ported if target == "azure" else None,
     )
 
 

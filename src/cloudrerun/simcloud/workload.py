@@ -51,9 +51,6 @@ class WorkloadProfile:
     seed: int
     exit_code: int
 
-    def duration(self, nodes: int) -> Fraction:
-        return workload_duration(self, nodes)
-
 
 def _fraction_flag(value: str, flag: str) -> Fraction:
     try:

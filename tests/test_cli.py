@@ -380,6 +380,17 @@ class TestErrorExitCodes:
         code = main(["bench", "--levels", "0,2", "--state-dir", str(tmp_path / "s")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("suite", ["efficiency", "all"])
+    @pytest.mark.parametrize("repeats", ["1", "0", "-3"])
+    def test_bench_rejects_too_few_repeats(self, tmp_path, capsys, suite, repeats):
+        code = main(
+            ["bench", "--suite", suite, "--repeats", repeats, "--state-dir", str(tmp_path / "s")]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--repeats must be at least 2" in captured.err
+        assert captured.out == ""
+
 
 class TestBench:
     def test_scale_up_json_payload(self, tmp_path, capsys):

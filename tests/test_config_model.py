@@ -1,14 +1,17 @@
 """Request configuration: parsing, validation, defaults, serialization."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudrerun.caam import get_adapter
 from cloudrerun.config_model import (
     DEFAULTS,
     REDACTED,
+    AwsBlock,
+    AzureBlock,
     Engine,
     canonical_serialize,
     fill_defaults,
@@ -17,6 +20,7 @@ from cloudrerun.config_model import (
     parse_personal,
     parse_resources,
     serialize_personal,
+    serialize_resources,
     validate,
 )
 from cloudrerun.errors import (
@@ -91,18 +95,92 @@ class TestParsing:
         assert dict(personal.cloud_credentials)["access_key"] == "new"
 
     def test_unknown_keys_kept_as_extras_with_warning(self):
-        res = parse_resources("[resources]\nbigdata_engine = none\nfuture_flag = on\n")
-        assert ("resources", (("future_flag", "on"),)) in res.extras
+        cases = [
+            (
+                "resources",
+                parse_resources,
+                "[resources]\nbigdata_engine = none\nfuture_flag = on\n",
+                (("resources", (("future_flag", "on"),)),),
+                ["unknown key 'future_flag' in [resources] (resources)"],
+            ),
+            # Secrets belong in personal.ini, so an unknown secret-looking key
+            # there is a warning, not a credential finding.
+            (
+                "personal",
+                parse_personal,
+                "[personal]\ncloud_provider = aws\nkey_nmae = x\n\n[extra]\napi_token = t\n",
+                (("extra", (("api_token", "t"),)), ("personal", (("key_nmae", "x"),))),
+                [
+                    "unknown key 'api_token' in [extra] (personal)",
+                    "unknown key 'key_nmae' in [personal] (personal)",
+                ],
+            ),
+        ]
         req = parse_triple(resources_text(), application_text(), personal_text())
-        report = validate(fill_defaults(replace(req, resources=res)))
-        assert report.ok
-        assert any("future_flag" in w for w in report.warnings)
+        for part, parse, text, extras, warnings in cases:
+            spec = parse(text)
+            assert spec.extras == extras
+            report = validate(fill_defaults(replace(req, **{part: spec})))
+            assert report.ok
+            assert list(report.warnings) == warnings
 
     def test_comments_and_whitespace(self):
         res = parse_resources(
             "# leading comment\n[resources]\nbigdata_engine = spark  \n\n[cloud.aws]\n"
         )
         assert res.bigdata_engine is Engine.SPARK
+
+
+BLOCKS = {"aws": AwsBlock, "azure": AzureBlock}
+
+# Both provider blocks and the reproduce block, every field away from its
+# default, in canonical form.
+ALL_BLOCKS_TEXT = """\
+[resources]
+bigdata_engine = dask
+
+[cloud.aws]
+instance_number = 3
+instance_type = p3.2xlarge
+region = us-east-1
+subnet_id = subnet-9
+vpc_id = vpc-9
+
+[cloud.azure]
+instance_number = 4
+instance_type = NC6s_v3
+region = eastus
+resource_group_name = rg-9
+
+[reproduce]
+reproduce_database = records-9
+reproduce_storage = history-9
+"""
+
+
+@pytest.mark.parametrize("provider", sorted(BLOCKS))
+class TestBlockDefinition:
+    """The block dataclasses are the one definition of their sections."""
+
+    def test_empty_section_and_fill_defaults_give_the_default_block(self, provider):
+        block = BLOCKS[provider]()
+        assert parse_resources(f"[resources]\n[cloud.{provider}]\n").provider_block(provider) == block
+        req = parse_triple(resources_text(provider=provider), application_text(), personal_text(provider))
+        bare = replace(req, resources=parse_resources("[resources]\n"))
+        assert fill_defaults(bare).resources.provider_block(provider) == block
+
+    def test_both_blocks_round_trip_with_every_field_set(self, provider):
+        res = parse_resources(ALL_BLOCKS_TEXT)
+        for block in (res.provider_block(provider), res.reproduce):
+            for f in fields(block):
+                assert getattr(block, f.name) != f.default, f.name
+        assert serialize_resources(res) == ALL_BLOCKS_TEXT
+
+    def test_provisioning_doc_carries_every_block_field(self, provider):
+        req = parse_triple(resources_text(provider=provider), application_text(), personal_text(provider))
+        doc = get_adapter(provider).provisioning_doc(req)
+        services = {"cluster_service", "network_service", "registry_service", "emits"}
+        assert set(doc) == {f.name for f in fields(BLOCKS[provider])} | services
 
 
 class TestErrorKinds:
