@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedEngineOnProvider,
     UnsupportedProvider,
 )
-from .history import RECORD_FIELDS, HistoryStore, find_record_table, parse_url
+from .history import HistoryStore, find_record_table, parse_url
 from .metrics import measure, run_efficiency_suite, run_scaling_suite
 from .reproducer import OverrideSet, reproduce
 from .runtime import ExecutionState, Orchestrator

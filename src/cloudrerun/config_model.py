@@ -267,6 +267,9 @@ def _parse_block(sections: dict, name: str):
     if name not in sections:
         return None
     data = {k: v for k, v in sections[name].items() if k in _KNOWN_KEYS[name]}
+    for key, value in data.items():
+        if not value:
+            raise MalformedValue(f"{name}.{key}: must be non-empty")
     if "instance_number" in data:
         data["instance_number"] = _positive_int(data["instance_number"], f"{name}.instance_number")
     return _BLOCKS[name](**data)

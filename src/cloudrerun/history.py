@@ -24,7 +24,7 @@ import hashlib
 import io
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 

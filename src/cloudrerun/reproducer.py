@@ -209,17 +209,22 @@ def reproduce(
     doc = generate_pipeline(request)
     orchestrator = Orchestrator(env)
     extra = {"ancestor_url": url, "reproduction_mode": reproduction_mode}
-    if mode == "sdk":
-        outcome = orchestrator.run_sdk(
-            doc,
-            poll_window=poll_window,
-            record_history=record_history,
-            extra_parameters=extra,
-        )
-    else:
-        outcome = orchestrator.run_serverless(
-            doc, record_history=record_history, extra_parameters=extra
-        )
+    # The orchestrator lives for this one run; left subscribed, its bus would
+    # collect every later event of the environment.
+    try:
+        if mode == "sdk":
+            outcome = orchestrator.run_sdk(
+                doc,
+                poll_window=poll_window,
+                record_history=record_history,
+                extra_parameters=extra,
+            )
+        else:
+            outcome = orchestrator.run_serverless(
+                doc, record_history=record_history, extra_parameters=extra
+            )
+    finally:
+        env.unsubscribe(orchestrator.bus.enqueue)
     return ReproductionResult(
         ancestor_url=url,
         reproduction_mode=reproduction_mode,

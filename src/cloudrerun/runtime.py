@@ -40,7 +40,6 @@ from .errors import (
     CloudRerunError,
     DeploymentRejected,
     MalformedValue,
-    StorageFailure,
 )
 from .history import HistoryStore
 from .simcloud.provider import Cluster, Event, SimCloud
@@ -72,6 +71,8 @@ class ExecutionState(str, Enum):
 
 
 TERMINAL_STATES = (ExecutionState.COMPLETED, ExecutionState.FAILED)
+# A run in one of these states starts no further stage.
+ENDING_STATES = (ExecutionState.TERMINATING,) + TERMINAL_STATES
 
 # Stage names used as timing keys, in lifecycle order.
 STAGES = ("Provisioning", "SoftwareSetup", "Executing", "Exporting", "Terminating")
@@ -435,72 +436,67 @@ class Orchestrator:
         self._transition(inst, ExecutionState.EXPORTING)
         self._open_stage(inst, "Exporting")
 
-        if not inst.record_history:
-            def done_skip() -> None:
-                if inst.state is not ExecutionState.EXPORTING:
-                    return
-                inst.export_done_at = self.env.clock.now()
-                self.env.emit(inst.source, "ExportComplete", "lifecycle")
-
-            self.env.schedule_in(Fraction(0), done_skip)
-            return True
-
-        history = self._history_for(inst)
-        provider = self.env.provider(inst.provider_name)
-        try:
-            entries = {}
-            for key in inst.result_keys:
-                entries[key.rsplit("/", 1)[1]] = provider.storage_get(
-                    WORKSPACE_STORE, key, inst.instance_id
+        # A run without history has nothing to archive: no plan, no delay.
+        plan = None
+        if inst.record_history:
+            history = self._history_for(inst)
+            provider = self.env.provider(inst.provider_name)
+            try:
+                entries = {}
+                for key in inst.result_keys:
+                    entries[key.rsplit("/", 1)[1]] = provider.storage_get(
+                        WORKSPACE_STORE, key, inst.instance_id
+                    )
+                plan = history.plan_export(
+                    inst.instance_id,
+                    inst.doc.body["archive"],
+                    capture_engine_config(inst.request),
+                    entries,
+                    list(inst.request.application.data_uri),
                 )
-            plan = history.plan_export(
-                inst.instance_id,
-                inst.doc.body["archive"],
-                capture_engine_config(inst.request),
-                entries,
-                list(inst.request.application.data_uri),
-            )
-        except CloudRerunError as exc:
-            self._fail(inst, exc)
-            return True
-
-        delay = self.env.delays.history_op_s * plan.op_count
+            except CloudRerunError as exc:
+                self._fail(inst, exc)
+                return True
 
         def done() -> None:
             if inst.state is not ExecutionState.EXPORTING:
                 return
-            try:
-                inst.history_url = history.commit_export(
-                    inst.instance_id, plan, self._build_record(inst, provisional=True)
-                )
-                inst.record = history.get_record(inst.instance_id)
-            except CloudRerunError as exc:
-                self._fail(inst, exc)
-                return
+            if plan is not None:
+                try:
+                    inst.history_url = history.commit_export(
+                        inst.instance_id, plan, self._build_record(inst, provisional=True)
+                    )
+                    inst.record = history.get_record(inst.instance_id)
+                except CloudRerunError as exc:
+                    self._fail(inst, exc)
+                    return
             inst.export_done_at = self.env.clock.now()
             self.env.emit(inst.source, "ExportComplete", "lifecycle")
 
+        delay = Fraction(0) if plan is None else self.env.delays.history_op_s * plan.op_count
         self.env.schedule_in(delay, done)
         return True
 
     def _begin_terminate(self, inst: PipelineInstance) -> bool:
         if inst.state is not ExecutionState.EXPORTING or inst.export_done_at is None:
             return False
-        self._close_stage(inst, "Exporting")
-        self._transition(inst, ExecutionState.TERMINATING)
-        self._open_stage(inst, "Terminating")
-        self._schedule_terminate(inst)
+        self._enter_terminating(inst)
         return True
 
-    def _schedule_terminate(self, inst: PipelineInstance) -> None:
+    def _enter_terminating(self, inst: PipelineInstance) -> None:
+        self._close_open_stages(inst)
+        self._transition(inst, ExecutionState.TERMINATING)
+        self._open_stage(inst, "Terminating")
+
         def done() -> None:
-            if inst.state is not ExecutionState.TERMINATING:
-                return
-            self._finish(inst)
+            if inst.state is ExecutionState.TERMINATING:
+                self._finish(inst)
 
         self.env.schedule_in(self.env.delays.terminate_s, done)
 
     def _finish(self, inst: PipelineInstance) -> None:
+        """The one place a run ends: release its resources, close its bill
+        and stages, set its end and write its final record."""
         provider = self.env.provider(inst.provider_name)
         if inst.cluster is not None:
             provider.delete_cluster(inst.cluster.cluster_id)
@@ -510,23 +506,20 @@ class Orchestrator:
         for entry in self.env.ledger.open_entries(scope=inst.instance_id):
             entry.close_time = now
         inst.terminated_at = now
-        inst.ended_at = now
         final = ExecutionState.FAILED if inst.failure else ExecutionState.COMPLETED
         self._close_open_stages(inst)
         self._transition(inst, final)
+        # An sdk run ends at the poll that observes termination, not at the
+        # termination instant itself.
+        inst.ended_at = self._poll_tick(inst, now) if inst.mode == "sdk" else now
         if inst.record_history:
             self._finalize_record(inst)
 
     def _fail(self, inst: PipelineInstance, exc: Exception) -> None:
         if inst.failure is None:
             inst.failure = f"{type(exc).__name__}: {exc}"
-        if inst.state in TERMINAL_STATES or inst.state is ExecutionState.TERMINATING:
-            return
-        for stage in STAGES[:-1]:
-            self._close_stage(inst, stage)
-        self._transition(inst, ExecutionState.TERMINATING)
-        self._open_stage(inst, "Terminating")
-        self._schedule_terminate(inst)
+        if inst.state not in ENDING_STATES:
+            self._enter_terminating(inst)
 
     # -- history glue ------------------------------------------------------
 
@@ -583,6 +576,19 @@ class Orchestrator:
 
     # -- execution modes ---------------------------------------------------
 
+    def _poll_tick(self, inst: PipelineInstance, ready_at: Fraction) -> Fraction:
+        """Advance to the first poll tick at or after ``ready_at``."""
+        ticks = math.ceil((ready_at - inst.submitted_at) / inst.poll_window)
+        tick = inst.submitted_at + max(0, ticks) * inst.poll_window
+        if tick > self.env.clock.now():
+            self.env.clock.advance_to(tick)
+        return tick
+
+    def _run_next_completion(self, inst: PipelineInstance) -> None:
+        """Run the earliest pending completion; with none pending, the run is stalled."""
+        if not self.env.run_next_completion():
+            raise CloudRerunError(f"{inst.instance_id} stalled in state {inst.state.value}")
+
     def _outcome(self, inst: PipelineInstance) -> ExecutionOutcome:
         return ExecutionOutcome(
             instance_id=inst.instance_id,
@@ -619,11 +625,8 @@ class Orchestrator:
         while inst.state not in TERMINAL_STATES:
             if self.bus.queue:
                 self.bus.dispatch_next()
-                continue
-            if not self.env.run_next_completion():
-                raise CloudRerunError(
-                    f"{inst.instance_id} stalled in state {inst.state.value}"
-                )
+            else:
+                self._run_next_completion(inst)
         while self.bus.queue:
             self.bus.dispatch_next()
         return self._outcome(inst)
@@ -646,27 +649,6 @@ class Orchestrator:
             extra_parameters=extra_parameters,
         )
         self.start(inst)
-        submit = inst.submitted_at
-
-        def observe(ready_at: Fraction) -> Fraction:
-            """Advance to the first poll tick at or after ``ready_at``."""
-            ticks = math.ceil((ready_at - submit) / poll_window)
-            tick = submit + max(0, ticks) * poll_window
-            if tick > self.env.clock.now():
-                self.env.clock.advance_to(tick)
-            return tick
-
-        def wait(ready) -> bool:
-            """Run completions until the condition holds or the run dies."""
-            while ready() is None:
-                if inst.state is ExecutionState.TERMINATING or inst.state in TERMINAL_STATES:
-                    return False
-                if not self.env.run_next_completion():
-                    raise CloudRerunError(
-                        f"{inst.instance_id} stalled in state {inst.state.value}"
-                    )
-            return True
-
         steps = [
             (lambda: inst.cluster.ready_at if inst.cluster else None, self._begin_software_setup),
             (lambda: inst.software_ready_at, self._begin_analytics),
@@ -674,22 +656,14 @@ class Orchestrator:
             (lambda: inst.export_done_at, self._begin_terminate),
         ]
         for ready, begin in steps:
-            if inst.state is ExecutionState.TERMINATING or inst.state in TERMINAL_STATES:
+            if inst.state in ENDING_STATES:
                 break
-            if not wait(ready):
-                break
-            observe(ready())
-            begin(inst)
-
+            while ready() is None and inst.state not in ENDING_STATES:
+                self._run_next_completion(inst)
+            if ready() is not None:
+                self._poll_tick(inst, ready())
+                begin(inst)
         while inst.state not in TERMINAL_STATES:
-            if not self.env.run_next_completion():
-                raise CloudRerunError(
-                    f"{inst.instance_id} stalled in state {inst.state.value}"
-                )
-        # The outcome ends at the poll that observes termination, not at the
-        # termination instant itself.
-        inst.ended_at = observe(inst.terminated_at)
+            self._run_next_completion(inst)
         self.bus.queue.clear()
-        if inst.record_history:
-            self._finalize_record(inst)
         return self._outcome(inst)

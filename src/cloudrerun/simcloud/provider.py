@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -347,6 +347,9 @@ class SimCloud:
 
     def subscribe(self, handler: Callable[[Event], None]) -> None:
         self.subscribers.append(handler)
+
+    def unsubscribe(self, handler: Callable[[Event], None]) -> None:
+        self.subscribers.remove(handler)
 
     def emit(
         self,

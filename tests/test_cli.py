@@ -341,6 +341,16 @@ class TestErrorExitCodes:
         code = main(run_args(paths, tmp_path / "s", "--mode", "sdk", "--poll-window", "0"))
         assert code == EXIT_USAGE
 
+    def test_empty_block_values_are_usage_errors(self, tmp_path, capsys):
+        resources = resources_text(store="").replace("region = us-west-2", "region =")
+        paths = write_files(tmp_path, resources=resources)
+        state = tmp_path / "s"
+        assert main(run_args(paths, state)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "cloud.aws.region: must be non-empty" in captured.err
+        assert "history" not in captured.out
+        assert not (state / "simcloud.json").exists()
+
     def test_provider_without_resource_block_is_usage_error(self, tmp_path, capsys):
         # an aws resources block cannot serve a gcloud personal profile
         paths = write_files(tmp_path, personal=personal_text(provider="gcloud"))

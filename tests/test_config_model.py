@@ -13,6 +13,7 @@ from cloudrerun.config_model import (
     AwsBlock,
     AzureBlock,
     Engine,
+    ReproduceBlock,
     canonical_serialize,
     fill_defaults,
     parse_abstract_request,
@@ -207,6 +208,15 @@ class TestErrorKinds:
     def test_non_integer_instance_number(self):
         with pytest.raises(MalformedValue):
             parse_resources("[resources]\n[cloud.aws]\ninstance_number = two\n")
+
+    def test_empty_block_value_names_the_key(self):
+        # an empty value would otherwise reach the archive and the history URL
+        for section, block in (
+            ("cloud.aws", AwsBlock), ("cloud.azure", AzureBlock), ("reproduce", ReproduceBlock)
+        ):
+            for key in (f.name for f in fields(block)):
+                with pytest.raises(MalformedValue, match=rf"^{section}\.{key}: must be non-empty"):
+                    parse_resources(f"[resources]\n[{section}]\n{key} =\n")
 
     def test_syntax_error_is_malformed(self):
         with pytest.raises(MalformedValue):

@@ -4,7 +4,7 @@ import pytest
 
 from cloudrerun.caam import generate_pipeline, register_adapter, unregister_adapter
 from cloudrerun.config_model import parse_resources
-from cloudrerun.errors import InvalidMerge, NotFound, UnsupportedProvider
+from cloudrerun.errors import InvalidMerge, NotFound, QuotaExceeded, UnsupportedProvider
 from cloudrerun.history import HistoryStore, read_zip
 from cloudrerun.reproducer import (
     INSTANCE_TYPE_EQUIVALENCE,
@@ -84,6 +84,17 @@ class TestModes:
         )
         assert result.outcome.provider == "azure"
         assert result.request.personal.cloud_provider == "azure"
+
+    def test_reproduce_leaves_no_subscriber_behind(self):
+        env, outcome = seeded_env()
+        subscribers = len(env.subscribers)
+        for mode in ("serverless", "sdk", "serverless"):
+            reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()), mode=mode)
+        # a run that raises drops its subscription too
+        env.provider("aws").max_instances = 1
+        with pytest.raises(QuotaExceeded):
+            reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()))
+        assert len(env.subscribers) == subscribers
 
 
 class TestFixpoint:

@@ -203,6 +203,17 @@ class TestSdkMode:
         sdk, _ = run_sdk(req, poll_window=Fraction(1))
         assert sdk.duration_s == serverless.duration_s
 
+    def test_modes_bill_the_same_requests(self):
+        # each mode writes the history record once
+        req = make_request()
+        for run in (run_serverless, run_sdk):
+            outcome, env = run(req)
+            counts = {
+                op: n for (scope, op), n in env.ledger.request_counts.items()
+                if scope == outcome.instance_id
+            }
+            assert counts == {"storage_put": 5, "storage_get": 2, "db_write": 2, "db_read": 3}, run
+
     def test_poll_window_must_be_positive(self):
         from cloudrerun.errors import MalformedValue
 
@@ -265,6 +276,8 @@ class TestFailures:
         outcome = Orchestrator(env).run_sdk(generate_pipeline(make_request()))
         assert outcome.state is ExecutionState.FAILED
         assert env.provider("aws").inventory() == {"clusters": [], "networks": []}
+        assert outcome.record["status"] == "Failed"
+        assert outcome.record["ended_at"] == str(outcome.ended_at)
 
 
 class TestDeploymentValidation:
