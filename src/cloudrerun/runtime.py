@@ -15,11 +15,12 @@ mechanisms: the bus drops events whose id was already seen, and every
 handler is guarded by the state machine, turning distinct-but-late events
 into no-ops.
 
-Two execution modes share all stage logic.  Serverless mode consumes the
-event stream.  SDK mode ignores it and instead polls on a fixed tick grid
-anchored at submission: each stage starts at the first tick at or after
-its precondition became true, so the wall-clock difference between the
-modes is exactly the sum of per-stage alignment residues.
+Two execution modes share all stage logic and one event stream.
+Serverless mode acts on each event as it arrives.  SDK mode polls on a
+fixed tick grid anchored at submission and acts on each event at the first
+tick at or after it, so the wall-clock difference between the modes is
+exactly the sum of per-stage alignment residues.  A run that ends removes
+its trigger rules from the bus.
 """
 
 from __future__ import annotations
@@ -102,19 +103,18 @@ class EventBus:
     def __init__(self) -> None:
         self.queue: deque[Event] = deque()
         self.seen: set[str] = set()
-        self.rules: list[tuple[InstalledRule, Callable[["PipelineInstance", Event], bool]]] = []
+        self.rules: list[tuple[InstalledRule, Callable[[Event], bool]]] = []
         self.dropped: list[Event] = []
 
     def enqueue(self, event: Event) -> None:
         self.queue.append(event)
 
-    def install(
-        self,
-        rule: InstalledRule,
-        handler: Callable[["PipelineInstance", Event], bool],
-        instance: "PipelineInstance",
-    ) -> None:
-        self.rules.append((rule, lambda inst_event, _i=instance: handler(_i, inst_event)))
+    def install(self, rule: InstalledRule, handler: Callable[[Event], bool]) -> None:
+        self.rules.append((rule, handler))
+
+    def retire(self, instance_id: str) -> None:
+        """Remove every rule bound to ``instance_id``."""
+        self.rules = [pair for pair in self.rules if pair[0].instance_id != instance_id]
 
     def dispatch(self, event: Event) -> list[str]:
         """Process one event; returns the names of functions that acted."""
@@ -131,11 +131,6 @@ class EventBus:
         if not matched:
             self.dropped.append(event)
         return acted
-
-    def dispatch_next(self) -> Optional[list[str]]:
-        if not self.queue:
-            return None
-        return self.dispatch(self.queue.popleft())
 
 
 @dataclass
@@ -154,16 +149,12 @@ class PipelineInstance:
     ended_at: Optional[Fraction] = None
     failure: Optional[str] = None
     transitions: list[tuple[Fraction, str, str]] = field(default_factory=list)
-    stage_timings: dict[str, tuple[Optional[Fraction], Optional[Fraction]]] = field(
-        default_factory=dict
-    )
 
     cluster: Optional[Cluster] = None
     network_id: Optional[str] = None
     software_ready_at: Optional[Fraction] = None
     analytics_done_at: Optional[Fraction] = None
     export_done_at: Optional[Fraction] = None
-    terminated_at: Optional[Fraction] = None
     result_keys: list[str] = field(default_factory=list)
     history_url: Optional[str] = None
     record: Optional[dict] = None
@@ -171,6 +162,14 @@ class PipelineInstance:
     @property
     def source(self) -> str:
         return f"{self.provider_name}:instance:{self.instance_id}"
+
+    @property
+    def stage_timings(self) -> dict[str, tuple[Fraction, Fraction]]:
+        """Each finished stage, from the transition into it to the next one."""
+        return {
+            stage: (start, end)
+            for (start, _, stage), (end, _, _) in zip(self.transitions, self.transitions[1:])
+        }
 
     @property
     def node_count(self) -> int:
@@ -230,7 +229,6 @@ class Orchestrator:
         self.env = env
         self.bus = EventBus()
         self.env.subscribe(self.bus.enqueue)
-        self.instances: dict[str, PipelineInstance] = {}
 
     # -- deployment --------------------------------------------------------
 
@@ -278,10 +276,7 @@ class Orchestrator:
             poll_window=poll_window,
             extra_parameters=dict(extra_parameters or {}),
         )
-        self.instances[instance.instance_id] = instance
-        # sdk mode polls for each stage instead of reacting to trigger rules.
-        if mode != "sdk":
-            self._install_rules(instance)
+        self._install_rules(instance)
         return instance
 
     def _install_rules(self, instance: PipelineInstance) -> None:
@@ -292,7 +287,7 @@ class Orchestrator:
             ("export_execution", storage_source, f"{EXPORT_PREFIX}{instance.instance_id}/", "prefix", self._begin_export),
             ("terminate_resources", instance.source, "ExportComplete", "exact", self._begin_terminate),
         ]
-        for function, source, event, match, handler in bindings:
+        for function, source, event, match, begin in bindings:
             rule = InstalledRule(
                 function=function,
                 instance_id=instance.instance_id,
@@ -300,7 +295,7 @@ class Orchestrator:
                 event=event,
                 match=match,
             )
-            self.bus.install(rule, lambda inst, ev, h=handler: h(inst), instance)
+            self.bus.install(rule, lambda _event, begin=begin: begin(instance))
 
     # -- state machine -----------------------------------------------------
 
@@ -309,25 +304,12 @@ class Orchestrator:
         inst.transitions.append((now, inst.state.value, to.value))
         inst.state = to
 
-    def _open_stage(self, inst: PipelineInstance, stage: str) -> None:
-        inst.stage_timings[stage] = (self.env.clock.now(), None)
-
-    def _close_stage(self, inst: PipelineInstance, stage: str) -> None:
-        timing = inst.stage_timings.get(stage)
-        if timing and timing[1] is None:
-            inst.stage_timings[stage] = (timing[0], self.env.clock.now())
-
-    def _close_open_stages(self, inst: PipelineInstance) -> None:
-        for stage in STAGES:
-            self._close_stage(inst, stage)
-
     def start(self, inst: PipelineInstance) -> None:
         """Begin hardware provisioning."""
         if inst.state is not ExecutionState.SUBMITTED:
             return
         inst.submitted_at = self.env.clock.now()
         self._transition(inst, ExecutionState.PROVISIONING)
-        self._open_stage(inst, "Provisioning")
         provider = self.env.provider(inst.provider_name)
         block = inst.request.resources.provider_block(inst.provider_name)
         network_id = provider.create_network(inst.instance_id)
@@ -346,9 +328,7 @@ class Orchestrator:
             return False
         if inst.cluster is None or inst.cluster.state != "Ready":
             return False
-        self._close_stage(inst, "Provisioning")
         self._transition(inst, ExecutionState.SOFTWARE_SETUP)
-        self._open_stage(inst, "SoftwareSetup")
         provider = self.env.provider(inst.provider_name)
         try:
             provider.resolve_image(inst.request.application.docker_image)
@@ -371,9 +351,7 @@ class Orchestrator:
     def _begin_analytics(self, inst: PipelineInstance) -> bool:
         if inst.state is not ExecutionState.SOFTWARE_SETUP or inst.software_ready_at is None:
             return False
-        self._close_stage(inst, "SoftwareSetup")
         self._transition(inst, ExecutionState.EXECUTING)
-        self._open_stage(inst, "Executing")
         try:
             profile = parse_workload(inst.request.application.command)
         except CloudRerunError as exc:
@@ -432,9 +410,7 @@ class Orchestrator:
     def _begin_export(self, inst: PipelineInstance) -> bool:
         if inst.state is not ExecutionState.EXECUTING or inst.analytics_done_at is None:
             return False
-        self._close_stage(inst, "Executing")
         self._transition(inst, ExecutionState.EXPORTING)
-        self._open_stage(inst, "Exporting")
 
         # A run without history has nothing to archive: no plan, no delay.
         plan = None
@@ -484,9 +460,7 @@ class Orchestrator:
         return True
 
     def _enter_terminating(self, inst: PipelineInstance) -> None:
-        self._close_open_stages(inst)
         self._transition(inst, ExecutionState.TERMINATING)
-        self._open_stage(inst, "Terminating")
 
         def done() -> None:
             if inst.state is ExecutionState.TERMINATING:
@@ -495,8 +469,8 @@ class Orchestrator:
         self.env.schedule_in(self.env.delays.terminate_s, done)
 
     def _finish(self, inst: PipelineInstance) -> None:
-        """The one place a run ends: release its resources, close its bill
-        and stages, set its end and write its final record."""
+        """The one place a run ends: release its resources, close its bill,
+        retire its rules, set its end and write its final record."""
         provider = self.env.provider(inst.provider_name)
         if inst.cluster is not None:
             provider.delete_cluster(inst.cluster.cluster_id)
@@ -505,10 +479,9 @@ class Orchestrator:
         now = self.env.clock.now()
         for entry in self.env.ledger.open_entries(scope=inst.instance_id):
             entry.close_time = now
-        inst.terminated_at = now
         final = ExecutionState.FAILED if inst.failure else ExecutionState.COMPLETED
-        self._close_open_stages(inst)
         self._transition(inst, final)
+        self.bus.retire(inst.instance_id)
         # An sdk run ends at the poll that observes termination, not at the
         # termination instant itself.
         inst.ended_at = self._poll_tick(inst, now) if inst.mode == "sdk" else now
@@ -567,9 +540,7 @@ class Orchestrator:
         record["failure"] = inst.failure
         record["ended_at"] = str(inst.ended_at)
         record["stage_timings"] = {
-            name: [str(start), str(end)]
-            for name, (start, end) in inst.stage_timings.items()
-            if start is not None and end is not None
+            name: [str(start), str(end)] for name, (start, end) in inst.stage_timings.items()
         }
         inst.history_url = history.put_record(inst.instance_id, record)
         inst.record = history.get_record(inst.instance_id)
@@ -598,11 +569,7 @@ class Orchestrator:
             state=inst.state,
             submitted_at=inst.submitted_at,
             ended_at=inst.ended_at,
-            stage_timings={
-                name: (start, end)
-                for name, (start, end) in inst.stage_timings.items()
-                if start is not None and end is not None
-            },
+            stage_timings=inst.stage_timings,
             result_keys=tuple(inst.result_keys),
             history_url=inst.history_url,
             record=inst.record,
@@ -621,15 +588,7 @@ class Orchestrator:
             record_history=record_history,
             extra_parameters=extra_parameters,
         )
-        self.start(inst)
-        while inst.state not in TERMINAL_STATES:
-            if self.bus.queue:
-                self.bus.dispatch_next()
-            else:
-                self._run_next_completion(inst)
-        while self.bus.queue:
-            self.bus.dispatch_next()
-        return self._outcome(inst)
+        return self._drive(inst)
 
     def run_sdk(
         self,
@@ -648,22 +607,21 @@ class Orchestrator:
             poll_window=poll_window,
             extra_parameters=extra_parameters,
         )
+        return self._drive(inst)
+
+    def _drive(self, inst: PipelineInstance) -> ExecutionOutcome:
+        """Start a deployed run and drive it to its end: dispatch each queued
+        event, and run the next completion when none is queued.  An sdk run
+        that has not begun ending acts on an event at the first poll tick at
+        or after it."""
         self.start(inst)
-        steps = [
-            (lambda: inst.cluster.ready_at if inst.cluster else None, self._begin_software_setup),
-            (lambda: inst.software_ready_at, self._begin_analytics),
-            (lambda: inst.analytics_done_at, self._begin_export),
-            (lambda: inst.export_done_at, self._begin_terminate),
-        ]
-        for ready, begin in steps:
-            if inst.state in ENDING_STATES:
-                break
-            while ready() is None and inst.state not in ENDING_STATES:
-                self._run_next_completion(inst)
-            if ready() is not None:
-                self._poll_tick(inst, ready())
-                begin(inst)
+        queue = self.bus.queue
         while inst.state not in TERMINAL_STATES:
-            self._run_next_completion(inst)
-        self.bus.queue.clear()
+            if not queue:
+                self._run_next_completion(inst)
+                continue
+            event = queue.popleft()
+            if inst.mode == "sdk" and inst.state not in ENDING_STATES:
+                self._poll_tick(inst, event.time)
+            self.bus.dispatch(event)
         return self._outcome(inst)

@@ -52,3 +52,72 @@ def test_package_modules_have_no_unused_imports():
         if unused:
             found[str(path.relative_to(PACKAGE))] = unused
     assert found == {}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants, and private
+    methods, that no module of ``sources`` references.
+
+    ``sources`` maps a module's name to its text.  A reference is a loaded
+    name or attribute anywhere in ``sources``, or a ``from ... import``
+    of the name.
+    """
+    defined = []  # (label, name)
+    referenced = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{module}:{node.name}", node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(f"{module}:{t.id}", t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}:{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    return [
+        label
+        for label, name in defined
+        if name.startswith("_") and not name.endswith("__") and name not in referenced
+    ]
+
+
+def test_private_detector_flags_only_unreferenced_definitions():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "__version__ = '1'\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def _orphan():\n"
+            "    pass\n"
+            "class _Box:\n"
+            "    def __init__(self):\n"
+            "        self._cache = None\n"
+            "    def _called(self):\n"
+            "        return self._cache\n"
+            "    def _stale(self):\n"
+            "        return self._called()\n"
+        ),
+        "b": "from a import _helper, _Box\n_helper()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a:_UNUSED", "a:_orphan", "a:_Box._stale"]
+
+
+def test_package_has_no_unreferenced_private_names():
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert unreferenced_private_names(sources) == []

@@ -8,6 +8,7 @@ import pytest
 from cloudrerun.caam import generate_pipeline
 from cloudrerun.errors import (
     AnalyticsFailure,
+    CloudRerunError,
     DeploymentRejected,
     ImagePullFailure,
     QuotaExceeded,
@@ -37,18 +38,25 @@ def command_for(serial, parallel, comm, parallelism, seed=0, extra=""):
 
 class TestServerlessLifecycle:
     def test_completes_with_ordered_stages(self):
-        outcome, env = run_serverless(make_request(engine="dask", nodes=2))
-        assert outcome.state is ExecutionState.COMPLETED
-        assert list(outcome.stage_timings) == list(STAGES)
-        boundaries = []
-        for stage in STAGES:
-            start, end = outcome.stage_timings[stage]
-            assert start <= end
-            boundaries.extend([start, end])
-        assert boundaries == sorted(boundaries)
-        # stages tile the run exactly: no gaps between trigger and action
-        assert boundaries[0] == outcome.submitted_at
-        assert boundaries[-1] == outcome.ended_at
+        failing = make_request(command=command_for(1, 1, 0, 1, extra=" --exit-code 3"))
+        cases = [
+            (make_request(engine="dask", nodes=2), ExecutionState.COMPLETED, STAGES),
+            (failing, ExecutionState.FAILED, STAGES[:3] + ("Terminating",)),
+        ]
+        for req, state, stages in cases:
+            outcome, env = run_serverless(req)
+            assert outcome.state is state
+            assert tuple(outcome.stage_timings) == stages
+            boundaries = []
+            for stage in stages:
+                start, end = outcome.stage_timings[stage]
+                assert start <= end
+                boundaries.extend([start, end])
+            assert boundaries == sorted(boundaries)
+            # stages tile the run exactly: no gaps between trigger and action
+            assert boundaries[0] == outcome.submitted_at
+            assert boundaries[-1] == outcome.ended_at
+            assert all(a == b for a, b in zip(boundaries[1::2], boundaries[2::2]))
 
     def test_stage_durations_follow_delay_profile(self):
         req = make_request(engine="dask", nodes=2, command=command_for(10, 100, 2, 4))
@@ -145,12 +153,57 @@ class TestEventHandling:
     def test_unmatched_events_are_dropped(self):
         bus = EventBus()
         rule = InstalledRule("f", "i", "aws:instance:i", "Go", "exact")
-        bus.install(rule, lambda inst, ev: True, None)
+        bus.install(rule, lambda ev: True)
         from cloudrerun.simcloud.provider import Event
 
         stray = Event("e-1", "aws:instance:other", "Go", "lifecycle", Fraction(0), {})
         assert bus.dispatch(stray) == []
         assert bus.dropped == [stray]
+
+    def test_finished_runs_retire_their_rules(self):
+        env = SimCloud()
+        orchestrator = Orchestrator(env)
+        doc = generate_pipeline(make_request())
+        runs = [
+            lambda: orchestrator.run_serverless(doc),
+            lambda: orchestrator.run_sdk(doc, poll_window=Fraction(10)),
+            lambda: orchestrator.run_serverless(doc, record_history=False),
+        ]
+        for run in runs:
+            assert run().state is ExecutionState.COMPLETED
+            assert orchestrator.bus.rules == []
+
+    def test_only_the_finished_instance_loses_its_rules(self):
+        from cloudrerun.simcloud.provider import Event
+
+        env = SimCloud()
+        orchestrator = Orchestrator(env)
+        bus = orchestrator.bus
+        first = orchestrator.deploy(generate_pipeline(make_request()))
+        second = orchestrator.deploy(
+            generate_pipeline(make_request(command=command_for(50, 100, 2, 2)))
+        )
+        assert len(bus.rules) == 8
+
+        def drive(inst):
+            while inst.state not in (ExecutionState.COMPLETED, ExecutionState.FAILED):
+                if bus.queue:
+                    bus.dispatch(bus.queue.popleft())
+                else:
+                    assert env.run_next_completion()
+
+        orchestrator.start(first)
+        orchestrator.start(second)
+        drive(first)
+        assert first.state is ExecutionState.COMPLETED
+        assert second.state is ExecutionState.EXECUTING
+        assert [rule.instance_id for rule, _ in bus.rules] == [second.instance_id] * 4
+        late = Event("late-1", first.source, "ExportComplete", "lifecycle", env.clock.now(), {})
+        assert bus.dispatch(late) == []
+        assert bus.dropped[-1] == late
+        drive(second)
+        assert second.state is ExecutionState.COMPLETED
+        assert bus.rules == []
 
     def test_prefix_matching(self):
         rule = InstalledRule("f", "i", "aws:objectstore:b", "export/i/", "prefix")
@@ -316,7 +369,85 @@ class TestDeploymentValidation:
             Orchestrator(SimCloud()).deploy(doc)
 
 
+FAULT_OPERATIONS = (
+    "create_network",
+    "create_cluster",
+    "resolve_image",
+    "storage_put",
+    "storage_get",
+    "db_put",
+    "db_query",
+    "delete_cluster",
+    "delete_network",
+)
+
+
+def run_with_fault(req, mode, fault, record_history, deliveries=1):
+    """One run on a fresh environment with at most one injected fault.
+
+    Returns ``(outcome, error, env)``; exactly one of the first two is None.
+    ``deliveries`` subscribes the bus that many times, so each event is
+    delivered that often.
+    """
+    env = SimCloud()
+    if fault is not None:
+        env.provider("aws").inject_fault(*fault, lambda: StorageFailure("injected"))
+    orchestrator = Orchestrator(env)
+    for _ in range(deliveries - 1):
+        env.subscribe(orchestrator.bus.enqueue)
+    doc = generate_pipeline(req)
+    try:
+        if mode == "sdk":
+            outcome = orchestrator.run_sdk(
+                doc, poll_window=Fraction(10), record_history=record_history
+            )
+        else:
+            outcome = orchestrator.run_serverless(doc, record_history=record_history)
+    except CloudRerunError as exc:
+        return None, exc, env
+    return outcome, None, env
+
+
 class TestModeEquivalenceSweep:
+    def test_single_fault_modes_agree(self):
+        requests = [
+            make_request(),
+            make_request(engine="dask", nodes=2),
+            make_request(engine="spark", nodes=3),
+            make_request(command=command_for(10, 100, 2, 2, extra=" --exit-code 2")),
+        ]
+        faults = [None] + [(op, k) for op in FAULT_OPERATIONS for k in range(4)]
+        for req in requests:
+            for fault in faults:
+                for history in (True, False):
+                    case = (req.application.command, req.resources.bigdata_engine, fault, history)
+                    results = {
+                        mode: run_with_fault(req, mode, fault, history)
+                        for mode in ("serverless", "sdk")
+                    }
+                    if fault is None:
+                        # every event delivered twice changes no outcome byte
+                        for mode, (outcome, _, _) in results.items():
+                            twice, _, _ = run_with_fault(req, mode, None, history, deliveries=2)
+                            assert twice.to_json() == outcome.to_json(), (case, mode)
+                    (out_a, err_a, env_a), (out_b, err_b, env_b) = results.values()
+                    if err_a is not None or err_b is not None:
+                        assert repr(err_a) == repr(err_b), case
+                        continue
+                    for outcome, env in ((out_a, env_a), (out_b, env_b)):
+                        start, end = outcome.stage_timings["Terminating"]
+                        assert end - start == env.delays.terminate_s, (case, outcome.mode)
+                    assert out_a.state is out_b.state, case
+                    assert out_a.failure == out_b.failure, case
+                    assert out_a.result_keys == out_b.result_keys, case
+                    assert out_a.history_url == out_b.history_url, case
+                    statuses = [o.record and o.record["status"] for o in (out_a, out_b)]
+                    assert statuses[0] == statuses[1], case
+                    assert env_a.ledger.request_counts == env_b.ledger.request_counts, case
+                    provider_a, provider_b = env_a.provider("aws"), env_b.provider("aws")
+                    assert provider_a.inventory() == provider_b.inventory(), case
+                    assert provider_a._op_calls == provider_b._op_calls, case
+
     def test_twenty_seeded_workloads(self):
         rng = random.Random(1234)
         window = Fraction(10)
