@@ -8,7 +8,6 @@ from .config_model import (
     ResourcesSpec,
     canonical_serialize,
     parse_abstract_request,
-    validate,
 )
 from .caam import PipelineDocument, generate_pipeline, lookup_service
 from .errors import CloudRerunError
@@ -35,7 +34,6 @@ __all__ = [
     "ResourcesSpec",
     "canonical_serialize",
     "parse_abstract_request",
-    "validate",
     "PipelineDocument",
     "generate_pipeline",
     "lookup_service",

@@ -144,16 +144,13 @@ class CloudAdapter(Protocol):
 
     def provisioning_doc(self, req: AbstractRequest) -> dict: ...
 
-    def application_doc(self, req: AbstractRequest) -> dict: ...
-
     def personal_doc(self, req: AbstractRequest) -> dict: ...
 
     def assemble(self, req: AbstractRequest) -> PipelineDocument: ...
 
 
-def _application_doc(req: AbstractRequest) -> dict:
+def _application_doc(req: AbstractRequest, captured: dict) -> dict:
     """Provider-independent application part; adapters share it verbatim."""
-    captured = capture_engine_config(req)
     return {
         "docker_image": req.application.docker_image,
         "datasets": list(req.application.data_uri),
@@ -184,9 +181,6 @@ class _BaseAdapter:
             **vars(req.resources.provider_block(self.provider)),
             "emits": "HardwareEnvReady",
         }
-
-    def application_doc(self, req: AbstractRequest) -> dict:
-        return _application_doc(req)
 
     def personal_doc(self, req: AbstractRequest) -> dict:
         personal = req.personal
@@ -241,8 +235,8 @@ class _BaseAdapter:
             },
         ]
 
-    def _security_groups(self, req: AbstractRequest) -> list[dict]:
-        groups = build_security_groups(req.resources.bigdata_engine)
+    def _security_groups(self, req: AbstractRequest, captured: dict) -> list[dict]:
+        groups = build_security_groups(req.resources.bigdata_engine, captured["ssh_daemon_port"])
         return [
             {
                 "group_id": g.group_id,
@@ -261,17 +255,20 @@ class _BaseAdapter:
 
     def assemble(self, req: AbstractRequest) -> PipelineDocument:
         self._check_engine(req)
+        # One capture per compile: the application part records the
+        # command's flags and the security groups pin its SSH port.
+        captured = capture_engine_config(req)
         body = {
             "schema_version": SCHEMA_VERSION,
             "provider": self.provider,
             "executable": {
                 "resources": self.provisioning_doc(req),
-                "application": self.application_doc(req),
+                "application": _application_doc(req, captured),
                 "personal": self.personal_doc(req),
             },
             "functions": self._functions(req),
             "rules": self._rules(req),
-            "security_groups": self._security_groups(req),
+            "security_groups": self._security_groups(req, captured),
             # Canonical request texts ride along so deployment can archive
             # the exact configuration; the personal part is pre-redacted.
             "archive": {

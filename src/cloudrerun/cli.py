@@ -164,6 +164,15 @@ def _save_env(env: SimCloud, state_dir: Optional[str]) -> None:
     env.save_state(path)
 
 
+def _poll_window(text: str) -> Fraction:
+    """The --poll-window literal as a Fraction; a zero denominator is a
+    usage error like any other bad literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"--poll-window {text!r} has a zero denominator") from exc
+
+
 def _measure_or_none(outcome, env):
     """The outcome's metric report, or None when the ledger refuses one."""
     try:
@@ -221,7 +230,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.mode == "sdk":
         outcome = orchestrator.run_sdk(
             doc,
-            poll_window=Fraction(args.poll_window),
+            poll_window=_poll_window(args.poll_window),
             record_history=not args.no_history,
         )
     else:
@@ -234,6 +243,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    poll_window = _poll_window(args.poll_window)
     overrides = OverrideSet(
         personal_text=Path(args.personal).read_text(encoding="utf-8"),
         resources_text=(
@@ -252,7 +262,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         args.url,
         overrides,
         mode=args.mode,
-        poll_window=Fraction(args.poll_window),
+        poll_window=poll_window,
         record_history=not args.no_history,
     )
     _save_env(env, args.state_dir)
@@ -327,9 +337,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     levels = tuple(int(x) for x in args.levels.split(",") if x.strip())
     if not levels or any(level < 1 for level in levels):
         raise ValueError(f"--levels must be positive integers, got {args.levels!r}")
-    if args.suite in ("efficiency", "all") and args.repeats < 2:
+    if args.suite in ("efficiency", "all"):
         # The t-test needs two runs per mode; fail before any run starts.
-        raise ValueError(f"--repeats must be at least 2 for the efficiency suite, got {args.repeats}")
+        if args.repeats < 2:
+            raise ValueError(f"--repeats must be at least 2 for the efficiency suite, got {args.repeats}")
+        poll_window = _poll_window(args.poll_window)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -343,7 +355,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for suite in suites:
         if suite == "efficiency":
             report = run_efficiency_suite(
-                repeats=args.repeats, poll_window=Fraction(args.poll_window)
+                repeats=args.repeats, poll_window=poll_window
             )
             payload[suite] = json.loads(report.to_json())
             if out_dir:

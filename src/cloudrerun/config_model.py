@@ -1,4 +1,4 @@
-"""Abstract request configuration: parse, validate, default-fill, serialize.
+"""Abstract request configuration: parse, default-fill, redact, serialize.
 
 The user-facing input is three INI files:
 
@@ -6,6 +6,13 @@ The user-facing input is three INI files:
   ``[cloud.azure]``, ``[reproduce]``
 * ``application.ini`` -- section ``[application]``
 * ``personal.ini``    -- section ``[personal]``
+
+Parsing is the only place request rules are checked: a text either parses
+to a valid request or raises.  Unknown keys and sections are kept as
+extras and written back.  Secret material belongs in personal.ini only: a
+secret-looking key (see ``SECRET_KEY_MARKERS``) in the other two files is
+rejected, and in personal.ini its value is redacted from archives along
+with the credentials.
 
 Dialect: ``key = value`` pairs, ``#`` comments, lists comma-separated,
 maps as comma-separated ``key:value`` pairs.  Canonical serialization is
@@ -37,13 +44,10 @@ __all__ = [
     "ApplicationSpec",
     "PersonalSpec",
     "AbstractRequest",
-    "Finding",
-    "ValidationReport",
     "parse_abstract_request",
     "parse_resources",
     "parse_application",
     "parse_personal",
-    "validate",
     "canonical_serialize",
     "serialize_resources",
     "serialize_application",
@@ -95,6 +99,13 @@ SECRET_KEY_MARKERS = (
 )
 
 REDACTED = "<redacted>"
+
+
+def _looks_secret(key: str) -> bool:
+    """The one secret rule: a key naming secret material."""
+    lowered = key.lower()
+    return any(marker in lowered for marker in SECRET_KEY_MARKERS)
+
 
 # Environment variables CLOUDRERUN_CREDENTIAL_<NAME> add or override entries
 # of personal.cloud_credentials (NAME lowercased).
@@ -165,10 +176,15 @@ class PersonalSpec:
     extras: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
 
     def redacted(self) -> "PersonalSpec":
-        """Copy with every credential value replaced by a placeholder."""
+        """Copy with every credential value, and the value of every
+        secret-looking unknown key, replaced by a placeholder."""
         return replace(
             self,
             cloud_credentials=tuple((k, REDACTED) for k, _ in self.cloud_credentials),
+            extras=tuple(
+                (section, tuple((k, REDACTED if _looks_secret(k) else v) for k, v in pairs))
+                for section, pairs in self.extras
+            ),
         )
 
 
@@ -177,23 +193,6 @@ class AbstractRequest:
     resources: ResourcesSpec
     application: ApplicationSpec
     personal: PersonalSpec
-
-
-@dataclass(frozen=True)
-class Finding:
-    section: str
-    key: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +206,8 @@ _PERSONAL_SECTIONS = ("personal",)
 _KNOWN_KEYS = {
     "resources": {"bigdata_engine"},
     **{name: {f.name for f in fields(block)} for name, block in _BLOCKS.items()},
-    "application": {"docker_image", "data_uri", "command", "bootstrap"},
-    "personal": {"cloud_provider", "key_path", "key_name", "python_runtime", "cloud_credentials"},
+    "application": {f.name for f in fields(ApplicationSpec)} - {"extras"},
+    "personal": {f.name for f in fields(PersonalSpec)} - {"extras"},
 }
 
 
@@ -233,6 +232,16 @@ def _read_ini(text: str, label: str, known_sections) -> tuple[dict, tuple]:
                 continue
         extras.append((name, tuple(sorted(data.items()))))
     return sections, tuple(sorted(extras))
+
+
+def _reject_secrets(extras, label: str) -> None:
+    """Secret material belongs in personal.ini only."""
+    for section, pairs in extras:
+        for key, _ in pairs:
+            if _looks_secret(key):
+                raise MalformedValue(
+                    f"{label}: [{section}] {key}: secret-looking keys belong in personal.ini"
+                )
 
 
 def _split_list(value: str) -> tuple[str, ...]:
@@ -275,14 +284,9 @@ def _parse_block(sections: dict, name: str):
     return _BLOCKS[name](**data)
 
 
-def _blocks(res: ResourcesSpec) -> list:
-    """(section name, block) for every block present, in file order."""
-    pairs = (("cloud.aws", res.cloud_aws), ("cloud.azure", res.cloud_azure), ("reproduce", res.reproduce))
-    return [(name, block) for name, block in pairs if block is not None]
-
-
 def parse_resources(text: str) -> ResourcesSpec:
     sections, extras = _read_ini(text, "resources.ini", _RESOURCES_SECTIONS)
+    _reject_secrets(extras, "resources.ini")
 
     res = sections.get("resources", {})
     engine_raw = res.get("bigdata_engine", DEFAULTS["bigdata_engine"])
@@ -305,15 +309,20 @@ def parse_resources(text: str) -> ResourcesSpec:
 
 def parse_application(text: str) -> ApplicationSpec:
     sections, extras = _read_ini(text, "application.ini", _APPLICATION_SECTIONS)
+    _reject_secrets(extras, "application.ini")
 
     app = sections.get("application", {})
     image = app.get("docker_image", "").strip()
     if not image:
         raise MissingRequiredKey("application.docker_image is required")
+    data_uri = _split_list(app.get("data_uri", ""))
+    for uri in data_uri:
+        if any(ch.isspace() for ch in uri):
+            raise MalformedValue(f"application.data_uri: {uri!r} contains whitespace")
 
     return ApplicationSpec(
         docker_image=image,
-        data_uri=_split_list(app.get("data_uri", "")),
+        data_uri=data_uri,
         command=app.get("command", "").strip(),
         bootstrap=_split_list(app.get("bootstrap", "")),
         extras=extras,
@@ -362,7 +371,7 @@ def parse_abstract_request(
     personal_text: str,
     env: Optional[Mapping[str, str]] = None,
 ) -> AbstractRequest:
-    """Parse and jointly validate the three configuration texts.
+    """Parse the three configuration texts and check the rules between them.
 
     Raises exactly one of UnknownEngine, MissingRequiredKey, MalformedValue
     or ProviderMismatch on invalid input; anything else parses to a valid,
@@ -384,81 +393,6 @@ def parse_abstract_request(
             "application.command is required when bigdata_engine is not 'none'"
         )
     return req
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def _looks_secret(key: str) -> bool:
-    lowered = key.lower()
-    return any(marker in lowered for marker in SECRET_KEY_MARKERS)
-
-
-def _check_locator(value: str) -> Optional[str]:
-    if not value:
-        return "empty locator"
-    if any(ch.isspace() for ch in value):
-        return "locator contains whitespace"
-    if "," in value:
-        return "locator contains a comma"
-    return None
-
-
-def validate(req: AbstractRequest) -> ValidationReport:
-    """Report every invariant violation; never mutates the request."""
-    findings: list[Finding] = []
-    warnings: list[str] = []
-
-    res = req.resources
-    if not isinstance(res.bigdata_engine, Engine):
-        findings.append(Finding("resources", "bigdata_engine", "unknown engine"))
-    if res.cloud_aws is None and res.cloud_azure is None:
-        findings.append(Finding("resources", "cloud.*", "no provider block present"))
-    for name, block in _blocks(res):
-        values = vars(block)
-        if values.get("instance_number", 1) < 1:
-            findings.append(Finding(name, "instance_number", "instance_number must be >= 1"))
-        for key, value in values.items():
-            if isinstance(value, str) and not value:
-                findings.append(Finding(name, key, f"{key} must be non-empty"))
-
-    app = req.application
-    if not app.docker_image:
-        findings.append(Finding("application", "docker_image", "docker_image must be non-empty"))
-    for uri in app.data_uri:
-        problem = _check_locator(uri)
-        if problem:
-            findings.append(Finding("application", "data_uri", f"{uri!r}: {problem}"))
-    if res.bigdata_engine is not Engine.NONE and not app.command:
-        findings.append(
-            Finding("application", "command", "command required when an engine is selected")
-        )
-
-    personal = req.personal
-    if not personal.cloud_provider:
-        findings.append(Finding("personal", "cloud_provider", "cloud_provider must be non-empty"))
-    elif res.provider_block(personal.cloud_provider) is None:
-        findings.append(
-            Finding(
-                "personal",
-                "cloud_provider",
-                f"no resources block for provider {personal.cloud_provider!r}",
-            )
-        )
-
-    # Secret material must live only in the personal file.
-    for spec, origin in ((res, "resources"), (app, "application"), (personal, "personal")):
-        for section, pairs in spec.extras:
-            for key, _ in pairs:
-                if origin != "personal" and _looks_secret(key):
-                    findings.append(
-                        Finding(section, key, "credentials outside personal section")
-                    )
-                else:
-                    warnings.append(f"unknown key {key!r} in [{section}] ({origin})")
-
-    return ValidationReport(findings=tuple(findings), warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +424,10 @@ def _render(sections: list[tuple[str, dict[str, str]]], extras, known_sections) 
 
 def serialize_resources(res: ResourcesSpec) -> str:
     sections = [("resources", {"bigdata_engine": res.bigdata_engine.value})]
-    for name, block in _blocks(res):
-        sections.append((name, {k: str(v) for k, v in vars(block).items()}))
+    blocks = (("cloud.aws", res.cloud_aws), ("cloud.azure", res.cloud_azure), ("reproduce", res.reproduce))
+    for name, block in blocks:
+        if block is not None:
+            sections.append((name, {k: str(v) for k, v in vars(block).items()}))
     return _render(sections, res.extras, _RESOURCES_SECTIONS)
 
 

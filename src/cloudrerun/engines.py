@@ -11,6 +11,7 @@ SSH from the client machine reaches the head node only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .config_model import AbstractRequest, Engine
 from .simcloud.workload import parse_flags
@@ -92,16 +93,17 @@ def _intra_cluster_rules(peers: tuple[str, ...]) -> list[SecurityRule]:
 
 
 def build_security_groups(
-    engine: Engine, ssh_daemon_port: int = DEFAULT_SSH_DAEMON_PORT
+    engine: Engine, ssh_daemon_port: Optional[int] = DEFAULT_SSH_DAEMON_PORT
 ) -> tuple[SecurityGroup, ...]:
     """Security groups for a cluster running ``engine``.
 
     Engine selected: a head group and a worker group, open to each other
     over TCP and UDP in both directions and to nothing else; client SSH
     (tcp/22) terminates at the head group.  Horovod additionally opens its
-    SSH daemon port inside the cluster, which is already covered by the
-    all-port intra-cluster rules but is pinned explicitly so the contract
-    survives a narrowing of those ranges.
+    SSH daemon port ``ssh_daemon_port`` inside the cluster, which is
+    already covered by the all-port intra-cluster rules but is pinned
+    explicitly so the contract survives a narrowing of those ranges.  The
+    other engines ignore the port, so it may be None for them.
 
     No engine: one group, client SSH only.
     """

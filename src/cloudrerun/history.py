@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .config_model import REDACTED, parse_personal
+from .config_model import parse_personal
 from .errors import MalformedURL, NotFound, RedactionViolation, UnknownField
 from .simcloud.provider import SimCloud
 
@@ -158,11 +158,8 @@ class HistoryStore:
 
     def _check_redacted(self, personal_ini: str) -> None:
         personal = parse_personal(personal_ini)
-        for key, value in personal.cloud_credentials:
-            if value != REDACTED:
-                raise RedactionViolation(
-                    f"credential {key!r} is not redacted in archived personal.ini"
-                )
+        if personal != personal.redacted():
+            raise RedactionViolation("archived personal.ini holds unredacted secret values")
 
     def plan_export(
         self,

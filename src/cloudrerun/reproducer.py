@@ -45,10 +45,7 @@ __all__ = [
     "translate_resources",
     "INSTANCE_TYPE_EQUIVALENCE",
     "REGION_EQUIVALENCE",
-    "REPRODUCTION_MODES",
 ]
-
-REPRODUCTION_MODES = ("identical", "new-personal", "modified", "cross-cloud")
 
 # Size-for-size instance translation between the supported clouds.
 _AWS_TO_AZURE_TYPES = {

@@ -167,6 +167,24 @@ class TestPipelineDocument:
         assert "topsecret" not in text
         assert "<redacted>" in text
 
+    def test_horovod_groups_pin_the_commands_ssh_port(self):
+        for provider in ("aws", "azure"):
+            req = parse_abstract_request(
+                resources_text(engine="horovod", provider=provider, nodes=2),
+                application_text(command=f"{COMMAND} --ssh-port 2222"),
+                personal_text(provider=provider),
+            )
+            body = generate_pipeline(req).body
+            assert body["executable"]["application"]["engine_parameters"]["ssh-port"] == "2222"
+            pinned = {
+                group["group_id"]: {tuple(r["port_range"]) for r in group["rules"]}
+                for group in body["security_groups"]
+            }
+            assert set(pinned) == {"sg-head", "sg-workers"}
+            for ranges in pinned.values():
+                assert (2222, 2222) in ranges
+                assert (12345, 12345) not in ranges
+
     def test_provisioning_names_mapped_services(self):
         body = generate_pipeline(request_for("aws")).body
         resources = body["executable"]["resources"]

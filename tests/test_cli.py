@@ -325,16 +325,35 @@ class TestErrorExitCodes:
         assert main(run_args(paths, tmp_path / "s")) == EXIT_USAGE
 
     def test_invalid_config_content(self, tmp_path, capsys):
-        paths = write_files(tmp_path, application="[application]\ncommand = analyze\n")
-        assert main(run_args(paths, tmp_path / "s")) == EXIT_USAGE
-        assert "docker_image" in capsys.readouterr().err
+        secret = resources_text().replace("[resources]\n", "[resources]\naws_secret_access_key = X9\n")
+        cases = [
+            ({"application": "[application]\ncommand = analyze\n"}, "docker_image"),
+            ({"resources": secret}, "resources.ini: [resources] aws_secret_access_key"),
+        ]
+        for files, message in cases:
+            state = tmp_path / "s"
+            assert main(run_args(write_files(tmp_path, **files), state)) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+            assert not (state / "simcloud.json").exists()
 
     def test_bad_poll_window_literal(self, tmp_path, capsys):
         paths = write_files(tmp_path)
-        code = main(
-            run_args(paths, tmp_path / "s", "--mode", "sdk", "--poll-window", "soon")
-        )
-        assert code == EXIT_USAGE
+        state = tmp_path / "s"
+        assert main(run_args(paths, state)) == EXIT_OK
+        url = history_url_from(capsys.readouterr().out)
+        for literal in ("soon", "1/0"):
+            window = ("--poll-window", literal)
+            commands = [
+                run_args(paths, state, "--mode", "sdk", *window),
+                # reproduce reads the window in either mode
+                ["reproduce", url, "--personal", str(paths["personal"]), "--state-dir", str(state), *window],
+                ["bench", "--suite", "efficiency", "--repeats", "2", "--state-dir", str(state), *window],
+            ]
+            for argv in commands:
+                assert main(argv) == EXIT_USAGE, argv
+                captured = capsys.readouterr()
+                assert captured.err.startswith("error: "), argv
+                assert captured.out == "", argv
 
     def test_nonpositive_poll_window(self, tmp_path, capsys):
         paths = write_files(tmp_path)

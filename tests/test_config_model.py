@@ -1,5 +1,6 @@
-"""Request configuration: parsing, validation, defaults, serialization."""
+"""Request configuration: parsing, rejection, defaults, serialization."""
 
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -22,7 +23,6 @@ from cloudrerun.config_model import (
     parse_resources,
     serialize_personal,
     serialize_resources,
-    validate,
 )
 from cloudrerun.errors import (
     MalformedValue,
@@ -98,32 +98,20 @@ class TestParsing:
     def test_unknown_keys_kept_as_extras_with_warning(self):
         cases = [
             (
-                "resources",
                 parse_resources,
                 "[resources]\nbigdata_engine = none\nfuture_flag = on\n",
                 (("resources", (("future_flag", "on"),)),),
-                ["unknown key 'future_flag' in [resources] (resources)"],
             ),
             # Secrets belong in personal.ini, so an unknown secret-looking key
-            # there is a warning, not a credential finding.
+            # there is kept like any other.
             (
-                "personal",
                 parse_personal,
                 "[personal]\ncloud_provider = aws\nkey_nmae = x\n\n[extra]\napi_token = t\n",
                 (("extra", (("api_token", "t"),)), ("personal", (("key_nmae", "x"),))),
-                [
-                    "unknown key 'api_token' in [extra] (personal)",
-                    "unknown key 'key_nmae' in [personal] (personal)",
-                ],
             ),
         ]
-        req = parse_triple(resources_text(), application_text(), personal_text())
-        for part, parse, text, extras, warnings in cases:
-            spec = parse(text)
-            assert spec.extras == extras
-            report = validate(fill_defaults(replace(req, **{part: spec})))
-            assert report.ok
-            assert list(report.warnings) == warnings
+        for parse, text, extras in cases:
+            assert parse(text).extras == extras
 
     def test_comments_and_whitespace(self):
         res = parse_resources(
@@ -222,6 +210,23 @@ class TestErrorKinds:
         with pytest.raises(MalformedValue):
             parse_resources("not an ini file at all\n")
 
+    @pytest.mark.parametrize(
+        "parse, text, where",
+        [
+            (parse_resources, "[resources]\naccess_key_id = AKIA123\n", "resources.ini: [resources] access_key_id"),
+            (parse_resources, "[resources]\n[cloud.aws]\nSecret = s\n", "resources.ini: [cloud.aws] Secret"),
+            (parse_application, "[application]\ndocker_image = i\n[extra]\nprivate_key = k\n", "application.ini: [extra] private_key"),
+        ],
+        ids=["resources", "cloud.aws", "application-extra"],
+    )
+    def test_secret_outside_personal_names_file_section_and_key(self, parse, text, where):
+        with pytest.raises(MalformedValue, match=rf"^{re.escape(where)}: "):
+            parse(text)
+
+    def test_whitespace_in_locator(self):
+        with pytest.raises(MalformedValue, match="application.data_uri: 's3://bad uri'"):
+            parse_application("[application]\ndocker_image = img:1\ndata_uri = s3://a, s3://bad uri\n")
+
     def test_credentials_without_colon(self):
         with pytest.raises(MalformedValue):
             parse_personal("[personal]\ncloud_provider = aws\ncloud_credentials = justakey\n")
@@ -233,30 +238,6 @@ class TestErrorKinds:
                 application_text(),
                 personal_text(provider="azure"),
             )
-
-
-class TestValidation:
-    def test_valid_request_has_no_findings(self):
-        req = parse_triple(resources_text(), application_text(), personal_text())
-        assert validate(req).ok
-
-    def test_secret_outside_personal_is_flagged(self):
-        res = parse_resources("[resources]\nbigdata_engine = none\naccess_key_id = AKIA123\n")
-        assert ("resources", (("access_key_id", "AKIA123"),)) in res.extras
-        req = parse_triple(resources_text(), application_text(), personal_text())
-        req = req.__class__(resources=res, application=req.application, personal=req.personal)
-        req = fill_defaults(req)
-        report = validate(req)
-        assert any("credentials outside personal" in f.message for f in report.findings)
-
-    def test_whitespace_in_locator_is_flagged(self):
-        req = parse_triple(
-            resources_text(),
-            "[application]\ndocker_image = img:1\ndata_uri = s3://bad uri\ncommand = run\n",
-            personal_text(),
-        )
-        report = validate(req)
-        assert any(f.key == "data_uri" for f in report.findings)
 
 
 class TestSerialization:
@@ -281,10 +262,14 @@ class TestSerialization:
     def test_redacted_personal_keeps_keys(self):
         personal = parse_personal(
             "[personal]\ncloud_provider = aws\ncloud_credentials = access_key:AKIA123\n"
+            "key_nmae = x\n\n[extra]\napi_token = t0k\n"
         )
         text = serialize_personal(personal, redact=True)
         assert "AKIA123" not in text
         assert f"access_key:{REDACTED}" in text
+        # a secret-looking unknown key is redacted too; other extras are kept
+        assert f"api_token = {REDACTED}\n" in text
+        assert "key_nmae = x\n" in text
 
     def test_default_fill_idempotent(self):
         req = parse_triple(

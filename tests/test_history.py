@@ -119,19 +119,20 @@ class TestArchive:
     def test_redaction_guard_rejects_raw_credentials(self):
         env = SimCloud()
         store = HistoryStore(env, "aws", "execution-history", "execution-records")
-        with pytest.raises(RedactionViolation):
-            store.plan_export(
-                "exec-1",
-                {
-                    "resources_ini": "[resources]\nbigdata_engine = none\n",
-                    "application_ini": "[application]\ndocker_image = i\n",
-                    "personal_ini": "[personal]\ncloud_provider = aws\n"
-                    "cloud_credentials = secret_key:hunter2\n",
-                },
-                {},
-                {},
-                [],
-            )
+        # a raw credential, and a raw secret-looking unknown key
+        for raw in ("cloud_credentials = secret_key:hunter2\n", "\n[extra]\napi_token = hunter2\n"):
+            with pytest.raises(RedactionViolation):
+                store.plan_export(
+                    "exec-1",
+                    {
+                        "resources_ini": "[resources]\nbigdata_engine = none\n",
+                        "application_ini": "[application]\ndocker_image = i\n",
+                        "personal_ini": "[personal]\ncloud_provider = aws\n" + raw,
+                    },
+                    {},
+                    {},
+                    [],
+                )
 
     def test_find_record_table(self):
         outcome, env = run_serverless(

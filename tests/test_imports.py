@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is used by that module."""
+"""Reference gates over the package: every top-level import is used, and
+every private name and every ``__all__`` export is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -121,3 +122,69 @@ def test_package_has_no_unreferenced_private_names():
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert unreferenced_private_names(sources) == []
+
+
+def unreferenced_public_names(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """``__all__`` entries of ``package`` modules that no source references.
+
+    ``package`` and ``users`` map a module's name to its text.  A reference
+    is a loaded name or attribute in any module of either map; the
+    definition itself, ``__all__`` lists and ``from ... import`` re-exports
+    bind or name a value without using it, so they do not count.  Dunder
+    names such as ``__version__`` are read by tooling, not code, and are
+    skipped.
+    """
+    exported = []  # (label, name)
+    referenced = set()
+    for module, source in {**package, **users}.items():
+        tree = ast.parse(source)
+        if module in package:
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    exported += [(f"{module}:{elt.value}", elt.value) for elt in node.value.elts]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.attr)
+    return [
+        label
+        for label, name in exported
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_public_detector_flags_only_unreferenced_exports():
+    package = {
+        "a": (
+            "__all__ = ['used_here', 'used_by_test', 'used_as_attr', 'orphan']\n"
+            "def used_here(): pass\n"
+            "def used_by_test(): pass\n"
+            "used_as_attr = 1\n"
+            "orphan = used_here()\n"
+        ),
+        "__init__": (
+            "from .a import orphan, used_by_test\n"
+            "__version__ = '1'\n"
+            "__all__ = ['orphan', 'used_by_test', '__version__']\n"
+        ),
+    }
+    users = {"test_a": "from a import used_by_test\nimport a\nused_by_test(a.used_as_attr)\n"}
+    assert unreferenced_public_names(package, users) == ["a:orphan", "__init__:orphan"]
+
+
+def test_package_has_no_unreferenced_public_names():
+    root = Path(__file__).resolve().parents[1]
+    package = {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    # perfbench/ is scanned too: some exports are used only by the benchmark.
+    users = {
+        str(path.relative_to(root)): path.read_text(encoding="utf-8")
+        for directory in ("tests", "perfbench")
+        for path in sorted((root / directory).rglob("*.py"))
+    }
+    assert unreferenced_public_names(package, users) == []
