@@ -153,9 +153,13 @@ def _state_path(state_dir: Optional[str]) -> Path:
 
 def _load_env(state_dir: Optional[str]) -> SimCloud:
     path = _state_path(state_dir)
-    if path.exists():
+    if not path.exists():
+        return SimCloud()
+    try:
         return SimCloud.load_state(path)
-    return SimCloud()
+    # ValueError covers json.JSONDecodeError and bad literals inside the state.
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{path}: malformed state file: {type(exc).__name__}: {exc}") from exc
 
 
 def _save_env(env: SimCloud, state_dir: Optional[str]) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config_model import AbstractRequest, Engine
+from .errors import MalformedValue
 from .simcloud.workload import parse_flags
 
 __all__ = [
@@ -139,11 +140,8 @@ def capture_engine_config(req: AbstractRequest) -> dict:
     """Freeze everything the engine run depended on into an archivable
     artifact: engine, node roles, command flags, bootstrap steps."""
     engine = req.resources.bigdata_engine
-    block = req.resources.provider_block(req.personal.cloud_provider)
-    node_count = block.instance_number if block is not None else 1
-
+    node_count = req.resources.provider_block(req.personal.cloud_provider).instance_number
     flags = parse_flags(req.application.command)
-    ssh_port = int(flags.get("ssh-port", DEFAULT_SSH_DAEMON_PORT))
     return {
         "engine": engine.value,
         "node_count": node_count,
@@ -154,5 +152,16 @@ def capture_engine_config(req: AbstractRequest) -> dict:
         "command": req.application.command,
         "parameters": dict(sorted(flags.items())),
         "bootstrap": list(req.application.bootstrap),
-        "ssh_daemon_port": ssh_port if engine is Engine.HOROVOD else None,
+        "ssh_daemon_port": _ssh_port(flags) if engine is Engine.HOROVOD else None,
     }
+
+
+def _ssh_port(flags: dict) -> int:
+    """Horovod's --ssh-port: a TCP port number in decimal digits, 1..65535."""
+    text = flags.get("ssh-port", str(DEFAULT_SSH_DAEMON_PORT))
+    port = int(text) if text.isdecimal() else 0
+    if not 1 <= port <= 65535:
+        raise MalformedValue(
+            f"application.ini: command --ssh-port {text!r} is not a port number in 1..65535"
+        )
+    return port

@@ -11,9 +11,11 @@ triggers analytics, the first analytics output object triggers export, and
 export completion triggers termination.
 
 Delivery is at-least-once, so processing is made exactly-once by two
-mechanisms: the bus drops events whose id was already seen, and every
-handler is guarded by the state machine, turning distinct-but-late events
-into no-ops.
+mechanisms: the bus drops events whose id was already seen, and one state
+guard runs each step only in the state it belongs to, turning
+distinct-but-late events into no-ops.  The four pipeline functions are one
+step table, from function name to that state and the step's work; the same
+guard runs every stage completion and turns a stage fault into a failed run.
 
 Two execution modes share all stage logic and one event stream.
 Serverless mode acts on each event as it arrives.  SDK mode polls on a
@@ -113,8 +115,12 @@ class EventBus:
         self.rules.append((rule, handler))
 
     def retire(self, instance_id: str) -> None:
-        """Remove every rule bound to ``instance_id``."""
+        """Remove every rule bound to ``instance_id``.  With no rule left no
+        event can act, so the dedup ids and dropped events are cleared too."""
         self.rules = [pair for pair in self.rules if pair[0].instance_id != instance_id]
+        if not self.rules:
+            self.seen.clear()
+            self.dropped.clear()
 
     def dispatch(self, event: Event) -> list[str]:
         """Process one event; returns the names of functions that acted."""
@@ -152,9 +158,6 @@ class PipelineInstance:
 
     cluster: Optional[Cluster] = None
     network_id: Optional[str] = None
-    software_ready_at: Optional[Fraction] = None
-    analytics_done_at: Optional[Fraction] = None
-    export_done_at: Optional[Fraction] = None
     result_keys: list[str] = field(default_factory=list)
     history_url: Optional[str] = None
     record: Optional[dict] = None
@@ -173,8 +176,7 @@ class PipelineInstance:
 
     @property
     def node_count(self) -> int:
-        block = self.request.resources.provider_block(self.provider_name)
-        return block.instance_number if block is not None else 1
+        return self.request.resources.provider_block(self.provider_name).instance_number
 
     @property
     def engine(self) -> str:
@@ -229,6 +231,13 @@ class Orchestrator:
         self.env = env
         self.bus = EventBus()
         self.env.subscribe(self.bus.enqueue)
+        # Each pipeline function: the state its step runs in, and the work.
+        self._steps = {
+            "software_env_setup": (ExecutionState.PROVISIONING, self._software_setup),
+            "run_analytics": (ExecutionState.SOFTWARE_SETUP, self._analytics),
+            "export_execution": (ExecutionState.EXECUTING, self._export),
+            "terminate_resources": (ExecutionState.EXPORTING, self._enter_terminating),
+        }
 
     # -- deployment --------------------------------------------------------
 
@@ -282,20 +291,14 @@ class Orchestrator:
     def _install_rules(self, instance: PipelineInstance) -> None:
         storage_source = f"{instance.provider_name}:objectstore:{WORKSPACE_STORE}"
         bindings = [
-            ("software_env_setup", instance.source, "HardwareEnvReady", "exact", self._begin_software_setup),
-            ("run_analytics", instance.source, "SoftwareEnvReady", "exact", self._begin_analytics),
-            ("export_execution", storage_source, f"{EXPORT_PREFIX}{instance.instance_id}/", "prefix", self._begin_export),
-            ("terminate_resources", instance.source, "ExportComplete", "exact", self._begin_terminate),
+            ("software_env_setup", instance.source, "HardwareEnvReady", "exact"),
+            ("run_analytics", instance.source, "SoftwareEnvReady", "exact"),
+            ("export_execution", storage_source, f"{EXPORT_PREFIX}{instance.instance_id}/", "prefix"),
+            ("terminate_resources", instance.source, "ExportComplete", "exact"),
         ]
-        for function, source, event, match, begin in bindings:
-            rule = InstalledRule(
-                function=function,
-                instance_id=instance.instance_id,
-                source=source,
-                event=event,
-                match=match,
-            )
-            self.bus.install(rule, lambda _event, begin=begin: begin(instance))
+        for function, source, event, match in bindings:
+            rule = InstalledRule(function, instance.instance_id, source, event, match)
+            self.bus.install(rule, lambda _e, f=function: self._step(instance, f))
 
     # -- state machine -----------------------------------------------------
 
@@ -303,6 +306,27 @@ class Orchestrator:
         now = self.env.clock.now()
         inst.transitions.append((now, inst.state.value, to.value))
         inst.state = to
+
+    def _step(self, inst: PipelineInstance, function: str) -> bool:
+        """Run the step of ``function`` if the run is in the state it runs in."""
+        state, work = self._steps[function]
+        return self._guarded(inst, state, lambda: work(inst))
+
+    def _guarded(self, inst: PipelineInstance, state: ExecutionState, work: Callable[[], None]) -> bool:
+        """The one state guard: run ``work`` only in ``state``, and fail the
+        run on a fault it raises.  Returns whether the work ran."""
+        if inst.state is not state:
+            return False
+        try:
+            work()
+        except CloudRerunError as exc:
+            self._fail(inst, exc)
+        return True
+
+    def _after(self, inst: PipelineInstance, delay: Fraction, then: Callable[[], None]) -> None:
+        """Complete the current stage after ``delay``, unless the run has left it."""
+        state = inst.state
+        self.env.schedule_in(delay, lambda: self._guarded(inst, state, then))
 
     def start(self, inst: PipelineInstance) -> None:
         """Begin hardware provisioning."""
@@ -323,57 +347,23 @@ class Orchestrator:
             inst.network_id = None
             raise
 
-    def _begin_software_setup(self, inst: PipelineInstance) -> bool:
-        if inst.state is not ExecutionState.PROVISIONING:
-            return False
-        if inst.cluster is None or inst.cluster.state != "Ready":
-            return False
+    def _software_setup(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.SOFTWARE_SETUP)
-        provider = self.env.provider(inst.provider_name)
-        try:
-            provider.resolve_image(inst.request.application.docker_image)
-        except CloudRerunError as exc:
-            self._fail(inst, exc)
-            return True
+        self.env.provider(inst.provider_name).resolve_image(inst.request.application.docker_image)
         delay = self.env.delays.image_pull_s + self.env.delays.bootstrap_cmd_s * len(
             inst.request.application.bootstrap
         )
+        self._after(inst, delay, lambda: self.env.emit(inst.source, "SoftwareEnvReady", "lifecycle"))
 
-        def done() -> None:
-            if inst.state is not ExecutionState.SOFTWARE_SETUP:
-                return
-            inst.software_ready_at = self.env.clock.now()
-            self.env.emit(inst.source, "SoftwareEnvReady", "lifecycle")
-
-        self.env.schedule_in(delay, done)
-        return True
-
-    def _begin_analytics(self, inst: PipelineInstance) -> bool:
-        if inst.state is not ExecutionState.SOFTWARE_SETUP or inst.software_ready_at is None:
-            return False
+    def _analytics(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.EXECUTING)
-        try:
-            profile = parse_workload(inst.request.application.command)
-        except CloudRerunError as exc:
-            self._fail(inst, exc)
-            return True
+        profile = parse_workload(inst.request.application.command)
         duration = workload_duration(profile, inst.node_count)
-
-        def done() -> None:
-            if inst.state is not ExecutionState.EXECUTING:
-                return
-            if profile.exit_code != 0:
-                self._fail(
-                    inst,
-                    AnalyticsFailure(f"command exited with code {profile.exit_code}"),
-                )
-                return
-            self._write_results(inst, profile)
-
-        self.env.schedule_in(duration, done)
-        return True
+        self._after(inst, duration, lambda: self._write_results(inst, profile))
 
     def _write_results(self, inst: PipelineInstance, profile) -> None:
+        if profile.exit_code != 0:
+            raise AnalyticsFailure(f"command exited with code {profile.exit_code}")
         provider = self.env.provider(inst.provider_name)
         base = workload_result(
             profile.seed,
@@ -382,108 +372,77 @@ class Orchestrator:
             inst.node_count,
             profile.parallelism,
         )
-        inst.analytics_done_at = self.env.clock.now()
         prefix = f"{EXPORT_PREFIX}{inst.instance_id}/"
         keys = []
-        try:
-            for k in range(inst.node_count):
-                key = f"{prefix}part-{k:04d}"
-                chunk = base + k.to_bytes(4, "big")
-                provider.storage_put(WORKSPACE_STORE, key, chunk, inst.instance_id)
-                keys.append(key)
-            manifest = {
-                "parts": [key.rsplit("/", 1)[1] for key in keys],
-                "nodes": inst.node_count,
-                "parallelism": profile.parallelism,
-            }
-            provider.storage_put(
-                WORKSPACE_STORE,
-                f"{prefix}manifest.json",
-                (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
-                inst.instance_id,
-            )
-        except CloudRerunError as exc:
-            self._fail(inst, exc)
-            return
+        for k in range(inst.node_count):
+            key = f"{prefix}part-{k:04d}"
+            chunk = base + k.to_bytes(4, "big")
+            provider.storage_put(WORKSPACE_STORE, key, chunk, inst.instance_id)
+            keys.append(key)
+        manifest = {
+            "parts": [key.rsplit("/", 1)[1] for key in keys],
+            "nodes": inst.node_count,
+            "parallelism": profile.parallelism,
+        }
+        provider.storage_put(
+            WORKSPACE_STORE,
+            f"{prefix}manifest.json",
+            (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
+            inst.instance_id,
+        )
         inst.result_keys = keys + [f"{prefix}manifest.json"]
 
-    def _begin_export(self, inst: PipelineInstance) -> bool:
-        if inst.state is not ExecutionState.EXECUTING or inst.analytics_done_at is None:
-            return False
+    def _export(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.EXPORTING)
 
         # A run without history has nothing to archive: no plan, no delay.
-        plan = None
+        history = plan = None
         if inst.record_history:
             history = self._history_for(inst)
             provider = self.env.provider(inst.provider_name)
-            try:
-                entries = {}
-                for key in inst.result_keys:
-                    entries[key.rsplit("/", 1)[1]] = provider.storage_get(
-                        WORKSPACE_STORE, key, inst.instance_id
-                    )
-                plan = history.plan_export(
-                    inst.instance_id,
-                    inst.doc.body["archive"],
-                    capture_engine_config(inst.request),
-                    entries,
-                    list(inst.request.application.data_uri),
-                )
-            except CloudRerunError as exc:
-                self._fail(inst, exc)
-                return True
+            entries = {
+                key.rsplit("/", 1)[1]: provider.storage_get(WORKSPACE_STORE, key, inst.instance_id)
+                for key in inst.result_keys
+            }
+            plan = history.plan_export(
+                inst.instance_id,
+                inst.doc.body["archive"],
+                capture_engine_config(inst.request),
+                entries,
+                list(inst.request.application.data_uri),
+            )
 
         def done() -> None:
-            if inst.state is not ExecutionState.EXPORTING:
-                return
             if plan is not None:
-                try:
-                    inst.history_url = history.commit_export(
-                        inst.instance_id, plan, self._build_record(inst, provisional=True)
-                    )
-                    inst.record = history.get_record(inst.instance_id)
-                except CloudRerunError as exc:
-                    self._fail(inst, exc)
-                    return
-            inst.export_done_at = self.env.clock.now()
+                inst.history_url = history.commit_export(
+                    inst.instance_id, plan, self._build_record(inst, provisional=True)
+                )
+                inst.record = history.get_record(inst.instance_id)
             self.env.emit(inst.source, "ExportComplete", "lifecycle")
 
         delay = Fraction(0) if plan is None else self.env.delays.history_op_s * plan.op_count
-        self.env.schedule_in(delay, done)
-        return True
-
-    def _begin_terminate(self, inst: PipelineInstance) -> bool:
-        if inst.state is not ExecutionState.EXPORTING or inst.export_done_at is None:
-            return False
-        self._enter_terminating(inst)
-        return True
+        self._after(inst, delay, done)
 
     def _enter_terminating(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.TERMINATING)
-
-        def done() -> None:
-            if inst.state is ExecutionState.TERMINATING:
-                self._finish(inst)
-
-        self.env.schedule_in(self.env.delays.terminate_s, done)
+        # Not through the guard: a fault in teardown or in the final record
+        # is not a stage fault, and escapes the run.
+        self.env.schedule_in(self.env.delays.terminate_s, lambda: self._finish(inst))
 
     def _finish(self, inst: PipelineInstance) -> None:
-        """The one place a run ends: release its resources, close its bill,
-        retire its rules, set its end and write its final record."""
+        """The one place a run ends: release its resources, retire its
+        rules, set its end and write its final record."""
         provider = self.env.provider(inst.provider_name)
         if inst.cluster is not None:
             provider.delete_cluster(inst.cluster.cluster_id)
         if inst.network_id is not None:
             provider.delete_network(inst.network_id)
-        now = self.env.clock.now()
-        for entry in self.env.ledger.open_entries(scope=inst.instance_id):
-            entry.close_time = now
         final = ExecutionState.FAILED if inst.failure else ExecutionState.COMPLETED
         self._transition(inst, final)
         self.bus.retire(inst.instance_id)
         # An sdk run ends at the poll that observes termination, not at the
         # termination instant itself.
+        now = self.env.clock.now()
         inst.ended_at = self._poll_tick(inst, now) if inst.mode == "sdk" else now
         if inst.record_history:
             self._finalize_record(inst)

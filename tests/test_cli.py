@@ -7,6 +7,7 @@ shell sessions would: run, then query, then reproduce.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import cloudrerun
 from cloudrerun.cli import (
     EXIT_EXECUTION_FAILED,
     EXIT_NOT_FOUND,
@@ -77,10 +79,14 @@ class TestParser:
         assert info.value.code == 2
 
     def test_module_entry_point(self):
+        # the child imports the same package whether or not PYTHONPATH was exported
+        src = str(Path(cloudrerun.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cloudrerun.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         for name in ("run", "reproduce", "history", "bench"):
@@ -354,6 +360,21 @@ class TestErrorExitCodes:
                 captured = capsys.readouterr()
                 assert captured.err.startswith("error: "), argv
                 assert captured.out == "", argv
+
+    def test_malformed_state_file_is_usage_error(self, tmp_path, capsys):
+        paths = write_files(tmp_path)
+        state = tmp_path / "s"
+        assert main(run_args(paths, state)) == EXIT_OK
+        capsys.readouterr()
+        state_file = state / "simcloud.json"
+        good = json.loads(state_file.read_text())
+        for text in ("{}", "[]", state_file.read_text()[:200], json.dumps({**good, "clock": "x"})):
+            state_file.write_text(text)
+            assert main(["history", "--state-dir", str(state)]) == EXIT_USAGE, text[:20]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"{state_file}: malformed state file" in err
+            assert state_file.read_text() == text
 
     def test_nonpositive_poll_window(self, tmp_path, capsys):
         paths = write_files(tmp_path)

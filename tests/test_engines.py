@@ -2,6 +2,7 @@
 
 import pytest
 
+from cloudrerun.caam import generate_pipeline
 from cloudrerun.config_model import Engine, parse_abstract_request
 from cloudrerun.engines import (
     CLIENT_PEER,
@@ -10,6 +11,7 @@ from cloudrerun.engines import (
     build_security_groups,
     capture_engine_config,
 )
+from cloudrerun.errors import MalformedValue
 
 from helpers import application_text, personal_text, resources_text
 
@@ -120,3 +122,22 @@ class TestCaptureEngineConfig:
         assert spark["ssh_daemon_port"] is None
         default = capture_engine_config(self.make(command="train --parallelism 4"))
         assert default["ssh_daemon_port"] == DEFAULT_SSH_DAEMON_PORT
+
+    @pytest.mark.parametrize("port", ["abc", "0", "-5", "70000"])
+    def test_horovod_rejects_a_port_outside_1_to_65535(self, port):
+        req = self.make(command=f"train --parallelism 4 --ssh-port {port}")
+        with pytest.raises(MalformedValue, match="application.ini: command --ssh-port"):
+            generate_pipeline(req)
+
+    def test_horovod_accepts_the_highest_port(self):
+        req = self.make(command="train --parallelism 4 --ssh-port 65535")
+        assert capture_engine_config(req)["ssh_daemon_port"] == 65535
+        for group in generate_pipeline(req).body["security_groups"]:
+            assert [65535, 65535] in [list(r["port_range"]) for r in group["rules"]]
+
+    def test_other_engines_only_record_the_port(self):
+        req = self.make(engine="spark", command="run --x 1 --ssh-port abc")
+        captured = capture_engine_config(req)
+        assert captured["ssh_daemon_port"] is None
+        assert captured["parameters"]["ssh-port"] == "abc"
+        generate_pipeline(req)

@@ -1,11 +1,12 @@
 """Lifecycle, event handling, and the two execution modes."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from cloudrerun.caam import generate_pipeline
+from cloudrerun.caam import FUNCTION_NAMES, generate_pipeline
 from cloudrerun.errors import (
     AnalyticsFailure,
     CloudRerunError,
@@ -204,6 +205,43 @@ class TestEventHandling:
         drive(second)
         assert second.state is ExecutionState.COMPLETED
         assert bus.rules == []
+
+    @pytest.mark.parametrize("mode", ["serverless", "sdk"])
+    def test_a_step_ignores_a_fresh_copy_of_the_event_it_acted_on(self, mode):
+        """Dedup ids cannot catch a redelivery under a new id; the state
+        guard must, for every one of the four functions."""
+        orchestrator = Orchestrator(SimCloud())
+        bus = orchestrator.bus
+        poll_window = Fraction(10) if mode == "sdk" else None
+        inst = orchestrator.deploy(generate_pipeline(make_request()), mode, poll_window=poll_window)
+        dispatch = bus.dispatch
+        replayed = []
+
+        def dispatch_and_replay(event):
+            acted = dispatch(event)
+            if acted:
+                before = list(inst.transitions)
+                assert dispatch(dataclasses.replace(event, event_id=f"copy-{event.event_id}")) == []
+                assert inst.transitions == before
+                replayed.extend(acted)
+            return acted
+
+        bus.dispatch = dispatch_and_replay
+        assert orchestrator._drive(inst).state is ExecutionState.COMPLETED
+        assert replayed == list(FUNCTION_NAMES)
+
+    @pytest.mark.parametrize("mode", ["serverless", "sdk"])
+    def test_a_bus_without_rules_keeps_no_ids_or_dropped_events(self, mode):
+        orchestrator = Orchestrator(SimCloud())
+        doc = generate_pipeline(make_request())
+        for _ in range(3):
+            if mode == "sdk":
+                outcome = orchestrator.run_sdk(doc, poll_window=Fraction(10))
+            else:
+                outcome = orchestrator.run_serverless(doc)
+            assert outcome.state is ExecutionState.COMPLETED
+            assert orchestrator.bus.seen == set()
+            assert orchestrator.bus.dropped == []
 
     def test_prefix_matching(self):
         rule = InstalledRule("f", "i", "aws:objectstore:b", "export/i/", "prefix")
