@@ -53,6 +53,7 @@ __all__ = [
     "get_adapter",
     "generate_pipeline",
     "FUNCTION_NAMES",
+    "TRIGGER_TABLE",
     "SCHEMA_VERSION",
     "EXPORT_PREFIX",
 ]
@@ -104,16 +105,21 @@ SERVICE_MAPPING = {
     },
 }
 
-FUNCTION_NAMES = (
-    "software_env_setup",
-    "run_analytics",
-    "export_execution",
-    "terminate_resources",
-)
-
 # Analytics results land under this key prefix; the export function is
 # triggered by object-created events matching it.
 EXPORT_PREFIX = "export/"
+
+# The one trigger per function, in lifecycle order: (function, source kind,
+# event, match).  Sources are symbolic; deployment binds each row to a
+# concrete execution instance.
+TRIGGER_TABLE = (
+    ("software_env_setup", "lifecycle", "HardwareEnvReady", "exact"),
+    ("run_analytics", "lifecycle", "SoftwareEnvReady", "exact"),
+    ("export_execution", "storage", EXPORT_PREFIX, "prefix"),
+    ("terminate_resources", "lifecycle", "ExportComplete", "exact"),
+)
+
+FUNCTION_NAMES = tuple(function for function, *_ in TRIGGER_TABLE)
 
 
 def lookup_service(provider: str, category: str) -> str:
@@ -204,35 +210,17 @@ class _BaseAdapter:
         ]
 
     def _rules(self, req: AbstractRequest) -> list[dict]:
-        """One trigger per function.  Sources are symbolic here; deployment
-        binds them to a concrete execution instance."""
+        """The trigger table; a storage trigger also names the mapped service."""
         storage_service = lookup_service(self.provider, "storage")
         return [
             {
-                "function": "software_env_setup",
-                "source_kind": "lifecycle",
-                "event": "HardwareEnvReady",
-                "match": "exact",
-            },
-            {
-                "function": "run_analytics",
-                "source_kind": "lifecycle",
-                "event": "SoftwareEnvReady",
-                "match": "exact",
-            },
-            {
-                "function": "export_execution",
-                "source_kind": "storage",
-                "service": storage_service,
-                "event": EXPORT_PREFIX,
-                "match": "prefix",
-            },
-            {
-                "function": "terminate_resources",
-                "source_kind": "lifecycle",
-                "event": "ExportComplete",
-                "match": "exact",
-            },
+                "function": function,
+                "source_kind": kind,
+                **({"service": storage_service} if kind == "storage" else {}),
+                "event": event,
+                "match": match,
+            }
+            for function, kind, event, match in TRIGGER_TABLE
         ]
 
     def _security_groups(self, req: AbstractRequest, captured: dict) -> list[dict]:
@@ -240,15 +228,7 @@ class _BaseAdapter:
         return [
             {
                 "group_id": g.group_id,
-                "rules": [
-                    {
-                        "direction": r.direction,
-                        "protocol": r.protocol,
-                        "peer": r.peer,
-                        "port_range": list(r.port_range),
-                    }
-                    for r in g.rules
-                ],
+                "rules": [{**vars(r), "port_range": list(r.port_range)} for r in g.rules],
             }
             for g in groups
         ]
@@ -274,7 +254,7 @@ class _BaseAdapter:
             "archive": {
                 "resources_ini": serialize_resources(req.resources),
                 "application_ini": serialize_application(req.application),
-                "personal_ini": serialize_personal(req.personal, redact=True),
+                "personal_ini": serialize_personal(req.personal.redacted()),
             },
         }
         return PipelineDocument(provider=self.provider, body=body)

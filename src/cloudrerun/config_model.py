@@ -440,20 +440,19 @@ def serialize_application(app: ApplicationSpec) -> str:
     return _render([("application", data)], app.extras, _APPLICATION_SECTIONS)
 
 
-def serialize_personal(personal: PersonalSpec, redact: bool = False) -> str:
-    spec = personal.redacted() if redact else personal
+def serialize_personal(personal: PersonalSpec) -> str:
     data = {
-        "cloud_provider": spec.cloud_provider,
-        "key_path": spec.key_path,
-        "key_name": spec.key_name,
-        "python_runtime": spec.python_runtime,
+        "cloud_provider": personal.cloud_provider,
+        "key_path": personal.key_path,
+        "key_name": personal.key_name,
+        "python_runtime": personal.python_runtime,
     }
-    if spec.cloud_credentials:
-        data["cloud_credentials"] = ", ".join(f"{k}:{v}" for k, v in spec.cloud_credentials)
-    return _render([("personal", data)], spec.extras, _PERSONAL_SECTIONS)
+    if personal.cloud_credentials:
+        data["cloud_credentials"] = ", ".join(f"{k}:{v}" for k, v in personal.cloud_credentials)
+    return _render([("personal", data)], personal.extras, _PERSONAL_SECTIONS)
 
 
-def canonical_serialize(req: AbstractRequest, redact_personal: bool = False) -> tuple[str, str, str]:
+def canonical_serialize(req: AbstractRequest) -> tuple[str, str, str]:
     """Deterministic (resources, application, personal) text triple.
 
     Serializing twice yields identical bytes; parsing the output yields a
@@ -462,5 +461,5 @@ def canonical_serialize(req: AbstractRequest, redact_personal: bool = False) -> 
     return (
         serialize_resources(req.resources),
         serialize_application(req.application),
-        serialize_personal(req.personal, redact=redact_personal),
+        serialize_personal(req.personal),
     )

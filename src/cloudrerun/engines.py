@@ -145,10 +145,7 @@ def capture_engine_config(req: AbstractRequest) -> dict:
     return {
         "engine": engine.value,
         "node_count": node_count,
-        "roles": [
-            {"node_index": r.node_index, "role": r.role}
-            for r in assign_roles(engine, node_count)
-        ],
+        "roles": [dict(vars(r)) for r in assign_roles(engine, node_count)],
         "command": req.application.command,
         "parameters": dict(sorted(flags.items())),
         "bootstrap": list(req.application.bootstrap),

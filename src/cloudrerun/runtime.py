@@ -21,8 +21,8 @@ Two execution modes share all stage logic and one event stream.
 Serverless mode acts on each event as it arrives.  SDK mode polls on a
 fixed tick grid anchored at submission and acts on each event at the first
 tick at or after it, so the wall-clock difference between the modes is
-exactly the sum of per-stage alignment residues.  A run that ends removes
-its trigger rules from the bus.
+exactly the sum of per-stage alignment residues.  However a run ends, it
+removes its trigger rules from the bus.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .caam import EXPORT_PREFIX, FUNCTION_NAMES, PipelineDocument, SCHEMA_VERSION
+from .caam import EXPORT_PREFIX, FUNCTION_NAMES, TRIGGER_TABLE, PipelineDocument, SCHEMA_VERSION
 from .config_model import AbstractRequest, parse_abstract_request
 from .engines import capture_engine_config
 from .errors import (
@@ -109,16 +109,19 @@ class EventBus:
         self.dropped: list[Event] = []
 
     def enqueue(self, event: Event) -> None:
-        self.queue.append(event)
+        """Queue an event; with no rule installed none can act, so none is kept."""
+        if self.rules:
+            self.queue.append(event)
 
     def install(self, rule: InstalledRule, handler: Callable[[Event], bool]) -> None:
         self.rules.append((rule, handler))
 
     def retire(self, instance_id: str) -> None:
         """Remove every rule bound to ``instance_id``.  With no rule left no
-        event can act, so the dedup ids and dropped events are cleared too."""
+        event can act, so queued, seen and dropped events are cleared too."""
         self.rules = [pair for pair in self.rules if pair[0].instance_id != instance_id]
         if not self.rules:
+            self.queue.clear()
             self.seen.clear()
             self.dropped.clear()
 
@@ -183,6 +186,11 @@ class PipelineInstance:
         return self.request.resources.bigdata_engine.value
 
 
+def _timings_json(timings: dict[str, tuple[Fraction, Fraction]]) -> dict[str, list[str]]:
+    """Stage timings as written to an outcome and to a history record."""
+    return {name: [str(start), str(end)] for name, (start, end) in timings.items()}
+
+
 @dataclass(frozen=True)
 class ExecutionOutcome:
     instance_id: str
@@ -212,15 +220,17 @@ class ExecutionOutcome:
             "submitted_at": str(self.submitted_at),
             "ended_at": str(self.ended_at),
             "duration_s": str(self.duration_s),
-            "stage_timings": {
-                name: [str(start), str(end)]
-                for name, (start, end) in self.stage_timings.items()
-            },
+            "stage_timings": _timings_json(self.stage_timings),
             "result_keys": list(self.result_keys),
             "history_url": self.history_url,
             "failure": self.failure,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _same_rows(rows: list, expected: tuple) -> bool:
+    """Whether ``rows`` are the distinct ``expected`` rows in any order, by equality alone."""
+    return len(rows) == len(expected) and all(row in rows for row in expected)
 
 
 class Orchestrator:
@@ -256,16 +266,17 @@ class Orchestrator:
             )
         if doc.provider not in self.env.providers:
             raise DeploymentRejected(f"no simulated provider {doc.provider!r}")
-        functions = body.get("functions", [])
-        names = [f.get("name") for f in functions]
-        if sorted(names) != sorted(FUNCTION_NAMES):
+        names = [f.get("name") for f in body.get("functions", [])]
+        # The document's rules are the rules that run: the trigger table.
+        rules = [
+            (r.get("function"), r.get("source_kind"), r.get("event"), r.get("match"))
+            for r in body.get("rules", [])
+        ]
+        if not (_same_rows(names, FUNCTION_NAMES) and _same_rows(rules, TRIGGER_TABLE)):
             raise DeploymentRejected(
-                f"expected exactly the functions {FUNCTION_NAMES}, got {names}"
+                f"expected exactly the functions {FUNCTION_NAMES} and the trigger "
+                f"rules {TRIGGER_TABLE}, got {names} and {rules}"
             )
-        rules = body.get("rules", [])
-        ruled = sorted(r.get("function") for r in rules)
-        if ruled != sorted(FUNCTION_NAMES):
-            raise DeploymentRejected("expected exactly one trigger rule per function")
         archive = body.get("archive", {})
         try:
             request = parse_abstract_request(
@@ -289,14 +300,12 @@ class Orchestrator:
         return instance
 
     def _install_rules(self, instance: PipelineInstance) -> None:
+        """Bind each row of the trigger table to ``instance``."""
         storage_source = f"{instance.provider_name}:objectstore:{WORKSPACE_STORE}"
-        bindings = [
-            ("software_env_setup", instance.source, "HardwareEnvReady", "exact"),
-            ("run_analytics", instance.source, "SoftwareEnvReady", "exact"),
-            ("export_execution", storage_source, f"{EXPORT_PREFIX}{instance.instance_id}/", "prefix"),
-            ("terminate_resources", instance.source, "ExportComplete", "exact"),
-        ]
-        for function, source, event, match in bindings:
+        for function, kind, event, match in TRIGGER_TABLE:
+            source = instance.source
+            if kind == "storage":
+                source, event = storage_source, f"{event}{instance.instance_id}/"
             rule = InstalledRule(function, instance.instance_id, source, event, match)
             self.bus.install(rule, lambda _e, f=function: self._step(instance, f))
 
@@ -498,9 +507,7 @@ class Orchestrator:
         record["status"] = inst.state.value
         record["failure"] = inst.failure
         record["ended_at"] = str(inst.ended_at)
-        record["stage_timings"] = {
-            name: [str(start), str(end)] for name, (start, end) in inst.stage_timings.items()
-        }
+        record["stage_timings"] = _timings_json(inst.stage_timings)
         inst.history_url = history.put_record(inst.instance_id, record)
         inst.record = history.get_record(inst.instance_id)
 
@@ -572,15 +579,18 @@ class Orchestrator:
         """Start a deployed run and drive it to its end: dispatch each queued
         event, and run the next completion when none is queued.  An sdk run
         that has not begun ending acts on an event at the first poll tick at
-        or after it."""
-        self.start(inst)
-        queue = self.bus.queue
-        while inst.state not in TERMINAL_STATES:
-            if not queue:
-                self._run_next_completion(inst)
-                continue
-            event = queue.popleft()
-            if inst.mode == "sdk" and inst.state not in ENDING_STATES:
-                self._poll_tick(inst, event.time)
-            self.bus.dispatch(event)
+        or after it.  However the drive ends, it retires the run's rules."""
+        try:
+            self.start(inst)
+            queue = self.bus.queue
+            while inst.state not in TERMINAL_STATES:
+                if not queue:
+                    self._run_next_completion(inst)
+                    continue
+                event = queue.popleft()
+                if inst.mode == "sdk" and inst.state not in ENDING_STATES:
+                    self._poll_tick(inst, event.time)
+                self.bus.dispatch(event)
+        finally:
+            self.bus.retire(inst.instance_id)
         return self._outcome(inst)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -11,6 +11,18 @@ from ..errors import OpenLedger
 __all__ = ["LedgerEntry", "CostLedger", "SECONDS_PER_HOUR"]
 
 SECONDS_PER_HOUR = Fraction(3600)
+
+
+def _snapshot(record) -> dict:
+    """A dataclass's fields as JSON values, with each Fraction as a string."""
+    return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(record).items()}
+
+
+def _rebuild(cls, state: dict):
+    """The inverse of ``_snapshot``: every field declared as a Fraction, or
+    as an optional one, is read back from its string."""
+    exact = {f.name for f in fields(cls) if "Fraction" in str(f.type)}
+    return cls(**{k: Fraction(v) if k in exact and v is not None else v for k, v in state.items()})
 
 
 @dataclass
@@ -131,17 +143,7 @@ class CostLedger:
         """Entries and request counts; request prices come from the catalog
         and are not captured."""
         return {
-            "entries": [
-                {
-                    "resource_id": e.resource_id,
-                    "category": e.category,
-                    "unit_price_hour": str(e.unit_price_hour),
-                    "open_time": str(e.open_time),
-                    "close_time": None if e.close_time is None else str(e.close_time),
-                    "scope": e.scope,
-                }
-                for e in self.entries
-            ],
+            "entries": [_snapshot(e) for e in self.entries],
             "request_counts": [
                 {"scope": scope, "operation": op, "count": count}
                 for (scope, op), count in sorted(self.request_counts.items())
@@ -150,15 +152,6 @@ class CostLedger:
 
     def restore_state(self, state: dict) -> None:
         """Append the entries and request counts of a ``to_state`` snapshot."""
-        for e in state["entries"]:
-            entry = self.open_entry(
-                resource_id=e["resource_id"],
-                category=e["category"],
-                unit_price_hour=Fraction(e["unit_price_hour"]),
-                open_time=Fraction(e["open_time"]),
-                scope=e["scope"],
-            )
-            if e["close_time"] is not None:
-                entry.close_time = Fraction(e["close_time"])
+        self.entries.extend(_rebuild(LedgerEntry, e) for e in state["entries"])
         for rc in state["request_counts"]:
             self.charge_request(rc["scope"], rc["operation"], rc["count"])

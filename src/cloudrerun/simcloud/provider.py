@@ -28,7 +28,7 @@ from ..errors import (
     UnsupportedProvider,
 )
 from .clock import VirtualClock
-from .ledger import CostLedger
+from .ledger import CostLedger, _rebuild, _snapshot
 
 __all__ = [
     "Event",
@@ -391,18 +391,7 @@ class SimCloud:
                 name: {
                     "max_instances": p.max_instances,
                     "counters": dict(p._counters),
-                    "clusters": [
-                        {
-                            "cluster_id": c.cluster_id,
-                            "instance_type": c.instance_type,
-                            "instance_count": c.instance_count,
-                            "network_id": c.network_id,
-                            "scope": c.scope,
-                            "state": c.state,
-                            "ready_at": None if c.ready_at is None else str(c.ready_at),
-                        }
-                        for c in p.clusters.values()
-                    ],
+                    "clusters": [_snapshot(c) for c in p.clusters.values()],
                     "networks": sorted(p.networks),
                     "stores": {
                         store: {
@@ -428,16 +417,7 @@ class SimCloud:
             p = env.providers[name]
             p.max_instances = pstate["max_instances"]
             p._counters = dict(pstate["counters"])
-            for c in pstate["clusters"]:
-                p.clusters[c["cluster_id"]] = Cluster(
-                    cluster_id=c["cluster_id"],
-                    instance_type=c["instance_type"],
-                    instance_count=c["instance_count"],
-                    network_id=c["network_id"],
-                    scope=c["scope"],
-                    state=c["state"],
-                    ready_at=None if c["ready_at"] is None else Fraction(c["ready_at"]),
-                )
+            p.clusters = {c["cluster_id"]: _rebuild(Cluster, c) for c in pstate["clusters"]}
             p.networks = set(pstate["networks"])
             p.stores = {
                 store: {

@@ -1,5 +1,6 @@
 """Service mapping and per-cloud pipeline assembly."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from cloudrerun.caam import (
     FUNCTION_NAMES,
     SERVICE_CATEGORIES,
     SERVICE_MAPPING,
+    TRIGGER_TABLE,
     AwsAdapter,
     generate_pipeline,
     get_adapter,
@@ -154,9 +156,13 @@ class TestPipelineDocument:
         assert by_function["export_execution"]["match"] == "prefix"
         assert by_function["terminate_resources"]["event"] == "ExportComplete"
 
-    def test_application_part_is_provider_independent(self):
-        import json
+    def test_golden_rules_are_the_trigger_table(self):
+        for name in ("pipeline_aws.json", "pipeline_azure.json"):
+            rules = json.loads((GOLDEN / name).read_text())["rules"]
+            rows = [(r["function"], r["source_kind"], r["event"], r["match"]) for r in rules]
+            assert rows == list(TRIGGER_TABLE), name
 
+    def test_application_part_is_provider_independent(self):
         aws = generate_pipeline(request_for("aws")).body["executable"]["application"]
         azure = generate_pipeline(request_for("azure")).body["executable"]["application"]
         assert json.dumps(aws, sort_keys=True) == json.dumps(azure, sort_keys=True)

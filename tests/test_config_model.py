@@ -264,7 +264,7 @@ class TestSerialization:
             "[personal]\ncloud_provider = aws\ncloud_credentials = access_key:AKIA123\n"
             "key_nmae = x\n\n[extra]\napi_token = t0k\n"
         )
-        text = serialize_personal(personal, redact=True)
+        text = serialize_personal(personal.redacted())
         assert "AKIA123" not in text
         assert f"access_key:{REDACTED}" in text
         # a secret-looking unknown key is redacted too; other extras are kept

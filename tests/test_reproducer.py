@@ -96,6 +96,15 @@ class TestModes:
             reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()))
         assert len(env.subscribers) == subscribers
 
+    def test_an_idle_orchestrators_bus_stays_empty(self):
+        env = SimCloud()
+        orchestrator = Orchestrator(env)
+        outcome = orchestrator.run_serverless(generate_pipeline(make_request()))
+        for _ in range(3):
+            reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()))
+        bus = orchestrator.bus
+        assert (list(bus.queue), bus.seen, bus.dropped) == ([], set(), [])
+
 
 class TestFixpoint:
     def test_identical_reproduction_is_byte_stable(self):

@@ -243,6 +243,35 @@ class TestEventHandling:
             assert orchestrator.bus.seen == set()
             assert orchestrator.bus.dropped == []
 
+    @pytest.mark.parametrize("mode", ["serverless", "sdk"])
+    @pytest.mark.parametrize(
+        "fault",
+        [("create_network", 0), ("create_cluster", 0), ("delete_cluster", 0),
+         ("delete_network", 0), ("db_put", 1)],
+        ids=lambda fault: f"{fault[0]}[{fault[1]}]",
+    )
+    def test_a_run_that_raises_retires_its_rules(self, mode, fault):
+        env = SimCloud()
+        env.provider("aws").inject_fault(*fault, lambda: StorageFailure("injected"))
+        orchestrator = Orchestrator(env)
+        doc = generate_pipeline(make_request())
+        with pytest.raises(StorageFailure):
+            if mode == "sdk":
+                orchestrator.run_sdk(doc, poll_window=Fraction(10))
+            else:
+                orchestrator.run_serverless(doc)
+        assert orchestrator.bus.rules == []
+
+    def test_a_run_that_raises_leaves_no_ids_or_dropped_events_behind(self):
+        orchestrator = Orchestrator(SimCloud())
+        with pytest.raises(QuotaExceeded):
+            orchestrator.run_serverless(generate_pipeline(make_request(engine="dask", nodes=100)))
+        doc = generate_pipeline(make_request())
+        for _ in range(3):
+            assert orchestrator.run_serverless(doc).state is ExecutionState.COMPLETED
+        assert orchestrator.bus.seen == set()
+        assert orchestrator.bus.dropped == []
+
     def test_prefix_matching(self):
         rule = InstalledRule("f", "i", "aws:objectstore:b", "export/i/", "prefix")
         from cloudrerun.simcloud.provider import Event
@@ -405,6 +434,43 @@ class TestDeploymentValidation:
         doc.body["archive"] = {"resources_ini": "oops"}
         with pytest.raises(DeploymentRejected):
             Orchestrator(SimCloud()).deploy(doc)
+
+    @pytest.mark.parametrize(
+        "breaks",
+        [
+            lambda body: body["rules"][0].pop("function"),
+            lambda body: body["functions"][0].pop("name"),
+            lambda body: body["rules"][2].update(event="results/"),
+            lambda body: body["rules"][0].update(match="prefix"),
+        ],
+        ids=["rule-without-function", "function-without-name", "export-on-results", "match-changed"],
+    )
+    def test_rules_must_be_the_trigger_table(self, breaks):
+        doc = self.make_doc()
+        breaks(doc.body)
+        with pytest.raises(DeploymentRejected):
+            Orchestrator(SimCloud()).deploy(doc)
+
+    def test_rules_in_any_order_deploy(self):
+        doc = self.make_doc()
+        doc.body["rules"].reverse()
+        assert Orchestrator(SimCloud()).run_serverless(doc).state is ExecutionState.COMPLETED
+
+    def test_installed_rules_are_the_trigger_table_bound_to_the_run(self):
+        orchestrator = Orchestrator(SimCloud())
+        orchestrator.deploy(self.make_doc())
+        installed = [
+            (rule.function, rule.instance_id, rule.source, rule.event, rule.match)
+            for rule, _ in orchestrator.bus.rules
+        ]
+        source = "aws:instance:aws-exec-0001"
+        assert installed == [
+            ("software_env_setup", "aws-exec-0001", source, "HardwareEnvReady", "exact"),
+            ("run_analytics", "aws-exec-0001", source, "SoftwareEnvReady", "exact"),
+            ("export_execution", "aws-exec-0001", f"aws:objectstore:{WORKSPACE_STORE}",
+             "export/aws-exec-0001/", "prefix"),
+            ("terminate_resources", "aws-exec-0001", source, "ExportComplete", "exact"),
+        ]
 
 
 FAULT_OPERATIONS = (

@@ -1,5 +1,6 @@
 """Virtual clock, cost ledger, workload model, provider operations."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -275,3 +276,50 @@ class TestProvider:
         assert again.provider("aws").tables == provider.tables
         assert again.provider("aws").inventory() == {"clusters": [], "networks": [open_net]}
         assert SimCloud.from_state(env.to_state()).to_state() == env.to_state()
+
+    def test_saved_state_format(self):
+        """The exact saved shape of a cluster and of ledger entries: every
+        field, with Fractions written as strings, so a field dropped on both
+        the saving and the loading side still shows."""
+        env = SimCloud()
+        provider = env.provider("aws")
+        net = provider.create_network("run-1")
+        provider.create_cluster("c5d.large", 2, net, "run-1")
+        cluster = {
+            "cluster_id": "aws-cluster-0001",
+            "instance_type": "c5d.large",
+            "instance_count": 2,
+            "network_id": "aws-net-0001",
+            "scope": "run-1",
+            "state": "Provisioning",
+            "ready_at": None,
+        }
+        assert json.loads(json.dumps(env.to_state()))["providers"]["aws"]["clusters"] == [cluster]
+
+        env.run_next_completion()
+        env.clock.advance_to(Fraction(45))
+        provider.delete_network(net)
+        state = json.loads(json.dumps(env.to_state()))
+        assert state["providers"]["aws"]["clusters"] == [{**cluster, "state": "Ready", "ready_at": "30"}]
+        assert state["ledger"]["entries"] == [
+            {
+                "resource_id": "aws-net-0001",
+                "category": "network",
+                "unit_price_hour": "1/100",
+                "open_time": "0",
+                "close_time": "45",
+                "scope": "run-1",
+            },
+            {
+                "resource_id": "aws-cluster-0001",
+                "category": "compute",
+                "unit_price_hour": "24/125",
+                "open_time": "0",
+                "close_time": None,
+                "scope": "run-1",
+            },
+        ]
+
+        again = SimCloud.from_state(state)
+        assert again.provider("aws").clusters == provider.clusters
+        assert again.ledger.entries == env.ledger.entries
