@@ -7,10 +7,14 @@ Subcommands:
 * ``history``    query execution records or fetch one by URL,
 * ``bench``      scaling and mode-efficiency suites.
 
-The simulated environment persists between invocations in a JSON state
-file (``--state-dir``, default ``$CLOUDRERUN_STATE_DIR`` or
+The simulated environment persists between invocations in a compact JSON
+state file (``--state-dir``, default ``$CLOUDRERUN_STATE_DIR`` or
 ``.cloudrerun``), so a run from one invocation can be queried and
-reproduced from the next.
+reproduced from the next.  Each save writes a temp file and replaces the
+state file with it atomically.  ``run`` and ``reproduce`` hold an
+exclusive lock on the state directory (``simcloud.lock``) from loading the
+state to saving it, so concurrent commands on one directory apply their
+changes one after another; ``history`` reads without the lock.
 
 Exit codes: 0 success; 1 execution failed or unexpected error; 2 bad
 usage or configuration; 3 history lookup failed; 4 unsupported provider,
@@ -20,6 +24,8 @@ engine, or service; 5 provider rejected the deployment.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import os
 import sys
@@ -64,6 +70,7 @@ _UNSUPPORTED_ERRORS = (UnsupportedProvider, UnsupportedEngineOnProvider, Unmappe
 _REJECTED_ERRORS = (DeploymentRejected, QuotaExceeded, UnknownInstanceType)
 
 STATE_FILE = "simcloud.json"
+LOCK_FILE = "simcloud.lock"
 STATE_DIR_VAR = "CLOUDRERUN_STATE_DIR"
 
 
@@ -162,10 +169,19 @@ def _load_env(state_dir: Optional[str]) -> SimCloud:
         raise ValueError(f"{path}: malformed state file: {type(exc).__name__}: {exc}") from exc
 
 
-def _save_env(env: SimCloud, state_dir: Optional[str]) -> None:
+@contextlib.contextmanager
+def _locked_env(state_dir: Optional[str]):
+    """The saved environment, loaded under an exclusive lock on the state
+    directory and saved back before the lock is released, so concurrent
+    commands apply their changes one after another.  Nothing is saved when
+    the block raises."""
     path = _state_path(state_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    env.save_state(path)
+    with open(path.with_name(LOCK_FILE), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        env = _load_env(state_dir)
+        yield env
+        env.save_state(path)
 
 
 def _poll_window(text: str) -> Fraction:
@@ -229,17 +245,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         env=os.environ,
     )
     doc = generate_pipeline(request)
-    env = _load_env(args.state_dir)
-    orchestrator = Orchestrator(env)
-    if args.mode == "sdk":
-        outcome = orchestrator.run_sdk(
-            doc,
-            poll_window=_poll_window(args.poll_window),
-            record_history=not args.no_history,
-        )
-    else:
-        outcome = orchestrator.run_serverless(doc, record_history=not args.no_history)
-    _save_env(env, args.state_dir)
+    with _locked_env(args.state_dir) as env:
+        orchestrator = Orchestrator(env)
+        if args.mode == "sdk":
+            outcome = orchestrator.run_sdk(
+                doc,
+                poll_window=_poll_window(args.poll_window),
+                record_history=not args.no_history,
+            )
+        else:
+            outcome = orchestrator.run_serverless(doc, record_history=not args.no_history)
     metrics = _measure_or_none(outcome, env)
     _write_reports(args.out_dir, outcome, metrics)
     _print_outcome(outcome, metrics, args.json)
@@ -260,16 +275,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         ),
         target_provider=args.target_provider,
     )
-    env = _load_env(args.state_dir)
-    result = reproduce(
-        env,
-        args.url,
-        overrides,
-        mode=args.mode,
-        poll_window=poll_window,
-        record_history=not args.no_history,
-    )
-    _save_env(env, args.state_dir)
+    with _locked_env(args.state_dir) as env:
+        result = reproduce(
+            env,
+            args.url,
+            overrides,
+            mode=args.mode,
+            poll_window=poll_window,
+            record_history=not args.no_history,
+        )
     metrics = _measure_or_none(result.outcome, env)
     _write_reports(args.out_dir, result.outcome, metrics)
     if not args.json:

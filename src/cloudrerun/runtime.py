@@ -228,6 +228,12 @@ class ExecutionOutcome:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _field(entry, key: str):
+    """``entry[key]`` of a document entry, or None when the entry is not an
+    object or has no such key; None is in no expected row."""
+    return entry.get(key) if isinstance(entry, dict) else None
+
+
 def _same_rows(rows: list, expected: tuple) -> bool:
     """Whether ``rows`` are the distinct ``expected`` rows in any order, by equality alone."""
     return len(rows) == len(expected) and all(row in rows for row in expected)
@@ -266,10 +272,10 @@ class Orchestrator:
             )
         if doc.provider not in self.env.providers:
             raise DeploymentRejected(f"no simulated provider {doc.provider!r}")
-        names = [f.get("name") for f in body.get("functions", [])]
+        names = [_field(f, "name") for f in body.get("functions", [])]
         # The document's rules are the rules that run: the trigger table.
         rules = [
-            (r.get("function"), r.get("source_kind"), r.get("event"), r.get("match"))
+            tuple(_field(r, key) for key in ("function", "source_kind", "event", "match"))
             for r in body.get("rules", [])
         ]
         if not (_same_rows(names, FUNCTION_NAMES) and _same_rows(rules, TRIGGER_TABLE)):
@@ -278,6 +284,8 @@ class Orchestrator:
                 f"rules {TRIGGER_TABLE}, got {names} and {rules}"
             )
         archive = body.get("archive", {})
+        if not isinstance(archive, dict):
+            raise DeploymentRejected(f"archive section is not an object: {archive!r}")
         try:
             request = parse_abstract_request(
                 archive["resources_ini"], archive["application_ini"], archive["personal_ini"]

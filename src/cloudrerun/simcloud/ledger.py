@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from ..errors import OpenLedger
@@ -18,11 +19,22 @@ def _snapshot(record) -> dict:
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(record).items()}
 
 
-def _rebuild(cls, state: dict):
-    """The inverse of ``_snapshot``: every field declared as a Fraction, or
-    as an optional one, is read back from its string."""
-    exact = {f.name for f in fields(cls) if "Fraction" in str(f.type)}
-    return cls(**{k: Fraction(v) if k in exact and v is not None else v for k, v in state.items()})
+def _rebuilder(cls):
+    """The inverse of ``_snapshot`` for ``cls``: a function that reads every
+    field declared as a Fraction, or as an optional one, back from its
+    string.  The fields are looked up once, and each distinct string is
+    parsed once per rebuilder (ledger rows repeat a few prices and times)."""
+    exact = [f.name for f in fields(cls) if "Fraction" in str(f.type)]
+    fraction = lru_cache(maxsize=None)(Fraction)
+
+    def rebuild(state: dict):
+        row = dict(state)
+        for name in exact:
+            if row.get(name) is not None:
+                row[name] = fraction(row[name])
+        return cls(**row)
+
+    return rebuild
 
 
 @dataclass
@@ -152,6 +164,6 @@ class CostLedger:
 
     def restore_state(self, state: dict) -> None:
         """Append the entries and request counts of a ``to_state`` snapshot."""
-        self.entries.extend(_rebuild(LedgerEntry, e) for e in state["entries"])
+        self.entries.extend(map(_rebuilder(LedgerEntry), state["entries"]))
         for rc in state["request_counts"]:
             self.charge_request(rc["scope"], rc["operation"], rc["count"])

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +30,7 @@ from ..errors import (
     UnsupportedProvider,
 )
 from .clock import VirtualClock
-from .ledger import CostLedger, _rebuild, _snapshot
+from .ledger import CostLedger, _rebuilder, _snapshot
 
 __all__ = [
     "Event",
@@ -41,6 +43,10 @@ __all__ = [
 ]
 
 PROVIDERS = ("aws", "azure")
+
+# The saved state's encoding: compact and key-sorted.  Without an indent,
+# ``encode`` runs the C encoder.
+_STATE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @lru_cache(maxsize=None)
@@ -413,11 +419,12 @@ class SimCloud:
         env = cls(delays)
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = state["event_counter"]
+        cluster = _rebuilder(Cluster)
         for name, pstate in state["providers"].items():
             p = env.providers[name]
             p.max_instances = pstate["max_instances"]
             p._counters = dict(pstate["counters"])
-            p.clusters = {c["cluster_id"]: _rebuild(Cluster, c) for c in pstate["clusters"]}
+            p.clusters = {c["cluster_id"]: cluster(c) for c in pstate["clusters"]}
             p.networks = set(pstate["networks"])
             p.stores = {
                 store: {
@@ -432,11 +439,39 @@ class SimCloud:
         return env
 
     def save_state(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_state(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        """Write ``to_state()`` as compact, key-sorted JSON and commit it
+        atomically: a temp file beside ``path`` is written, flushed and
+        fsynced, then replaces ``path``, so a reader finds the old file or
+        the new one, never part of one (Pillai et al., OSDI 2014)."""
+        directory, name = os.path.split(os.fspath(path))
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                _write_json(fh, self.to_state())
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load_state(cls, path, delays: Optional[DelayProfile] = None) -> "SimCloud":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_state(json.load(fh), delays)
+
+
+def _write_json(fh, value) -> None:
+    """Write ``value`` to ``fh`` exactly as ``_STATE_ENCODER.encode`` would.
+    Objects are streamed key by key (in a saved state, down to the keys of
+    each store) and every other value is encoded in one C call, so the text
+    of the whole state is never held at once."""
+    if not isinstance(value, dict):
+        fh.write(_STATE_ENCODER.encode(value))
+        return
+    fh.write("{")
+    for i, key in enumerate(sorted(value)):
+        fh.write(("," if i else "") + _STATE_ENCODER.encode(key) + ":")
+        _write_json(fh, value[key])
+    fh.write("}")

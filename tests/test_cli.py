@@ -67,6 +67,13 @@ def history_url_from(stdout: str) -> str:
     raise AssertionError(f"no history line in output:\n{stdout}")
 
 
+def child_env() -> dict:
+    """The environment of a child ``python -m cloudrerun.cli``: it imports the
+    same package whether or not PYTHONPATH was exported."""
+    src = str(Path(cloudrerun.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestParser:
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit) as info:
@@ -79,14 +86,11 @@ class TestParser:
         assert info.value.code == 2
 
     def test_module_entry_point(self):
-        # the child imports the same package whether or not PYTHONPATH was exported
-        src = str(Path(cloudrerun.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cloudrerun.cli", "--help"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         for name in ("run", "reproduce", "history", "bench"):
@@ -153,6 +157,28 @@ class TestRun:
         out = capsys.readouterr().out
         assert "state     : Failed" in out
         assert "failure   :" in out
+
+    def test_concurrent_runs_on_one_state_directory(self, tmp_path, capsys):
+        """Six processes run at once on one directory: the lock makes each
+        load see the previous save, so no record or execution id is lost."""
+        paths = write_files(tmp_path)
+        state = tmp_path / "state"
+        for _ in range(30):  # a larger state file widens the load-to-save window
+            assert main(run_args(paths, state)) == EXIT_OK
+        capsys.readouterr()
+        argv = [sys.executable, "-m", "cloudrerun.cli", *run_args(paths, state, "--json")]
+        children = [
+            subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env())
+            for _ in range(6)
+        ]
+        outputs = [child.communicate(timeout=120) for child in children]
+        assert [child.returncode for child in children] == [EXIT_OK] * 6, outputs
+        ids = {json.loads(out)["instance_id"] for out, _ in outputs}
+        assert len(ids) == 6
+        assert main(["history", "--state-dir", str(state), "--json"]) == EXIT_OK
+        recorded = [row["execution_id"] for row in json.loads(capsys.readouterr().out)]
+        assert len(recorded) == len(set(recorded)) == 36
+        assert ids <= set(recorded)
 
 
 class TestHistoryCommand:

@@ -435,6 +435,12 @@ class TestDeploymentValidation:
         with pytest.raises(DeploymentRejected):
             Orchestrator(SimCloud()).deploy(doc)
 
+    def test_archive_that_is_not_an_object(self):
+        doc = self.make_doc()
+        doc.body["archive"] = "x"
+        with pytest.raises(DeploymentRejected):
+            Orchestrator(SimCloud()).deploy(doc)
+
     @pytest.mark.parametrize(
         "breaks",
         [
@@ -442,8 +448,17 @@ class TestDeploymentValidation:
             lambda body: body["functions"][0].pop("name"),
             lambda body: body["rules"][2].update(event="results/"),
             lambda body: body["rules"][0].update(match="prefix"),
+            lambda body: body.update(rules=["x"]),
+            lambda body: body.update(functions=[None]),
         ],
-        ids=["rule-without-function", "function-without-name", "export-on-results", "match-changed"],
+        ids=[
+            "rule-without-function",
+            "function-without-name",
+            "export-on-results",
+            "match-changed",
+            "rule-not-an-object",
+            "function-not-an-object",
+        ],
     )
     def test_rules_must_be_the_trigger_table(self, breaks):
         doc = self.make_doc()

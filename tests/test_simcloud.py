@@ -1,6 +1,7 @@
 """Virtual clock, cost ledger, workload model, provider operations."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudrerun.caam import generate_pipeline
 from cloudrerun.errors import (
     ClockModeViolation,
     NoSuchImage,
@@ -17,9 +19,10 @@ from cloudrerun.errors import (
     StorageFailure,
     UnknownInstanceType,
 )
+from cloudrerun.runtime import ExecutionState, Orchestrator
 from cloudrerun.simcloud.clock import VirtualClock
 from cloudrerun.simcloud.ledger import CostLedger
-from cloudrerun.simcloud.provider import SimCloud, price_catalog
+from cloudrerun.simcloud.provider import PROVIDERS, SimCloud, price_catalog
 from cloudrerun.simcloud.workload import (
     WorkloadProfile,
     parse_workload,
@@ -29,6 +32,7 @@ from cloudrerun.simcloud.workload import (
 
 from cloudrerun.reproducer import INSTANCE_TYPE_EQUIVALENCE
 
+from helpers import make_request
 from oracles import per_second_cost
 
 
@@ -323,3 +327,67 @@ class TestProvider:
         again = SimCloud.from_state(state)
         assert again.provider("aws").clusters == provider.clusters
         assert again.ledger.entries == env.ledger.entries
+
+
+def _environment_with_history(runs: int) -> SimCloud:
+    """One environment after ``runs`` recorded runs across both providers,
+    several engines and both execution modes."""
+    engines = {"aws": ("none", "spark", "horovod", "dask"), "azure": ("none", "horovod", "dask")}
+    env = SimCloud()
+    orchestrator = Orchestrator(env)
+    for i in range(runs):
+        provider = PROVIDERS[i % 2]
+        engine = engines[provider][i % len(engines[provider])]
+        doc = generate_pipeline(make_request(engine=engine, provider=provider, nodes=1 + i % 3))
+        if i % 3:
+            outcome = orchestrator.run_serverless(doc)
+        else:
+            outcome = orchestrator.run_sdk(doc, poll_window=Fraction(5))
+        assert outcome.state is ExecutionState.COMPLETED
+    return env
+
+
+def _compact(state: dict) -> str:
+    return json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestStateFile:
+    def test_saved_text_is_compact_sorted_json(self, tmp_path):
+        env = _environment_with_history(20)
+        path = tmp_path / "simcloud.json"
+        env.save_state(path)
+        assert path.read_text(encoding="utf-8") == _compact(env.to_state())
+        assert SimCloud.load_state(path).to_state() == env.to_state()
+
+    def test_legacy_indented_file_loads_and_is_saved_compact(self, tmp_path):
+        env = _environment_with_history(5)
+        path = tmp_path / "simcloud.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(env.to_state(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        again = SimCloud.load_state(path)
+        assert again.to_state() == env.to_state()
+        again.save_state(path)
+        assert path.read_text(encoding="utf-8") == _compact(env.to_state())
+
+    @pytest.mark.parametrize("where", ["while-writing", "at-fsync"])
+    def test_a_failed_save_leaves_the_previous_file(self, tmp_path, monkeypatch, where):
+        env = _environment_with_history(3)
+        path = tmp_path / "simcloud.json"
+        env.save_state(path)
+        before = path.read_bytes()
+        env.provider("aws").create_network("later")
+        if where == "while-writing":
+            # "tables" sorts after "stores", so most of the text is written first
+            env.provider("aws").tables["broken"] = [{"value": object()}]
+            expected = TypeError
+        else:
+            def fail(fd):
+                raise OSError("disk full")
+            monkeypatch.setattr(os, "fsync", fail)
+            expected = OSError
+        with pytest.raises(expected):
+            env.save_state(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["simcloud.json"]
+        assert SimCloud.load_state(path).provider("aws").networks == set()
