@@ -22,7 +22,7 @@ construction and are byte-identical across adapters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Protocol
 
 from .config_model import (
@@ -135,6 +135,18 @@ class PipelineDocument:
 
     provider: str
     body: dict
+    # Set by the adapter that assembled ``body``: a copy of the archive texts
+    # it wrote and the request they parse to.  Not part of the document, so
+    # ``to_json`` leaves it out and equality ignores it.
+    compiled: Optional[tuple[dict, AbstractRequest]] = field(default=None, compare=False, repr=False)
+
+    def compiled_request(self) -> Optional[AbstractRequest]:
+        """The request this document was compiled from, personal part
+        redacted, while the body's archive texts are still the ones written
+        for it; None for a loaded or edited document."""
+        if self.compiled is None or self.body.get("archive") != self.compiled[0]:
+            return None
+        return self.compiled[1]
 
     def to_json(self) -> str:
         return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
@@ -238,6 +250,12 @@ class _BaseAdapter:
         # One capture per compile: the application part records the
         # command's flags and the security groups pin its SSH port.
         captured = capture_engine_config(req)
+        archived = replace(req, personal=req.personal.redacted())
+        archive = {
+            "resources_ini": serialize_resources(req.resources),
+            "application_ini": serialize_application(req.application),
+            "personal_ini": serialize_personal(archived.personal),
+        }
         body = {
             "schema_version": SCHEMA_VERSION,
             "provider": self.provider,
@@ -251,13 +269,9 @@ class _BaseAdapter:
             "security_groups": self._security_groups(req, captured),
             # Canonical request texts ride along so deployment can archive
             # the exact configuration; the personal part is pre-redacted.
-            "archive": {
-                "resources_ini": serialize_resources(req.resources),
-                "application_ini": serialize_application(req.application),
-                "personal_ini": serialize_personal(req.personal.redacted()),
-            },
+            "archive": archive,
         }
-        return PipelineDocument(provider=self.provider, body=body)
+        return PipelineDocument(self.provider, body, compiled=(dict(archive), archived))
 
 
 class AwsAdapter(_BaseAdapter):

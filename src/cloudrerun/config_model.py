@@ -15,17 +15,23 @@ rejected, and in personal.ini its value is redacted from archives along
 with the credentials.
 
 Dialect: ``key = value`` pairs, ``#`` comments, lists comma-separated,
-maps as comma-separated ``key:value`` pairs.  Canonical serialization is
-byte-specified: UTF-8, LF line endings, fixed section order, keys sorted
-inside each section, exactly one space around ``=``.
+maps as comma-separated ``key:value`` pairs.  Every value is one line: a
+continuation line is rejected, so serializing a parsed request and parsing
+the texts again yields the same request, and deployment reuses the
+compiled request while a document's archive texts are unchanged.  The
+application command is tokenized at parse time, once per spec
+(``ApplicationSpec.flags``): an unbalanced quote is a parse error.
+Canonical serialization is byte-specified: UTF-8, LF line endings, fixed
+section order, keys sorted inside each section, exactly one space around
+``=``.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import (
@@ -34,6 +40,7 @@ from .errors import (
     ProviderMismatch,
     UnknownEngine,
 )
+from .simcloud.workload import parse_flags
 
 __all__ = [
     "Engine",
@@ -48,6 +55,7 @@ __all__ = [
     "parse_resources",
     "parse_application",
     "parse_personal",
+    "build_request",
     "canonical_serialize",
     "serialize_resources",
     "serialize_application",
@@ -165,6 +173,15 @@ class ApplicationSpec:
     bootstrap: tuple[str, ...] = ()
     extras: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
 
+    @cached_property
+    def flags(self) -> tuple[tuple[str, str], ...]:
+        """The command's ``--flag value`` pairs sorted by flag, tokenized
+        once per spec; parsing reads them, so a bad command fails there."""
+        try:
+            return tuple(sorted(parse_flags(self.command).items()))
+        except ValueError as exc:
+            raise MalformedValue(f"application.ini: [application] command: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class PersonalSpec:
@@ -226,6 +243,9 @@ def _read_ini(text: str, label: str, known_sections) -> tuple[dict, tuple]:
     extras = []
     for name in parser.sections():
         data = sections[name] = {k: v.strip() for k, v in parser.items(name)}
+        for key, value in data.items():
+            if "\n" in value:
+                raise MalformedValue(f"{label}: [{name}] {key}: values must be one line")
         if name in known_sections:
             data = {k: v for k, v in data.items() if k not in _KNOWN_KEYS[name]}
             if not data:
@@ -245,8 +265,6 @@ def _reject_secrets(extras, label: str) -> None:
 
 
 def _split_list(value: str) -> tuple[str, ...]:
-    if not value.strip():
-        return ()
     return tuple(item.strip() for item in value.split(",") if item.strip())
 
 
@@ -320,13 +338,15 @@ def parse_application(text: str) -> ApplicationSpec:
         if any(ch.isspace() for ch in uri):
             raise MalformedValue(f"application.data_uri: {uri!r} contains whitespace")
 
-    return ApplicationSpec(
+    spec = ApplicationSpec(
         docker_image=image,
         data_uri=data_uri,
         command=app.get("command", "").strip(),
         bootstrap=_split_list(app.get("bootstrap", "")),
         extras=extras,
     )
+    spec.flags  # tokenize now, so a bad command fails at parse
+    return spec
 
 
 def parse_personal(text: str, env: Optional[Mapping[str, str]] = None) -> PersonalSpec:
@@ -342,7 +362,10 @@ def parse_personal(text: str, env: Optional[Mapping[str, str]] = None) -> Person
     credentials = dict(_split_map(personal.get("cloud_credentials", ""), "personal.cloud_credentials"))
     for var, value in (env or {}).items():
         if var.startswith(CREDENTIAL_ENV_PREFIX):
-            credentials[var[len(CREDENTIAL_ENV_PREFIX):].lower()] = value
+            name = var[len(CREDENTIAL_ENV_PREFIX):].lower()
+            if any(ch in ",:" or ch.isspace() for ch in name):
+                raise MalformedValue(f"{var}: a credential name cannot hold ',', ':' or whitespace")
+            credentials[name] = value
 
     known = {k: v for k, v in personal.items() if k in _KNOWN_KEYS["personal"]}
     known["cloud_credentials"] = tuple(sorted(credentials.items()))
@@ -377,10 +400,18 @@ def parse_abstract_request(
     or ProviderMismatch on invalid input; anything else parses to a valid,
     default-filled request.
     """
-    resources = parse_resources(resources_text)
-    application = parse_application(application_text)
-    personal = parse_personal(personal_text, env)
+    return build_request(
+        parse_resources(resources_text),
+        parse_application(application_text),
+        parse_personal(personal_text, env),
+    )
 
+
+def build_request(
+    resources: ResourcesSpec, application: ApplicationSpec, personal: PersonalSpec
+) -> AbstractRequest:
+    """The default-filled request of three parsed specs, after the checks
+    between the files (ProviderMismatch, MissingRequiredKey)."""
     req = fill_defaults(AbstractRequest(resources, application, personal))
 
     if req.resources.provider_block(personal.cloud_provider) is None:
@@ -410,16 +441,10 @@ def _render(sections: list[tuple[str, dict[str, str]]], extras, known_sections) 
     sections = sections + [
         (name, data) for name, data in sorted(merged.items()) if name not in known_sections
     ]
-    out = io.StringIO()
-    first = True
-    for name, data in sections:
-        if not first:
-            out.write("\n")
-        first = False
-        out.write(f"[{name}]\n")
-        for key in sorted(data):
-            out.write(f"{key} = {data[key]}\n")
-    return out.getvalue()
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {data[key]}\n" for key in sorted(data))
+        for name, data in sections
+    )
 
 
 def serialize_resources(res: ResourcesSpec) -> str:

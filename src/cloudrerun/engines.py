@@ -15,7 +15,6 @@ from typing import Optional
 
 from .config_model import AbstractRequest, Engine
 from .errors import MalformedValue
-from .simcloud.workload import parse_flags
 
 __all__ = [
     "NodeRole",
@@ -141,13 +140,13 @@ def capture_engine_config(req: AbstractRequest) -> dict:
     artifact: engine, node roles, command flags, bootstrap steps."""
     engine = req.resources.bigdata_engine
     node_count = req.resources.provider_block(req.personal.cloud_provider).instance_number
-    flags = parse_flags(req.application.command)
+    flags = dict(req.application.flags)
     return {
         "engine": engine.value,
         "node_count": node_count,
         "roles": [dict(vars(r)) for r in assign_roles(engine, node_count)],
         "command": req.application.command,
-        "parameters": dict(sorted(flags.items())),
+        "parameters": flags,
         "bootstrap": list(req.application.bootstrap),
         "ssh_daemon_port": _ssh_port(flags) if engine is Engine.HOROVOD else None,
     }

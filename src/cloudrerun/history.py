@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .config_model import parse_personal
+from .config_model import PersonalSpec
 from .errors import MalformedURL, NotFound, RedactionViolation, UnknownField
 from .simcloud.provider import SimCloud
 
@@ -156,20 +156,19 @@ class HistoryStore:
 
     # -- archiving ---------------------------------------------------------
 
-    def _check_redacted(self, personal_ini: str) -> None:
-        personal = parse_personal(personal_ini)
-        if personal != personal.redacted():
-            raise RedactionViolation("archived personal.ini holds unredacted secret values")
-
     def plan_export(
         self,
         execution_id: str,
         archive_texts: dict[str, str],
+        personal: PersonalSpec,
         engine_config: dict,
         result_entries: dict[str, bytes],
         datasets: list[str],
     ) -> ExportPlan:
-        self._check_redacted(archive_texts["personal_ini"])
+        """Plan the export of a run whose archived ``personal.ini`` parses to
+        ``personal``; any secret value left in it is a RedactionViolation."""
+        if personal != personal.redacted():
+            raise RedactionViolation("archived personal.ini holds unredacted secret values")
         config_zip = deterministic_zip(
             {
                 "resources.ini": archive_texts["resources_ini"].encode(),

@@ -27,14 +27,13 @@ from .config_model import (
     AzureBlock,
     PersonalSpec,
     ResourcesSpec,
-    parse_abstract_request,
+    build_request,
+    parse_application,
     parse_personal,
     parse_resources,
-    serialize_personal,
-    serialize_resources,
 )
 from .errors import ConfigError, InvalidMerge, NotFound
-from .history import HistoryStore, find_record_table, parse_url
+from .history import FetchedExecution, HistoryStore, find_record_table, parse_url
 from .runtime import ExecutionOutcome, Orchestrator
 from .simcloud.provider import SimCloud
 
@@ -109,10 +108,12 @@ def translate_resources(resources: ResourcesSpec, source: str, target: str) -> R
         instance_number=block.instance_number,
         instance_type=instance_type,
     )
+    # The unknown keys of the source block's section go with the block.
     return replace(
         resources,
         cloud_aws=ported if target == "aws" else None,
         cloud_azure=ported if target == "azure" else None,
+        extras=tuple(pair for pair in resources.extras if pair[0] != f"cloud.{source}"),
     )
 
 
@@ -138,6 +139,11 @@ def _classify(
     return "identical" if same_identity else "new-personal"
 
 
+def _text(override: Optional[str], fetched: FetchedExecution, name: str) -> str:
+    """The override text, or else the archived file ``name``."""
+    return override if override is not None else fetched.config[name].decode()
+
+
 def reproduce(
     env: SimCloud,
     url: str,
@@ -161,17 +167,7 @@ def reproduce(
     if fetched.config is None:
         raise NotFound(f"{url} has no archived configuration to reproduce")
 
-    resources_text = (
-        overrides.resources_text
-        if overrides.resources_text is not None
-        else fetched.config["resources.ini"].decode()
-    )
-    application_text = (
-        overrides.application_text
-        if overrides.application_text is not None
-        else fetched.config["application.ini"].decode()
-    )
-
+    # Each text is parsed once; the overrides merge on the parsed specs.
     try:
         new_personal = parse_personal(overrides.personal_text)
         archived_personal = parse_personal(fetched.config["personal.ini"].decode())
@@ -180,22 +176,19 @@ def reproduce(
 
     target = overrides.target_provider or new_personal.cloud_provider
     get_adapter(target)
-    personal_text = overrides.personal_text
-    if new_personal.cloud_provider != target:
-        new_personal = replace(new_personal, cloud_provider=target)
-        personal_text = serialize_personal(new_personal)
+    new_personal = replace(new_personal, cloud_provider=target)
 
     try:
-        resources = parse_resources(resources_text)
+        resources = parse_resources(_text(overrides.resources_text, fetched, "resources.ini"))
     except ConfigError as exc:
         raise InvalidMerge(f"resources override unusable: {exc}") from exc
     if resources.provider_block(target) is None:
         source = "aws" if resources.cloud_aws is not None else "azure"
         resources = translate_resources(resources, source, target)
-        resources_text = serialize_resources(resources)
 
     try:
-        request = parse_abstract_request(resources_text, application_text, personal_text)
+        application = parse_application(_text(overrides.application_text, fetched, "application.ini"))
+        request = build_request(resources, application, new_personal)
     except ConfigError as exc:
         raise InvalidMerge(f"merged request is invalid: {exc}") from exc
 

@@ -286,12 +286,14 @@ class Orchestrator:
         archive = body.get("archive", {})
         if not isinstance(archive, dict):
             raise DeploymentRejected(f"archive section is not an object: {archive!r}")
-        try:
-            request = parse_abstract_request(
-                archive["resources_ini"], archive["application_ini"], archive["personal_ini"]
-            )
-        except (KeyError, CloudRerunError) as exc:
-            raise DeploymentRejected(f"archive section unusable: {exc}") from exc
+        request = doc.compiled_request()
+        if request is None:
+            try:
+                request = parse_abstract_request(
+                    archive["resources_ini"], archive["application_ini"], archive["personal_ini"]
+                )
+            except (KeyError, CloudRerunError) as exc:
+                raise DeploymentRejected(f"archive section unusable: {exc}") from exc
 
         provider = self.env.provider(doc.provider)
         instance = PipelineInstance(
@@ -374,7 +376,7 @@ class Orchestrator:
 
     def _analytics(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.EXECUTING)
-        profile = parse_workload(inst.request.application.command)
+        profile = parse_workload(inst.request.application.flags)
         duration = workload_duration(profile, inst.node_count)
         self._after(inst, duration, lambda: self._write_results(inst, profile))
 
@@ -424,6 +426,7 @@ class Orchestrator:
             plan = history.plan_export(
                 inst.instance_id,
                 inst.doc.body["archive"],
+                inst.request.personal,
                 capture_engine_config(inst.request),
                 entries,
                 list(inst.request.application.data_uri),

@@ -20,7 +20,7 @@ import hashlib
 import shlex
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence, Union
 
 from ..errors import MalformedValue
 
@@ -67,28 +67,24 @@ def _int_flag(value: str, flag: str) -> int:
 
 
 def parse_flags(command: str) -> dict[str, str]:
-    """Every ``--flag value`` pair of a command line, keyed by flag name;
-    a later repeat of a flag wins."""
+    """Every ``--flag value`` pair of a command line, keyed by flag name; a
+    later repeat of a flag wins.  A ``--`` token is never a value, so a flag
+    followed by another flag or by nothing is not recorded.  Raises
+    ValueError on unbalanced quoting."""
     tokens = shlex.split(command)
     values: dict[str, str] = {}
-    index = 0
-    while index < len(tokens):
-        token = tokens[index]
-        if token.startswith("--") and index + 1 < len(tokens):
-            values[token[2:]] = tokens[index + 1]
-            index += 2
-        else:
-            index += 1
+    for token, following in zip(tokens, tokens[1:]):
+        if token.startswith("--") and not following.startswith("--"):
+            values[token[2:]] = following
     return values
 
 
-def parse_workload(command: str) -> WorkloadProfile:
-    """Extract the workload profile from a command line; unknown flags are
-    someone else's business and are ignored."""
-    values = parse_flags(command)
-    serial = _fraction_flag(values["serial-seconds"], "serial-seconds") if "serial-seconds" in values else _FLAG_DEFAULTS["serial-seconds"]
-    parallel = _fraction_flag(values["parallel-seconds"], "parallel-seconds") if "parallel-seconds" in values else _FLAG_DEFAULTS["parallel-seconds"]
-    comm = _fraction_flag(values["comm-seconds"], "comm-seconds") if "comm-seconds" in values else _FLAG_DEFAULTS["comm-seconds"]
+def parse_workload(command: Union[str, Iterable[tuple[str, str]]]) -> WorkloadProfile:
+    """Extract the workload profile from a command line, or from its flag
+    pairs as parsing already tokenized them (``ApplicationSpec.flags``);
+    unknown flags are someone else's business and are ignored."""
+    values = parse_flags(command) if isinstance(command, str) else dict(command)
+    serial, parallel, comm = (_fraction_flag(values[f], f) if f in values else d for f, d in _FLAG_DEFAULTS.items())
     parallelism = _int_flag(values.get("parallelism", "1"), "parallelism")
     seed = _int_flag(values.get("seed", "0"), "seed")
     exit_code = _int_flag(values.get("exit-code", "0"), "exit-code")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cloudrerun.caam import get_adapter
 from cloudrerun.config_model import (
+    CREDENTIAL_ENV_PREFIX,
     DEFAULTS,
     REDACTED,
     AwsBlock,
@@ -94,6 +95,12 @@ class TestParsing:
             env={"CLOUDRERUN_CREDENTIAL_ACCESS_KEY": "new", "PATH": "/usr/bin"},
         )
         assert dict(personal.cloud_credentials)["access_key"] == "new"
+
+    @pytest.mark.parametrize("name", ["A:B", "C,D", "E F", " G"])
+    def test_credential_env_name_must_survive_the_archive(self, name):
+        # the archived "name:<redacted>" list could not be parsed back
+        with pytest.raises(MalformedValue, match=f"^{CREDENTIAL_ENV_PREFIX}{re.escape(name)}: "):
+            parse_personal("[personal]\ncloud_provider = aws\n", env={f"{CREDENTIAL_ENV_PREFIX}{name}": "v"})
 
     def test_unknown_keys_kept_as_extras_with_warning(self):
         cases = [
@@ -222,6 +229,29 @@ class TestErrorKinds:
     def test_secret_outside_personal_names_file_section_and_key(self, parse, text, where):
         with pytest.raises(MalformedValue, match=rf"^{re.escape(where)}: "):
             parse(text)
+
+    @pytest.mark.parametrize(
+        "parse, text, where",
+        [
+            (parse_application, "[application]\ndocker_image = i\ncommand = analyze\n  --seed 3\n", "application.ini: [application] command"),
+            (parse_resources, "[resources]\n[cloud.aws]\nregion = us-west-2\n\tus-east-1\n", "resources.ini: [cloud.aws] region"),
+            (parse_personal, "[personal]\ncloud_provider = aws\n[extra]\nnote = a\n  b\n", "personal.ini: [extra] note"),
+        ],
+        ids=["application", "cloud.aws", "personal-extra"],
+    )
+    def test_multi_line_value_names_file_section_and_key(self, parse, text, where):
+        # configparser joins continuation lines; the canonical text could
+        # not be parsed back, so a value must be one line
+        with pytest.raises(MalformedValue, match=rf"^{re.escape(where)}: values must be one line"):
+            parse(text)
+
+    def test_unbalanced_quote_in_command_fails_at_parse(self):
+        with pytest.raises(MalformedValue, match=r"^application.ini: \[application\] command: No closing quotation"):
+            parse_triple(
+                resources_text(engine="spark"),
+                application_text(command='analyze --seed "7'),
+                personal_text(),
+            )
 
     def test_whitespace_in_locator(self):
         with pytest.raises(MalformedValue, match="application.data_uri: 's3://bad uri'"):

@@ -12,6 +12,7 @@ from cloudrerun.engines import (
     capture_engine_config,
 )
 from cloudrerun.errors import MalformedValue
+from cloudrerun.simcloud.workload import parse_flags
 
 from helpers import application_text, personal_text, resources_text
 
@@ -134,6 +135,12 @@ class TestCaptureEngineConfig:
         assert capture_engine_config(req)["ssh_daemon_port"] == 65535
         for group in generate_pipeline(req).body["security_groups"]:
             assert [65535, 65535] in [list(r["port_range"]) for r in group["rules"]]
+
+    def test_a_valueless_flag_does_not_take_the_next_flag(self):
+        assert parse_flags("horovodrun --dry-run --ssh-port 70000") == {"ssh-port": "70000"}
+        req = self.make(command="horovodrun --dry-run --ssh-port 70000")
+        with pytest.raises(MalformedValue, match="--ssh-port '70000'"):
+            generate_pipeline(req)
 
     def test_other_engines_only_record_the_port(self):
         req = self.make(engine="spark", command="run --x 1 --ssh-port abc")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cloudrerun.config_model import parse_personal
 from cloudrerun.errors import (
     MalformedURL,
     NotFound,
@@ -129,6 +130,7 @@ class TestArchive:
                         "application_ini": "[application]\ndocker_image = i\n",
                         "personal_ini": "[personal]\ncloud_provider = aws\n" + raw,
                     },
+                    parse_personal("[personal]\ncloud_provider = aws\n" + raw),
                     {},
                     {},
                     [],

@@ -3,7 +3,7 @@
 import pytest
 
 from cloudrerun.caam import generate_pipeline, register_adapter, unregister_adapter
-from cloudrerun.config_model import parse_resources
+from cloudrerun.config_model import parse_resources, serialize_resources
 from cloudrerun.errors import InvalidMerge, NotFound, QuotaExceeded, UnsupportedProvider
 from cloudrerun.history import HistoryStore, read_zip
 from cloudrerun.reproducer import (
@@ -166,6 +166,14 @@ class TestTranslation:
         translated = translate_resources(resources, "aws", "azure")
         assert translated.cloud_azure.region == "westus2"
 
+    def test_unknown_keys_of_the_source_block_go_with_it(self):
+        text = resources_text(extra="\n[extra]\nnote = kept\n").replace(
+            "vpc_id = vpc-12345\n", "vpc_id = vpc-12345\nx_rack = r7\n"
+        )
+        translated = translate_resources(parse_resources(text), "aws", "azure")
+        assert translated.extras == (("extra", (("note", "kept"),)),)
+        assert parse_resources(serialize_resources(translated)) == translated
+
 
 class TestGuards:
     def test_unknown_target_rejected_before_fetch(self):
@@ -218,6 +226,15 @@ class TestGuards:
                     personal_text=personal_text(),
                     resources_text="[resources]\nbigdata_engine = warp\n",
                 ),
+            )
+
+    def test_broken_application_override_is_an_invalid_merge(self):
+        env, outcome = seeded_env()
+        with pytest.raises(InvalidMerge, match="^merged request is invalid: application.docker_image is required"):
+            reproduce(
+                env,
+                outcome.history_url,
+                OverrideSet(personal_text=personal_text(), application_text="[application]\n"),
             )
 
     def test_modified_application_changes_results(self):

@@ -25,6 +25,7 @@ from cloudrerun.simcloud.ledger import CostLedger
 from cloudrerun.simcloud.provider import PROVIDERS, SimCloud, price_catalog
 from cloudrerun.simcloud.workload import (
     WorkloadProfile,
+    parse_flags,
     parse_workload,
     workload_duration,
     workload_result,
@@ -123,6 +124,14 @@ class TestWorkload:
             seed=0,
             exit_code=0,
         )
+
+    def test_a_valueless_flag_does_not_take_the_next_flag(self):
+        assert parse_flags("analyze --verbose --seed 3 --trailing") == {"seed": "3"}
+        assert parse_workload("analyze --verbose --seed 3").seed == 3
+
+    def test_flag_pairs_give_the_profile_of_their_command(self):
+        command = "analyze --serial-seconds 1/2 --parallelism 3 --seed 4 --exit-code 1"
+        assert parse_workload(sorted(parse_flags(command).items())) == parse_workload(command)
 
     def test_result_is_deterministic_and_input_sensitive(self):
         a = workload_result(1, "cmd", ["s3://x"], 2, 4)
