@@ -193,14 +193,6 @@ def _poll_window(text: str) -> Fraction:
         raise ValueError(f"--poll-window {text!r} has a zero denominator") from exc
 
 
-def _measure_or_none(outcome, env):
-    """The outcome's metric report, or None when the ledger refuses one."""
-    try:
-        return measure(outcome, env.ledger)
-    except CloudRerunError:
-        return None
-
-
 def _outcome_report(outcome, metrics) -> dict:
     report = json.loads(outcome.to_json())
     report["metrics"] = None if metrics is None else json.loads(metrics.to_json())
@@ -237,6 +229,22 @@ def _print_outcome(outcome, metrics, as_json: bool) -> None:
         print(f"m3        : {float(metrics.m3_ppr):.8f} h*$")
 
 
+def _conclude(args: argparse.Namespace, env: SimCloud, outcome, header: tuple[str, ...] = ()) -> int:
+    """The end of ``run`` and ``reproduce``: measure the outcome (no metrics
+    when the ledger refuses them), write its reports, print ``header`` and
+    the outcome, and return the exit code."""
+    try:
+        metrics = measure(outcome, env.ledger)
+    except CloudRerunError:
+        metrics = None
+    _write_reports(args.out_dir, outcome, metrics)
+    if not args.json:
+        for line in header:
+            print(line)
+    _print_outcome(outcome, metrics, args.json)
+    return EXIT_OK if outcome.state is ExecutionState.COMPLETED else EXIT_EXECUTION_FAILED
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     request = parse_abstract_request(
         Path(args.resources).read_text(encoding="utf-8"),
@@ -255,10 +263,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             outcome = orchestrator.run_serverless(doc, record_history=not args.no_history)
-    metrics = _measure_or_none(outcome, env)
-    _write_reports(args.out_dir, outcome, metrics)
-    _print_outcome(outcome, metrics, args.json)
-    return EXIT_OK if outcome.state is ExecutionState.COMPLETED else EXIT_EXECUTION_FAILED
+    return _conclude(args, env, outcome)
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -284,17 +289,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             poll_window=poll_window,
             record_history=not args.no_history,
         )
-    metrics = _measure_or_none(result.outcome, env)
-    _write_reports(args.out_dir, result.outcome, metrics)
-    if not args.json:
-        print(f"ancestor  : {result.ancestor_url}")
-        print(f"kind      : {result.reproduction_mode}")
-    _print_outcome(result.outcome, metrics, args.json)
-    return (
-        EXIT_OK
-        if result.outcome.state is ExecutionState.COMPLETED
-        else EXIT_EXECUTION_FAILED
-    )
+    header = (f"ancestor  : {result.ancestor_url}", f"kind      : {result.reproduction_mode}")
+    return _conclude(args, env, result.outcome, header)
 
 
 def _cmd_history(args: argparse.Namespace) -> int:

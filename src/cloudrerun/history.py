@@ -5,7 +5,9 @@ Every completed execution leaves three things in the provider it ran on:
 * ``executions/<id>/Config.zip``  -- the canonical request texts (personal
   part redacted) plus the captured engine configuration,
 * ``executions/<id>/Result.zip``  -- the analytics output parts,
-* one database record describing the run.
+* one database record describing the run, in a table keyed by execution
+  id.  It is written when the bundles are and rewritten once when the run
+  ends; every write returns the record as stored.
 
 Input datasets are stored content-addressed under ``inputs/<sha256>`` so a
 dataset shared by many executions is kept once.  An execution is referred
@@ -53,13 +55,10 @@ URL_SCHEME = "rpac"
 
 def find_record_table(env: "SimCloud", provider_name: str, execution_id: str) -> Optional[str]:
     """Locate the database table holding an execution's record.  Tables are
-    named per request, so lookup by URL scans the provider's tables."""
-    provider = env.provider(provider_name)
-    for table in sorted(provider.tables):
-        for row in provider.tables[table]:
-            if row.get("execution_id") == execution_id:
-                return table
-    return None
+    named per request, so lookup by URL asks each of the provider's tables,
+    in name order."""
+    tables = env.provider(provider_name).tables
+    return next((table for table in sorted(tables) if execution_id in tables[table]), None)
 
 CONFIG_ENTRY_NAMES = ("application.ini", "engine.json", "personal.ini", "resources.ini")
 
@@ -120,17 +119,13 @@ class ExportPlan:
     """Everything the export step will write, computed ahead of time so the
     operation count (and its simulated latency) is known up front."""
 
-    config_key: str
-    config_zip: bytes
-    result_key: str
-    result_zip: bytes
-    new_inputs: dict[str, bytes]
-    existing_inputs: list[str]
+    objects: dict[str, bytes]  # key -> bytes, in write order
+    fields: dict  # the record fields that name them
 
     @property
     def op_count(self) -> int:
-        # config put + result put + record write + one put per new input
-        return 3 + len(self.new_inputs)
+        # one put per object + the record write
+        return len(self.objects) + 1
 
 
 @dataclass(frozen=True)
@@ -169,16 +164,19 @@ class HistoryStore:
         ``personal``; any secret value left in it is a RedactionViolation."""
         if personal != personal.redacted():
             raise RedactionViolation("archived personal.ini holds unredacted secret values")
-        config_zip = deterministic_zip(
-            {
-                "resources.ini": archive_texts["resources_ini"].encode(),
-                "application.ini": archive_texts["application_ini"].encode(),
-                "personal.ini": archive_texts["personal_ini"].encode(),
-                "engine.json": (json.dumps(engine_config, sort_keys=True, indent=2) + "\n").encode(),
-            }
-        )
-        result_zip = deterministic_zip(result_entries)
-
+        config_key = f"executions/{execution_id}/Config.zip"
+        result_key = f"executions/{execution_id}/Result.zip"
+        objects = {
+            config_key: deterministic_zip(
+                {
+                    "resources.ini": archive_texts["resources_ini"].encode(),
+                    "application.ini": archive_texts["application_ini"].encode(),
+                    "personal.ini": archive_texts["personal_ini"].encode(),
+                    "engine.json": (json.dumps(engine_config, sort_keys=True, indent=2) + "\n").encode(),
+                }
+            ),
+            result_key: deterministic_zip(result_entries),
+        }
         new_inputs: dict[str, bytes] = {}
         existing: list[str] = []
         for uri in datasets:
@@ -188,40 +186,31 @@ class HistoryStore:
                 existing.append(address)
             elif address not in new_inputs:
                 new_inputs[address] = content
+        objects.update(sorted(new_inputs.items()))
         return ExportPlan(
-            config_key=f"executions/{execution_id}/Config.zip",
-            config_zip=config_zip,
-            result_key=f"executions/{execution_id}/Result.zip",
-            result_zip=result_zip,
-            new_inputs=new_inputs,
-            existing_inputs=existing,
+            objects=objects,
+            fields={
+                "config_key": config_key,
+                "result_key": result_key,
+                "input_keys": sorted(new_inputs) + sorted(existing),
+            },
         )
 
-    def commit_export(self, execution_id: str, plan: ExportPlan, record: dict) -> str:
-        provider = self._provider
-        provider.storage_put(self.store, plan.config_key, plan.config_zip, execution_id)
-        provider.storage_put(self.store, plan.result_key, plan.result_zip, execution_id)
-        for address in sorted(plan.new_inputs):
-            provider.storage_put(self.store, address, plan.new_inputs[address], execution_id)
+    def commit_export(self, execution_id: str, plan: ExportPlan, record: dict) -> dict:
+        """Write the planned objects, then ``record`` with the fields that
+        name them; returns the record as stored."""
+        for key, data in plan.objects.items():
+            self._provider.storage_put(self.store, key, data, execution_id)
+        return self.put_record(execution_id, {**record, **plan.fields})
+
+    def put_record(self, execution_id: str, record: dict) -> dict:
+        """Write ``record`` as the execution's record, with its id and URL;
+        returns the record as stored."""
         url = execution_url(self.provider_name, self.store, execution_id)
-        record = dict(record)
-        record["execution_id"] = execution_id
-        record["history_url"] = url
-        record["config_key"] = plan.config_key
-        record["result_key"] = plan.result_key
-        record["input_keys"] = sorted(plan.new_inputs) + sorted(plan.existing_inputs)
-        provider.db_put(self.table, record, execution_id)
-        return url
-
-    def put_record(self, execution_id: str, record: dict) -> str:
-        """Write or update an execution record without bundles."""
-        record = dict(record)
-        record["execution_id"] = execution_id
-        record.setdefault(
-            "history_url", execution_url(self.provider_name, self.store, execution_id)
+        self._provider.db_put(
+            self.table, {**record, "execution_id": execution_id, "history_url": url}, execution_id
         )
-        self._provider.db_put(self.table, record, execution_id)
-        return record["history_url"]
+        return self.get_record(execution_id)
 
     def get_record(self, execution_id: str) -> Optional[dict]:
         rows = self._provider.db_query(
@@ -236,7 +225,7 @@ class HistoryStore:
         if provider_name != self.provider_name or store != self.store:
             raise NotFound(f"{url!r} does not live in this store")
         record = self.get_record(execution_id)
-        if record is None:
+        if record is None or record.get("history_url") != url:
             raise NotFound(f"no execution record for {url!r}")
         config = result = None
         config_key = record.get("config_key")

@@ -149,7 +149,7 @@ class PipelineInstance:
     doc: PipelineDocument
     request: AbstractRequest
     mode: str
-    record_history: bool
+    history: Optional[HistoryStore]  # None: the run keeps no history
     poll_window: Optional[Fraction] = None
     extra_parameters: dict = field(default_factory=dict)
 
@@ -162,8 +162,11 @@ class PipelineInstance:
     cluster: Optional[Cluster] = None
     network_id: Optional[str] = None
     result_keys: list[str] = field(default_factory=list)
-    history_url: Optional[str] = None
-    record: Optional[dict] = None
+    record: Optional[dict] = None  # as last stored
+
+    @property
+    def history_url(self) -> Optional[str]:
+        return None if self.record is None else self.record["history_url"]
 
     @property
     def source(self) -> str:
@@ -265,6 +268,12 @@ class Orchestrator:
         poll_window: Optional[Fraction] = None,
         extra_parameters: Optional[dict] = None,
     ) -> PipelineInstance:
+        if mode not in ("serverless", "sdk"):
+            raise MalformedValue(f"execution mode must be serverless or sdk, got {mode!r}")
+        if mode == "sdk":
+            if poll_window is None or Fraction(poll_window) <= 0:
+                raise MalformedValue(f"poll window must be positive, got {poll_window}")
+            poll_window = Fraction(poll_window)
         body = doc.body
         if body.get("schema_version") != SCHEMA_VERSION:
             raise DeploymentRejected(
@@ -295,14 +304,19 @@ class Orchestrator:
             except (KeyError, CloudRerunError) as exc:
                 raise DeploymentRejected(f"archive section unusable: {exc}") from exc
 
-        provider = self.env.provider(doc.provider)
+        history = None
+        if record_history:
+            reproduce = request.resources.reproduce
+            history = HistoryStore(
+                self.env, doc.provider, reproduce.reproduce_storage, reproduce.reproduce_database
+            )
         instance = PipelineInstance(
-            instance_id=provider._next_id("exec"),
+            instance_id=self.env.provider(doc.provider)._next_id("exec"),
             provider_name=doc.provider,
             doc=doc,
             request=request,
             mode=mode,
-            record_history=record_history,
+            history=history,
             poll_window=poll_window,
             extra_parameters=dict(extra_parameters or {}),
         )
@@ -415,15 +429,14 @@ class Orchestrator:
         self._transition(inst, ExecutionState.EXPORTING)
 
         # A run without history has nothing to archive: no plan, no delay.
-        history = plan = None
-        if inst.record_history:
-            history = self._history_for(inst)
+        plan = None
+        if inst.history is not None:
             provider = self.env.provider(inst.provider_name)
             entries = {
                 key.rsplit("/", 1)[1]: provider.storage_get(WORKSPACE_STORE, key, inst.instance_id)
                 for key in inst.result_keys
             }
-            plan = history.plan_export(
+            plan = inst.history.plan_export(
                 inst.instance_id,
                 inst.doc.body["archive"],
                 inst.request.personal,
@@ -434,10 +447,7 @@ class Orchestrator:
 
         def done() -> None:
             if plan is not None:
-                inst.history_url = history.commit_export(
-                    inst.instance_id, plan, self._build_record(inst, provisional=True)
-                )
-                inst.record = history.get_record(inst.instance_id)
+                inst.record = inst.history.commit_export(inst.instance_id, plan, self._record(inst))
             self.env.emit(inst.source, "ExportComplete", "lifecycle")
 
         delay = Fraction(0) if plan is None else self.env.delays.history_op_s * plan.op_count
@@ -464,7 +474,7 @@ class Orchestrator:
         # termination instant itself.
         now = self.env.clock.now()
         inst.ended_at = self._poll_tick(inst, now) if inst.mode == "sdk" else now
-        if inst.record_history:
+        if inst.history is not None:
             self._finalize_record(inst)
 
     def _fail(self, inst: PipelineInstance, exc: Exception) -> None:
@@ -475,18 +485,10 @@ class Orchestrator:
 
     # -- history glue ------------------------------------------------------
 
-    def _history_for(self, inst: PipelineInstance) -> HistoryStore:
-        reproduce = inst.request.resources.reproduce
-        return HistoryStore(
-            self.env,
-            inst.provider_name,
-            reproduce.reproduce_storage,
-            reproduce.reproduce_database,
-        )
-
-    def _build_record(self, inst: PipelineInstance, provisional: bool) -> dict:
+    def _record(self, inst: PipelineInstance) -> dict:
+        """The run's history record, pending until the run has ended; from
+        then on it carries the final status, the end and the stage timings."""
         block = inst.request.resources.provider_block(inst.provider_name)
-        status = "Completed-pending-termination" if provisional else inst.state.value
         parameters = {
             "instance_type": block.instance_type,
             "instance_number": block.instance_number,
@@ -497,30 +499,30 @@ class Orchestrator:
         if inst.poll_window is not None:
             parameters["poll_window_s"] = str(inst.poll_window)
         parameters.update(inst.extra_parameters)
-        return {
+        ended = inst.state in TERMINAL_STATES
+        record = {
             "provider": inst.provider_name,
             "engine": inst.engine,
             "mode": inst.mode,
-            "status": status,
+            "status": inst.state.value if ended else "Completed-pending-termination",
             "submitted_at": str(inst.submitted_at),
             "parameters": parameters,
             "failure": inst.failure,
         }
+        if ended:
+            record["ended_at"] = str(inst.ended_at)
+            record["stage_timings"] = _timings_json(inst.stage_timings)
+        return record
 
     def _finalize_record(self, inst: PipelineInstance) -> None:
-        history = self._history_for(inst)
-        record = history.get_record(inst.instance_id)
-        if record is None:
-            record = self._build_record(inst, provisional=False)
-            record["config_key"] = None
-            record["result_key"] = None
-            record["input_keys"] = []
-        record["status"] = inst.state.value
-        record["failure"] = inst.failure
-        record["ended_at"] = str(inst.ended_at)
-        record["stage_timings"] = _timings_json(inst.stage_timings)
-        inst.history_url = history.put_record(inst.instance_id, record)
-        inst.record = history.get_record(inst.instance_id)
+        """Write the final record over the stored one, or over empty archive
+        fields when the run archived nothing."""
+        stored = inst.history.get_record(inst.instance_id) or {
+            "config_key": None,
+            "result_key": None,
+            "input_keys": [],
+        }
+        inst.record = inst.history.put_record(inst.instance_id, {**stored, **self._record(inst)})
 
     # -- execution modes ---------------------------------------------------
 
@@ -574,9 +576,6 @@ class Orchestrator:
         record_history: bool = True,
         extra_parameters: Optional[dict] = None,
     ) -> ExecutionOutcome:
-        poll_window = Fraction(poll_window)
-        if poll_window <= 0:
-            raise MalformedValue(f"poll window must be positive, got {poll_window}")
         inst = self.deploy(
             doc,
             mode="sdk",

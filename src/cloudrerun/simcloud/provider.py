@@ -6,6 +6,10 @@ deterministic: ids come from counters, durations from a delay profile, and
 prices from a packaged catalog.  Storage writes and hardware readiness emit
 events to subscribers; everything else is synchronous.
 
+Database tables are keyed by execution id, so a record write or a lookup by
+id touches one row.  The saved state writes each table as its list of rows
+in the order their ids were first written.
+
 Fault injection targets one (operation, call_index) pair at a time so tests
 can break exactly the n-th call of an operation and nothing else.
 """
@@ -100,16 +104,19 @@ class DelayProfile:
 
 class SimProvider:
     """One cloud: clusters, networks, versioned object stores, database
-    tables, and a container image registry."""
+    tables, and a container image registry.
 
-    def __init__(self, name: str, env: "SimCloud", max_instances: int = 64) -> None:
+    A table maps each execution id to its row, in the order the ids were
+    first written; a write to a known id replaces its row in place."""
+
+    def __init__(self, name: str, env: "SimCloud") -> None:
         self.name = name
         self.env = env
-        self.max_instances = max_instances
+        self.max_instances = 64
         self.clusters: dict[str, Cluster] = {}
         self.networks: set[str] = set()
         self.stores: dict[str, dict[str, list[bytes]]] = {}
-        self.tables: dict[str, list[dict]] = {}
+        self.tables: dict[str, dict[str, dict]] = {}
         self.registry: Optional[set[str]] = None  # None: any image resolves
         self._counters: dict[str, int] = {}
         self._op_calls: dict[str, int] = {}
@@ -269,26 +276,27 @@ class SimProvider:
     # -- database ----------------------------------------------------------
 
     def db_put(self, table: str, record: dict, scope: str) -> None:
-        """Upsert by execution_id when the record carries one."""
+        """Upsert the record under its execution_id."""
         self._enter_op("db_put")
-        rows = self.tables.setdefault(table, [])
+        rows = self.tables.setdefault(table, {})
         self.env.ledger.charge_request(scope, "db_write")
-        key = record.get("execution_id")
-        if key is not None:
-            for i, row in enumerate(rows):
-                if row.get("execution_id") == key:
-                    rows[i] = dict(record)
-                    return
-        rows.append(dict(record))
+        rows[record["execution_id"]] = dict(record)
 
     def db_query(self, table: str, filters: dict, scope: str) -> list[dict]:
+        """Copies of the rows equal to ``filters`` on every field; a filter
+        on execution_id reads that one row."""
         self._enter_op("db_query")
         self.env.ledger.charge_request(scope, "db_read")
-        out = []
-        for row in self.tables.get(table, []):
-            if all(row.get(k) == v for k, v in filters.items()):
-                out.append(json.loads(json.dumps(row)))
-        return out
+        rows = self.tables.get(table, {})
+        candidates = rows.values()
+        if "execution_id" in filters:
+            row = rows.get(filters["execution_id"])
+            candidates = () if row is None else (row,)
+        return [
+            json.loads(json.dumps(row))
+            for row in candidates
+            if all(row.get(k) == v for k, v in filters.items())
+        ]
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -325,15 +333,11 @@ class SimCloud:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule_at(self, when: Fraction, callback: Callable[[], None]) -> None:
-        when = Fraction(when)
-        if when < self.clock.now():
-            when = self.clock.now()
-        self._seq += 1
-        heapq.heappush(self._completions, (when, self._seq, callback))
-
     def schedule_in(self, delay: Fraction, callback: Callable[[], None]) -> None:
-        self.schedule_at(self.clock.now() + Fraction(delay), callback)
+        """Run ``callback`` ``delay`` seconds from now; a negative delay means now."""
+        self._seq += 1
+        when = self.clock.now() + max(Fraction(delay), Fraction(0))
+        heapq.heappush(self._completions, (when, self._seq, callback))
 
     def next_completion_time(self) -> Optional[Fraction]:
         return self._completions[0][0] if self._completions else None
@@ -357,19 +361,10 @@ class SimCloud:
     def unsubscribe(self, handler: Callable[[Event], None]) -> None:
         self.subscribers.remove(handler)
 
-    def emit(
-        self,
-        source: str,
-        name: str,
-        kind: str,
-        payload: Optional[dict] = None,
-        event_id: Optional[str] = None,
-    ) -> Event:
-        if event_id is None:
-            self._event_counter += 1
-            event_id = f"evt-{self._event_counter:06d}"
+    def emit(self, source: str, name: str, kind: str, payload: Optional[dict] = None) -> Event:
+        self._event_counter += 1
         event = Event(
-            event_id=event_id,
+            event_id=f"evt-{self._event_counter:06d}",
             source=source,
             name=name,
             kind=kind,
@@ -406,7 +401,7 @@ class SimCloud:
                         }
                         for store, keys in p.stores.items()
                     },
-                    "tables": p.tables,
+                    "tables": {table: list(rows.values()) for table, rows in p.tables.items()},
                     "registry": None if p.registry is None else sorted(p.registry),
                 }
                 for name, p in self.providers.items()
@@ -415,8 +410,8 @@ class SimCloud:
         }
 
     @classmethod
-    def from_state(cls, state: dict, delays: Optional[DelayProfile] = None) -> "SimCloud":
-        env = cls(delays)
+    def from_state(cls, state: dict) -> "SimCloud":
+        env = cls()
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = state["event_counter"]
         cluster = _rebuilder(Cluster)
@@ -433,7 +428,10 @@ class SimCloud:
                 }
                 for store, keys in pstate["stores"].items()
             }
-            p.tables = {table: [dict(r) for r in rows] for table, rows in pstate["tables"].items()}
+            p.tables = {
+                table: {row["execution_id"]: dict(row) for row in rows}
+                for table, rows in pstate["tables"].items()
+            }
             p.registry = None if pstate["registry"] is None else set(pstate["registry"])
         env.ledger.restore_state(state["ledger"])
         return env
@@ -457,9 +455,9 @@ class SimCloud:
             raise
 
     @classmethod
-    def load_state(cls, path, delays: Optional[DelayProfile] = None) -> "SimCloud":
+    def load_state(cls, path) -> "SimCloud":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_state(json.load(fh), delays)
+            return cls.from_state(json.load(fh))
 
 
 def _write_json(fh, value) -> None:

@@ -276,6 +276,18 @@ class TestHistoryCommand:
         assert code == EXIT_NOT_FOUND
         assert "error:" in capsys.readouterr().err
 
+    def test_fetch_url_naming_another_store(self, tmp_path, capsys):
+        paths = write_files(tmp_path)
+        state = tmp_path / "state"
+        assert main(run_args(paths, state)) == EXIT_OK
+        url = history_url_from(capsys.readouterr().out)
+        other = url.replace("/execution-history/", "/other-store/")
+        code = main(["history", "--url", other, "--state-dir", str(state)])
+        assert code == EXIT_NOT_FOUND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert other in captured.err
+
     def test_fetch_malformed_url(self, tmp_path, capsys):
         code = main(
             ["history", "--url", "https://aws/x/y", "--state-dir", str(tmp_path / "s")]

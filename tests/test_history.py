@@ -94,6 +94,32 @@ class TestArchive:
         with pytest.raises(NotFound):
             store.fetch(outcome.history_url)
 
+    def test_fetch_url_naming_another_store_than_its_record(self):
+        outcome, env = run_serverless(make_request())
+        other = outcome.history_url.replace("/execution-history/", "/other-store/")
+        store = HistoryStore(env, "aws", "other-store", "execution-records")
+        before = dict(env.ledger.request_counts)
+        with pytest.raises(NotFound):
+            store.fetch(other)
+        # the record read is billed as before; no archive is read
+        charged = {key: n - before.get(key, 0) for key, n in env.ledger.request_counts.items()}
+        assert {key: n for key, n in charged.items() if n} == {(outcome.instance_id, "db_read"): 1}
+
+    def test_writes_return_the_stored_record(self):
+        env = SimCloud()
+        store = HistoryStore(env, "aws", "execution-history", "execution-records")
+        stored = store.put_record("aws-exec-0001", {"status": "Running"})
+        assert stored == {
+            "status": "Running",
+            "execution_id": "aws-exec-0001",
+            "history_url": "rpac://aws/execution-history/aws-exec-0001",
+        }
+        assert store.put_record("aws-exec-0001", {**stored, "status": "Completed"}) == {
+            **stored,
+            "status": "Completed",
+        }
+        assert list(env.provider("aws").tables["execution-records"]) == ["aws-exec-0001"]
+
     def test_input_dedup_across_executions(self):
         from cloudrerun.caam import generate_pipeline
         from cloudrerun.runtime import Orchestrator
@@ -160,7 +186,7 @@ class TestQuery:
     def test_equality_filters_match_linear_scan(self):
         env = self.seeded_env()
         store = HistoryStore(env, "aws", "execution-history", "execution-records")
-        rows = env.provider("aws").tables["execution-records"]
+        rows = list(env.provider("aws").tables["execution-records"].values())
         for filters in (
             {},
             {"status": "Completed"},

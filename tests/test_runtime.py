@@ -12,6 +12,7 @@ from cloudrerun.errors import (
     CloudRerunError,
     DeploymentRejected,
     ImagePullFailure,
+    MalformedValue,
     QuotaExceeded,
     StorageFailure,
 )
@@ -335,8 +336,6 @@ class TestSdkMode:
             assert counts == {"storage_put": 5, "storage_get": 2, "db_write": 2, "db_read": 3}, run
 
     def test_poll_window_must_be_positive(self):
-        from cloudrerun.errors import MalformedValue
-
         req = make_request()
         env = SimCloud()
         with pytest.raises(MalformedValue):
@@ -434,6 +433,19 @@ class TestDeploymentValidation:
         doc.body["archive"] = {"resources_ini": "oops"}
         with pytest.raises(DeploymentRejected):
             Orchestrator(SimCloud()).deploy(doc)
+
+    @pytest.mark.parametrize(
+        "mode, poll_window",
+        [("sdk", None), ("sdk", Fraction(0)), ("batch", None)],
+        ids=["sdk-without-window", "sdk-zero-window", "unknown-mode"],
+    )
+    def test_mode_and_window_are_checked_before_the_run_exists(self, mode, poll_window):
+        env = SimCloud()
+        provider = env.provider("aws")
+        with pytest.raises(MalformedValue):
+            Orchestrator(env).deploy(self.make_doc(), mode=mode, poll_window=poll_window)
+        assert provider._counters == {}
+        assert provider.inventory() == {"clusters": [], "networks": []}
 
     def test_archive_that_is_not_an_object(self):
         doc = self.make_doc()

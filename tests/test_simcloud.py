@@ -4,6 +4,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from cloudrerun.errors import (
     StorageFailure,
     UnknownInstanceType,
 )
+from cloudrerun.history import HistoryStore, find_record_table, parse_url
 from cloudrerun.runtime import ExecutionState, Orchestrator
 from cloudrerun.simcloud.clock import VirtualClock
 from cloudrerun.simcloud.ledger import CostLedger
@@ -360,6 +362,54 @@ def _compact(state: dict) -> str:
     return json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# A state file saved before tables were keyed by execution id: five runs on
+# both providers, one into a custom table, one failed and one in sdk mode.
+GOLDEN_STATE = Path(__file__).parent / "golden" / "simcloud_state.json"
+
+
+def _golden_rows() -> list[tuple[str, str, dict]]:
+    """(provider, table, row) for every row of the golden file, in file order."""
+    saved = json.loads(GOLDEN_STATE.read_text(encoding="utf-8"))
+    return [
+        (name, table, row)
+        for name, pstate in saved["providers"].items()
+        for table, rows in pstate["tables"].items()
+        for row in rows
+    ]
+
+
+class TestGoldenState:
+    def test_covers_the_shapes_it_pins(self):
+        rows = _golden_rows()
+        assert len(rows) <= 6 and GOLDEN_STATE.stat().st_size <= 64 * 1024
+        assert {name for name, _, _ in rows} == set(PROVIDERS)
+        assert "team-records" in {table for _, table, _ in rows}
+        assert {row["status"] for _, _, row in rows} == {"Completed", "Failed"}
+        assert "sdk" in {row["mode"] for _, _, row in rows}
+
+    def test_loads_and_saves_back_byte_for_byte(self, tmp_path):
+        path = tmp_path / "simcloud.json"
+        SimCloud.load_state(GOLDEN_STATE).save_state(path)
+        assert path.read_bytes() == GOLDEN_STATE.read_bytes()
+
+    def test_every_record_is_found(self):
+        env = SimCloud.load_state(GOLDEN_STATE)
+        for name, table, row in _golden_rows():
+            execution_id = row["execution_id"]
+            assert find_record_table(env, name, execution_id) == table
+            store = HistoryStore(env, name, parse_url(row["history_url"])[1], table)
+            assert store.get_record(execution_id) == row
+
+    def test_an_upsert_keeps_the_row_in_place(self):
+        env = SimCloud.load_state(GOLDEN_STATE)
+        before = [row for name, table, row in _golden_rows() if (name, table) == ("aws", "execution-records")]
+        assert len(before) > 1
+        store = HistoryStore(env, "aws", "execution-history", "execution-records")
+        store.put_record(before[0]["execution_id"], {**before[0], "status": "Failed"})
+        after = env.to_state()["providers"]["aws"]["tables"]["execution-records"]
+        assert after == [{**before[0], "status": "Failed"}] + before[1:]
+
+
 class TestStateFile:
     def test_saved_text_is_compact_sorted_json(self, tmp_path):
         env = _environment_with_history(20)
@@ -388,7 +438,7 @@ class TestStateFile:
         env.provider("aws").create_network("later")
         if where == "while-writing":
             # "tables" sorts after "stores", so most of the text is written first
-            env.provider("aws").tables["broken"] = [{"value": object()}]
+            env.provider("aws").tables["broken"] = {"x": {"value": object()}}
             expected = TypeError
         else:
             def fail(fd):
