@@ -246,6 +246,7 @@ def _conclude(args: argparse.Namespace, env: SimCloud, outcome, header: tuple[st
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    poll_window = _poll_window(args.poll_window)
     request = parse_abstract_request(
         Path(args.resources).read_text(encoding="utf-8"),
         Path(args.application).read_text(encoding="utf-8"),
@@ -254,15 +255,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     doc = generate_pipeline(request)
     with _locked_env(args.state_dir) as env:
-        orchestrator = Orchestrator(env)
-        if args.mode == "sdk":
-            outcome = orchestrator.run_sdk(
-                doc,
-                poll_window=_poll_window(args.poll_window),
-                record_history=not args.no_history,
-            )
-        else:
-            outcome = orchestrator.run_serverless(doc, record_history=not args.no_history)
+        outcome = Orchestrator(env).run(doc, args.mode, poll_window, not args.no_history)
     return _conclude(args, env, outcome)
 
 

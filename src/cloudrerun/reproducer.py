@@ -196,25 +196,8 @@ def reproduce(
         fetched.record["provider"], target, overrides, archived_personal, new_personal
     )
 
-    doc = generate_pipeline(request)
-    orchestrator = Orchestrator(env)
     extra = {"ancestor_url": url, "reproduction_mode": reproduction_mode}
-    # The orchestrator lives for this one run; left subscribed, its bus would
-    # collect every later event of the environment.
-    try:
-        if mode == "sdk":
-            outcome = orchestrator.run_sdk(
-                doc,
-                poll_window=poll_window,
-                record_history=record_history,
-                extra_parameters=extra,
-            )
-        else:
-            outcome = orchestrator.run_serverless(
-                doc, record_history=record_history, extra_parameters=extra
-            )
-    finally:
-        env.unsubscribe(orchestrator.bus.enqueue)
+    outcome = Orchestrator(env).run(generate_pipeline(request), mode, poll_window, record_history, extra)
     return ReproductionResult(
         ancestor_url=url,
         reproduction_mode=reproduction_mode,

@@ -17,19 +17,19 @@ distinct-but-late events into no-ops.  The four pipeline functions are one
 step table, from function name to that state and the step's work; the same
 guard runs every stage completion and turns a stage fault into a failed run.
 
-Two execution modes share all stage logic and one event stream.
-Serverless mode acts on each event as it arrives.  SDK mode polls on a
-fixed tick grid anchored at submission and acts on each event at the first
-tick at or after it, so the wall-clock difference between the modes is
-exactly the sum of per-stage alignment residues.  However a run ends, it
-removes its trigger rules from the bus.
+``Orchestrator.run`` runs both execution modes, which share all stage
+logic and the environment's one event bus.  Serverless mode acts on each
+event as it arrives.  SDK mode polls on a fixed tick grid anchored at
+submission and acts on each event at the first tick at or after it, so the
+wall-clock difference between the modes is exactly the sum of per-stage
+alignment residues.  However a run ends, it removes its trigger rules from
+the bus.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -45,7 +45,7 @@ from .errors import (
     MalformedValue,
 )
 from .history import HistoryStore
-from .simcloud.provider import Cluster, Event, SimCloud
+from .simcloud.provider import Cluster, EventBus, InstalledRule, SimCloud
 from .simcloud.workload import parse_workload, workload_duration, workload_result
 
 __all__ = [
@@ -79,67 +79,6 @@ ENDING_STATES = (ExecutionState.TERMINATING,) + TERMINAL_STATES
 
 # Stage names used as timing keys, in lifecycle order.
 STAGES = ("Provisioning", "SoftwareSetup", "Executing", "Exporting", "Terminating")
-
-
-@dataclass(frozen=True)
-class InstalledRule:
-    """A trigger bound to a concrete execution instance."""
-
-    function: str
-    instance_id: str
-    source: str
-    event: str
-    match: str  # "exact" or "prefix"
-
-    def matches(self, event: Event) -> bool:
-        if event.source != self.source:
-            return False
-        if self.match == "prefix":
-            return event.name.startswith(self.event)
-        return event.name == self.event
-
-
-class EventBus:
-    """FIFO queue with id-based deduplication and rule dispatch."""
-
-    def __init__(self) -> None:
-        self.queue: deque[Event] = deque()
-        self.seen: set[str] = set()
-        self.rules: list[tuple[InstalledRule, Callable[[Event], bool]]] = []
-        self.dropped: list[Event] = []
-
-    def enqueue(self, event: Event) -> None:
-        """Queue an event; with no rule installed none can act, so none is kept."""
-        if self.rules:
-            self.queue.append(event)
-
-    def install(self, rule: InstalledRule, handler: Callable[[Event], bool]) -> None:
-        self.rules.append((rule, handler))
-
-    def retire(self, instance_id: str) -> None:
-        """Remove every rule bound to ``instance_id``.  With no rule left no
-        event can act, so queued, seen and dropped events are cleared too."""
-        self.rules = [pair for pair in self.rules if pair[0].instance_id != instance_id]
-        if not self.rules:
-            self.queue.clear()
-            self.seen.clear()
-            self.dropped.clear()
-
-    def dispatch(self, event: Event) -> list[str]:
-        """Process one event; returns the names of functions that acted."""
-        if event.event_id in self.seen:
-            return []
-        self.seen.add(event.event_id)
-        acted = []
-        matched = False
-        for rule, handler in self.rules:
-            if rule.matches(event):
-                matched = True
-                if handler(event):
-                    acted.append(rule.function)
-        if not matched:
-            self.dropped.append(event)
-        return acted
 
 
 @dataclass
@@ -243,13 +182,12 @@ def _same_rows(rows: list, expected: tuple) -> bool:
 
 
 class Orchestrator:
-    """Deploys pipeline documents against a simulated environment and runs
-    them to completion in either execution mode."""
+    """Deploys pipeline documents on the environment's bus and runs them to
+    completion in either execution mode."""
 
     def __init__(self, env: SimCloud) -> None:
         self.env = env
-        self.bus = EventBus()
-        self.env.subscribe(self.bus.enqueue)
+        self.bus = env.bus
         # Each pipeline function: the state its step runs in, and the work.
         self._steps = {
             "software_env_setup": (ExecutionState.PROVISIONING, self._software_setup),
@@ -270,10 +208,9 @@ class Orchestrator:
     ) -> PipelineInstance:
         if mode not in ("serverless", "sdk"):
             raise MalformedValue(f"execution mode must be serverless or sdk, got {mode!r}")
-        if mode == "sdk":
-            if poll_window is None or Fraction(poll_window) <= 0:
-                raise MalformedValue(f"poll window must be positive, got {poll_window}")
-            poll_window = Fraction(poll_window)
+        if mode == "sdk" and (poll_window is None or Fraction(poll_window) <= 0):
+            raise MalformedValue(f"poll window must be positive, got {poll_window}")
+        poll_window = Fraction(poll_window) if mode == "sdk" else None
         body = doc.body
         if body.get("schema_version") != SCHEMA_VERSION:
             raise DeploymentRejected(
@@ -555,19 +492,24 @@ class Orchestrator:
             failure=inst.failure,
         )
 
+    def run(
+        self,
+        doc: PipelineDocument,
+        mode: str = "serverless",
+        poll_window: Optional[Fraction] = None,
+        record_history: bool = True,
+        extra_parameters: Optional[dict] = None,
+    ) -> ExecutionOutcome:
+        """Deploy ``doc`` and drive it to its end; only sdk runs poll."""
+        return self._drive(self.deploy(doc, mode, record_history, poll_window, extra_parameters))
+
     def run_serverless(
         self,
         doc: PipelineDocument,
         record_history: bool = True,
         extra_parameters: Optional[dict] = None,
     ) -> ExecutionOutcome:
-        inst = self.deploy(
-            doc,
-            mode="serverless",
-            record_history=record_history,
-            extra_parameters=extra_parameters,
-        )
-        return self._drive(inst)
+        return self.run(doc, "serverless", None, record_history, extra_parameters)
 
     def run_sdk(
         self,
@@ -576,14 +518,7 @@ class Orchestrator:
         record_history: bool = True,
         extra_parameters: Optional[dict] = None,
     ) -> ExecutionOutcome:
-        inst = self.deploy(
-            doc,
-            mode="sdk",
-            record_history=record_history,
-            poll_window=poll_window,
-            extra_parameters=extra_parameters,
-        )
-        return self._drive(inst)
+        return self.run(doc, "sdk", poll_window, record_history, extra_parameters)
 
     def _drive(self, inst: PipelineInstance) -> ExecutionOutcome:
         """Start a deployed run and drive it to its end: dispatch each queued

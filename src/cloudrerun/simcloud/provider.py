@@ -1,10 +1,16 @@
 """Simulated cloud providers and the shared simulation environment.
 
 The environment holds a virtual clock, one provider per supported cloud, a
-shared cost ledger, and a completion scheduler.  Provider operations are
-deterministic: ids come from counters, durations from a delay profile, and
-prices from a packaged catalog.  Storage writes and hardware readiness emit
-events to subscribers; everything else is synchronous.
+shared cost ledger, a completion scheduler and one event bus.  Provider
+operations are deterministic: ids come from counters, durations from a
+delay profile, and prices from a packaged catalog.  Storage writes and
+hardware readiness emit events to subscribers; everything else is
+synchronous.
+
+The bus is the cloud's event service and the environment's one subscriber;
+every orchestrator on the environment installs its trigger rules there.
+Like pending completions it is transient, so a loaded environment starts
+with an empty bus.
 
 Database tables are keyed by execution id, so a record write or a lookup by
 id touches one row.  The saved state writes each table as its list of rows
@@ -20,6 +26,7 @@ import heapq
 import json
 import os
 import tempfile
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +45,8 @@ from .ledger import CostLedger, _rebuilder, _snapshot
 
 __all__ = [
     "Event",
+    "InstalledRule",
+    "EventBus",
     "Cluster",
     "DelayProfile",
     "SimProvider",
@@ -78,6 +87,67 @@ class Event:
     kind: str  # "lifecycle" or "storage"
     time: Fraction
     payload: dict
+
+
+@dataclass(frozen=True)
+class InstalledRule:
+    """A trigger bound to a concrete execution instance."""
+
+    function: str
+    instance_id: str
+    source: str
+    event: str
+    match: str  # "exact" or "prefix"
+
+    def matches(self, event: Event) -> bool:
+        if event.source != self.source:
+            return False
+        if self.match == "prefix":
+            return event.name.startswith(self.event)
+        return event.name == self.event
+
+
+class EventBus:
+    """FIFO queue with id-based deduplication and rule dispatch."""
+
+    def __init__(self) -> None:
+        self.queue: deque[Event] = deque()
+        self.seen: set[str] = set()
+        self.rules: list[tuple[InstalledRule, Callable[[Event], bool]]] = []
+        self.dropped: list[Event] = []
+
+    def enqueue(self, event: Event) -> None:
+        """Queue an event; with no rule installed none can act, so none is kept."""
+        if self.rules:
+            self.queue.append(event)
+
+    def install(self, rule: InstalledRule, handler: Callable[[Event], bool]) -> None:
+        self.rules.append((rule, handler))
+
+    def retire(self, instance_id: str) -> None:
+        """Remove every rule bound to ``instance_id``.  With no rule left no
+        event can act, so queued, seen and dropped events are cleared too."""
+        self.rules = [pair for pair in self.rules if pair[0].instance_id != instance_id]
+        if not self.rules:
+            self.queue.clear()
+            self.seen.clear()
+            self.dropped.clear()
+
+    def dispatch(self, event: Event) -> list[str]:
+        """Process one event; returns the names of functions that acted."""
+        if event.event_id in self.seen:
+            return []
+        self.seen.add(event.event_id)
+        acted = []
+        matched = False
+        for rule, handler in self.rules:
+            if rule.matches(event):
+                matched = True
+                if handler(event):
+                    acted.append(rule.function)
+        if not matched:
+            self.dropped.append(event)
+        return acted
 
 
 @dataclass
@@ -311,7 +381,7 @@ class SimProvider:
 
 
 class SimCloud:
-    """Shared environment: clock, providers, ledger, scheduler, event fanout."""
+    """Shared environment: clock, providers, ledger, scheduler, event bus."""
 
     def __init__(self, delays: Optional[DelayProfile] = None) -> None:
         self.clock = VirtualClock()
@@ -320,7 +390,8 @@ class SimCloud:
         for op, price in price_catalog()["request"].items():
             self.ledger.set_request_price(op, price)
         self.providers = {name: SimProvider(name, self) for name in PROVIDERS}
-        self.subscribers: list[Callable[[Event], None]] = []
+        self.bus = EventBus()
+        self.subscribers: list[Callable[[Event], None]] = [self.bus.enqueue]
         self._completions: list[tuple[Fraction, int, Callable[[], None]]] = []
         self._seq = 0
         self._event_counter = 0
@@ -358,9 +429,6 @@ class SimCloud:
     def subscribe(self, handler: Callable[[Event], None]) -> None:
         self.subscribers.append(handler)
 
-    def unsubscribe(self, handler: Callable[[Event], None]) -> None:
-        self.subscribers.remove(handler)
-
     def emit(self, source: str, name: str, kind: str, payload: Optional[dict] = None) -> Event:
         self._event_counter += 1
         event = Event(
@@ -383,8 +451,8 @@ class SimCloud:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Snapshot for cross-invocation use.  Pending completions and
-        subscribers are transient and not captured."""
+        """Snapshot for cross-invocation use.  Pending completions, the bus
+        and subscribers are transient and not captured."""
         return {
             "clock": str(self.clock.now()),
             "event_counter": self._event_counter,

@@ -387,9 +387,10 @@ class TestErrorExitCodes:
         url = history_url_from(capsys.readouterr().out)
         for literal in ("soon", "1/0"):
             window = ("--poll-window", literal)
+            # run and reproduce read the window in either mode
             commands = [
                 run_args(paths, state, "--mode", "sdk", *window),
-                # reproduce reads the window in either mode
+                run_args(paths, state, *window),
                 ["reproduce", url, "--personal", str(paths["personal"]), "--state-dir", str(state), *window],
                 ["bench", "--suite", "efficiency", "--repeats", "2", "--state-dir", str(state), *window],
             ]

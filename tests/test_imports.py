@@ -188,3 +188,50 @@ def test_package_has_no_unreferenced_public_names():
         for path in sorted((root / directory).rglob("*.py"))
     }
     assert unreferenced_public_names(package, users) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Imports of a ``simcloud`` module that reach the rest of the package.
+
+    The simulated cloud knows nothing of the program that runs on it, so
+    its only package import is ``..errors``: any other ``from ..x`` and any
+    absolute ``cloudrerun`` import, at any depth of the module, is named.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level >= 2:
+            module = node.module or ",".join(alias.name for alias in node.names)
+            if (node.level, module) != (2, "errors"):
+                found.append("." * node.level + module)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "cloudrerun":
+                found.append(node.module)
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "cloudrerun"]
+    return found
+
+
+def test_layering_detector_flags_only_imports_beyond_errors():
+    source = (
+        "import json\n"
+        "from ..errors import NoSuchKey\n"
+        "from .. import errors\n"
+        "from .clock import VirtualClock\n"
+        "from ..runtime import EventBus\n"
+        "import cloudrerun.history\n"
+        "def f():\n"
+        "    from cloudrerun import runtime\n"
+        "    from .. import history\n"
+        "    from ... import other\n"
+    )
+    assert foreign_imports(source) == [
+        "..runtime", "cloudrerun.history", "cloudrerun", "..history", "...other"
+    ]
+
+
+def test_simcloud_imports_nothing_of_the_package_but_errors():
+    found = {
+        path.name: foreign_imports(path.read_text(encoding="utf-8"))
+        for path in sorted((PACKAGE / "simcloud").glob("*.py"))
+    }
+    assert {name: imports for name, imports in found.items() if imports} == {}

@@ -4,7 +4,13 @@ import pytest
 
 from cloudrerun.caam import generate_pipeline, register_adapter, unregister_adapter
 from cloudrerun.config_model import parse_resources, serialize_resources
-from cloudrerun.errors import InvalidMerge, NotFound, QuotaExceeded, UnsupportedProvider
+from cloudrerun.errors import (
+    InvalidMerge,
+    MalformedValue,
+    NotFound,
+    QuotaExceeded,
+    UnsupportedProvider,
+)
 from cloudrerun.history import HistoryStore, read_zip
 from cloudrerun.reproducer import (
     INSTANCE_TYPE_EQUIVALENCE,
@@ -87,14 +93,27 @@ class TestModes:
 
     def test_reproduce_leaves_no_subscriber_behind(self):
         env, outcome = seeded_env()
-        subscribers = len(env.subscribers)
+        # the environment's bus is its one subscriber, whatever runs on it
+        assert env.subscribers == [env.bus.enqueue]
         for mode in ("serverless", "sdk", "serverless"):
             reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()), mode=mode)
-        # a run that raises drops its subscription too
+            assert env.subscribers == [env.bus.enqueue]
         env.provider("aws").max_instances = 1
         with pytest.raises(QuotaExceeded):
             reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()))
-        assert len(env.subscribers) == subscribers
+        assert env.subscribers == [env.bus.enqueue]
+
+    def test_an_unknown_mode_raises_before_an_id_is_drawn(self):
+        env, outcome = seeded_env()
+        provider = env.provider("aws")
+        executions = provider._counters["exec"]
+        with pytest.raises(MalformedValue):
+            reproduce(
+                env, outcome.history_url, OverrideSet(personal_text=personal_text()), mode="batch"
+            )
+        assert provider._counters["exec"] == executions
+        assert provider.inventory() == {"clusters": [], "networks": []}
+        assert env.bus.rules == []
 
     def test_an_idle_orchestrators_bus_stays_empty(self):
         env = SimCloud()

@@ -342,6 +342,60 @@ class TestSdkMode:
             Orchestrator(env).run_sdk(generate_pipeline(req), poll_window=Fraction(0))
 
 
+    def test_only_an_sdk_record_names_a_poll_window(self):
+        env = SimCloud()
+        doc = generate_pipeline(make_request())
+        # a serverless run ignores the window it is given, however bad
+        inst = Orchestrator(env).deploy(doc, mode="serverless", poll_window="soon")
+        serverless = Orchestrator(env)._drive(inst)
+        assert serverless.state is ExecutionState.COMPLETED
+        assert inst.poll_window is None
+        assert "poll_window_s" not in inst.history.get_record(inst.instance_id)["parameters"]
+        sdk = Orchestrator(env).run(doc, "sdk", Fraction(5, 2))
+        assert sdk.record["parameters"] == {**serverless.record["parameters"], "poll_window_s": "5/2"}
+
+
+class TestOneBusPerEnvironment:
+    def test_orchestrators_on_one_environment_share_its_bus(self):
+        env = SimCloud()
+        assert env.subscribers == [env.bus.enqueue]
+        first, second = Orchestrator(env), Orchestrator(env)
+        assert first.bus is env.bus and second.bus is env.bus
+        doc = generate_pipeline(make_request())
+        a, b = first.deploy(doc), second.deploy(doc, "sdk", poll_window=Fraction(10))
+        assert len(env.bus.rules) == 8
+        assert first._drive(a).state is ExecutionState.COMPLETED
+        assert [rule.instance_id for rule, _ in env.bus.rules] == [b.instance_id] * 4
+        assert second._drive(b).state is ExecutionState.COMPLETED
+        assert env.bus.rules == []
+        assert env.subscribers == [env.bus.enqueue]
+
+    def test_runs_keep_the_one_subscriber(self):
+        env = SimCloud()
+        doc = generate_pipeline(make_request())
+        for mode, window in (("serverless", None), ("sdk", Fraction(10))):
+            assert Orchestrator(env).run(doc, mode, window).state is ExecutionState.COMPLETED
+            assert env.subscribers == [env.bus.enqueue]
+        env.provider("aws").max_instances = 1
+        with pytest.raises(QuotaExceeded):
+            Orchestrator(env).run(generate_pipeline(make_request(engine="spark", nodes=2)))
+        assert env.subscribers == [env.bus.enqueue]
+        assert (env.bus.rules, list(env.bus.queue), env.bus.seen) == ([], [], set())
+
+    def test_a_loaded_environment_starts_with_its_own_empty_bus(self):
+        env = SimCloud()
+        Orchestrator(env).start(Orchestrator(env).deploy(generate_pipeline(make_request())))
+        assert env.run_next_completion()  # hardware ready: one event queued
+        assert len(env.bus.queue) == 1 and len(env.bus.rules) == 4
+        state = env.to_state()
+        assert set(state) == {"clock", "event_counter", "providers", "ledger"}
+        again = SimCloud.from_state(state)
+        assert again.bus is not env.bus
+        assert again.subscribers == [again.bus.enqueue]
+        assert (again.bus.rules, list(again.bus.queue), again.bus.seen) == ([], [], set())
+        assert again.to_state() == state
+
+
 class TestFailures:
     def test_missing_image_fails_and_cleans_up(self):
         env = SimCloud()
