@@ -164,7 +164,7 @@ def _load_env(state_dir: Optional[str]) -> SimCloud:
         return SimCloud()
     try:
         return SimCloud.load_state(path)
-    # ValueError covers json.JSONDecodeError and bad literals inside the state.
+    # ValueError covers json.JSONDecodeError, bad literals and a tail that does not match the index.
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: malformed state file: {type(exc).__name__}: {exc}") from exc
 

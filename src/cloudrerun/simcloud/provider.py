@@ -16,6 +16,11 @@ Database tables are keyed by execution id, so a record write or a lookup by
 id touches one row.  The saved state writes each table as its list of rows
 in the order their ids were first written.
 
+A state file is the line ``cloudrerun-state/2``, one index line of compact,
+key-sorted JSON ``{"state": to_state(), "tail_bytes": n}`` with each stored
+version as an ``[offset, length]`` reference, then the tail: the ``n`` raw
+bytes of every version.  A file without the first line is legacy JSON.
+
 Fault injection targets one (operation, call_index) pair at a time so tests
 can break exactly the n-th call of an operation and nothing else.
 """
@@ -57,9 +62,7 @@ __all__ = [
 
 PROVIDERS = ("aws", "azure")
 
-# The saved state's encoding: compact and key-sorted.  Without an indent,
-# ``encode`` runs the C encoder.
-_STATE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_STATE_MAGIC = b"cloudrerun-state/2\n"
 
 
 @lru_cache(maxsize=None)
@@ -426,9 +429,6 @@ class SimCloud:
 
     # -- events ------------------------------------------------------------
 
-    def subscribe(self, handler: Callable[[Event], None]) -> None:
-        self.subscribers.append(handler)
-
     def emit(self, source: str, name: str, kind: str, payload: Optional[dict] = None) -> Event:
         self._event_counter += 1
         event = Event(
@@ -451,8 +451,7 @@ class SimCloud:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Snapshot for cross-invocation use.  Pending completions, the bus
-        and subscribers are transient and not captured."""
+        """Snapshot with stored versions as bytes; the bus and pending completions are transient."""
         return {
             "clock": str(self.clock.now()),
             "event_counter": self._event_counter,
@@ -462,13 +461,7 @@ class SimCloud:
                     "counters": dict(p._counters),
                     "clusters": [_snapshot(c) for c in p.clusters.values()],
                     "networks": sorted(p.networks),
-                    "stores": {
-                        store: {
-                            key: [v.hex() for v in versions]
-                            for key, versions in keys.items()
-                        }
-                        for store, keys in p.stores.items()
-                    },
+                    "stores": {s: {k: list(v) for k, v in keys.items()} for s, keys in p.stores.items()},
                     "tables": {table: list(rows.values()) for table, rows in p.tables.items()},
                     "registry": None if p.registry is None else sorted(p.registry),
                 }
@@ -478,7 +471,8 @@ class SimCloud:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "SimCloud":
+    def from_state(cls, state: dict, blob: Callable[[object], bytes] = bytes) -> "SimCloud":
+        """The environment a snapshot describes; ``blob`` turns each saved version into bytes."""
         env = cls()
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = state["event_counter"]
@@ -490,10 +484,7 @@ class SimCloud:
             p.clusters = {c["cluster_id"]: cluster(c) for c in pstate["clusters"]}
             p.networks = set(pstate["networks"])
             p.stores = {
-                store: {
-                    key: [bytes.fromhex(v) for v in versions]
-                    for key, versions in keys.items()
-                }
+                store: {key: [blob(v) for v in versions] for key, versions in keys.items()}
                 for store, keys in pstate["stores"].items()
             }
             p.tables = {
@@ -505,16 +496,24 @@ class SimCloud:
         return env
 
     def save_state(self, path) -> None:
-        """Write ``to_state()`` as compact, key-sorted JSON and commit it
-        atomically: a temp file beside ``path`` is written, flushed and
-        fsynced, then replaces ``path``, so a reader finds the old file or
-        the new one, never part of one (Pillai et al., OSDI 2014)."""
+        """Write the state file and commit it atomically: a temp file beside ``path``
+        is written, flushed and fsynced, then replaces ``path``, so a reader finds the
+        old file or the new one, never part of one (Pillai et al., OSDI 2014)."""
+        tail, ends = [], [0]
+
+        def reference(blob: bytes) -> list[int]:
+            tail.append(blob)
+            ends.append(ends[-1] + len(blob))
+            return [ends[-2], len(blob)]
+
+        # Without an indent the C encoder runs, calling ``reference`` in key order.
+        state = json.dumps(self.to_state(), sort_keys=True, separators=(",", ":"), default=reference)
         directory, name = os.path.split(os.fspath(path))
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
         try:
-            with open(fd, "w", encoding="utf-8") as fh:
-                _write_json(fh, self.to_state())
-                fh.write("\n")
+            with open(fd, "wb") as fh:
+                fh.write(b'%s{"state":%s,"tail_bytes":%d}\n' % (_STATE_MAGIC, state.encode(), ends[-1]))
+                fh.writelines(tail)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -524,20 +523,21 @@ class SimCloud:
 
     @classmethod
     def load_state(cls, path) -> "SimCloud":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_state(json.load(fh))
+        """Read a ``save_state`` file or a legacy one; a damaged tail raises ValueError."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.startswith(_STATE_MAGIC):
+            return cls.from_state(json.loads(data), bytes.fromhex)
+        _, line, tail = data.split(b"\n", 2)
+        index = json.loads(line)
+        if index["tail_bytes"] != len(tail):
+            raise ValueError(f"{len(tail)} tail bytes, the index records {index['tail_bytes']!r}")
 
+        def blob(ref) -> bytes:
+            start, length = ref if type(ref) is list and len(ref) == 2 else (None, None)
+            if not (type(start) is int and type(length) is int
+                    and 0 <= start <= start + length <= len(tail)):
+                raise ValueError(f"stored-object reference {ref!r} is no [offset, length] in the tail")
+            return tail[start:start + length]
 
-def _write_json(fh, value) -> None:
-    """Write ``value`` to ``fh`` exactly as ``_STATE_ENCODER.encode`` would.
-    Objects are streamed key by key (in a saved state, down to the keys of
-    each store) and every other value is encoded in one C call, so the text
-    of the whole state is never held at once."""
-    if not isinstance(value, dict):
-        fh.write(_STATE_ENCODER.encode(value))
-        return
-    fh.write("{")
-    for i, key in enumerate(sorted(value)):
-        fh.write(("," if i else "") + _STATE_ENCODER.encode(key) + ":")
-        _write_json(fh, value[key])
-    fh.write("}")
+        return cls.from_state(index["state"], blob)

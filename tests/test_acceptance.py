@@ -656,7 +656,7 @@ def test_11_t_test_reference(announce):
 SEEDED_SECRETS = ("AKIAEXAMPLE", "topsecret", "hunter2")
 
 
-def test_12_secret_redaction(announce):
+def test_12_secret_redaction(announce, tmp_path):
     with criterion(announce, 12, "secret redaction everywhere", budget_s=5.0):
         credentials = (
             "access_key:AKIAEXAMPLE, secret_key:topsecret, password:hunter2"
@@ -684,9 +684,11 @@ def test_12_secret_redaction(announce):
                 for secret in SEEDED_SECRETS:
                     assert secret not in dumped
 
-        state_text = json.dumps(env.to_state())
+        env.save_state(tmp_path / "simcloud.json")
+        saved = (tmp_path / "simcloud.json").read_bytes()
         for secret in SEEDED_SECRETS:
-            assert secret not in state_text
+            assert secret.encode() not in saved
+            assert secret.encode().hex().encode() not in saved
 
         archived = history_store(env).fetch(outcome.history_url)
         personal_ini = archived.config["personal.ini"].decode()

@@ -406,14 +406,58 @@ class TestErrorExitCodes:
         assert main(run_args(paths, state)) == EXIT_OK
         capsys.readouterr()
         state_file = state / "simcloud.json"
-        good = json.loads(state_file.read_text())
-        for text in ("{}", "[]", state_file.read_text()[:200], json.dumps({**good, "clock": "x"})):
-            state_file.write_text(text)
-            assert main(["history", "--state-dir", str(state)]) == EXIT_USAGE, text[:20]
+        data = state_file.read_bytes()
+        magic, line, tail = data.split(b"\n", 2)
+        assert json.loads(line)["tail_bytes"] == len(tail) > 1
+
+        def saved(edit):
+            """The saved file with ``edit`` applied to its parsed state."""
+            index = json.loads(line)
+            edit(index["state"])
+            return magic + b"\n" + json.dumps(index, separators=(",", ":")).encode() + b"\n" + tail
+
+        def with_reference(ref):
+            """The saved file with the first version of every aws key replaced by ``ref``."""
+
+            def edit(state_doc):
+                for keys in state_doc["providers"]["aws"]["stores"].values():
+                    for versions in keys.values():
+                        versions[0] = ref
+
+            return saved(edit)
+
+        cases = [
+            b"{}",
+            b"[]",
+            data[:200],
+            saved(lambda state_doc: state_doc.update(clock="x")),
+            # the tail is shorter or longer than the index records
+            data[:-1],
+            data + b"\0",
+            # a reference that is not two non-negative ints
+            with_reference([-1, 1]),
+            with_reference([0, -1]),
+            with_reference([0]),
+            with_reference([0, 1, 2]),
+            with_reference([0, "1"]),
+            with_reference([True, 1]),
+            with_reference([0.0, 1]),
+            with_reference("00"),
+            # a reference that runs past the tail
+            with_reference([0, len(tail) + 1]),
+            with_reference([len(tail), 1]),
+        ]
+        for content in cases:
+            state_file.write_bytes(content)
+            assert main(["history", "--state-dir", str(state)]) == EXIT_USAGE, content[:40]
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert f"{state_file}: malformed state file" in err
-            assert state_file.read_text() == text
+            assert state_file.read_bytes() == content
+        # references that end exactly at the end of the tail are in range
+        for content in (data, with_reference([0, len(tail)]), with_reference([len(tail), 0])):
+            state_file.write_bytes(content)
+            assert main(["history", "--state-dir", str(state)]) == EXIT_OK
 
     def test_nonpositive_poll_window(self, tmp_path, capsys):
         paths = write_files(tmp_path)

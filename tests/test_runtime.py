@@ -579,7 +579,7 @@ def run_with_fault(req, mode, fault, record_history, deliveries=1):
         env.provider("aws").inject_fault(*fault, lambda: StorageFailure("injected"))
     orchestrator = Orchestrator(env)
     for _ in range(deliveries - 1):
-        env.subscribe(orchestrator.bus.enqueue)
+        env.subscribers.append(orchestrator.bus.enqueue)
     doc = generate_pipeline(req)
     try:
         if mode == "sdk":

@@ -66,7 +66,7 @@ def test_secret_outside_personal_is_rejected(marker, spot):
 
 @pytest.mark.parametrize("marker", SECRET_KEY_MARKERS)
 @pytest.mark.parametrize("spot", sorted(KEPT))
-def test_secret_in_personal_never_reaches_storage(marker, spot):
+def test_secret_in_personal_never_reaches_storage(marker, spot, tmp_path):
     texts = _texts()
     personal = texts["personal"] = KEPT[spot](texts["personal"], marker)
     assert f"{marker} = {SEED}" in personal
@@ -86,8 +86,9 @@ def test_secret_in_personal_never_reaches_storage(marker, spot):
                     assert not any(secret.encode() in blob for secret in secrets)
         rows = json.dumps(provider.tables)
         assert not any(secret in rows for secret in secrets)
-    # the saved state keeps stored objects as hex
-    state = json.dumps(env.to_state())
-    assert not any(s in state for secret in secrets for s in (secret, secret.encode().hex()))
+    # the saved state file holds stored objects as raw bytes; legacy files held hex
+    env.save_state(tmp_path / "simcloud.json")
+    state = (tmp_path / "simcloud.json").read_bytes()
+    assert not any(s in state for secret in secrets for s in (secret.encode(), secret.encode().hex().encode()))
     archived = HistoryStore(env, "aws", "execution-history", "execution-records").fetch(outcome.history_url)
     assert f"{marker} = {REDACTED}\n" in archived.config["personal.ini"].decode()

@@ -171,7 +171,7 @@ class TestProvider:
     def test_cluster_lifecycle_emits_ready_event(self):
         env = SimCloud()
         events = []
-        env.subscribe(events.append)
+        env.subscribers.append(events.append)
         provider = env.provider("aws")
         net = provider.create_network("run-1")
         cluster = provider.create_cluster("c5d.large", 2, net, "run-1")
@@ -214,7 +214,7 @@ class TestProvider:
     def test_storage_events_carry_key_as_name(self):
         env = SimCloud()
         events = []
-        env.subscribe(events.append)
+        env.subscribers.append(events.append)
         env.provider("aws").storage_put("bucket", "export/r/part-1", b"x", "r")
         assert events[0].kind == "storage"
         assert events[0].name == "export/r/part-1"
@@ -358,13 +358,43 @@ def _environment_with_history(runs: int) -> SimCloud:
     return env
 
 
-def _compact(state: dict) -> str:
-    return json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n"
+def _state_file(state: dict) -> bytes:
+    """The bytes ``save_state`` should write for a ``to_state()`` snapshot,
+    built by walking it in key order: the magic line, the compact index line
+    with each stored version as its ``[offset, length]`` in the tail, then
+    the tail."""
+    tail = bytearray()
+
+    def index(value):
+        if isinstance(value, bytes):
+            tail.extend(value)
+            return [len(tail) - len(value), len(value)]
+        if isinstance(value, dict):
+            return {key: index(value[key]) for key in sorted(value)}
+        if isinstance(value, list):
+            return [index(item) for item in value]
+        return value
+
+    state = index(state)
+    line = json.dumps({"state": state, "tail_bytes": len(tail)}, sort_keys=True, separators=(",", ":"))
+    return b"cloudrerun-state/2\n" + line.encode("ascii") + b"\n" + bytes(tail)
 
 
-# A state file saved before tables were keyed by execution id: five runs on
-# both providers, one into a custom table, one failed and one in sdk mode.
+def _hex_versions(state: dict) -> dict:
+    """A ``to_state()`` snapshot as legacy files held it: versions in hex."""
+    for pstate in state["providers"].values():
+        pstate["stores"] = {
+            store: {key: [v.hex() for v in versions] for key, versions in keys.items()}
+            for store, keys in pstate["stores"].items()
+        }
+    return state
+
+
+# A legacy state file, saved before tables were keyed by execution id: five
+# runs on both providers, one into a custom table, one failed and one in sdk
+# mode.  GOLDEN_STATE_V2 is the state file ``save_state`` writes for it.
 GOLDEN_STATE = Path(__file__).parent / "golden" / "simcloud_state.json"
+GOLDEN_STATE_V2 = Path(__file__).parent / "golden" / "simcloud_state.v2"
 
 
 def _golden_rows() -> list[tuple[str, str, dict]]:
@@ -390,15 +420,18 @@ class TestGoldenState:
     def test_loads_and_saves_back_byte_for_byte(self, tmp_path):
         path = tmp_path / "simcloud.json"
         SimCloud.load_state(GOLDEN_STATE).save_state(path)
-        assert path.read_bytes() == GOLDEN_STATE.read_bytes()
+        assert path.read_bytes() == GOLDEN_STATE_V2.read_bytes()
+        SimCloud.load_state(GOLDEN_STATE_V2).save_state(path)
+        assert path.read_bytes() == GOLDEN_STATE_V2.read_bytes()
 
     def test_every_record_is_found(self):
-        env = SimCloud.load_state(GOLDEN_STATE)
-        for name, table, row in _golden_rows():
-            execution_id = row["execution_id"]
-            assert find_record_table(env, name, execution_id) == table
-            store = HistoryStore(env, name, parse_url(row["history_url"])[1], table)
-            assert store.get_record(execution_id) == row
+        for golden in (GOLDEN_STATE, GOLDEN_STATE_V2):
+            env = SimCloud.load_state(golden)
+            for name, table, row in _golden_rows():
+                execution_id = row["execution_id"]
+                assert find_record_table(env, name, execution_id) == table
+                store = HistoryStore(env, name, parse_url(row["history_url"])[1], table)
+                assert store.get_record(execution_id) == row
 
     def test_an_upsert_keeps_the_row_in_place(self):
         env = SimCloud.load_state(GOLDEN_STATE)
@@ -412,22 +445,55 @@ class TestGoldenState:
 
 class TestStateFile:
     def test_saved_text_is_compact_sorted_json(self, tmp_path):
+        """Magic line, compact key-sorted index line, then the raw tail."""
         env = _environment_with_history(20)
         path = tmp_path / "simcloud.json"
         env.save_state(path)
-        assert path.read_text(encoding="utf-8") == _compact(env.to_state())
+        data = path.read_bytes()
+        magic, line, tail = data.split(b"\n", 2)
+        assert magic == b"cloudrerun-state/2"
+        index = json.loads(line)
+        assert sorted(index) == ["state", "tail_bytes"] and index["tail_bytes"] == len(tail)
+        assert tail == b"".join(
+            version
+            for name in sorted(env.providers)
+            for store, keys in sorted(env.provider(name).stores.items())
+            for key, versions in sorted(keys.items())
+            for version in versions
+        )
+        assert data == _state_file(env.to_state())
         assert SimCloud.load_state(path).to_state() == env.to_state()
 
     def test_legacy_indented_file_loads_and_is_saved_compact(self, tmp_path):
         env = _environment_with_history(5)
         path = tmp_path / "simcloud.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(env.to_state(), fh, sort_keys=True, indent=2)
+            json.dump(_hex_versions(env.to_state()), fh, sort_keys=True, indent=2)
             fh.write("\n")
         again = SimCloud.load_state(path)
         assert again.to_state() == env.to_state()
         again.save_state(path)
-        assert path.read_text(encoding="utf-8") == _compact(env.to_state())
+        assert path.read_bytes() == _state_file(env.to_state())
+
+    def test_stored_bytes_round_trip(self, tmp_path):
+        """Empty, newline-bearing and non-UTF-8 versions, several per key,
+        under keys the index line must escape."""
+        env = SimCloud()
+        blobs = [b"", b"\n", b"two\nlines\n", b"\xff\xfe\x80\x00", bytes(range(256))]
+        for blob in blobs:
+            env.provider("aws").storage_put("bucket", "k", blob, "r")
+        env.provider("azure").storage_put("other", "a\nkey", b"\n\n", "r")
+        env.provider("azure").storage_put("other", "ключ", b"", "r")
+        path = tmp_path / "simcloud.json"
+        env.save_state(path)
+        assert path.read_bytes() == _state_file(env.to_state())
+        again = SimCloud.load_state(path)
+        assert again.provider("aws").stores == {"bucket": {"k": blobs}}
+        assert again.provider("azure").stores == {"other": {"a\nkey": [b"\n\n"], "ключ": [b""]}}
+        assert {type(v) for p in again.providers.values() for keys in p.stores.values()
+                for versions in keys.values() for v in versions} == {bytes}
+        again.save_state(path)
+        assert path.read_bytes() == _state_file(env.to_state())
 
     @pytest.mark.parametrize("where", ["while-writing", "at-fsync"])
     def test_a_failed_save_leaves_the_previous_file(self, tmp_path, monkeypatch, where):
@@ -437,7 +503,7 @@ class TestStateFile:
         before = path.read_bytes()
         env.provider("aws").create_network("later")
         if where == "while-writing":
-            # "tables" sorts after "stores", so most of the text is written first
+            # the encoder meets the object before the temp file is written
             env.provider("aws").tables["broken"] = {"x": {"value": object()}}
             expected = TypeError
         else:
