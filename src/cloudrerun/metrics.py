@@ -83,10 +83,11 @@ class MetricReport:
 
 
 def measure(outcome: ExecutionOutcome, ledger: CostLedger) -> MetricReport:
-    """m1, m2 and m3 for one finished execution, exactly."""
+    """m1, m2 and m3 for one finished execution, exactly; m2 sums the breakdown."""
     duration = outcome.duration_s
     m1 = duration / SECONDS_PER_HOUR
-    m2 = ledger.compute_cost(scope=outcome.instance_id)
+    breakdown = ledger.breakdown(scope=outcome.instance_id)
+    m2 = sum(breakdown.values(), Fraction(0))
     return MetricReport(
         execution_id=outcome.instance_id,
         mode=outcome.mode,
@@ -94,7 +95,7 @@ def measure(outcome: ExecutionOutcome, ledger: CostLedger) -> MetricReport:
         m1_hours=m1,
         m2_cost=m2,
         m3_ppr=m1 * m2,
-        breakdown=ledger.breakdown(scope=outcome.instance_id),
+        breakdown=breakdown,
     )
 
 

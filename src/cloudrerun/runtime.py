@@ -248,7 +248,7 @@ class Orchestrator:
                 self.env, doc.provider, reproduce.reproduce_storage, reproduce.reproduce_database
             )
         instance = PipelineInstance(
-            instance_id=self.env.provider(doc.provider)._next_id("exec"),
+            instance_id=self.env.provider(doc.provider).next_id("exec"),
             provider_name=doc.provider,
             doc=doc,
             request=request,

@@ -12,6 +12,10 @@ every orchestrator on the environment installs its trigger rules there.
 Like pending completions it is transient, so a loaded environment starts
 with an empty bus.
 
+A provider holds live resources only: a deleted cluster or network leaves
+it, and its cost stays in the ledger.  The quota and the image registry,
+like the delays and prices, are settings of the running environment.
+
 Database tables are keyed by execution id, so a record write or a lookup by
 id touches one row.  The saved state writes each table as its list of rows
 in the order their ids were first written.
@@ -30,7 +34,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import tempfile
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,7 +163,7 @@ class Cluster:
     instance_count: int
     network_id: str
     scope: str
-    state: str = "Provisioning"  # Provisioning -> Ready -> Terminated
+    state: str = "Provisioning"  # Provisioning -> Ready; delete_cluster removes it
     ready_at: Optional[Fraction] = None
 
 
@@ -176,7 +179,7 @@ class DelayProfile:
 
 
 class SimProvider:
-    """One cloud: clusters, networks, versioned object stores, database
+    """One cloud: live clusters and networks, versioned object stores, database
     tables, and a container image registry.
 
     A table maps each execution id to its row, in the order the ids were
@@ -197,7 +200,7 @@ class SimProvider:
 
     # -- infrastructure ----------------------------------------------------
 
-    def _next_id(self, kind: str) -> str:
+    def next_id(self, kind: str) -> str:
         n = self._counters.get(kind, 0) + 1
         self._counters[kind] = n
         return f"{self.name}-{kind}-{n:04d}"
@@ -223,15 +226,13 @@ class SimProvider:
         return prices[instance_type]
 
     def live_instance_count(self) -> int:
-        return sum(
-            c.instance_count for c in self.clusters.values() if c.state != "Terminated"
-        )
+        return sum(c.instance_count for c in self.clusters.values())
 
     # -- compute and network ----------------------------------------------
 
     def create_network(self, scope: str) -> str:
         self._enter_op("create_network")
-        network_id = self._next_id("net")
+        network_id = self.next_id("net")
         self.networks.add(network_id)
         self.env.ledger.open_entry(
             resource_id=network_id,
@@ -261,7 +262,7 @@ class SimProvider:
                 f"{self.max_instances - self.live_instance_count()} available"
             )
         cluster = Cluster(
-            cluster_id=self._next_id("cluster"),
+            cluster_id=self.next_id("cluster"),
             instance_type=instance_type,
             instance_count=instance_count,
             network_id=network_id,
@@ -277,7 +278,7 @@ class SimProvider:
         )
 
         def ready() -> None:
-            if cluster.state != "Provisioning":
+            if self.clusters.get(cluster.cluster_id) is not cluster:
                 return
             cluster.state = "Ready"
             cluster.ready_at = self.env.clock.now()
@@ -293,11 +294,8 @@ class SimProvider:
 
     def delete_cluster(self, cluster_id: str) -> None:
         self._enter_op("delete_cluster")
-        cluster = self.clusters.get(cluster_id)
-        if cluster is None or cluster.state == "Terminated":
-            return
-        cluster.state = "Terminated"
-        self.env.ledger.close_entry(cluster_id, self.env.clock.now())
+        if self.clusters.pop(cluster_id, None) is not None:
+            self.env.ledger.close_entry(cluster_id, self.env.clock.now())
 
     # -- images ------------------------------------------------------------
 
@@ -374,13 +372,8 @@ class SimProvider:
     # -- bookkeeping -------------------------------------------------------
 
     def inventory(self) -> dict:
-        """Live billable resources; must be empty after clean termination."""
-        return {
-            "clusters": sorted(
-                c.cluster_id for c in self.clusters.values() if c.state != "Terminated"
-            ),
-            "networks": sorted(self.networks),
-        }
+        """Live billable resources, which is all the provider holds; empty after clean termination."""
+        return {"clusters": sorted(self.clusters), "networks": sorted(self.networks)}
 
 
 class SimCloud:
@@ -451,19 +444,18 @@ class SimCloud:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Snapshot with stored versions as bytes; the bus and pending completions are transient."""
+        """What commands change, with stored versions as bytes; the bus, pending completions,
+        quota, registry, delays and prices belong to the running environment only."""
         return {
             "clock": str(self.clock.now()),
             "event_counter": self._event_counter,
             "providers": {
                 name: {
-                    "max_instances": p.max_instances,
                     "counters": dict(p._counters),
                     "clusters": [_snapshot(c) for c in p.clusters.values()],
                     "networks": sorted(p.networks),
                     "stores": {s: {k: list(v) for k, v in keys.items()} for s, keys in p.stores.items()},
                     "tables": {table: list(rows.values()) for table, rows in p.tables.items()},
-                    "registry": None if p.registry is None else sorted(p.registry),
                 }
                 for name, p in self.providers.items()
             },
@@ -472,16 +464,17 @@ class SimCloud:
 
     @classmethod
     def from_state(cls, state: dict, blob: Callable[[object], bytes] = bytes) -> "SimCloud":
-        """The environment a snapshot describes; ``blob`` turns each saved version into bytes."""
+        """The environment a snapshot describes; ``blob`` turns each saved version into bytes.
+        Older snapshots also hold terminated clusters, a quota and a registry, which are skipped."""
         env = cls()
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = state["event_counter"]
         cluster = _rebuilder(Cluster)
         for name, pstate in state["providers"].items():
             p = env.providers[name]
-            p.max_instances = pstate["max_instances"]
             p._counters = dict(pstate["counters"])
-            p.clusters = {c["cluster_id"]: cluster(c) for c in pstate["clusters"]}
+            live = (c for c in pstate["clusters"] if c["state"] != "Terminated")
+            p.clusters = {c["cluster_id"]: cluster(c) for c in live}
             p.networks = set(pstate["networks"])
             p.stores = {
                 store: {key: [blob(v) for v in versions] for key, versions in keys.items()}
@@ -491,7 +484,6 @@ class SimCloud:
                 table: {row["execution_id"]: dict(row) for row in rows}
                 for table, rows in pstate["tables"].items()
             }
-            p.registry = None if pstate["registry"] is None else set(pstate["registry"])
         env.ledger.restore_state(state["ledger"])
         return env
 
@@ -509,7 +501,9 @@ class SimCloud:
         # Without an indent the C encoder runs, calling ``reference`` in key order.
         state = json.dumps(self.to_state(), sort_keys=True, separators=(",", ":"), default=reference)
         directory, name = os.path.split(os.fspath(path))
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+        # O_EXCL follows no symlink; 0666 less the umask is open()'s mode (mkstemp's is 0600).
+        tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "wb") as fh:
                 fh.write(b'%s{"state":%s,"tail_bytes":%d}\n' % (_STATE_MAGIC, state.encode(), ends[-1]))

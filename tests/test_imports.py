@@ -235,3 +235,59 @@ def test_simcloud_imports_nothing_of_the_package_but_errors():
         for path in sorted((PACKAGE / "simcloud").glob("*.py"))
     }
     assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """``x._name`` reads, on anything but ``self`` or ``cls``, of a private
+    name the module does not define itself.
+
+    A module defines a name by a ``def`` or ``class`` of it, or by binding
+    it as a variable or as an attribute (``self._name = ...``) anywhere in
+    the module.  Dunder names are the language's, not a module's.
+    """
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    return [
+        f"{ast.unparse(node.value)}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and not isinstance(node.ctx, ast.Store)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and node.attr not in defined
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_private_read_detector_flags_only_names_defined_elsewhere():
+    source = (
+        "from .other import _imported\n"
+        "_LOCAL = 1\n"
+        "class Box:\n"
+        "    def __init__(self, peer):\n"
+        "        self._own = peer._own\n"
+        "        self._theirs = peer._theirs_only\n"
+        "    def _helper(self):\n"
+        "        return self._unset, type(self).__name__\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls._factory()\n"
+        "def f(box, module):\n"
+        "    return box._helper(), module._LOCAL, module._imported, box.env._counter\n"
+    )
+    assert foreign_private_reads(source) == ["peer._theirs_only", "module._imported", "box.env._counter"]
+
+
+def test_package_reads_no_private_name_of_another_module():
+    found = {
+        str(path.relative_to(PACKAGE)): foreign_private_reads(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: reads for name, reads in found.items() if reads} == {}

@@ -108,6 +108,29 @@ class TestServerlessLifecycle:
         assert end - start == env.delays.image_pull_s + 3 * env.delays.bootstrap_cmd_s
 
 
+@pytest.mark.parametrize("record_history", [True, False])
+@pytest.mark.parametrize("mode", ["serverless", "sdk"])
+def test_finished_runs_leave_no_cluster_in_the_provider(mode, record_history):
+    """A deleted cluster leaves its provider, and a saved provider holds only
+    what commands change."""
+    env = SimCloud()
+    orchestrator = Orchestrator(env)
+    poll_window = Fraction(5) if mode == "sdk" else None
+    failing = command_for(1, 1, 0, 1, extra=" --exit-code 3")
+    requests = (
+        make_request(engine="spark", nodes=2), make_request(provider="azure"), make_request(command=failing)
+    )
+    states = [
+        orchestrator.run(generate_pipeline(req), mode, poll_window, record_history).state
+        for req in requests
+    ]
+    assert states == [ExecutionState.COMPLETED, ExecutionState.COMPLETED, ExecutionState.FAILED]
+    assert {name: p.clusters for name, p in env.providers.items()} == {"aws": {}, "azure": {}}
+    for pstate in env.to_state()["providers"].values():
+        assert sorted(pstate) == ["clusters", "counters", "networks", "stores", "tables"]
+        assert pstate["clusters"] == [] and pstate["networks"] == []
+
+
 class TestEventHandling:
     def test_duplicate_events_processed_once(self):
         env = SimCloud()

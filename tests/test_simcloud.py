@@ -183,6 +183,21 @@ class TestProvider:
         assert event.name == "HardwareEnvReady"
         assert event.source == "aws:instance:run-1"
 
+    def test_a_cluster_deleted_while_provisioning_never_turns_ready(self):
+        env = SimCloud()
+        events = []
+        env.subscribers.append(events.append)
+        provider = env.provider("aws")
+        net = provider.create_network("run-1")
+        cluster = provider.create_cluster("c5d.large", 2, net, "run-1")
+        provider.delete_cluster(cluster.cluster_id)
+        provider.delete_cluster(cluster.cluster_id)  # already deleted: a no-op
+        provider.delete_network(net)
+        assert env.run_next_completion()
+        assert events == [] and cluster.ready_at is None and provider.clusters == {}
+        assert provider.inventory() == {"clusters": [], "networks": []}
+        assert not env.ledger.open_entries()
+
     def test_unknown_instance_type(self):
         env = SimCloud()
         with pytest.raises(UnknownInstanceType):
@@ -195,9 +210,15 @@ class TestProvider:
         provider = env.provider("aws")
         provider.max_instances = 4
         net = provider.create_network("r")
-        provider.create_cluster("c5d.large", 3, net, "r")
+        first = provider.create_cluster("c5d.large", 3, net, "r")
         with pytest.raises(QuotaExceeded):
             provider.create_cluster("c5d.large", 2, net, "r")
+        # deleting a cluster frees its instances
+        provider.delete_cluster(first.cluster_id)
+        assert provider.live_instance_count() == 0
+        second = provider.create_cluster("c5d.large", 4, net, "r")
+        assert provider.live_instance_count() == 4
+        assert list(provider.clusters) == [second.cluster_id]
 
     def test_object_store_versions(self):
         env = SimCloud()
@@ -290,6 +311,7 @@ class TestProvider:
         assert again.provider("aws").storage_get("bucket", "k", "r") == b"payload"
         assert again.provider("aws").tables == provider.tables
         assert again.provider("aws").inventory() == {"clusters": [], "networks": [open_net]}
+        assert again.provider("aws").clusters == {}
         assert SimCloud.from_state(env.to_state()).to_state() == env.to_state()
 
     def test_saved_state_format(self):
@@ -392,9 +414,22 @@ def _hex_versions(state: dict) -> dict:
 
 # A legacy state file, saved before tables were keyed by execution id: five
 # runs on both providers, one into a custom table, one failed and one in sdk
-# mode.  GOLDEN_STATE_V2 is the state file ``save_state`` writes for it.
+# mode.  GOLDEN_STATE_V2 is the same environment in the ``cloudrerun-state/2``
+# layout.  Both inputs still hold the five terminated clusters and each
+# provider's ``max_instances`` and ``registry``; GOLDEN_STATE_LIVE is the file
+# ``save_state`` writes for either of them, without these.
 GOLDEN_STATE = Path(__file__).parent / "golden" / "simcloud_state.json"
 GOLDEN_STATE_V2 = Path(__file__).parent / "golden" / "simcloud_state.v2"
+GOLDEN_STATE_LIVE = Path(__file__).parent / "golden" / "simcloud_state.live.v2"
+GOLDENS = (GOLDEN_STATE, GOLDEN_STATE_V2, GOLDEN_STATE_LIVE)
+
+
+def _saved_providers(path: Path) -> dict:
+    """The ``providers`` part of a state file's snapshot, in either layout."""
+    data = path.read_bytes()
+    if data.startswith(b"cloudrerun-state/2\n"):
+        return json.loads(data.split(b"\n", 2)[1])["state"]["providers"]
+    return json.loads(data)["providers"]
 
 
 def _golden_rows() -> list[tuple[str, str, dict]]:
@@ -416,16 +451,23 @@ class TestGoldenState:
         assert "team-records" in {table for _, table, _ in rows}
         assert {row["status"] for _, _, row in rows} == {"Completed", "Failed"}
         assert "sdk" in {row["mode"] for _, _, row in rows}
+        for golden in (GOLDEN_STATE, GOLDEN_STATE_V2):
+            providers = _saved_providers(golden)
+            assert [c["state"] for p in providers.values() for c in p["clusters"]] == ["Terminated"] * 5
+            assert all({"max_instances", "registry"} <= set(p) for p in providers.values())
 
     def test_loads_and_saves_back_byte_for_byte(self, tmp_path):
+        """Both older layouts save to the live-only file, which saves back to itself."""
         path = tmp_path / "simcloud.json"
-        SimCloud.load_state(GOLDEN_STATE).save_state(path)
-        assert path.read_bytes() == GOLDEN_STATE_V2.read_bytes()
-        SimCloud.load_state(GOLDEN_STATE_V2).save_state(path)
-        assert path.read_bytes() == GOLDEN_STATE_V2.read_bytes()
+        for golden in GOLDENS:
+            SimCloud.load_state(golden).save_state(path)
+            assert path.read_bytes() == GOLDEN_STATE_LIVE.read_bytes(), golden.name
+        for pstate in _saved_providers(GOLDEN_STATE_LIVE).values():
+            assert sorted(pstate) == ["clusters", "counters", "networks", "stores", "tables"]
+            assert pstate["clusters"] == []
 
     def test_every_record_is_found(self):
-        for golden in (GOLDEN_STATE, GOLDEN_STATE_V2):
+        for golden in GOLDENS:
             env = SimCloud.load_state(golden)
             for name, table, row in _golden_rows():
                 execution_id = row["execution_id"]
@@ -494,6 +536,25 @@ class TestStateFile:
                 for versions in keys.values() for v in versions} == {bytes}
         again.save_state(path)
         assert path.read_bytes() == _state_file(env.to_state())
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_saved_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        """The mode ``open(path, "wb")`` would give, for a new file and a replaced one."""
+        env = _environment_with_history(1)
+        path = tmp_path / "simcloud.json"
+        previous = os.umask(umask)
+        try:
+            env.save_state(path)
+            assert path.stat().st_mode & 0o777 == mode
+            path.chmod(0o600)
+            env.save_state(path)
+            assert path.stat().st_mode & 0o777 == mode
+            with open(tmp_path / "plain", "wb"):
+                pass
+            assert (tmp_path / "plain").stat().st_mode & 0o777 == mode
+        finally:
+            os.umask(previous)
+        assert sorted(os.listdir(tmp_path)) == ["plain", "simcloud.json"]
 
     @pytest.mark.parametrize("where", ["while-writing", "at-fsync"])
     def test_a_failed_save_leaves_the_previous_file(self, tmp_path, monkeypatch, where):
