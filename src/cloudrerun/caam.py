@@ -6,8 +6,8 @@ The provider-specific knowledge lives in two places only:
 * a service mapping table (category -> concrete managed service per cloud),
 * an adapter per provider that assembles the pipeline document.
 
-Dispatch follows the adaptee-mapping convention: look the provider up in a
-registry and delegate, raising for anything unregistered.  The table also
+Dispatch follows the adaptee-mapping convention: look the provider up in the
+adapter table and delegate, raising for anything unregistered.  The table also
 names services for a third cloud (gcloud); carrying the names costs nothing
 and no adapter exists for it, so using it fails exactly like any other
 unregistered provider.
@@ -25,13 +25,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Protocol
 
-from .config_model import (
-    AbstractRequest,
-    Engine,
-    serialize_application,
-    serialize_personal,
-    serialize_resources,
-)
+from .config_model import AbstractRequest, Engine, canonical_serialize
 from .engines import build_security_groups, capture_engine_config
 from .errors import (
     UnmappedService,
@@ -40,16 +34,12 @@ from .errors import (
 )
 
 __all__ = [
-    "SERVICE_CATEGORIES",
     "SERVICE_MAPPING",
     "lookup_service",
     "PipelineDocument",
     "CloudAdapter",
     "AwsAdapter",
     "AzureAdapter",
-    "register_adapter",
-    "unregister_adapter",
-    "registered_providers",
     "get_adapter",
     "generate_pipeline",
     "FUNCTION_NAMES",
@@ -59,17 +49,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-SERVICE_CATEGORIES = (
-    "cluster",
-    "network",
-    "container_registry",
-    "storage",
-    "database",
-    "deployment_functions",
-    "sdk",
-    "identity",
-)
 
 # Concrete managed service per (provider, category).
 SERVICE_MAPPING = {
@@ -150,11 +129,6 @@ class PipelineDocument:
 
     def to_json(self) -> str:
         return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "PipelineDocument":
-        body = json.loads(text)
-        return cls(provider=body["provider"], body=body)
 
 
 class CloudAdapter(Protocol):
@@ -251,11 +225,9 @@ class _BaseAdapter:
         # command's flags and the security groups pin its SSH port.
         captured = capture_engine_config(req)
         archived = replace(req, personal=req.personal.redacted())
-        archive = {
-            "resources_ini": serialize_resources(req.resources),
-            "application_ini": serialize_application(req.application),
-            "personal_ini": serialize_personal(archived.personal),
-        }
+        # ``archived`` shares ``req``'s resources and application parts.
+        archive = dict(zip(("resources_ini", "application_ini", "personal_ini"),
+                           canonical_serialize(archived)))
         body = {
             "schema_version": SCHEMA_VERSION,
             "provider": self.provider,
@@ -285,19 +257,7 @@ class AzureAdapter(_BaseAdapter):
     unsupported_engines = frozenset({Engine.SPARK})
 
 
-_ADAPTERS: dict[str, CloudAdapter] = {}
-
-
-def register_adapter(adapter: CloudAdapter) -> None:
-    _ADAPTERS[adapter.provider] = adapter
-
-
-def unregister_adapter(provider: str) -> Optional[CloudAdapter]:
-    return _ADAPTERS.pop(provider, None)
-
-
-def registered_providers() -> tuple[str, ...]:
-    return tuple(sorted(_ADAPTERS))
+_ADAPTERS: dict[str, CloudAdapter] = {a.provider: a for a in (AwsAdapter(), AzureAdapter())}
 
 
 def get_adapter(provider: str) -> CloudAdapter:
@@ -305,7 +265,7 @@ def get_adapter(provider: str) -> CloudAdapter:
     if adapter is None:
         raise UnsupportedProvider(
             f"no adapter registered for provider {provider!r}; "
-            f"registered: {', '.join(registered_providers()) or 'none'}"
+            f"registered: {', '.join(sorted(_ADAPTERS))}"
         )
     return adapter
 
@@ -313,7 +273,3 @@ def get_adapter(provider: str) -> CloudAdapter:
 def generate_pipeline(req: AbstractRequest) -> PipelineDocument:
     """Dispatch on personal.cloud_provider and assemble the pipeline."""
     return get_adapter(req.personal.cloud_provider).assemble(req)
-
-
-register_adapter(AwsAdapter())
-register_adapter(AzureAdapter())

@@ -77,10 +77,6 @@ class DeploymentRejected(CloudRerunError):
     """Provider refused the pipeline document at deploy time."""
 
 
-class ImagePullFailure(CloudRerunError):
-    """Software setup could not pull the container image."""
-
-
 class AnalyticsFailure(CloudRerunError):
     """The analytics command exited nonzero."""
 

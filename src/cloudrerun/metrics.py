@@ -355,7 +355,7 @@ def _run_once(req: AbstractRequest) -> tuple[ExecutionOutcome, SimCloud]:
     """One serverless run in a fresh environment."""
     env = SimCloud()
     orchestrator = Orchestrator(env)
-    outcome = orchestrator.run_serverless(generate_pipeline(req))
+    outcome = orchestrator.run(generate_pipeline(req))
     if outcome.state is not ExecutionState.COMPLETED:
         raise NonPositiveBaseline(f"suite run failed: {outcome.failure}")
     return outcome, env
@@ -407,10 +407,10 @@ def run_efficiency_suite(
         doc = generate_pipeline(req)
 
         env = SimCloud()
-        outcome = Orchestrator(env).run_serverless(doc)
+        outcome = Orchestrator(env).run(doc)
         serverless_durations.append(outcome.duration_s)
 
         env = SimCloud()
-        outcome = Orchestrator(env).run_sdk(doc, poll_window=Fraction(poll_window))
+        outcome = Orchestrator(env).run(doc, "sdk", Fraction(poll_window))
         sdk_durations.append(outcome.duration_s)
     return efficiency_comparison(sdk_durations, serverless_durations)

@@ -208,9 +208,14 @@ class Orchestrator:
     ) -> PipelineInstance:
         if mode not in ("serverless", "sdk"):
             raise MalformedValue(f"execution mode must be serverless or sdk, got {mode!r}")
-        if mode == "sdk" and (poll_window is None or Fraction(poll_window) <= 0):
-            raise MalformedValue(f"poll window must be positive, got {poll_window}")
-        poll_window = Fraction(poll_window) if mode == "sdk" else None
+        window = None
+        if mode == "sdk":
+            try:
+                window = Fraction(poll_window)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                pass
+            if window is None or window <= 0:
+                raise MalformedValue(f"poll window must be a positive rational, got {poll_window!r}")
         body = doc.body
         if body.get("schema_version") != SCHEMA_VERSION:
             raise DeploymentRejected(
@@ -254,7 +259,7 @@ class Orchestrator:
             request=request,
             mode=mode,
             history=history,
-            poll_window=poll_window,
+            poll_window=window,
             extra_parameters=dict(extra_parameters or {}),
         )
         self._install_rules(instance)

@@ -25,14 +25,6 @@ class VirtualClock:
     def now(self) -> Fraction:
         return self._now
 
-    def advance(self, delta: Seconds) -> Fraction:
-        """Move forward by ``delta`` seconds; never backwards."""
-        delta = Fraction(delta)
-        if delta < 0:
-            raise ClockModeViolation(f"cannot move the clock backwards ({delta}s)")
-        self._now += delta
-        return self._now
-
     def advance_to(self, timestamp: Seconds) -> Fraction:
         timestamp = Fraction(timestamp)
         if timestamp < self._now:

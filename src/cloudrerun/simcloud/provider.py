@@ -324,25 +324,17 @@ class SimProvider:
         )
         return version
 
-    def storage_get(
-        self, store: str, key: str, scope: str, version: Optional[int] = None
-    ) -> bytes:
+    def storage_get(self, store: str, key: str, scope: str) -> bytes:
+        """The newest version of the object."""
         self._enter_op("storage_get")
         versions = self.stores.get(store, {}).get(key)
         if not versions:
             raise NoSuchKey(f"{self.name}:{store} has no key {key!r}")
         self.env.ledger.charge_request(scope, "storage_get")
-        if version is None:
-            return versions[-1]
-        if not 0 <= version < len(versions):
-            raise NoSuchKey(f"{self.name}:{store}:{key} has no version {version}")
-        return versions[version]
+        return versions[-1]
 
     def storage_has(self, store: str, key: str) -> bool:
         return bool(self.stores.get(store, {}).get(key))
-
-    def list_keys(self, store: str, prefix: str = "") -> list[str]:
-        return sorted(k for k in self.stores.get(store, {}) if k.startswith(prefix))
 
     # -- database ----------------------------------------------------------
 
@@ -490,7 +482,8 @@ class SimCloud:
     def save_state(self, path) -> None:
         """Write the state file and commit it atomically: a temp file beside ``path``
         is written, flushed and fsynced, then replaces ``path``, so a reader finds the
-        old file or the new one, never part of one (Pillai et al., OSDI 2014)."""
+        old file or the new one, never part of one.  The directory is fsynced last,
+        since the rename is not durable before that (Pillai et al., OSDI 2014)."""
         tail, ends = [], [0]
 
         def reference(blob: bytes) -> list[int]:
@@ -514,6 +507,11 @@ class SimCloud:
         except BaseException:
             os.unlink(tmp)
             raise
+        dir_fd = os.open(directory or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     @classmethod
     def load_state(cls, path) -> "SimCloud":

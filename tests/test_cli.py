@@ -479,19 +479,16 @@ class TestErrorExitCodes:
         paths = write_files(tmp_path, personal=personal_text(provider="gcloud"))
         assert main(run_args(paths, tmp_path / "s")) == EXIT_USAGE
 
-    def test_unregistered_provider(self, tmp_path, capsys):
-        from cloudrerun.caam import register_adapter, unregister_adapter
+    def test_unregistered_provider(self, tmp_path, capsys, monkeypatch):
+        from cloudrerun import caam
 
         paths = write_files(
             tmp_path,
             resources=resources_text(provider="azure"),
             personal=personal_text(provider="azure"),
         )
-        adapter = unregister_adapter("azure")
-        try:
-            assert main(run_args(paths, tmp_path / "s")) == EXIT_UNSUPPORTED
-        finally:
-            register_adapter(adapter)
+        monkeypatch.delitem(caam._ADAPTERS, "azure")
+        assert main(run_args(paths, tmp_path / "s")) == EXIT_UNSUPPORTED
 
     def test_engine_not_hosted_on_provider(self, tmp_path, capsys):
         paths = write_files(

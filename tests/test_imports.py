@@ -1,5 +1,6 @@
-"""Reference gates over the package: every top-level import is used, and
-every private name and every ``__all__`` export is referenced somewhere."""
+"""Reference gates over the package: every top-level import is used, every
+private name and every ``__all__`` export is referenced somewhere, and every
+public name has a caller in the package or a stated reason to stay."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,36 @@ def test_package_modules_have_no_unused_imports():
     assert found == {}
 
 
+def definitions(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """``(label, name)`` of each module-level function, class and constant,
+    and of each method, of one parsed module."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((f"{module}:{node.name}", node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(f"{module}:{t.id}", t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                (f"{module}:{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return defined
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Every name and attribute the module reads (not the ones it binds)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Private module-level functions, classes and constants, and private
     methods, that no module of ``sources`` references.
@@ -67,24 +98,10 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     referenced = set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((f"{module}:{node.name}", node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(f"{module}:{t.id}", t.id) for t in targets if isinstance(t, ast.Name)]
-            if isinstance(node, ast.ClassDef):
-                defined += [
-                    (f"{module}:{node.name}.{item.name}", item.name)
-                    for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ]
+        defined += definitions(module, tree)
+        referenced |= loaded_names(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.ImportFrom):
                 referenced |= {alias.name for alias in node.names}
     return [
         label
@@ -124,6 +141,91 @@ def test_package_has_no_unreferenced_private_names():
     assert unreferenced_private_names(sources) == []
 
 
+def callerless_public_names(sources: dict[str, str]) -> list[str]:
+    """Public module-level functions, classes and constants, and public
+    methods, that no module of ``sources`` names.
+
+    A name is a loaded name or attribute anywhere in ``sources``.  The
+    definition, an ``__all__`` string and a ``from ... import`` re-export
+    bind or list a name without calling it, so none of them counts.  Names
+    match by name alone: a dead method that shares its name with a live one
+    is missed, but a live name is never flagged.
+    """
+    defined = []  # (label, name)
+    called = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += definitions(module, tree)
+        called |= loaded_names(tree)
+    return [label for label, name in defined if not name.startswith("_") and name not in called]
+
+
+def allowlist_findings(callerless: list[str], allowed: dict[str, str]) -> dict[str, list[str]]:
+    """Callerless names missing from ``allowed``, and ``allowed`` entries
+    that are not callerless: their name is gone or has gained a caller."""
+    return {
+        "unlisted": [label for label in callerless if label not in allowed],
+        "stale": [label for label in allowed if label not in callerless],
+    }
+
+
+def test_callerless_detector_flags_only_names_nothing_calls():
+    sources = {
+        "a.py": (
+            "__all__ = ['live', 'dead', 'LIMIT', 'UNUSED', 'Box']\n"
+            "LIMIT = 3\n"
+            "UNUSED: int = 4\n"
+            "def live(): return LIMIT\n"
+            "def dead(): pass\n"
+            "class Box:\n"
+            "    def used(self): return self._private()\n"
+            "    def stale(self): pass\n"
+            "    def _private(self): pass\n"
+        ),
+        "b.py": "from a import Box, dead, live\n__all__ = ['dead']\nBox().used()\nlive()\n",
+    }
+    callerless = callerless_public_names(sources)
+    assert callerless == ["a.py:UNUSED", "a.py:dead", "a.py:Box.stale"]
+    allowed = {"a.py:dead": "kept", "a.py:live": "now called", "a.py:gone": "removed"}
+    assert allowlist_findings(callerless, allowed) == {
+        "unlisted": ["a.py:UNUSED", "a.py:Box.stale"],
+        "stale": ["a.py:live", "a.py:gone"],
+    }
+
+
+BENCHMARK_READS = "benchmark reads it; revisit with ROADMAP item 1"
+
+# Public names that no module of the package calls, each with its reason to stay.
+CALLERLESS_ALLOWED = {
+    "simcloud/provider.py:SimProvider.inject_fault":
+        "test seam: breaks exactly the n-th call of one provider operation",
+    "simcloud/provider.py:SimProvider.seed_registry":
+        "test seam: a strict image registry, so a missing image can fail a run",
+    "simcloud/provider.py:SimProvider.inventory":
+        "test seam: the live clusters and networks that a finished run must release",
+    "errors.py:StorageFailure": "the error tests inject into history-storage operations",
+    "engines.py:SecurityGroup.allows": "tests/test_acceptance.py reads it (acceptance 10)",
+    "simcloud/provider.py:SimCloud.next_completion_time":
+        "tests/test_acceptance.py reads it (acceptance 03's delivery explorer)",
+    "runtime.py:STAGES": "tests/test_acceptance.py reads it (acceptance 06)",
+    "metrics.py:reproducibility_overhead": "tests/test_acceptance.py computes m6 with it",
+    "simcloud/ledger.py:CostLedger.compute_cost": BENCHMARK_READS,
+    "simcloud/ledger.py:CostLedger.open_entries": BENCHMARK_READS,
+    "history.py:CONFIG_ENTRY_NAMES": BENCHMARK_READS,
+    "runtime.py:Orchestrator.run_serverless": BENCHMARK_READS,
+    "runtime.py:Orchestrator.run_sdk": BENCHMARK_READS,
+}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    callerless = callerless_public_names(sources)
+    assert allowlist_findings(callerless, CALLERLESS_ALLOWED) == {"unlisted": [], "stale": []}
+
+
 def unreferenced_public_names(package: dict[str, str], users: dict[str, str]) -> list[str]:
     """``__all__`` entries of ``package`` modules that no source references.
 
@@ -144,11 +246,7 @@ def unreferenced_public_names(package: dict[str, str], users: dict[str, str]) ->
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
                 ):
                     exported += [(f"{module}:{elt.value}", elt.value) for elt in node.value.elts]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.attr)
+        referenced |= loaded_names(tree)
     return [
         label
         for label, name in exported

@@ -6,6 +6,7 @@ That is sound only if parsing the canonical texts of a request gives the
 request back, which the property below checks over a wide request space.
 """
 
+import json
 import shlex
 from dataclasses import replace
 
@@ -133,7 +134,7 @@ def test_parsed_requests_round_trip_and_deploy_as_compiled(texts):
 
     doc = generate_pipeline(req)
     compiled = Orchestrator(SimCloud()).deploy(doc, record_history=False)
-    loaded = PipelineDocument.from_json(doc.to_json())
+    loaded = PipelineDocument(doc.provider, json.loads(doc.to_json()))
     assert loaded.compiled_request() is None
     assert Orchestrator(SimCloud()).deploy(loaded, record_history=False).request == compiled.request
     assert compiled.request == redacted

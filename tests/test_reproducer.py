@@ -2,7 +2,7 @@
 
 import pytest
 
-from cloudrerun.caam import generate_pipeline, register_adapter, unregister_adapter
+from cloudrerun.caam import generate_pipeline
 from cloudrerun.config_model import parse_resources, serialize_resources
 from cloudrerun.errors import (
     InvalidMerge,

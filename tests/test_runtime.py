@@ -11,8 +11,8 @@ from cloudrerun.errors import (
     AnalyticsFailure,
     CloudRerunError,
     DeploymentRejected,
-    ImagePullFailure,
     MalformedValue,
+    NoSuchImage,
     QuotaExceeded,
     StorageFailure,
 )
@@ -80,9 +80,8 @@ class TestServerlessLifecycle:
 
     def test_one_part_per_node_plus_manifest(self):
         outcome, env = run_serverless(make_request(engine="spark", nodes=3))
-        keys = env.provider("aws").list_keys(
-            WORKSPACE_STORE, f"export/{outcome.instance_id}/"
-        )
+        prefix = f"export/{outcome.instance_id}/"
+        keys = sorted(k for k in env.provider("aws").stores[WORKSPACE_STORE] if k.startswith(prefix))
         parts = [k for k in keys if "part-" in k]
         assert len(parts) == 3
         assert any(k.endswith("manifest.json") for k in keys)
@@ -364,6 +363,14 @@ class TestSdkMode:
         with pytest.raises(MalformedValue):
             Orchestrator(env).run_sdk(generate_pipeline(req), poll_window=Fraction(0))
 
+    @pytest.mark.parametrize("window", ["soon", "1/0", 0, None])
+    def test_poll_window_that_is_no_positive_rational_is_malformed(self, window):
+        env = SimCloud()
+        with pytest.raises(MalformedValue, match="poll window"):
+            Orchestrator(env).deploy(generate_pipeline(make_request()), mode="sdk", poll_window=window)
+        # rejected before an execution id was drawn
+        assert env.provider("aws").next_id("exec") == "aws-exec-0001"
+
 
     def test_only_an_sdk_record_names_a_poll_window(self):
         env = SimCloud()
@@ -432,13 +439,16 @@ class TestFailures:
         assert outcome.record["config_key"] is None
 
     def test_injected_pull_failure(self):
+        # The image is in the strict registry; the pull fails by the injected fault.
+        req = make_request()
         env = SimCloud()
-        env.provider("aws").inject_fault(
-            "resolve_image", 0, lambda: ImagePullFailure("registry timeout")
-        )
-        outcome = Orchestrator(env).run_serverless(generate_pipeline(make_request()))
+        provider = env.provider("aws")
+        provider.seed_registry([req.application.docker_image])
+        provider.inject_fault("resolve_image", 0, lambda: NoSuchImage("registry timeout"))
+        outcome = Orchestrator(env).run_serverless(generate_pipeline(req))
         assert outcome.state is ExecutionState.FAILED
-        assert "ImagePullFailure" in outcome.failure
+        assert "NoSuchImage" in outcome.failure and "registry timeout" in outcome.failure
+        assert provider.inventory() == {"clusters": [], "networks": []}
 
     def test_nonzero_exit_code(self):
         req = make_request(command=command_for(1, 1, 0, 1, extra=" --exit-code 3"))

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,16 +44,16 @@ class TestClock:
     def test_starts_at_zero_and_advances(self):
         clock = VirtualClock()
         assert clock.now() == 0
-        assert clock.advance(Fraction(5, 2)) == Fraction(5, 2)
+        assert clock.advance_to(Fraction(5, 2)) == Fraction(5, 2)
         assert clock.advance_to(10) == 10
+        assert clock.advance_to(10) == clock.now() == 10
 
     def test_never_goes_backwards(self):
         clock = VirtualClock()
-        clock.advance(10)
+        clock.advance_to(10)
         with pytest.raises(ClockModeViolation):
-            clock.advance(-1)
-        with pytest.raises(ClockModeViolation):
-            clock.advance_to(5)
+            clock.advance_to(Fraction(19, 2))
+        assert clock.now() == 10
 
 
 class TestLedger:
@@ -226,11 +227,9 @@ class TestProvider:
         assert provider.storage_put("bucket", "k", b"v0", "r") == 0
         assert provider.storage_put("bucket", "k", b"v1", "r") == 1
         assert provider.storage_get("bucket", "k", "r") == b"v1"
-        assert provider.storage_get("bucket", "k", "r", version=0) == b"v0"
+        assert provider.stores["bucket"]["k"] == [b"v0", b"v1"]
         with pytest.raises(NoSuchKey):
             provider.storage_get("bucket", "missing", "r")
-        with pytest.raises(NoSuchKey):
-            provider.storage_get("bucket", "k", "r", version=7)
 
     def test_storage_events_carry_key_as_name(self):
         env = SimCloud()
@@ -577,3 +576,22 @@ class TestStateFile:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["simcloud.json"]
         assert SimCloud.load_state(path).provider("aws").networks == set()
+
+    def test_the_directory_is_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        """The temp file is fsynced before it replaces the file, the directory after."""
+        env = _environment_with_history(1)
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), (tmp_path / "simcloud.json").exists()))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        env.save_state(tmp_path / "simcloud.json")
+        assert synced == [(False, False), (True, True)]
+        # a bare file name is saved in, and syncs, the working directory
+        monkeypatch.chdir(tmp_path)
+        env.save_state("simcloud.json")
+        assert synced[2:] == [(False, True), (True, True)]
+        assert os.listdir(tmp_path) == ["simcloud.json"]
