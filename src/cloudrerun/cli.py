@@ -64,10 +64,14 @@ EXIT_NOT_FOUND = 3
 EXIT_UNSUPPORTED = 4
 EXIT_PROVIDER_REJECTED = 5
 
-_USAGE_ERRORS = (ConfigError, InvalidMerge, UnknownField, ValueError, OSError)
-_NOT_FOUND_ERRORS = (NotFound, MalformedURL)
-_UNSUPPORTED_ERRORS = (UnsupportedProvider, UnsupportedEngineOnProvider, UnmappedService)
-_REJECTED_ERRORS = (DeploymentRejected, QuotaExceeded, UnknownInstanceType)
+# Error kinds and their exit codes, in order: the first row that matches wins.
+_EXIT_CODES = (
+    ((NotFound, MalformedURL), EXIT_NOT_FOUND),
+    ((UnsupportedProvider, UnsupportedEngineOnProvider, UnmappedService), EXIT_UNSUPPORTED),
+    ((DeploymentRejected, QuotaExceeded, UnknownInstanceType), EXIT_PROVIDER_REJECTED),
+    ((ConfigError, InvalidMerge, UnknownField, ValueError, OSError), EXIT_USAGE),
+    ((CloudRerunError,), EXIT_EXECUTION_FAILED),
+)
 
 STATE_FILE = "simcloud.json"
 LOCK_FILE = "simcloud.lock"
@@ -158,15 +162,8 @@ def _state_path(state_dir: Optional[str]) -> Path:
     return Path(base) / STATE_FILE
 
 
-def _load_env(state_dir: Optional[str]) -> SimCloud:
-    path = _state_path(state_dir)
-    if not path.exists():
-        return SimCloud()
-    try:
-        return SimCloud.load_state(path)
-    # ValueError covers json.JSONDecodeError, bad literals and a tail that does not match the index.
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        raise ValueError(f"{path}: malformed state file: {type(exc).__name__}: {exc}") from exc
+def _load_env(path: Path) -> SimCloud:
+    return SimCloud.load_state(path) if path.exists() else SimCloud()
 
 
 @contextlib.contextmanager
@@ -179,7 +176,7 @@ def _locked_env(state_dir: Optional[str]):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path.with_name(LOCK_FILE), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        env = _load_env(state_dir)
+        env = _load_env(path)
         yield env
         env.save_state(path)
 
@@ -287,7 +284,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
-    env = _load_env(args.state_dir)
+    env = _load_env(_state_path(args.state_dir))
 
     if args.url:
         provider_name, store, execution_id = parse_url(args.url)
@@ -406,21 +403,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _NOT_FOUND_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    except _UNSUPPORTED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except _REJECTED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER_REJECTED
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CloudRerunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXECUTION_FAILED
+    except Exception as exc:
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -270,24 +270,22 @@ def efficiency_comparison(
 def make_suite_request(
     nodes: int,
     parallelism: int,
-    engine: Engine = Engine.SPARK,
     seed: int = 0,
     serial_s: Rational = 10,
     parallel_s: Rational = 100,
-    comm_s: Rational = 2,
 ) -> AbstractRequest:
-    """Synthetic benchmark request on the aws simulation."""
+    """Synthetic Spark benchmark request on the aws simulation."""
     command = (
         "analyze"
         f" --serial-seconds {serial_s}"
         f" --parallel-seconds {parallel_s}"
-        f" --comm-seconds {comm_s}"
+        " --comm-seconds 2"
         f" --parallelism {parallelism}"
         f" --seed {seed}"
     )
     return AbstractRequest(
         resources=ResourcesSpec(
-            bigdata_engine=engine,
+            bigdata_engine=Engine.SPARK,
             cloud_aws=AwsBlock(instance_number=nodes),
             cloud_azure=None,
             reproduce=ReproduceBlock(),

@@ -33,8 +33,8 @@ from .config_model import (
     parse_resources,
 )
 from .errors import ConfigError, InvalidMerge, NotFound
-from .history import FetchedExecution, HistoryStore, find_record_table, parse_url
-from .runtime import ExecutionOutcome, Orchestrator
+from .history import HistoryStore, find_record_table, parse_url
+from .runtime import ExecutionOutcome, Orchestrator, poll_window_for
 from .simcloud.provider import SimCloud
 
 __all__ = [
@@ -139,9 +139,12 @@ def _classify(
     return "identical" if same_identity else "new-personal"
 
 
-def _text(override: Optional[str], fetched: FetchedExecution, name: str) -> str:
-    """The override text, or else the archived file ``name``."""
-    return override if override is not None else fetched.config[name].decode()
+def _merging(unusable: str, step, *args):
+    """``step(*args)``, with a ConfigError raised as InvalidMerge(``unusable``: ...)."""
+    try:
+        return step(*args)
+    except ConfigError as exc:
+        raise InvalidMerge(f"{unusable}: {exc}") from exc
 
 
 def reproduce(
@@ -152,10 +155,20 @@ def reproduce(
     poll_window: Fraction = Fraction(10),
     record_history: bool = True,
 ) -> ReproductionResult:
-    """Re-execute the archived run named by ``url`` under ``overrides``."""
-    # A port to an unsupported cloud fails before anything is fetched.
-    if overrides.target_provider is not None:
-        get_adapter(overrides.target_provider)
+    """Re-execute the archived run named by ``url`` under ``overrides``.
+
+    Every check that needs no archive runs before anything is fetched, since
+    the fetch's reads are billed to the ancestor."""
+    poll_window_for(mode, poll_window)
+    new_personal = _merging("personal override unusable", parse_personal, overrides.personal_text)
+    target = overrides.target_provider or new_personal.cloud_provider
+    get_adapter(target)
+    new_personal = replace(new_personal, cloud_provider=target)
+    resources = application = None
+    if overrides.resources_text is not None:
+        resources = _merging("resources override unusable", parse_resources, overrides.resources_text)
+    if overrides.application_text is not None:
+        application = _merging("merged request is invalid", parse_application, overrides.application_text)
 
     provider_name, store, execution_id = parse_url(url)
     table = (
@@ -168,29 +181,16 @@ def reproduce(
         raise NotFound(f"{url} has no archived configuration to reproduce")
 
     # Each text is parsed once; the overrides merge on the parsed specs.
-    try:
-        new_personal = parse_personal(overrides.personal_text)
-        archived_personal = parse_personal(fetched.config["personal.ini"].decode())
-    except ConfigError as exc:
-        raise InvalidMerge(f"personal override unusable: {exc}") from exc
-
-    target = overrides.target_provider or new_personal.cloud_provider
-    get_adapter(target)
-    new_personal = replace(new_personal, cloud_provider=target)
-
-    try:
-        resources = parse_resources(_text(overrides.resources_text, fetched, "resources.ini"))
-    except ConfigError as exc:
-        raise InvalidMerge(f"resources override unusable: {exc}") from exc
+    config = fetched.config
+    archived_personal = _merging("personal override unusable", parse_personal, config["personal.ini"].decode())
+    if resources is None:
+        resources = _merging("resources override unusable", parse_resources, config["resources.ini"].decode())
     if resources.provider_block(target) is None:
         source = "aws" if resources.cloud_aws is not None else "azure"
         resources = translate_resources(resources, source, target)
-
-    try:
-        application = parse_application(_text(overrides.application_text, fetched, "application.ini"))
-        request = build_request(resources, application, new_personal)
-    except ConfigError as exc:
-        raise InvalidMerge(f"merged request is invalid: {exc}") from exc
+    if application is None:
+        application = _merging("merged request is invalid", parse_application, config["application.ini"].decode())
+    request = _merging("merged request is invalid", build_request, resources, application, new_personal)
 
     reproduction_mode = _classify(
         fetched.record["provider"], target, overrides, archived_personal, new_personal

@@ -57,6 +57,7 @@ __all__ = [
     "PipelineInstance",
     "ExecutionOutcome",
     "Orchestrator",
+    "poll_window_for",
 ]
 
 WORKSPACE_STORE = "analytics-workspace"
@@ -181,6 +182,23 @@ def _same_rows(rows: list, expected: tuple) -> bool:
     return len(rows) == len(expected) and all(row in rows for row in expected)
 
 
+def poll_window_for(mode: str, poll_window) -> Optional[Fraction]:
+    """The poll window of a run in ``mode``: None for serverless, a positive
+    rational for sdk.  Any other mode, or an sdk window that is not a
+    positive rational, raises MalformedValue."""
+    if mode == "serverless":
+        return None
+    if mode != "sdk":
+        raise MalformedValue(f"execution mode must be serverless or sdk, got {mode!r}")
+    try:
+        window = Fraction(poll_window)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        window = Fraction(0)
+    if window <= 0:
+        raise MalformedValue(f"poll window must be a positive rational, got {poll_window!r}")
+    return window
+
+
 class Orchestrator:
     """Deploys pipeline documents on the environment's bus and runs them to
     completion in either execution mode."""
@@ -206,16 +224,7 @@ class Orchestrator:
         poll_window: Optional[Fraction] = None,
         extra_parameters: Optional[dict] = None,
     ) -> PipelineInstance:
-        if mode not in ("serverless", "sdk"):
-            raise MalformedValue(f"execution mode must be serverless or sdk, got {mode!r}")
-        window = None
-        if mode == "sdk":
-            try:
-                window = Fraction(poll_window)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                pass
-            if window is None or window <= 0:
-                raise MalformedValue(f"poll window must be a positive rational, got {poll_window!r}")
+        window = poll_window_for(mode, poll_window)
         body = doc.body
         if body.get("schema_version") != SCHEMA_VERSION:
             raise DeploymentRejected(
@@ -508,22 +517,13 @@ class Orchestrator:
         """Deploy ``doc`` and drive it to its end; only sdk runs poll."""
         return self._drive(self.deploy(doc, mode, record_history, poll_window, extra_parameters))
 
-    def run_serverless(
-        self,
-        doc: PipelineDocument,
-        record_history: bool = True,
-        extra_parameters: Optional[dict] = None,
-    ) -> ExecutionOutcome:
-        return self.run(doc, "serverless", None, record_history, extra_parameters)
+    def run_serverless(self, doc: PipelineDocument, record_history: bool = True) -> ExecutionOutcome:
+        return self.run(doc, "serverless", None, record_history)
 
     def run_sdk(
-        self,
-        doc: PipelineDocument,
-        poll_window: Fraction = Fraction(10),
-        record_history: bool = True,
-        extra_parameters: Optional[dict] = None,
+        self, doc: PipelineDocument, poll_window: Fraction = Fraction(10), record_history: bool = True
     ) -> ExecutionOutcome:
-        return self.run(doc, "sdk", poll_window, record_history, extra_parameters)
+        return self.run(doc, "sdk", poll_window, record_history)
 
     def _drive(self, inst: PipelineInstance) -> ExecutionOutcome:
         """Start a deployed run and drive it to its end: dispatch each queued

@@ -1,17 +1,34 @@
-"""Cost ledger: exact per-second proration of hourly prices plus request fees."""
+"""Cost ledger: exact per-second proration of hourly prices plus request
+fees, with every price read from the packaged catalog."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 from typing import Optional
 
 from ..errors import OpenLedger
 
-__all__ = ["LedgerEntry", "CostLedger", "SECONDS_PER_HOUR"]
+__all__ = ["LedgerEntry", "CostLedger", "SECONDS_PER_HOUR", "price_catalog"]
 
 SECONDS_PER_HOUR = Fraction(3600)
+
+
+@lru_cache(maxsize=None)
+def price_catalog() -> dict:
+    catalog = resources.files("cloudrerun.data").joinpath("price_catalog.json")
+    raw = json.loads(catalog.read_text(encoding="utf-8"))
+    return {
+        "instance_hour": {
+            provider: {t: Fraction(p) for t, p in types.items()}
+            for provider, types in raw["instance_hour"].items()
+        },
+        "network_hour": Fraction(raw["network_hour"]),
+        "request": {op: Fraction(p) for op, p in raw["request"].items()},
+    }
 
 
 def _snapshot(record) -> dict:
@@ -48,12 +65,10 @@ class LedgerEntry:
     close_time: Optional[Fraction] = None
     scope: str = ""
 
-    def cost(self, at: Optional[Fraction] = None) -> Fraction:
+    def cost(self) -> Fraction:
         end = self.close_time
         if end is None:
-            if at is None:
-                raise OpenLedger(f"entry {self.resource_id!r} is still open")
-            end = at
+            raise OpenLedger(f"entry {self.resource_id!r} is still open")
         if end < self.open_time:
             raise OpenLedger(
                 f"entry {self.resource_id!r}: close {end} precedes open {self.open_time}"
@@ -72,7 +87,6 @@ class CostLedger:
     def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
         self.request_counts: dict[tuple[str, str], int] = {}
-        self.request_prices: dict[str, Fraction] = {}
 
     def open_entry(
         self,
@@ -107,9 +121,6 @@ class CostLedger:
         key = (scope, operation)
         self.request_counts[key] = self.request_counts.get(key, 0) + count
 
-    def set_request_price(self, operation: str, price: Fraction) -> None:
-        self.request_prices[operation] = Fraction(price)
-
     def open_entries(self, scope: Optional[str] = None) -> list[LedgerEntry]:
         return [
             e
@@ -117,34 +128,23 @@ class CostLedger:
             if e.close_time is None and (scope is None or e.scope == scope)
         ]
 
-    def _fees(self, scope: Optional[str]) -> Fraction:
-        """Request fees charged to ``scope``, or to every scope when None."""
+    def compute_cost(self, scope: Optional[str] = None) -> Fraction:
+        """Total cost of ``scope``, or of every scope when None."""
+        return sum(self.breakdown(scope).values(), Fraction(0))
+
+    def breakdown(self, scope: Optional[str] = None) -> dict[str, Fraction]:
+        """Cost of ``scope`` (every scope when None) per category, request
+        fees under 'requests'; an open entry raises OpenLedger.  The catalog
+        prices each request; an operation it does not price costs 0."""
+        per_category: dict[str, Fraction] = {}
+        for entry in self.entries:
+            if scope is None or entry.scope == scope:
+                per_category[entry.category] = per_category.get(entry.category, Fraction(0)) + entry.cost()
+        prices = price_catalog()["request"]
         fees = Fraction(0)
         for (entry_scope, operation), count in self.request_counts.items():
             if scope is None or entry_scope == scope:
-                fees += self.request_prices.get(operation, Fraction(0)) * count
-        return fees
-
-    def compute_cost(
-        self, at: Optional[Fraction] = None, scope: Optional[str] = None
-    ) -> Fraction:
-        """Total cost; open entries are priced up to ``at`` when given,
-        otherwise every entry must be closed."""
-        total = Fraction(0)
-        for entry in self.entries:
-            if scope is not None and entry.scope != scope:
-                continue
-            total += entry.cost(at)
-        return total + self._fees(scope)
-
-    def breakdown(self, scope: Optional[str] = None) -> dict[str, Fraction]:
-        """Closed-entry cost per category, request fees under 'requests'."""
-        per_category: dict[str, Fraction] = {}
-        for entry in self.entries:
-            if scope is not None and entry.scope != scope:
-                continue
-            per_category[entry.category] = per_category.get(entry.category, Fraction(0)) + entry.cost()
-        fees = self._fees(scope)
+                fees += prices.get(operation, Fraction(0)) * count
         if fees:
             per_category["requests"] = fees
         return per_category
@@ -152,8 +152,8 @@ class CostLedger:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Entries and request counts; request prices come from the catalog
-        and are not captured."""
+        """Entries and request counts; prices come from the catalog and are
+        not captured."""
         return {
             "entries": [_snapshot(e) for e in self.entries],
             "request_counts": [

@@ -3,7 +3,7 @@
 The environment holds a virtual clock, one provider per supported cloud, a
 shared cost ledger, a completion scheduler and one event bus.  Provider
 operations are deterministic: ids come from counters, durations from a
-delay profile, and prices from a packaged catalog.  Storage writes and
+delay profile, and prices from the ledger's catalog.  Storage writes and
 hardware readiness emit events to subscribers; everything else is
 synchronous.
 
@@ -37,11 +37,10 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from importlib import resources
 from typing import Callable, Optional
 
 from ..errors import (
+    ClockModeViolation,
     NoSuchImage,
     NoSuchKey,
     QuotaExceeded,
@@ -49,7 +48,7 @@ from ..errors import (
     UnsupportedProvider,
 )
 from .clock import VirtualClock
-from .ledger import CostLedger, _rebuilder, _snapshot
+from .ledger import CostLedger, _rebuilder, _snapshot, price_catalog
 
 __all__ = [
     "Event",
@@ -59,27 +58,12 @@ __all__ = [
     "DelayProfile",
     "SimProvider",
     "SimCloud",
-    "price_catalog",
     "PROVIDERS",
 ]
 
 PROVIDERS = ("aws", "azure")
 
 _STATE_MAGIC = b"cloudrerun-state/2\n"
-
-
-@lru_cache(maxsize=None)
-def price_catalog() -> dict:
-    catalog = resources.files("cloudrerun.data").joinpath("price_catalog.json")
-    raw = json.loads(catalog.read_text(encoding="utf-8"))
-    return {
-        "instance_hour": {
-            provider: {t: Fraction(p) for t, p in types.items()}
-            for provider, types in raw["instance_hour"].items()
-        },
-        "network_hour": Fraction(raw["network_hour"]),
-        "request": {op: Fraction(p) for op, p in raw["request"].items()},
-    }
 
 
 @dataclass(frozen=True)
@@ -375,8 +359,6 @@ class SimCloud:
         self.clock = VirtualClock()
         self.delays = delays or DelayProfile()
         self.ledger = CostLedger()
-        for op, price in price_catalog()["request"].items():
-            self.ledger.set_request_price(op, price)
         self.providers = {name: SimProvider(name, self) for name in PROVIDERS}
         self.bus = EventBus()
         self.subscribers: list[Callable[[Event], None]] = [self.bus.enqueue]
@@ -515,21 +497,27 @@ class SimCloud:
 
     @classmethod
     def load_state(cls, path) -> "SimCloud":
-        """Read a ``save_state`` file or a legacy one; a damaged tail raises ValueError."""
+        """Read a ``save_state`` file or a legacy one.  A damaged file raises
+        ValueError naming ``path`` and the fault."""
         with open(path, "rb") as fh:
             data = fh.read()
-        if not data.startswith(_STATE_MAGIC):
-            return cls.from_state(json.loads(data), bytes.fromhex)
-        _, line, tail = data.split(b"\n", 2)
-        index = json.loads(line)
-        if index["tail_bytes"] != len(tail):
-            raise ValueError(f"{len(tail)} tail bytes, the index records {index['tail_bytes']!r}")
+        try:
+            if not data.startswith(_STATE_MAGIC):
+                return cls.from_state(json.loads(data), bytes.fromhex)
+            _, line, tail = data.split(b"\n", 2)
+            index = json.loads(line)
+            if index["tail_bytes"] != len(tail):
+                raise ValueError(f"{len(tail)} tail bytes, the index records {index['tail_bytes']!r}")
 
-        def blob(ref) -> bytes:
-            start, length = ref if type(ref) is list and len(ref) == 2 else (None, None)
-            if not (type(start) is int and type(length) is int
-                    and 0 <= start <= start + length <= len(tail)):
-                raise ValueError(f"stored-object reference {ref!r} is no [offset, length] in the tail")
-            return tail[start:start + length]
+            def blob(ref) -> bytes:
+                start, length = ref if type(ref) is list and len(ref) == 2 else (None, None)
+                if not (type(start) is int and type(length) is int
+                        and 0 <= start <= start + length <= len(tail)):
+                    raise ValueError(f"stored-object reference {ref!r} is no [offset, length] in the tail")
+                return tail[start:start + length]
 
-        return cls.from_state(index["state"], blob)
+            return cls.from_state(index["state"], blob)
+        # ValueError covers json.JSONDecodeError, bad literals and a tail that does not match
+        # the index; ClockModeViolation covers a clock before zero.
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, ClockModeViolation) as exc:
+            raise ValueError(f"{path}: malformed state file: {type(exc).__name__}: {exc}") from exc

@@ -431,6 +431,7 @@ class TestErrorExitCodes:
             b"[]",
             data[:200],
             saved(lambda state_doc: state_doc.update(clock="x")),
+            saved(lambda state_doc: state_doc.update(clock="-1")),
             # the tail is shorter or longer than the index records
             data[:-1],
             data + b"\0",

@@ -1,6 +1,7 @@
 """Reference gates over the package: every top-level import is used, every
 private name and every ``__all__`` export is referenced somewhere, and every
-public name has a caller in the package or a stated reason to stay."""
+public name has a caller in the package, and every defaulted parameter a call
+that passes it, or a stated reason to stay."""
 
 import ast
 from pathlib import Path
@@ -224,6 +225,119 @@ def test_every_public_name_has_a_caller_or_a_reason():
     }
     callerless = callerless_public_names(sources)
     assert allowlist_findings(callerless, CALLERLESS_ALLOWED) == {"unlisted": [], "stale": []}
+
+
+def defaulted_parameters(module: str, owner, func) -> list[tuple]:
+    """``(label, callee, position or None, name)`` of each defaulted parameter
+    of ``func``, a method of the class ``owner`` or, when None, a function."""
+    qualname = func.name if owner is None else f"{owner.name}.{func.name}"
+    callee = owner.name if func.name == "__init__" else func.name
+    bound = owner is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
+    )
+    positional = (func.args.posonlyargs + func.args.args)[bound:]
+    found = [
+        (f"{module}:{qualname}({arg.arg})", callee, position, arg.arg)
+        for position, arg in enumerate(positional)
+        if position >= len(positional) - len(func.args.defaults)
+    ]
+    found += [
+        (f"{module}:{qualname}({arg.arg})", callee, None, arg.arg)
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def callerless_parameters(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of module-level functions and methods that no
+    call in ``sources`` passes, by keyword or by position.
+
+    A call matches every definition of its callee's name; a class name
+    stands for that class's ``__init__``.  A ``*args`` argument passes every
+    positional parameter and a ``**kwargs`` argument every parameter.
+    """
+    passed: dict[str, tuple[float, set]] = {}  # callee: (positional count, keywords)
+    defined = []  # (label, callee, position or None, parameter)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                count, keywords = passed.get(name, (0, set()))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = max(count, float("inf") if starred else len(node.args))
+                keywords |= {k.arg for k in node.keywords}
+                passed[name] = (count, keywords)
+        for node in tree.body:
+            owner = node if isinstance(node, ast.ClassDef) else None
+            for func in owner.body if owner else [node]:
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined += defaulted_parameters(module, owner, func)
+    found = []
+    for label, callee, position, parameter in defined:
+        count, keywords = passed.get(callee, (0, set()))
+        by_position = position is not None and position < count
+        if not (by_position or parameter in keywords or None in keywords):
+            found.append(label)
+    return found
+
+
+def test_parameter_detector_flags_only_parameters_no_call_passes():
+    sources = {
+        "a.py": (
+            "def f(a, b=1, c=2, d=3, *, e=4, g=5): pass\n"
+            "def spread(a=1, b=2): pass\n"
+            "def mapped(a=1, *, b=2): pass\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, label=''): pass\n"
+            "    def put(self, item, where=None): pass\n"
+            "    @staticmethod\n"
+            "    def make(kind='x'): pass\n"
+            "def unused(x=0): pass\n"
+        ),
+        "b.py": (
+            "from a import Box, f, mapped, spread\n"
+            "f(0, 1)\n"
+            "f(0, d=3, e=4)\n"
+            "spread(*[1, 2])\n"
+            "mapped(**{})\n"
+            "Box(2).put('item')\n"
+            "Box.make('y')\n"
+        ),
+    }
+    found = callerless_parameters(sources)
+    assert found == [
+        "a.py:f(c)", "a.py:f(g)", "a.py:Box.__init__(label)", "a.py:Box.put(where)", "a.py:unused(x)"
+    ]
+    allowed = {"a.py:f(c)": "kept", "a.py:spread(a)": "passed by *args", "a.py:gone(x)": "removed"}
+    assert allowlist_findings(found, allowed) == {
+        "unlisted": ["a.py:f(g)", "a.py:Box.__init__(label)", "a.py:Box.put(where)", "a.py:unused(x)"],
+        "stale": ["a.py:spread(a)", "a.py:gone(x)"],
+    }
+
+
+# Defaulted parameters that no call in the package passes, each with its reason to stay.
+UNPASSED_ALLOWED = {
+    "cli.py:main(argv)": "the entry point: the console script passes nothing, tests pass argv",
+    "simcloud/provider.py:SimCloud.__init__(delays)":
+        "acceptance m6's seam: tests/test_acceptance.py runs with other delays",
+    "simcloud/ledger.py:CostLedger.compute_cost(scope)": "tests/test_acceptance.py passes it",
+    "simcloud/ledger.py:CostLedger.open_entries(scope)": BENCHMARK_READS,
+    "runtime.py:Orchestrator.run_serverless(record_history)": BENCHMARK_READS,
+    "runtime.py:Orchestrator.run_sdk(poll_window)": BENCHMARK_READS,
+    "runtime.py:Orchestrator.run_sdk(record_history)": BENCHMARK_READS,
+}
+
+
+def test_every_defaulted_parameter_is_passed_or_has_a_reason():
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    found = callerless_parameters(sources)
+    assert allowlist_findings(found, UNPASSED_ALLOWED) == {"unlisted": [], "stale": []}
 
 
 def unreferenced_public_names(package: dict[str, str], users: dict[str, str]) -> list[str]:

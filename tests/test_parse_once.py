@@ -142,7 +142,8 @@ def test_parsed_requests_round_trip_and_deploy_as_compiled(texts):
 
 @pytest.mark.parametrize("nodes, parallelism, engine", [(1, 1, Engine.SPARK), (4, 2, Engine.DASK), (8, 16, Engine.NONE)])
 def test_suite_requests_round_trip(nodes, parallelism, engine):
-    req = make_suite_request(nodes, parallelism, engine=engine, seed=3)
+    req = make_suite_request(nodes, parallelism, seed=3)
+    req = replace(req, resources=replace(req.resources, bigdata_engine=engine))
     assert parse_abstract_request(*canonical_serialize(req)) == req
 
 

@@ -12,6 +12,7 @@ from cloudrerun.errors import (
     UnsupportedProvider,
 )
 from cloudrerun.history import HistoryStore, read_zip
+from cloudrerun.metrics import measure
 from cloudrerun.reproducer import (
     INSTANCE_TYPE_EQUIVALENCE,
     OverrideSet,
@@ -195,6 +196,27 @@ class TestTranslation:
 
 
 class TestGuards:
+    @pytest.mark.parametrize(
+        "error, overrides, options",
+        [
+            (MalformedValue, {}, {"mode": "sdk", "poll_window": "soon"}),
+            (MalformedValue, {}, {"mode": "batch"}),
+            (InvalidMerge, {"personal_text": "[personal]\nkey_name = k\n"}, {}),
+            (InvalidMerge, {"resources_text": "[resources]\nbigdata_engine = nope\n"}, {}),
+            (InvalidMerge, {"application_text": "[application]\n"}, {}),
+        ],
+        ids=["poll-window", "mode", "personal", "resources", "application"],
+    )
+    def test_a_call_rejected_without_the_archive_bills_nothing(self, error, overrides, options):
+        env, outcome = seeded_env()
+        bill = measure(outcome, env.ledger).to_json()
+        counters = {name: dict(p._counters) for name, p in env.providers.items()}
+        overrides = OverrideSet(**{"personal_text": personal_text(), **overrides})
+        with pytest.raises(error):
+            reproduce(env, outcome.history_url, overrides, **options)
+        assert measure(outcome, env.ledger).to_json() == bill
+        assert {name: dict(p._counters) for name, p in env.providers.items()} == counters
+
     def test_unknown_target_rejected_before_fetch(self):
         env = SimCloud()  # empty: a fetch would raise NotFound
         with pytest.raises(UnsupportedProvider):

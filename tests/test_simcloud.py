@@ -24,8 +24,8 @@ from cloudrerun.errors import (
 from cloudrerun.history import HistoryStore, find_record_table, parse_url
 from cloudrerun.runtime import ExecutionState, Orchestrator
 from cloudrerun.simcloud.clock import VirtualClock
-from cloudrerun.simcloud.ledger import CostLedger
-from cloudrerun.simcloud.provider import PROVIDERS, SimCloud, price_catalog
+from cloudrerun.simcloud.ledger import CostLedger, price_catalog
+from cloudrerun.simcloud.provider import PROVIDERS, SimCloud
 from cloudrerun.simcloud.workload import (
     WorkloadProfile,
     parse_flags,
@@ -64,18 +64,19 @@ class TestLedger:
         # 0.768/hour for 90 seconds
         assert ledger.compute_cost() == Fraction("0.768") * 90 / 3600
 
-    def test_open_entry_requires_as_of_time(self):
+    def test_open_entry_is_not_priced(self):
         ledger = CostLedger()
         ledger.open_entry("i-1", "compute", Fraction(1), Fraction(0))
         with pytest.raises(OpenLedger):
             ledger.compute_cost()
-        assert ledger.compute_cost(at=Fraction(3600)) == 1
 
     def test_request_fees(self):
+        # The catalog prices storage_put at 0.000005 and does not price "unpriced".
         ledger = CostLedger()
-        ledger.set_request_price("storage_put", Fraction("0.000005"))
         ledger.charge_request("run-1", "storage_put", 3)
+        ledger.charge_request("run-1", "unpriced", 2)
         assert ledger.compute_cost() == Fraction("0.000015")
+        assert ledger.breakdown("run-1") == {"requests": Fraction("0.000015")}
 
     def test_scoped_views(self):
         ledger = CostLedger()
@@ -305,7 +306,8 @@ class TestProvider:
         env.save_state(path)
         again = SimCloud.load_state(path)
         assert again.clock.now() == env.clock.now()
-        assert again.ledger.compute_cost(at=env.clock.now()) == env.ledger.compute_cost(at=env.clock.now())
+        assert again.ledger.entries == env.ledger.entries
+        assert again.ledger.request_counts == env.ledger.request_counts
         assert [e.resource_id for e in again.ledger.open_entries()] == [open_net]
         assert again.provider("aws").storage_get("bucket", "k", "r") == b"payload"
         assert again.provider("aws").tables == provider.tables
