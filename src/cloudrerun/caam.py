@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol
+from typing import Optional
 
 from .config_model import AbstractRequest, Engine, canonical_serialize
 from .engines import build_security_groups, capture_engine_config
@@ -32,21 +32,6 @@ from .errors import (
     UnsupportedEngineOnProvider,
     UnsupportedProvider,
 )
-
-__all__ = [
-    "SERVICE_MAPPING",
-    "lookup_service",
-    "PipelineDocument",
-    "CloudAdapter",
-    "AwsAdapter",
-    "AzureAdapter",
-    "get_adapter",
-    "generate_pipeline",
-    "FUNCTION_NAMES",
-    "TRIGGER_TABLE",
-    "SCHEMA_VERSION",
-    "EXPORT_PREFIX",
-]
 
 SCHEMA_VERSION = 1
 
@@ -131,16 +116,6 @@ class PipelineDocument:
         return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
 
 
-class CloudAdapter(Protocol):
-    provider: str
-
-    def provisioning_doc(self, req: AbstractRequest) -> dict: ...
-
-    def personal_doc(self, req: AbstractRequest) -> dict: ...
-
-    def assemble(self, req: AbstractRequest) -> PipelineDocument: ...
-
-
 def _application_doc(req: AbstractRequest, captured: dict) -> dict:
     """Provider-independent application part; adapters share it verbatim."""
     return {
@@ -153,7 +128,10 @@ def _application_doc(req: AbstractRequest, captured: dict) -> dict:
     }
 
 
-class _BaseAdapter:
+class CloudAdapter:
+    """Assembles one provider's pipeline document; subclasses name the
+    provider and the engines it cannot host."""
+
     provider: str = ""
     unsupported_engines: frozenset[Engine] = frozenset()
 
@@ -246,11 +224,11 @@ class _BaseAdapter:
         return PipelineDocument(self.provider, body, compiled=(dict(archive), archived))
 
 
-class AwsAdapter(_BaseAdapter):
+class AwsAdapter(CloudAdapter):
     provider = "aws"
 
 
-class AzureAdapter(_BaseAdapter):
+class AzureAdapter(CloudAdapter):
     provider = "azure"
     # HDInsight offers no Docker-based engine deployment, so the
     # containerized engine path is unavailable on this provider.

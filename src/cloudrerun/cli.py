@@ -55,8 +55,6 @@ from .reproducer import OverrideSet, reproduce
 from .runtime import ExecutionState, Orchestrator
 from .simcloud.provider import PROVIDERS, SimCloud
 
-__all__ = ["main", "build_parser"]
-
 EXIT_OK = 0
 EXIT_EXECUTION_FAILED = 1
 EXIT_USAGE = 2
@@ -278,6 +276,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             mode=args.mode,
             poll_window=poll_window,
             record_history=not args.no_history,
+            environ=os.environ,
         )
     header = (f"ancestor  : {result.ancestor_url}", f"kind      : {result.reproduction_mode}")
     return _conclude(args, env, result.outcome, header)

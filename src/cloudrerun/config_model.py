@@ -19,8 +19,9 @@ maps as comma-separated ``key:value`` pairs.  Every value is one line: a
 continuation line is rejected, so serializing a parsed request and parsing
 the texts again yields the same request, and deployment reuses the
 compiled request while a document's archive texts are unchanged.  The
-application command is tokenized at parse time, once per spec
-(``ApplicationSpec.flags``): an unbalanced quote is a parse error.
+application command is tokenized and its workload flags read at parse
+time, once per spec (``ApplicationSpec.flags`` and ``.workload``): an
+unbalanced quote or a bad workload flag is a parse error.
 Canonical serialization is byte-specified: UTF-8, LF line endings, fixed
 section order, keys sorted inside each section, exactly one space around
 ``=``.
@@ -40,32 +41,7 @@ from .errors import (
     ProviderMismatch,
     UnknownEngine,
 )
-from .simcloud.workload import parse_flags
-
-__all__ = [
-    "Engine",
-    "AwsBlock",
-    "AzureBlock",
-    "ReproduceBlock",
-    "ResourcesSpec",
-    "ApplicationSpec",
-    "PersonalSpec",
-    "AbstractRequest",
-    "parse_abstract_request",
-    "parse_resources",
-    "parse_application",
-    "parse_personal",
-    "build_request",
-    "canonical_serialize",
-    "serialize_resources",
-    "serialize_application",
-    "serialize_personal",
-    "fill_defaults",
-    "DEFAULTS",
-    "SECRET_KEY_MARKERS",
-    "REDACTED",
-    "CREDENTIAL_ENV_PREFIX",
-]
+from .simcloud.workload import WorkloadProfile, parse_flags, parse_workload
 
 
 class Engine(str, Enum):
@@ -180,6 +156,16 @@ class ApplicationSpec:
         try:
             return tuple(sorted(parse_flags(self.command).items()))
         except ValueError as exc:
+            raise MalformedValue(f"application.ini: [application] command: {exc}") from exc
+
+    @cached_property
+    def workload(self) -> WorkloadProfile:
+        """The workload profile of ``flags``, read once per spec; parsing
+        reads it, so a bad workload flag fails there."""
+        flags = self.flags  # outside the try: a tokenizing error carries its own prefix
+        try:
+            return parse_workload(flags)
+        except MalformedValue as exc:
             raise MalformedValue(f"application.ini: [application] command: {exc}") from exc
 
 
@@ -345,7 +331,7 @@ def parse_application(text: str) -> ApplicationSpec:
         bootstrap=_split_list(app.get("bootstrap", "")),
         extras=extras,
     )
-    spec.flags  # tokenize now, so a bad command fails at parse
+    spec.workload  # tokenize and read the workload now, so a bad command fails at parse
     return spec
 
 

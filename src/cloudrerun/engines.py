@@ -16,17 +16,6 @@ from typing import Optional
 from .config_model import AbstractRequest, Engine
 from .errors import MalformedValue
 
-__all__ = [
-    "NodeRole",
-    "SecurityRule",
-    "SecurityGroup",
-    "assign_roles",
-    "build_security_groups",
-    "capture_engine_config",
-    "HEAD_ROLE",
-    "DEFAULT_SSH_DAEMON_PORT",
-]
-
 HEAD_ROLE = {
     Engine.NONE: "standalone",
     Engine.SPARK: "master",

@@ -34,22 +34,6 @@ from .config_model import PersonalSpec
 from .errors import MalformedURL, NotFound, RedactionViolation, UnknownField
 from .simcloud.provider import SimCloud
 
-__all__ = [
-    "URL_SCHEME",
-    "find_record_table",
-    "execution_url",
-    "parse_url",
-    "deterministic_zip",
-    "read_zip",
-    "dataset_content",
-    "content_address",
-    "ExportPlan",
-    "FetchedExecution",
-    "HistoryStore",
-    "CONFIG_ENTRY_NAMES",
-    "RECORD_FIELDS",
-]
-
 URL_SCHEME = "rpac"
 
 

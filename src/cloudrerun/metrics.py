@@ -39,23 +39,6 @@ from .runtime import ExecutionOutcome, ExecutionState, Orchestrator
 from .simcloud.ledger import SECONDS_PER_HOUR, CostLedger
 from .simcloud.provider import SimCloud
 
-__all__ = [
-    "MetricReport",
-    "measure",
-    "cost_by_usage",
-    "reproducibility_overhead",
-    "EfficiencyReport",
-    "efficiency_comparison",
-    "pooled_t_statistic",
-    "regularized_incomplete_beta",
-    "two_sided_p_value",
-    "SuiteRow",
-    "SuiteReport",
-    "run_scaling_suite",
-    "run_efficiency_suite",
-    "make_suite_request",
-]
-
 Rational = Union[int, str, Fraction]
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from .caam import generate_pipeline, get_adapter
 from .config_model import (
@@ -36,15 +36,6 @@ from .errors import ConfigError, InvalidMerge, NotFound
 from .history import HistoryStore, find_record_table, parse_url
 from .runtime import ExecutionOutcome, Orchestrator, poll_window_for
 from .simcloud.provider import SimCloud
-
-__all__ = [
-    "OverrideSet",
-    "ReproductionResult",
-    "reproduce",
-    "translate_resources",
-    "INSTANCE_TYPE_EQUIVALENCE",
-    "REGION_EQUIVALENCE",
-]
 
 # Size-for-size instance translation between the supported clouds.
 _AWS_TO_AZURE_TYPES = {
@@ -89,14 +80,10 @@ class ReproductionResult:
 
 
 def translate_resources(resources: ResourcesSpec, source: str, target: str) -> ResourcesSpec:
-    """Rebuild the provider block of ``resources`` for another cloud."""
+    """Rebuild the ``source`` provider block of ``resources``, which it
+    holds, for the other cloud ``target``."""
     block = resources.provider_block(source)
-    if block is None:
-        raise InvalidMerge(f"archived resources have no {source!r} block to translate")
-    type_map = INSTANCE_TYPE_EQUIVALENCE.get((source, target))
-    if type_map is None:
-        raise InvalidMerge(f"no translation from {source!r} to {target!r}")
-    instance_type = type_map.get(block.instance_type)
+    instance_type = INSTANCE_TYPE_EQUIVALENCE[(source, target)].get(block.instance_type)
     if instance_type is None:
         raise InvalidMerge(
             f"instance type {block.instance_type!r} has no {target} equivalent"
@@ -154,13 +141,15 @@ def reproduce(
     mode: str = "serverless",
     poll_window: Fraction = Fraction(10),
     record_history: bool = True,
+    environ: Optional[Mapping[str, str]] = None,
 ) -> ReproductionResult:
-    """Re-execute the archived run named by ``url`` under ``overrides``.
+    """Re-execute the archived run named by ``url`` under ``overrides``;
+    ``environ`` may supply credentials as ``parse_personal``'s ``env`` does.
 
     Every check that needs no archive runs before anything is fetched, since
     the fetch's reads are billed to the ancestor."""
     poll_window_for(mode, poll_window)
-    new_personal = _merging("personal override unusable", parse_personal, overrides.personal_text)
+    new_personal = _merging("personal override unusable", parse_personal, overrides.personal_text, environ)
     target = overrides.target_provider or new_personal.cloud_provider
     get_adapter(target)
     new_personal = replace(new_personal, cloud_provider=target)
@@ -185,8 +174,10 @@ def reproduce(
     archived_personal = _merging("personal override unusable", parse_personal, config["personal.ini"].decode())
     if resources is None:
         resources = _merging("resources override unusable", parse_resources, config["resources.ini"].decode())
-    if resources.provider_block(target) is None:
-        source = "aws" if resources.cloud_aws is not None else "azure"
+    # Port the other cloud's block; with no block at all, build_request
+    # default-fills the target's, as it does for a run.
+    source = "azure" if target == "aws" else "aws"
+    if resources.provider_block(target) is None and resources.provider_block(source) is not None:
         resources = translate_resources(resources, source, target)
     if application is None:
         application = _merging("merged request is invalid", parse_application, config["application.ini"].decode())

@@ -46,19 +46,7 @@ from .errors import (
 )
 from .history import HistoryStore
 from .simcloud.provider import Cluster, EventBus, InstalledRule, SimCloud
-from .simcloud.workload import parse_workload, workload_duration, workload_result
-
-__all__ = [
-    "ExecutionState",
-    "STAGES",
-    "WORKSPACE_STORE",
-    "InstalledRule",
-    "EventBus",
-    "PipelineInstance",
-    "ExecutionOutcome",
-    "Orchestrator",
-    "poll_window_for",
-]
+from .simcloud.workload import workload_duration, workload_result
 
 WORKSPACE_STORE = "analytics-workspace"
 
@@ -205,7 +193,7 @@ class Orchestrator:
 
     def __init__(self, env: SimCloud) -> None:
         self.env = env
-        self.bus = env.bus
+        self.bus: EventBus = env.bus
         # Each pipeline function: the state its step runs in, and the work.
         self._steps = {
             "software_env_setup": (ExecutionState.PROVISIONING, self._software_setup),
@@ -341,7 +329,7 @@ class Orchestrator:
 
     def _analytics(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.EXECUTING)
-        profile = parse_workload(inst.request.application.flags)
+        profile = inst.request.application.workload
         duration = workload_duration(profile, inst.node_count)
         self._after(inst, duration, lambda: self._write_results(inst, profile))
 

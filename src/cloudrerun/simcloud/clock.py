@@ -7,8 +7,6 @@ from typing import Union
 
 from ..errors import ClockModeViolation
 
-__all__ = ["VirtualClock"]
-
 Seconds = Union[int, Fraction]
 
 

@@ -12,8 +12,6 @@ from typing import Optional
 
 from ..errors import OpenLedger
 
-__all__ = ["LedgerEntry", "CostLedger", "SECONDS_PER_HOUR", "price_catalog"]
-
 SECONDS_PER_HOUR = Fraction(3600)
 
 

@@ -50,17 +50,6 @@ from ..errors import (
 from .clock import VirtualClock
 from .ledger import CostLedger, _rebuilder, _snapshot, price_catalog
 
-__all__ = [
-    "Event",
-    "InstalledRule",
-    "EventBus",
-    "Cluster",
-    "DelayProfile",
-    "SimProvider",
-    "SimCloud",
-    "PROVIDERS",
-]
-
 PROVIDERS = ("aws", "azure")
 
 _STATE_MAGIC = b"cloudrerun-state/2\n"
@@ -439,14 +428,21 @@ class SimCloud:
     @classmethod
     def from_state(cls, state: dict, blob: Callable[[object], bytes] = bytes) -> "SimCloud":
         """The environment a snapshot describes; ``blob`` turns each saved version into bytes.
-        Older snapshots also hold terminated clusters, a quota and a registry, which are skipped."""
+        Older snapshots also hold terminated clusters, a quota and a registry, which are skipped.
+        A counter that is not a non-negative int raises ValueError naming it."""
+
+        def count(value, field: str) -> int:
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{field} must be a non-negative int, got {value!r}")
+            return value
+
         env = cls()
         env.clock.advance_to(Fraction(state["clock"]))
-        env._event_counter = state["event_counter"]
+        env._event_counter = count(state["event_counter"], "event_counter")
         cluster = _rebuilder(Cluster)
         for name, pstate in state["providers"].items():
             p = env.providers[name]
-            p._counters = dict(pstate["counters"])
+            p._counters = {k: count(v, f"providers.{name}.counters.{k}") for k, v in pstate["counters"].items()}
             live = (c for c in pstate["clusters"] if c["state"] != "Terminated")
             p.clusters = {c["cluster_id"]: cluster(c) for c in live}
             p.networks = set(pstate["networks"])

@@ -24,15 +24,6 @@ from typing import Iterable, Sequence, Union
 
 from ..errors import MalformedValue
 
-__all__ = [
-    "WorkloadProfile",
-    "parse_flags",
-    "parse_workload",
-    "workload_duration",
-    "workload_result",
-    "RESULT_BLOCKS",
-]
-
 _FLAG_DEFAULTS = {
     "serial-seconds": Fraction(10),
     "parallel-seconds": Fraction(100),

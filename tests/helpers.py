@@ -7,6 +7,7 @@ from typing import Optional
 
 from cloudrerun.caam import generate_pipeline
 from cloudrerun.config_model import parse_abstract_request
+from cloudrerun.history import HistoryStore, find_record_table, parse_url
 from cloudrerun.runtime import Orchestrator
 from cloudrerun.simcloud.provider import SimCloud
 
@@ -115,3 +116,10 @@ def run_sdk(req, poll_window=Fraction(10), record_history: bool = True):
         generate_pipeline(req), poll_window=Fraction(poll_window), record_history=record_history
     )
     return outcome, env
+
+
+def fetch_bundles(env, url):
+    """The archived record and bundles of the execution ``url`` names."""
+    provider, store, execution_id = parse_url(url)
+    table = find_record_table(env, provider, execution_id)
+    return HistoryStore(env, provider, store, table).fetch(url)

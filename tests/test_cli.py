@@ -25,8 +25,9 @@ from cloudrerun.cli import (
     EXIT_USAGE,
     main,
 )
+from cloudrerun.simcloud.provider import SimCloud
 
-from helpers import application_text, personal_text, resources_text
+from helpers import application_text, fetch_bundles, personal_text, resources_text
 
 FAILING_COMMAND = "analyze --serial-seconds 1 --parallel-seconds 1 --exit-code 3"
 
@@ -288,6 +289,14 @@ class TestHistoryCommand:
         assert captured.out == ""
         assert other in captured.err
 
+    def test_fetch_url_naming_an_unsimulated_provider(self, tmp_path, capsys):
+        url = "rpac://gcloud/execution-history/x"
+        code = main(["history", "--url", url, "--state-dir", str(tmp_path / "s")])
+        assert code == EXIT_UNSUPPORTED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no simulated provider 'gcloud'\n"
+
     def test_fetch_malformed_url(self, tmp_path, capsys):
         code = main(
             ["history", "--url", "https://aws/x/y", "--state-dir", str(tmp_path / "s")]
@@ -315,6 +324,21 @@ class TestReproduceCommand:
             ]
         )
         assert code == EXIT_UNSUPPORTED
+
+    def test_reproduce_reads_credential_variables_as_run_does(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CLOUDRERUN_CREDENTIAL_ACCESS_KEY", "AKIAFROMENV")
+        paths = write_files(tmp_path)
+        state = tmp_path / "state"
+        assert main(run_args(paths, state)) == EXIT_OK
+        url = history_url_from(capsys.readouterr().out)
+        code = main(["reproduce", url, "--personal", str(paths["personal"]), "--state-dir", str(state)])
+        assert code == EXIT_OK
+        reproduction = history_url_from(capsys.readouterr().out)
+        env = SimCloud.load_state(state / "simcloud.json")
+        for archived in (url, reproduction):
+            personal = fetch_bundles(env, archived).config["personal.ini"].decode()
+            assert "cloud_credentials = access_key:<redacted>\n" in personal
+        assert b"AKIAFROMENV" not in (state / "simcloud.json").read_bytes()
 
     def test_missing_ancestor(self, tmp_path, capsys):
         paths = write_files(tmp_path)
@@ -380,6 +404,18 @@ class TestErrorExitCodes:
             assert message in capsys.readouterr().err
             assert not (state / "simcloud.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag", ["--parallelism 0", "--seed x", "--serial-seconds 1/0", "--comm-seconds -1"]
+    )
+    def test_bad_workload_flag_is_usage_error(self, tmp_path, capsys, flag):
+        paths = write_files(tmp_path, application=application_text(command=f"analyze {flag}"))
+        state = tmp_path / "s"
+        assert main(run_args(paths, state)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: application.ini: [application] command: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (state / "simcloud.json").exists()
+
     def test_bad_poll_window_literal(self, tmp_path, capsys):
         paths = write_files(tmp_path)
         state = tmp_path / "s"
@@ -426,12 +462,20 @@ class TestErrorExitCodes:
 
             return saved(edit)
 
+        counter_cases = [
+            saved(lambda state_doc: state_doc.update(event_counter="33")),
+            saved(lambda state_doc: state_doc.update(event_counter=-1)),
+            saved(lambda state_doc: state_doc["providers"]["aws"]["counters"].update(exec="1")),
+            saved(lambda state_doc: state_doc["providers"]["aws"]["counters"].update(exec=True)),
+        ]
         cases = [
             b"{}",
             b"[]",
             data[:200],
             saved(lambda state_doc: state_doc.update(clock="x")),
             saved(lambda state_doc: state_doc.update(clock="-1")),
+            # counters that are not non-negative ints
+            *counter_cases,
             # the tail is shorter or longer than the index records
             data[:-1],
             data + b"\0",
@@ -454,6 +498,12 @@ class TestErrorExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert f"{state_file}: malformed state file" in err
+            assert state_file.read_bytes() == content
+        # a run on such a file is refused the same way, before anything runs
+        for content in counter_cases:
+            state_file.write_bytes(content)
+            assert main(run_args(paths, state)) == EXIT_USAGE
+            assert f"{state_file}: malformed state file" in capsys.readouterr().err
             assert state_file.read_bytes() == content
         # references that end exactly at the end of the tail are in range
         for content in (data, with_reference([0, len(tail)]), with_reference([len(tail), 0])):
@@ -542,6 +592,16 @@ class TestBench:
         rows = payload["scale_up"]
         assert [row["level"] for row in rows] == [1, 2]
         assert all(row["kind"] == "scale_up" for row in rows)
+
+    def test_scale_up_writes_the_json_rows_to_the_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench-out"
+        argv = ["bench", "--suite", "scale_up", "--levels", "1,2", "--state-dir", str(tmp_path / "s")]
+        assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_OK
+        capsys.readouterr()
+        assert main([*argv, "--json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["scale_up"]
+        assert len(rows) == 2
+        assert [json.loads(line) for line in (out_dir / "scale_up.jsonl").read_text().splitlines()] == rows
 
     def test_efficiency_suite_writes_report(self, tmp_path, capsys):
         out_dir = tmp_path / "bench-out"

@@ -1,7 +1,8 @@
 """Reference gates over the package: every top-level import is used, every
-private name and every ``__all__`` export is referenced somewhere, and every
-public name has a caller in the package, and every defaulted parameter a call
-that passes it, or a stated reason to stay."""
+private name is referenced somewhere, every public name has a caller in the
+package and every defaulted parameter a call that passes it, or a stated
+reason to stay, and no module declares its public names a second time in an
+``__all__`` list."""
 
 import ast
 from pathlib import Path
@@ -14,7 +15,6 @@ PACKAGE = Path(cloudrerun.__file__).parent
 def unused_imports(source: str) -> list[str]:
     """Names bound by top-level imports that the module never references.
 
-    A name listed in ``__all__`` counts as referenced (a re-export);
     ``from __future__`` imports bind nothing.
     """
     tree = ast.parse(source)
@@ -25,11 +25,6 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts}
     return [name for name in imported if name not in used]
 
 
@@ -38,12 +33,12 @@ def test_detector_flags_only_unreferenced_names():
         "from __future__ import annotations\n"
         "import os, os.path as osp\n"
         "from typing import Optional, List\n"
-        "from .x import exported\n"
-        "__all__ = ['exported']\n"
+        "from .x import exported, listed\n"
+        "__all__ = ['listed']\n"
         "def f(a: Optional[int]) -> None:\n"
-        "    return os.sep\n"
+        "    return os.sep, exported\n"
     )
-    assert unused_imports(source) == ["osp", "List"]
+    assert unused_imports(source) == ["osp", "List", "listed"]
 
 
 def test_package_modules_have_no_unused_imports():
@@ -340,66 +335,34 @@ def test_every_defaulted_parameter_is_passed_or_has_a_reason():
     assert allowlist_findings(found, UNPASSED_ALLOWED) == {"unlisted": [], "stale": []}
 
 
-def unreferenced_public_names(package: dict[str, str], users: dict[str, str]) -> list[str]:
-    """``__all__`` entries of ``package`` modules that no source references.
-
-    ``package`` and ``users`` map a module's name to its text.  A reference
-    is a loaded name or attribute in any module of either map; the
-    definition itself, ``__all__`` lists and ``from ... import`` re-exports
-    bind or name a value without using it, so they do not count.  Dunder
-    names such as ``__version__`` are read by tooling, not code, and are
-    skipped.
-    """
-    exported = []  # (label, name)
-    referenced = set()
-    for module, source in {**package, **users}.items():
-        tree = ast.parse(source)
-        if module in package:
-            for node in tree.body:
-                if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-                ):
-                    exported += [(f"{module}:{elt.value}", elt.value) for elt in node.value.elts]
-        referenced |= loaded_names(tree)
-    return [
-        label
-        for label, name in exported
-        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
-    ]
+def binds_all(source: str) -> bool:
+    """Whether the module binds ``__all__`` at any depth: by assignment,
+    annotated or augmented assignment, or any other store of the name."""
+    return any(
+        isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(ast.parse(source))
+    )
 
 
-def test_public_detector_flags_only_unreferenced_exports():
-    package = {
-        "a": (
-            "__all__ = ['used_here', 'used_by_test', 'used_as_attr', 'orphan']\n"
-            "def used_here(): pass\n"
-            "def used_by_test(): pass\n"
-            "used_as_attr = 1\n"
-            "orphan = used_here()\n"
-        ),
-        "__init__": (
-            "from .a import orphan, used_by_test\n"
-            "__version__ = '1'\n"
-            "__all__ = ['orphan', 'used_by_test', '__version__']\n"
-        ),
-    }
-    users = {"test_a": "from a import used_by_test\nimport a\nused_by_test(a.used_as_attr)\n"}
-    assert unreferenced_public_names(package, users) == ["a:orphan", "__init__:orphan"]
+def test_all_detector_flags_only_modules_that_bind_it():
+    assert binds_all("__all__ = ['f']\ndef f(): pass\n")
+    assert binds_all("__all__: list = []\n")
+    assert binds_all("__all__ = []\n__all__ += ['f']\n")
+    assert binds_all("if True:\n    __all__ = ('f',)\n")
+    assert not binds_all("def f(): pass\n")
+    assert not binds_all("import m\nnames = m.__all__\n")
+    assert not binds_all("'__all__'\n")
 
 
-def test_package_has_no_unreferenced_public_names():
-    root = Path(__file__).resolve().parents[1]
-    package = {
-        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+def test_no_package_module_binds_all():
+    # A module's public names are the ones without a leading underscore;
+    # an ``__all__`` list would declare them a second time.
+    found = [
+        str(path.relative_to(PACKAGE))
         for path in sorted(PACKAGE.rglob("*.py"))
-    }
-    # perfbench/ is scanned too: some exports are used only by the benchmark.
-    users = {
-        str(path.relative_to(root)): path.read_text(encoding="utf-8")
-        for directory in ("tests", "perfbench")
-        for path in sorted((root / directory).rglob("*.py"))
-    }
-    assert unreferenced_public_names(package, users) == []
+        if binds_all(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
 
 
 def foreign_imports(source: str) -> list[str]:

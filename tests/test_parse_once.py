@@ -63,12 +63,23 @@ _AZURE = {"region": _value, "instance_number": st.integers(1, 64).map(str),
           "resource_group_name": _value, "instance_type": _value}
 _REPRODUCE = {"reproduce_storage": _value, "reproduce_database": _value}
 
-_flag = st.sampled_from(["seed", "parallelism", "serial-seconds", "verbose", "x", "dry-run"])
+# A bad workload flag is a parse error, so each workload flag comes with a
+# value that parses, and no other token starts with "--" unless it is a flag.
+_seconds = st.fractions(min_value=0, max_value=1000).map(str)
+_workload_values = {
+    "serial-seconds": _seconds, "parallel-seconds": _seconds, "comm-seconds": _seconds,
+    "parallelism": st.integers(1, 64).map(str), "seed": st.integers(-9, 10**6).map(str),
+    "exit-code": st.integers(0, 3).map(str),
+}
+_plain = _value.filter(lambda v: not v.startswith("--"))
 _token = st.one_of(
-    _flag.map(lambda f: f"--{f}"),
-    _value,
-    _value.map(lambda v: f'"{v} {v}"'),
-    _value.map(lambda v: f"'{v}'"),
+    st.sampled_from(["verbose", "x", "dry-run"]).map(lambda f: f"--{f}"),
+    st.sampled_from(sorted(_workload_values)).flatmap(
+        lambda f: _workload_values[f].map(lambda v: f"--{f} {v}")
+    ),
+    _plain,
+    _plain.map(lambda v: f'"{v} {v}"'),
+    _plain.map(lambda v: f"'{v}'"),
 )
 
 

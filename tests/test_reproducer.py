@@ -3,7 +3,7 @@
 import pytest
 
 from cloudrerun.caam import generate_pipeline
-from cloudrerun.config_model import parse_resources, serialize_resources
+from cloudrerun.config_model import AwsBlock, AzureBlock, Engine, parse_resources, serialize_resources
 from cloudrerun.errors import (
     InvalidMerge,
     MalformedValue,
@@ -11,7 +11,6 @@ from cloudrerun.errors import (
     QuotaExceeded,
     UnsupportedProvider,
 )
-from cloudrerun.history import HistoryStore, read_zip
 from cloudrerun.metrics import measure
 from cloudrerun.reproducer import (
     INSTANCE_TYPE_EQUIVALENCE,
@@ -22,7 +21,7 @@ from cloudrerun.reproducer import (
 from cloudrerun.runtime import ExecutionState, Orchestrator
 from cloudrerun.simcloud.provider import SimCloud
 
-from helpers import application_text, make_request, personal_text, resources_text
+from helpers import application_text, fetch_bundles, make_request, personal_text, resources_text
 
 
 def seeded_env(engine="dask", nodes=2, provider="aws"):
@@ -32,14 +31,6 @@ def seeded_env(engine="dask", nodes=2, provider="aws"):
     )
     assert outcome.state is ExecutionState.COMPLETED
     return env, outcome
-
-
-def fetch_bundles(env, url):
-    from cloudrerun.history import find_record_table, parse_url
-
-    provider, store, execution_id = parse_url(url)
-    table = find_record_table(env, provider, execution_id)
-    return HistoryStore(env, provider, store, table).fetch(url)
 
 
 class TestModes:
@@ -81,6 +72,24 @@ class TestModes:
         assert result.reproduction_mode == "cross-cloud"
         assert result.outcome.provider == "azure"
         assert result.request.resources.cloud_azure.instance_type == "F4s_v2"
+
+    @pytest.mark.parametrize("target, kind", [(None, "modified"), ("azure", "cross-cloud")])
+    def test_resources_override_without_a_provider_block_is_default_filled(self, target, kind):
+        env, outcome = seeded_env()
+        overrides = OverrideSet(
+            personal_text=personal_text(),
+            resources_text="[resources]\nbigdata_engine = none\n",
+            target_provider=target,
+        )
+        result = reproduce(env, outcome.history_url, overrides)
+        assert result.reproduction_mode == kind
+        assert result.outcome.state is ExecutionState.COMPLETED
+        resources = result.request.resources
+        assert resources.bigdata_engine is Engine.NONE
+        if target is None:
+            assert (resources.cloud_aws, resources.cloud_azure) == (AwsBlock(), None)
+        else:
+            assert (resources.cloud_aws, resources.cloud_azure) == (None, AzureBlock())
 
     def test_target_provider_beats_personal_provider(self):
         env, outcome = seeded_env()
@@ -204,8 +213,9 @@ class TestGuards:
             (InvalidMerge, {"personal_text": "[personal]\nkey_name = k\n"}, {}),
             (InvalidMerge, {"resources_text": "[resources]\nbigdata_engine = nope\n"}, {}),
             (InvalidMerge, {"application_text": "[application]\n"}, {}),
+            (InvalidMerge, {"application_text": application_text(command="analyze --parallelism 0")}, {}),
         ],
-        ids=["poll-window", "mode", "personal", "resources", "application"],
+        ids=["poll-window", "mode", "personal", "resources", "application", "workload"],
     )
     def test_a_call_rejected_without_the_archive_bills_nothing(self, error, overrides, options):
         env, outcome = seeded_env()

@@ -130,6 +130,14 @@ def test_finished_runs_leave_no_cluster_in_the_provider(mode, record_history):
         assert pstate["clusters"] == [] and pstate["networks"] == []
 
 
+@pytest.mark.parametrize("flag", ["--parallelism 0", "--seed x", "--serial-seconds 1/0", "--comm-seconds -1"])
+def test_a_bad_workload_flag_fails_at_parse_before_an_id_is_drawn(flag):
+    env = SimCloud()
+    with pytest.raises(MalformedValue, match=r"^application.ini: \[application\] command: "):
+        Orchestrator(env).run_serverless(generate_pipeline(make_request(command=f"analyze {flag}")))
+    assert {name: p._counters for name, p in env.providers.items()} == {"aws": {}, "azure": {}}
+
+
 class TestEventHandling:
     def test_duplicate_events_processed_once(self):
         env = SimCloud()
