@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .config_model import AbstractRequest, Engine, canonical_serialize
-from .engines import build_security_groups, capture_engine_config
+from .engines import build_security_groups
 from .errors import (
     UnmappedService,
     UnsupportedEngineOnProvider,
@@ -116,15 +116,15 @@ class PipelineDocument:
         return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
 
 
-def _application_doc(req: AbstractRequest, captured: dict) -> dict:
+def _application_doc(req: AbstractRequest) -> dict:
     """Provider-independent application part; adapters share it verbatim."""
     return {
         "docker_image": req.application.docker_image,
         "datasets": list(req.application.data_uri),
         "command": req.application.command,
         "bootstrap": list(req.application.bootstrap),
-        "engine": captured["engine"],
-        "engine_parameters": captured["parameters"],
+        "engine": req.resources.bigdata_engine.value,
+        "engine_parameters": dict(req.application.flags),
     }
 
 
@@ -153,12 +153,8 @@ class CloudAdapter:
         }
 
     def personal_doc(self, req: AbstractRequest) -> dict:
-        personal = req.personal
         return {
-            "cloud_provider": personal.cloud_provider,
-            "key_name": personal.key_name,
-            "key_path": personal.key_path,
-            "python_runtime": personal.python_runtime,
+            **req.personal.identity(),
             "authentication_service": lookup_service(self.provider, "identity"),
             # Secrets never enter the document; functions read them from the
             # execution environment at run time.
@@ -187,8 +183,8 @@ class CloudAdapter:
             for function, kind, event, match in TRIGGER_TABLE
         ]
 
-    def _security_groups(self, req: AbstractRequest, captured: dict) -> list[dict]:
-        groups = build_security_groups(req.resources.bigdata_engine, captured["ssh_daemon_port"])
+    def _security_groups(self, req: AbstractRequest) -> list[dict]:
+        groups = build_security_groups(req.resources.bigdata_engine, req.ssh_daemon_port)
         return [
             {
                 "group_id": g.group_id,
@@ -199,9 +195,6 @@ class CloudAdapter:
 
     def assemble(self, req: AbstractRequest) -> PipelineDocument:
         self._check_engine(req)
-        # One capture per compile: the application part records the
-        # command's flags and the security groups pin its SSH port.
-        captured = capture_engine_config(req)
         archived = replace(req, personal=req.personal.redacted())
         # ``archived`` shares ``req``'s resources and application parts.
         archive = dict(zip(("resources_ini", "application_ini", "personal_ini"),
@@ -211,12 +204,12 @@ class CloudAdapter:
             "provider": self.provider,
             "executable": {
                 "resources": self.provisioning_doc(req),
-                "application": _application_doc(req, captured),
+                "application": _application_doc(req),
                 "personal": self.personal_doc(req),
             },
             "functions": self._functions(req),
             "rules": self._rules(req),
-            "security_groups": self._security_groups(req, captured),
+            "security_groups": self._security_groups(req),
             # Canonical request texts ride along so deployment can archive
             # the exact configuration; the personal part is pre-redacted.
             "archive": archive,

@@ -53,6 +53,9 @@ class Engine(str, Enum):
     DASK = "dask"
 
 
+# Horovod's in-cluster SSH daemon port when the command sets no --ssh-port.
+DEFAULT_SSH_DAEMON_PORT = 12345
+
 # Default values used to complete partially specified requests.  These are
 # configuration choices, not measured facts.
 DEFAULTS = {
@@ -178,6 +181,11 @@ class PersonalSpec:
     cloud_credentials: tuple[tuple[str, str], ...] = ()
     extras: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
 
+    def identity(self) -> dict[str, str]:
+        """The non-secret fields, which archives and documents keep as written."""
+        return {"cloud_provider": self.cloud_provider, "key_path": self.key_path,
+                "key_name": self.key_name, "python_runtime": self.python_runtime}
+
     def redacted(self) -> "PersonalSpec":
         """Copy with every credential value, and the value of every
         secret-looking unknown key, replaced by a placeholder."""
@@ -196,6 +204,18 @@ class AbstractRequest:
     resources: ResourcesSpec
     application: ApplicationSpec
     personal: PersonalSpec
+
+    @property
+    def ssh_daemon_port(self) -> Optional[int]:
+        """Horovod's SSH daemon port, ``--ssh-port`` in 1..65535; None for other engines."""
+        if self.resources.bigdata_engine is not Engine.HOROVOD:
+            return None
+        text = dict(self.application.flags).get("ssh-port", str(DEFAULT_SSH_DAEMON_PORT))
+        if not (text.isdecimal() and 1 <= int(text) <= 65535):
+            raise MalformedValue(
+                f"application.ini: command --ssh-port {text!r} is not a port number in 1..65535"
+            )
+        return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +417,7 @@ def build_request(
     resources: ResourcesSpec, application: ApplicationSpec, personal: PersonalSpec
 ) -> AbstractRequest:
     """The default-filled request of three parsed specs, after the checks
-    between the files (ProviderMismatch, MissingRequiredKey)."""
+    between the files (ProviderMismatch, MissingRequiredKey, a bad port)."""
     req = fill_defaults(AbstractRequest(resources, application, personal))
 
     if req.resources.provider_block(personal.cloud_provider) is None:
@@ -409,6 +429,7 @@ def build_request(
         raise MissingRequiredKey(
             "application.command is required when bigdata_engine is not 'none'"
         )
+    req.ssh_daemon_port  # read the port now, so a bad --ssh-port fails at parse
     return req
 
 
@@ -452,12 +473,7 @@ def serialize_application(app: ApplicationSpec) -> str:
 
 
 def serialize_personal(personal: PersonalSpec) -> str:
-    data = {
-        "cloud_provider": personal.cloud_provider,
-        "key_path": personal.key_path,
-        "key_name": personal.key_name,
-        "python_runtime": personal.python_runtime,
-    }
+    data = personal.identity()
     if personal.cloud_credentials:
         data["cloud_credentials"] = ", ".join(f"{k}:{v}" for k, v in personal.cloud_credentials)
     return _render([("personal", data)], personal.extras, _PERSONAL_SECTIONS)

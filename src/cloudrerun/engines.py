@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .config_model import AbstractRequest, Engine
-from .errors import MalformedValue
+from .config_model import DEFAULT_SSH_DAEMON_PORT, AbstractRequest, Engine
 
 HEAD_ROLE = {
     Engine.NONE: "standalone",
@@ -22,10 +21,6 @@ HEAD_ROLE = {
     Engine.DASK: "scheduler",
     Engine.HOROVOD: "primary_worker",
 }
-
-# Horovod drives workers over SSH; its in-cluster daemon port is
-# configurable through --ssh-port on the command line.
-DEFAULT_SSH_DAEMON_PORT = 12345
 
 CLIENT_PEER = "client"
 
@@ -129,24 +124,13 @@ def capture_engine_config(req: AbstractRequest) -> dict:
     artifact: engine, node roles, command flags, bootstrap steps."""
     engine = req.resources.bigdata_engine
     node_count = req.resources.provider_block(req.personal.cloud_provider).instance_number
-    flags = dict(req.application.flags)
     return {
         "engine": engine.value,
         "node_count": node_count,
         "roles": [dict(vars(r)) for r in assign_roles(engine, node_count)],
         "command": req.application.command,
-        "parameters": flags,
+        "parameters": dict(req.application.flags),
         "bootstrap": list(req.application.bootstrap),
-        "ssh_daemon_port": _ssh_port(flags) if engine is Engine.HOROVOD else None,
+        "ssh_daemon_port": req.ssh_daemon_port,
     }
 
-
-def _ssh_port(flags: dict) -> int:
-    """Horovod's --ssh-port: a TCP port number in decimal digits, 1..65535."""
-    text = flags.get("ssh-port", str(DEFAULT_SSH_DAEMON_PORT))
-    port = int(text) if text.isdecimal() else 0
-    if not 1 <= port <= 65535:
-        raise MalformedValue(
-            f"application.ini: command --ssh-port {text!r} is not a port number in 1..65535"
-        )
-    return port

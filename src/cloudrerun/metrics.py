@@ -25,15 +25,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .caam import generate_pipeline
-from .config_model import (
-    AbstractRequest,
-    ApplicationSpec,
-    AwsBlock,
-    Engine,
-    PersonalSpec,
-    ReproduceBlock,
-    ResourcesSpec,
-)
+from .config_model import AbstractRequest, parse_abstract_request
 from .errors import InsufficientSamples, NonPositiveBaseline
 from .runtime import ExecutionOutcome, ExecutionState, Orchestrator
 from .simcloud.ledger import SECONDS_PER_HOUR, CostLedger
@@ -257,28 +249,16 @@ def make_suite_request(
     serial_s: Rational = 10,
     parallel_s: Rational = 100,
 ) -> AbstractRequest:
-    """Synthetic Spark benchmark request on the aws simulation."""
-    command = (
-        "analyze"
-        f" --serial-seconds {serial_s}"
-        f" --parallel-seconds {parallel_s}"
-        " --comm-seconds 2"
-        f" --parallelism {parallelism}"
-        f" --seed {seed}"
-    )
-    return AbstractRequest(
-        resources=ResourcesSpec(
-            bigdata_engine=Engine.SPARK,
-            cloud_aws=AwsBlock(instance_number=nodes),
-            cloud_azure=None,
-            reproduce=ReproduceBlock(),
-        ),
-        application=ApplicationSpec(
-            docker_image="registry.example/analytics:1.0",
-            data_uri=("s3://datasets/benchmark",),
-            command=command,
-        ),
-        personal=PersonalSpec(cloud_provider="aws"),
+    """Synthetic Spark benchmark request on the aws simulation, parsed
+    from its three INI texts as every request is."""
+    return parse_abstract_request(
+        f"[resources]\nbigdata_engine = spark\n[cloud.aws]\ninstance_number = {nodes}\n",
+        "[application]\n"
+        "docker_image = registry.example/analytics:1.0\n"
+        "data_uri = s3://datasets/benchmark\n"
+        f"command = analyze --serial-seconds {serial_s} --parallel-seconds {parallel_s}"
+        f" --comm-seconds 2 --parallelism {parallelism} --seed {seed}\n",
+        "[personal]\ncloud_provider = aws\n",
     )
 
 

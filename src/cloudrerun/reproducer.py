@@ -117,12 +117,7 @@ def _classify(
         return "modified"
     # Credentials are redacted in the archive, so identity is compared on
     # the non-secret fields only.
-    same_identity = (
-        archived_personal.key_name == new_personal.key_name
-        and archived_personal.key_path == new_personal.key_path
-        and archived_personal.python_runtime == new_personal.python_runtime
-        and archived_personal.cloud_provider == new_personal.cloud_provider
-    )
+    same_identity = archived_personal.identity() == new_personal.identity()
     return "identical" if same_identity else "new-personal"
 
 

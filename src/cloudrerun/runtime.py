@@ -242,6 +242,10 @@ class Orchestrator:
                 )
             except (KeyError, CloudRerunError) as exc:
                 raise DeploymentRejected(f"archive section unusable: {exc}") from exc
+        if request.personal.cloud_provider != doc.provider:
+            raise DeploymentRejected(
+                f"archived request runs on {request.personal.cloud_provider!r}, not {doc.provider!r}"
+            )
 
         history = None
         if record_history:

@@ -29,13 +29,13 @@ def price_catalog() -> dict:
     }
 
 
-def _snapshot(record) -> dict:
+def snapshot(record) -> dict:
     """A dataclass's fields as JSON values, with each Fraction as a string."""
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(record).items()}
 
 
-def _rebuilder(cls):
-    """The inverse of ``_snapshot`` for ``cls``: a function that reads every
+def rebuilder(cls):
+    """The inverse of ``snapshot`` for ``cls``: a function that reads every
     field declared as a Fraction, or as an optional one, back from its
     string.  The fields are looked up once, and each distinct string is
     parsed once per rebuilder (ledger rows repeat a few prices and times)."""
@@ -153,7 +153,7 @@ class CostLedger:
         """Entries and request counts; prices come from the catalog and are
         not captured."""
         return {
-            "entries": [_snapshot(e) for e in self.entries],
+            "entries": [snapshot(e) for e in self.entries],
             "request_counts": [
                 {"scope": scope, "operation": op, "count": count}
                 for (scope, op), count in sorted(self.request_counts.items())
@@ -162,6 +162,6 @@ class CostLedger:
 
     def restore_state(self, state: dict) -> None:
         """Append the entries and request counts of a ``to_state`` snapshot."""
-        self.entries.extend(map(_rebuilder(LedgerEntry), state["entries"]))
+        self.entries.extend(map(rebuilder(LedgerEntry), state["entries"]))
         for rc in state["request_counts"]:
             self.charge_request(rc["scope"], rc["operation"], rc["count"])

@@ -48,7 +48,7 @@ from ..errors import (
     UnsupportedProvider,
 )
 from .clock import VirtualClock
-from .ledger import CostLedger, _rebuilder, _snapshot, price_catalog
+from .ledger import CostLedger, price_catalog, rebuilder, snapshot
 
 PROVIDERS = ("aws", "azure")
 
@@ -415,7 +415,7 @@ class SimCloud:
             "providers": {
                 name: {
                     "counters": dict(p._counters),
-                    "clusters": [_snapshot(c) for c in p.clusters.values()],
+                    "clusters": [snapshot(c) for c in p.clusters.values()],
                     "networks": sorted(p.networks),
                     "stores": {s: {k: list(v) for k, v in keys.items()} for s, keys in p.stores.items()},
                     "tables": {table: list(rows.values()) for table, rows in p.tables.items()},
@@ -439,7 +439,7 @@ class SimCloud:
         env = cls()
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = count(state["event_counter"], "event_counter")
-        cluster = _rebuilder(Cluster)
+        cluster = rebuilder(Cluster)
         for name, pstate in state["providers"].items():
             p = env.providers[name]
             p._counters = {k: count(v, f"providers.{name}.counters.{k}") for k, v in pstate["counters"].items()}

@@ -44,10 +44,14 @@ class WorkloadProfile:
 
 
 def _fraction_flag(value: str, flag: str) -> Fraction:
+    """A duration flag: a non-negative rational number of seconds."""
     try:
-        return Fraction(value)
+        seconds = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedValue(f"--{flag}: expected a rational number, got {value!r}") from exc
+    if seconds < 0:
+        raise MalformedValue(f"--{flag} must be non-negative, got {value!r}")
+    return seconds
 
 
 def _int_flag(value: str, flag: str) -> int:
@@ -80,8 +84,6 @@ def parse_workload(command: Union[str, Iterable[tuple[str, str]]]) -> WorkloadPr
     seed = _int_flag(values.get("seed", "0"), "seed")
     exit_code = _int_flag(values.get("exit-code", "0"), "exit-code")
 
-    if serial < 0 or parallel < 0 or comm < 0:
-        raise MalformedValue("workload durations must be non-negative")
     if parallelism < 1:
         raise MalformedValue(f"--parallelism must be >= 1, got {parallelism}")
 

@@ -405,14 +405,22 @@ class TestErrorExitCodes:
             assert not (state / "simcloud.json").exists()
 
     @pytest.mark.parametrize(
-        "flag", ["--parallelism 0", "--seed x", "--serial-seconds 1/0", "--comm-seconds -1"]
+        "flag",
+        [
+            "--parallelism 0",
+            "--seed x",
+            "--serial-seconds 1/0",
+            "--serial-seconds -1",
+            "--parallel-seconds -1/2",
+            "--comm-seconds -1",
+        ],
     )
     def test_bad_workload_flag_is_usage_error(self, tmp_path, capsys, flag):
         paths = write_files(tmp_path, application=application_text(command=f"analyze {flag}"))
         state = tmp_path / "s"
         assert main(run_args(paths, state)) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: application.ini: [application] command: ")
+        assert captured.err.startswith(f"error: application.ini: [application] command: {flag.split()[0]}")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not (state / "simcloud.json").exists()
 

@@ -289,6 +289,12 @@ class TestSerialization:
         assert text.endswith("\n")
         assert "\r" not in text
 
+    def test_identity_is_every_personal_field_but_the_secret_ones(self):
+        personal = parse_personal(personal_text(credentials="access_key:AKIA123"))
+        identity = personal.identity()
+        assert set(identity) == {f.name for f in fields(personal)} - {"cloud_credentials", "extras"}
+        assert identity == {name: getattr(personal, name) for name in identity}
+
     def test_redacted_personal_keeps_keys(self):
         personal = parse_personal(
             "[personal]\ncloud_provider = aws\ncloud_credentials = access_key:AKIA123\n"

@@ -126,9 +126,8 @@ class TestCaptureEngineConfig:
 
     @pytest.mark.parametrize("port", ["abc", "0", "-5", "70000"])
     def test_horovod_rejects_a_port_outside_1_to_65535(self, port):
-        req = self.make(command=f"train --parallelism 4 --ssh-port {port}")
         with pytest.raises(MalformedValue, match="application.ini: command --ssh-port"):
-            generate_pipeline(req)
+            self.make(command=f"train --parallelism 4 --ssh-port {port}")
 
     def test_horovod_accepts_the_highest_port(self):
         req = self.make(command="train --parallelism 4 --ssh-port 65535")
@@ -138,9 +137,8 @@ class TestCaptureEngineConfig:
 
     def test_a_valueless_flag_does_not_take_the_next_flag(self):
         assert parse_flags("horovodrun --dry-run --ssh-port 70000") == {"ssh-port": "70000"}
-        req = self.make(command="horovodrun --dry-run --ssh-port 70000")
         with pytest.raises(MalformedValue, match="--ssh-port '70000'"):
-            generate_pipeline(req)
+            self.make(command="horovodrun --dry-run --ssh-port 70000")
 
     def test_other_engines_only_record_the_port(self):
         req = self.make(engine="spark", command="run --x 1 --ssh-port abc")

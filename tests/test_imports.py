@@ -1,8 +1,9 @@
 """Reference gates over the package: every top-level import is used, every
-private name is referenced somewhere, every public name has a caller in the
-package and every defaulted parameter a call that passes it, or a stated
-reason to stay, and no module declares its public names a second time in an
-``__all__`` list."""
+private name is referenced somewhere and imported by no other module, every
+public name has a caller in the package and every defaulted parameter a call
+that passes it, or a stated reason to stay, no module declares its public
+names a second time in an ``__all__`` list, and only parsing builds a
+request."""
 
 import ast
 from pathlib import Path
@@ -466,3 +467,52 @@ def test_package_reads_no_private_name_of_another_module():
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def foreign_private_imports(source: str) -> list[str]:
+    """Private, non-dunder names that a relative ``from … import``, at any
+    depth of the module, takes from another module of the package."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_private_import_detector_flags_only_relative_private_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .ledger import CostLedger, _snapshot\n"
+        "from .. import _helpers\n"
+        "from .meta import __version__\n"
+        "def f():\n"
+        "    from ..errors import _base\n"
+    )
+    assert foreign_private_imports(source) == ["_snapshot", "_helpers", "_base"]
+
+
+def test_package_imports_no_private_name_of_another_module():
+    found = {
+        str(path.relative_to(PACKAGE)): foreign_private_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+REQUEST_SPECS = {"AbstractRequest", "ResourcesSpec", "ApplicationSpec", "PersonalSpec"}
+
+
+def test_only_config_model_constructs_a_request():
+    # Every other module gets its requests by parsing texts, so the parsed
+    # request is the one source of each request fact.
+    constructing = {
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in REQUEST_SPECS
+    }
+    assert constructing == {"config_model.py"}

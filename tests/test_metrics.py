@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudrerun.errors import InsufficientSamples, NonPositiveBaseline, OpenLedger
+from cloudrerun.config_model import (
+    AbstractRequest,
+    ApplicationSpec,
+    AwsBlock,
+    Engine,
+    PersonalSpec,
+    ReproduceBlock,
+    ResourcesSpec,
+)
+from cloudrerun.errors import InsufficientSamples, MalformedValue, NonPositiveBaseline, OpenLedger
 from cloudrerun.metrics import (
     cost_by_usage,
     efficiency_comparison,
@@ -172,3 +181,18 @@ class TestScalingSuites:
         assert req.resources.cloud_aws.instance_number == 4
         assert "--parallelism 2" in req.application.command
         assert "--seed 3" in req.application.command
+
+    def test_suite_request_is_parsed_to_the_spark_request_on_aws(self):
+        command = (
+            "analyze --serial-seconds 1/2 --parallel-seconds 100"
+            " --comm-seconds 2 --parallelism 2 --seed 3"
+        )
+        assert make_suite_request(4, 2, seed=3, serial_s=Fraction(1, 2)) == AbstractRequest(
+            ResourcesSpec(Engine.SPARK, AwsBlock(instance_number=4), None, ReproduceBlock()),
+            ApplicationSpec("registry.example/analytics:1.0", ("s3://datasets/benchmark",), command),
+            PersonalSpec(cloud_provider="aws"),
+        )
+
+    def test_a_zero_node_suite_request_fails_at_parse(self):
+        with pytest.raises(MalformedValue, match=r"^cloud\.aws\.instance_number: must be >= 1"):
+            make_suite_request(0, 1)

@@ -1,4 +1,5 @@
-"""Each request text is parsed once and each command tokenized once.
+"""Each request text is parsed once, each command tokenized once and the
+engine configuration captured once, by the run that archives it.
 
 A compiled pipeline document carries the request it was compiled from, and
 deployment reuses it while the document's archive texts are unchanged.
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cloudrerun import config_model
+from cloudrerun import caam, config_model, engines, runtime
 from cloudrerun.caam import PipelineDocument, generate_pipeline
 from cloudrerun.config_model import (
     CREDENTIAL_ENV_PREFIX,
@@ -174,6 +175,27 @@ def test_a_run_reads_each_text_once_and_splits_the_command_once(monkeypatch, mod
     assert outcome.state is ExecutionState.COMPLETED and outcome.history_url
     assert sorted(reads) == ["application.ini", "personal.ini", "resources.ini"]
     assert splits == [req.application.command]
+
+
+def count_captures(monkeypatch) -> list:
+    """The requests of every ``capture_engine_config`` call, through any
+    module's reference to it."""
+    calls = []
+    capture = engines.capture_engine_config
+    for module in (engines, caam, runtime):
+        if getattr(module, "capture_engine_config", None) is capture:
+            monkeypatch.setattr(module, "capture_engine_config", lambda req: calls.append(req) or capture(req))
+    return calls
+
+
+@pytest.mark.parametrize("record_history, captures", [(True, 1), (False, 0)])
+def test_only_the_run_that_archives_captures_the_engine_config(monkeypatch, record_history, captures):
+    calls = count_captures(monkeypatch)
+    doc = generate_pipeline(make_request(engine="horovod", nodes=2, command="train --ssh-port 2222"))
+    assert calls == []
+    outcome = Orchestrator(SimCloud()).run_serverless(doc, record_history=record_history)
+    assert outcome.state is ExecutionState.COMPLETED
+    assert len(calls) == captures
 
 
 @pytest.mark.parametrize(

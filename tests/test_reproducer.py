@@ -288,6 +288,16 @@ class TestGuards:
                 OverrideSet(personal_text=personal_text(), application_text="[application]\n"),
             )
 
+    def test_a_bad_horovod_port_override_is_an_invalid_merge(self):
+        # The engine may come from the archive, so the port is checked after the fetch.
+        env, outcome = seeded_env(engine="horovod")
+        with pytest.raises(InvalidMerge, match="^merged request is invalid: application.ini: command --ssh-port '0'"):
+            reproduce(
+                env,
+                outcome.history_url,
+                OverrideSet(personal_text=personal_text(), application_text=application_text(command="train --ssh-port 0")),
+            )
+
     def test_modified_application_changes_results(self):
         env, outcome = seeded_env()
         new_app = application_text(

@@ -542,6 +542,27 @@ class TestDeploymentValidation:
         assert provider._counters == {}
         assert provider.inventory() == {"clusters": [], "networks": []}
 
+    def assert_rejected_before_an_id_is_drawn(self, doc, message):
+        env = SimCloud()
+        provider = env.provider("aws")
+        with pytest.raises(DeploymentRejected, match=message):
+            Orchestrator(env).run(doc)
+        assert provider._counters == {}
+        assert provider.inventory() == {"clusters": [], "networks": []}
+        assert env.ledger.entries == []
+
+    def test_an_archive_edited_to_another_cloud_is_rejected(self):
+        doc = self.make_doc()
+        azure = generate_pipeline(make_request(provider="azure")).body["archive"]
+        doc.body["archive"].update(resources_ini=azure["resources_ini"], personal_ini=azure["personal_ini"])
+        self.assert_rejected_before_an_id_is_drawn(doc, "runs on 'azure', not 'aws'")
+
+    def test_an_archive_edited_to_a_bad_horovod_port_is_rejected(self):
+        doc = generate_pipeline(make_request(engine="horovod", command="train --ssh-port 2222"))
+        archive = doc.body["archive"]
+        archive["application_ini"] = archive["application_ini"].replace("2222", "70000")
+        self.assert_rejected_before_an_id_is_drawn(doc, "--ssh-port '70000'")
+
     def test_archive_that_is_not_an_object(self):
         doc = self.make_doc()
         doc.body["archive"] = "x"
