@@ -107,7 +107,7 @@ class PipelineDocument:
     def compiled_request(self) -> Optional[AbstractRequest]:
         """The request this document was compiled from, personal part
         redacted, while the body's archive texts are still the ones written
-        for it; None for a loaded or edited document."""
+        for it; None for a document rebuilt from its JSON or edited."""
         if self.compiled is None or self.body.get("archive") != self.compiled[0]:
             return None
         return self.compiled[1]

@@ -29,7 +29,6 @@ import fcntl
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -52,7 +51,7 @@ from .errors import (
 from .history import HistoryStore, find_record_table, parse_url
 from .metrics import measure, run_efficiency_suite, run_scaling_suite
 from .reproducer import OverrideSet, reproduce
-from .runtime import ExecutionState, Orchestrator
+from .runtime import ExecutionState, Orchestrator, poll_window_for
 from .simcloud.provider import PROVIDERS, SimCloud
 
 EXIT_OK = 0
@@ -179,15 +178,6 @@ def _locked_env(state_dir: Optional[str]):
         env.save_state(path)
 
 
-def _poll_window(text: str) -> Fraction:
-    """The --poll-window literal as a Fraction; a zero denominator is a
-    usage error like any other bad literal."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"--poll-window {text!r} has a zero denominator") from exc
-
-
 def _outcome_report(outcome, metrics) -> dict:
     report = json.loads(outcome.to_json())
     report["metrics"] = None if metrics is None else json.loads(metrics.to_json())
@@ -241,7 +231,8 @@ def _conclude(args: argparse.Namespace, env: SimCloud, outcome, header: tuple[st
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    poll_window = _poll_window(args.poll_window)
+    # Read as an sdk window in either mode: a bad one fails a serverless run too.
+    poll_window = poll_window_for("sdk", args.poll_window)
     request = parse_abstract_request(
         Path(args.resources).read_text(encoding="utf-8"),
         Path(args.application).read_text(encoding="utf-8"),
@@ -255,7 +246,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    poll_window = _poll_window(args.poll_window)
+    poll_window = poll_window_for("sdk", args.poll_window)
     overrides = OverrideSet(
         personal_text=Path(args.personal).read_text(encoding="utf-8"),
         resources_text=(
@@ -312,11 +303,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
     rows = []
     for provider_name in providers:
-        store = HistoryStore(env, provider_name, args.store, args.table)
-        query = dict(filters)
-        if args.provider:
-            query["provider"] = args.provider
-        rows.extend(store.query(query))
+        rows.extend(HistoryStore(env, provider_name, args.store, args.table).query(filters))
 
     if args.json:
         print(json.dumps(rows, sort_keys=True, indent=2))
@@ -344,7 +331,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # The t-test needs two runs per mode; fail before any run starts.
         if args.repeats < 2:
             raise ValueError(f"--repeats must be at least 2 for the efficiency suite, got {args.repeats}")
-        poll_window = _poll_window(args.poll_window)
+        poll_window = poll_window_for("sdk", args.poll_window)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

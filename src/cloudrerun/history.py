@@ -208,8 +208,12 @@ class HistoryStore:
         provider_name, store, execution_id = parse_url(url)
         if provider_name != self.provider_name or store != self.store:
             raise NotFound(f"{url!r} does not live in this store")
+        # An unknown id is refused before the billed read, which would charge
+        # whichever run draws that id later.
+        if execution_id not in self._provider.tables.get(self.table, {}):
+            raise NotFound(f"no execution record for {url!r}")
         record = self.get_record(execution_id)
-        if record is None or record.get("history_url") != url:
+        if record.get("history_url") != url:
             raise NotFound(f"no execution record for {url!r}")
         config = result = None
         config_key = record.get("config_key")

@@ -22,9 +22,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .caam import generate_pipeline
+from .caam import PipelineDocument, generate_pipeline
 from .config_model import AbstractRequest, parse_abstract_request
 from .errors import InsufficientSamples, NonPositiveBaseline
 from .runtime import ExecutionOutcome, ExecutionState, Orchestrator
@@ -312,11 +312,12 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _run_once(req: AbstractRequest) -> tuple[ExecutionOutcome, SimCloud]:
-    """One serverless run in a fresh environment."""
+def _run_once(
+    doc: PipelineDocument, mode: str = "serverless", poll_window: Optional[Rational] = None
+) -> tuple[ExecutionOutcome, SimCloud]:
+    """One completed run in a fresh environment."""
     env = SimCloud()
-    orchestrator = Orchestrator(env)
-    outcome = orchestrator.run(generate_pipeline(req))
+    outcome = Orchestrator(env).run(doc, mode, poll_window)
     if outcome.state is not ExecutionState.COMPLETED:
         raise NonPositiveBaseline(f"suite run failed: {outcome.failure}")
     return outcome, env
@@ -335,7 +336,7 @@ def run_scaling_suite(kind: str, levels: Sequence[int] = (1, 2, 4, 8)) -> SuiteR
     rows = []
     for level in levels:
         nodes, parallelism = (1, level) if kind == "scale_up" else (level, 1)
-        outcome, env = _run_once(make_suite_request(nodes, parallelism))
+        outcome, env = _run_once(generate_pipeline(make_suite_request(nodes, parallelism)))
         report = measure(outcome, env.ledger)
         fraction = Fraction(level, top)
         rows.append(
@@ -366,12 +367,6 @@ def run_efficiency_suite(
             nodes=1, parallelism=2, seed=i, serial_s=10 + i, parallel_s=100 + 3 * i
         )
         doc = generate_pipeline(req)
-
-        env = SimCloud()
-        outcome = Orchestrator(env).run(doc)
-        serverless_durations.append(outcome.duration_s)
-
-        env = SimCloud()
-        outcome = Orchestrator(env).run(doc, "sdk", Fraction(poll_window))
-        sdk_durations.append(outcome.duration_s)
+        serverless_durations.append(_run_once(doc)[0].duration_s)
+        sdk_durations.append(_run_once(doc, "sdk", poll_window)[0].duration_s)
     return efficiency_comparison(sdk_durations, serverless_durations)

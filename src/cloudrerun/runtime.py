@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .caam import EXPORT_PREFIX, FUNCTION_NAMES, TRIGGER_TABLE, PipelineDocument, SCHEMA_VERSION
+from .caam import EXPORT_PREFIX, TRIGGER_TABLE, PipelineDocument
 from .config_model import AbstractRequest, parse_abstract_request
 from .engines import capture_engine_config
 from .errors import (
@@ -159,17 +159,6 @@ class ExecutionOutcome:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _field(entry, key: str):
-    """``entry[key]`` of a document entry, or None when the entry is not an
-    object or has no such key; None is in no expected row."""
-    return entry.get(key) if isinstance(entry, dict) else None
-
-
-def _same_rows(rows: list, expected: tuple) -> bool:
-    """Whether ``rows`` are the distinct ``expected`` rows in any order, by equality alone."""
-    return len(rows) == len(expected) and all(row in rows for row in expected)
-
-
 def poll_window_for(mode: str, poll_window) -> Optional[Fraction]:
     """The poll window of a run in ``mode``: None for serverless, a positive
     rational for sdk.  Any other mode, or an sdk window that is not a
@@ -213,25 +202,7 @@ class Orchestrator:
         extra_parameters: Optional[dict] = None,
     ) -> PipelineInstance:
         window = poll_window_for(mode, poll_window)
-        body = doc.body
-        if body.get("schema_version") != SCHEMA_VERSION:
-            raise DeploymentRejected(
-                f"unsupported schema_version {body.get('schema_version')!r}"
-            )
-        if doc.provider not in self.env.providers:
-            raise DeploymentRejected(f"no simulated provider {doc.provider!r}")
-        names = [_field(f, "name") for f in body.get("functions", [])]
-        # The document's rules are the rules that run: the trigger table.
-        rules = [
-            tuple(_field(r, key) for key in ("function", "source_kind", "event", "match"))
-            for r in body.get("rules", [])
-        ]
-        if not (_same_rows(names, FUNCTION_NAMES) and _same_rows(rules, TRIGGER_TABLE)):
-            raise DeploymentRejected(
-                f"expected exactly the functions {FUNCTION_NAMES} and the trigger "
-                f"rules {TRIGGER_TABLE}, got {names} and {rules}"
-            )
-        archive = body.get("archive", {})
+        archive = doc.body.get("archive", {})
         if not isinstance(archive, dict):
             raise DeploymentRejected(f"archive section is not an object: {archive!r}")
         request = doc.compiled_request()

@@ -251,6 +251,17 @@ class TestHistoryCommand:
         rows = json.loads(capsys.readouterr().out)
         assert [row["engine"] for row in rows] == ["dask"]
 
+    def test_provider_flag_and_where_provider_both_filter(self, tmp_path, capsys):
+        state = tmp_path / "state"
+        assert main(run_args(write_files(tmp_path), state)) == EXIT_OK
+        capsys.readouterr()
+        history = ["history", "--state-dir", str(state), "--provider", "aws", "--json", "--where"]
+        assert main([*history, "provider=aws"]) == EXIT_OK
+        assert [row["provider"] for row in json.loads(capsys.readouterr().out)] == ["aws"]
+        # contradictory filters match nothing
+        assert main([*history, "provider=azure"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == []
+
     def test_where_requires_field_equals_value(self, tmp_path, capsys):
         code = main(["history", "--state-dir", str(tmp_path / "s"), "--where", "engine"])
         assert code == EXIT_USAGE
@@ -429,9 +440,9 @@ class TestErrorExitCodes:
         state = tmp_path / "s"
         assert main(run_args(paths, state)) == EXIT_OK
         url = history_url_from(capsys.readouterr().out)
-        for literal in ("soon", "1/0"):
+        for literal in ("soon", "1/0", "0"):
             window = ("--poll-window", literal)
-            # run and reproduce read the window in either mode
+            # run, reproduce and bench read the window in either mode
             commands = [
                 run_args(paths, state, "--mode", "sdk", *window),
                 run_args(paths, state, *window),

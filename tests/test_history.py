@@ -87,6 +87,7 @@ class TestArchive:
         store = HistoryStore(env, "aws", "execution-history", "execution-records")
         with pytest.raises(NotFound):
             store.fetch("rpac://aws/execution-history/aws-exec-9999")
+        assert env.ledger.request_counts == {}  # no read is billed to an unknown id
 
     def test_fetch_wrong_store(self):
         outcome, env = run_serverless(make_request())

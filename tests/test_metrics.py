@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudrerun import metrics
 from cloudrerun.config_model import (
     AbstractRequest,
     ApplicationSpec,
@@ -17,7 +18,7 @@ from cloudrerun.config_model import (
     ReproduceBlock,
     ResourcesSpec,
 )
-from cloudrerun.errors import InsufficientSamples, MalformedValue, NonPositiveBaseline, OpenLedger
+from cloudrerun.errors import InsufficientSamples, MalformedValue, NonPositiveBaseline, OpenLedger, StorageFailure
 from cloudrerun.metrics import (
     cost_by_usage,
     efficiency_comparison,
@@ -31,6 +32,7 @@ from cloudrerun.metrics import (
     two_sided_p_value,
 )
 from cloudrerun.simcloud.ledger import CostLedger
+from cloudrerun.simcloud.provider import SimCloud
 
 from helpers import make_request, run_serverless
 
@@ -142,6 +144,17 @@ class TestEfficiencyReport:
         assert report.mean_sdk_s > report.mean_serverless_s
         assert report.percent_reduction > 0
         assert 0 <= report.p_value <= 1
+
+    def test_a_failed_run_stops_the_suite(self, monkeypatch):
+        # A failed run's duration must not reach the t-test.
+        def faulty_env():
+            env = SimCloud()
+            env.provider("aws").inject_fault("storage_put", 0, lambda: StorageFailure("injected"))
+            return env
+
+        monkeypatch.setattr(metrics, "SimCloud", faulty_env)
+        with pytest.raises(NonPositiveBaseline, match="suite run failed: StorageFailure: injected"):
+            run_efficiency_suite(repeats=2)
 
 
 class TestScalingSuites:

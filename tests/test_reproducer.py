@@ -254,6 +254,23 @@ class TestGuards:
                 OverrideSet(personal_text=personal_text()),
             )
 
+    def test_a_missing_ancestor_bills_no_later_run(self):
+        # The first run draws the id the failed lookup named; it pays only
+        # for itself.
+        env = SimCloud()
+        with pytest.raises(NotFound):
+            reproduce(
+                env,
+                "rpac://aws/execution-history/aws-exec-0001",
+                OverrideSet(personal_text="[personal]\ncloud_provider = aws\n"),
+            )
+        assert env.ledger.request_counts == {}
+        outcome = Orchestrator(env).run_serverless(generate_pipeline(make_request()))
+        assert outcome.instance_id == "aws-exec-0001"
+        fresh = SimCloud()
+        fresh_outcome = Orchestrator(fresh).run_serverless(generate_pipeline(make_request()))
+        assert measure(outcome, env.ledger).m2_cost == measure(fresh_outcome, fresh.ledger).m2_cost
+
     def test_failed_ancestor_has_no_config(self):
         env = SimCloud()
         env.provider("aws").seed_registry(["something-else:1"])

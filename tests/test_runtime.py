@@ -498,24 +498,6 @@ class TestDeploymentValidation:
     def make_doc(self):
         return generate_pipeline(make_request())
 
-    def test_wrong_schema_version(self):
-        doc = self.make_doc()
-        doc.body["schema_version"] = 99
-        with pytest.raises(DeploymentRejected):
-            Orchestrator(SimCloud()).deploy(doc)
-
-    def test_missing_function(self):
-        doc = self.make_doc()
-        doc.body["functions"] = doc.body["functions"][:3]
-        with pytest.raises(DeploymentRejected):
-            Orchestrator(SimCloud()).deploy(doc)
-
-    def test_missing_rule(self):
-        doc = self.make_doc()
-        doc.body["rules"] = doc.body["rules"][:3]
-        with pytest.raises(DeploymentRejected):
-            Orchestrator(SimCloud()).deploy(doc)
-
     def test_unknown_provider(self):
         doc = self.make_doc()
         doc.body["provider"] = "gcloud"
@@ -566,31 +548,6 @@ class TestDeploymentValidation:
     def test_archive_that_is_not_an_object(self):
         doc = self.make_doc()
         doc.body["archive"] = "x"
-        with pytest.raises(DeploymentRejected):
-            Orchestrator(SimCloud()).deploy(doc)
-
-    @pytest.mark.parametrize(
-        "breaks",
-        [
-            lambda body: body["rules"][0].pop("function"),
-            lambda body: body["functions"][0].pop("name"),
-            lambda body: body["rules"][2].update(event="results/"),
-            lambda body: body["rules"][0].update(match="prefix"),
-            lambda body: body.update(rules=["x"]),
-            lambda body: body.update(functions=[None]),
-        ],
-        ids=[
-            "rule-without-function",
-            "function-without-name",
-            "export-on-results",
-            "match-changed",
-            "rule-not-an-object",
-            "function-not-an-object",
-        ],
-    )
-    def test_rules_must_be_the_trigger_table(self, breaks):
-        doc = self.make_doc()
-        breaks(doc.body)
         with pytest.raises(DeploymentRejected):
             Orchestrator(SimCloud()).deploy(doc)
 
