@@ -14,14 +14,23 @@ secret-looking key (see ``SECRET_KEY_MARKERS``) in the other two files is
 rejected, and in personal.ini its value is redacted from archives along
 with the credentials.
 
-Dialect: ``key = value`` pairs, ``#`` comments, lists comma-separated,
-maps as comma-separated ``key:value`` pairs.  Every value is one line: a
-continuation line is rejected, so serializing a parsed request and parsing
-the texts again yields the same request, and deployment reuses the
-compiled request while a document's archive texts are unchanged.  The
-application command is tokenized and its workload flags read at parse
-time, once per spec (``ApplicationSpec.flags`` and ``.workload``): an
-unbalanced quote or a bad workload flag is a parse error.
+Dialect: a text is split into lines at ``\n`` only, and each line is read
+with surrounding whitespace stripped.  A line is blank, a ``#`` comment, a
+``[name]`` section header (the name runs to the line's last ``]``), or a
+``key = value`` pair split at its first ``=``; a line indented deeper than
+the last line that was not one continues the current key's value, across
+blank lines and comments.  Keys of ``[DEFAULT]`` sections are merged into
+every other section, under the section's own keys.  A repeated section
+other than DEFAULT, a repeated key in one section, a pair before the first
+header, an empty key and any other line are malformed.  Lists are
+comma-separated, maps comma-separated ``key:value`` pairs.  Every value is
+one line: a value with two non-blank lines is rejected, so serializing a
+parsed request and parsing the texts again yields the same request, and
+deployment reuses the compiled request while a document's archive texts
+are unchanged.  The application command is tokenized and its workload
+flags read at parse time, once per spec (``ApplicationSpec.flags`` and
+``.workload``): an unbalanced quote or a bad workload flag is a parse
+error.
 Canonical serialization is byte-specified: UTF-8, LF line endings, fixed
 section order, keys sorted inside each section, exactly one space around
 ``=``.
@@ -29,7 +38,14 @@ section order, keys sorted inside each section, exactly one space around
 
 from __future__ import annotations
 
-import configparser
+# The reader is this module's own; configparser's error classes give its
+# errors the messages that configparser's reader gives for the same text.
+from configparser import (
+    DEFAULTSECT,
+    DuplicateOptionError,
+    DuplicateSectionError,
+    MissingSectionHeaderError,
+)
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
@@ -237,18 +253,56 @@ _KNOWN_KEYS = {
 def _read_ini(text: str, label: str, known_sections) -> tuple[dict, tuple]:
     """Read one INI text into its sections, plus the unknown sections and
     the unknown keys of known sections as sorted extras."""
-    parser = configparser.ConfigParser(
-        interpolation=None, delimiters=("=",), comment_prefixes=("#",), strict=True
-    )
-    parser.optionxform = str  # keep key case as written
-    try:
-        parser.read_string(text, source=label)
-    except configparser.Error as exc:
-        raise MalformedValue(f"{label}: {exc}") from exc
+    defaults: dict[str, list[str]] = {}
+    parsed: dict[str, dict[str, list[str]]] = {}
+    section = name = key = None  # the section being read and the key indented lines continue
+    indent = 0  # of the last line that was not a continuation
+    invalid = []  # (line number, line) of each line that is no header and no pair
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, 1):
+        value = line.strip()
+        if not value or value[0] == "#":
+            if not value and key:
+                section[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key and depth > indent:
+            section[key].append(value)
+            continue
+        indent = depth
+        raw = line + "\n" if lineno < len(lines) else line
+        end = value.rfind("]")
+        if value[0] == "[" and end > 1:
+            name, key = value[1:end], None
+            if name == DEFAULTSECT:
+                section = defaults
+            elif name in parsed:
+                exc = DuplicateSectionError(name, label, lineno)
+                raise MalformedValue(f"{label}: {exc}") from exc
+            else:
+                section = parsed[name] = {}
+        elif section is None:
+            exc = MissingSectionHeaderError(label, lineno, raw)
+            raise MalformedValue(f"{label}: {exc}") from exc
+        elif "=" not in value:
+            invalid.append((lineno, raw))
+        else:
+            key, _, rest = value.partition("=")
+            key = key.rstrip()
+            if not key:  # invalid, but read on as configparser does
+                invalid.append((lineno, raw))
+            if key in section:
+                exc = DuplicateOptionError(name, key, label, lineno)
+                raise MalformedValue(f"{label}: {exc}") from exc
+            section[key] = [rest.strip()]
+    if invalid:
+        raise MalformedValue(f"{label}: Source contains parsing errors: {label!r}" + "".join(
+            f"\n\t[line {lineno:2d}]: {line!r}" for lineno, line in invalid))
+    joined = {k: "\n".join(parts).strip() for k, parts in defaults.items()}
     sections: dict[str, dict[str, str]] = {}
     extras = []
-    for name in parser.sections():
-        data = sections[name] = {k: v.strip() for k, v in parser.items(name)}
+    for name, pairs in parsed.items():
+        data = sections[name] = {**joined, **{k: "\n".join(parts).strip() for k, parts in pairs.items()}}
         for key, value in data.items():
             if "\n" in value:
                 raise MalformedValue(f"{label}: [{name}] {key}: values must be one line")

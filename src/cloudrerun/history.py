@@ -15,9 +15,15 @@ to by URL::
 
     rpac://<provider>/<store>/<execution_id>
 
-Zip bundles are deterministic: stored (uncompressed) entries, sorted names,
-a fixed timestamp.  Equal content means equal bytes, which is what makes
-byte-level reproduction checks meaningful.
+Zip bundles are deterministic, so equal content means equal bytes, which is
+what makes byte-level reproduction checks meaningful.  A bundle is written
+in the PKWARE APPNOTE layout: per entry, in name order, a local header, the
+ASCII name and the stored (uncompressed) bytes, with the CRC-32 and sizes
+in the header and no data descriptor; then one central directory header per
+entry and the end record.  Every entry is dated 1980-01-01 00:00:00, made
+by version 2.0 on Unix, with mode 0600 and no extra field or comment: the
+bytes ``zipfile`` writes for the same entries.  Reading goes through
+``zipfile``, which checks what it reads.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -55,7 +63,11 @@ RECORD_FIELDS = (
     "mode",
 )
 
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+_ZIP_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_ZIP_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
+_ZIP_END_RECORD = struct.Struct("<4s4H2LH")
+_ZIP_DATE = 1 << 5 | 1  # MS-DOS date of 1980-01-01; the time field is 0
+_ZIP_MODE = 0o600 << 16  # Unix permissions in the external attributes
 
 
 def execution_url(provider: str, store: str, execution_id: str) -> str:
@@ -73,14 +85,27 @@ def parse_url(url: str) -> tuple[str, str, str]:
 
 
 def deterministic_zip(entries: dict[str, bytes]) -> bytes:
-    """Zip whose bytes depend only on entry names and contents."""
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", compression=zipfile.ZIP_STORED) as zf:
-        for name in sorted(entries):
-            info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
-            info.external_attr = 0o600 << 16
-            zf.writestr(info, entries[name])
-    return buffer.getvalue()
+    """Zip whose bytes depend only on entry names and contents.  A name
+    must be ASCII without NUL, which ``zipfile`` stores unchanged."""
+    local, central, offset = [], [], 0
+    for name in sorted(entries):
+        if not name.isascii() or "\0" in name:
+            raise ValueError(f"zip entry name {name!r} is not ASCII without NUL")
+        encoded, data = name.encode("ascii"), entries[name]
+        crc, size = zlib.crc32(data), len(data)
+        header = _ZIP_LOCAL_HEADER.pack(
+            b"PK\x03\x04", 20, 0, 0, 0, 0, _ZIP_DATE, crc, size, size, len(encoded), 0
+        )
+        local += (header, encoded, data)
+        central += (_ZIP_CENTRAL_HEADER.pack(
+            b"PK\x01\x02", 20, 3, 20, 0, 0, 0, 0, _ZIP_DATE, crc, size, size, len(encoded),
+            0, 0, 0, 0, _ZIP_MODE, offset,
+        ), encoded)
+        offset += len(header) + len(encoded) + size
+    directory = b"".join(central)
+    count = len(entries)
+    end = _ZIP_END_RECORD.pack(b"PK\x05\x06", 0, 0, count, count, len(directory), offset, 0)
+    return b"".join(local) + directory + end
 
 
 def read_zip(data: bytes) -> dict[str, bytes]:

@@ -29,7 +29,6 @@ the bus.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -442,8 +441,15 @@ class Orchestrator:
 
     def _poll_tick(self, inst: PipelineInstance, ready_at: Fraction) -> Fraction:
         """Advance to the first poll tick at or after ``ready_at``."""
-        ticks = math.ceil((ready_at - inst.submitted_at) / inst.poll_window)
-        tick = inst.submitted_at + max(0, ticks) * inst.poll_window
+        # ceil((ready_at - start) / window) and start + ticks * window, on
+        # numerators and denominators: exact, without Fraction operators.
+        start, window = inst.submitted_at, inst.poll_window
+        numerator = (ready_at.numerator * start.denominator
+                     - start.numerator * ready_at.denominator) * window.denominator
+        ticks = max(0, -(-numerator // (ready_at.denominator * start.denominator * window.numerator)))
+        tick = Fraction(start.numerator * window.denominator
+                        + ticks * window.numerator * start.denominator,
+                        start.denominator * window.denominator)
         if tick > self.env.clock.now():
             self.env.clock.advance_to(tick)
         return tick

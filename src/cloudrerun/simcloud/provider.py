@@ -55,6 +55,17 @@ PROVIDERS = ("aws", "azure")
 _STATE_MAGIC = b"cloudrerun-state/2\n"
 
 
+def _copy_json(value):
+    """A copy of a JSON value sharing no dict or list with it: for the
+    dicts, lists, strings, numbers and None a table row holds, what a JSON
+    round trip gives back."""
+    if type(value) is dict:
+        return {key: _copy_json(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_copy_json(item) for item in value]
+    return value
+
+
 @dataclass(frozen=True)
 class Event:
     """One delivered notification.  Delivery is at-least-once; consumers
@@ -329,9 +340,7 @@ class SimProvider:
             row = rows.get(filters["execution_id"])
             candidates = () if row is None else (row,)
         return [
-            json.loads(json.dumps(row))
-            for row in candidates
-            if all(row.get(k) == v for k, v in filters.items())
+            _copy_json(row) for row in candidates if all(row.get(k) == v for k, v in filters.items())
         ]
 
     # -- bookkeeping -------------------------------------------------------

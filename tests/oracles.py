@@ -3,8 +3,13 @@ cross-check the package's cleverer code paths."""
 
 from __future__ import annotations
 
+import configparser
+import io
+import zipfile
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from cloudrerun.errors import MalformedValue
 
 
 def per_second_cost(
@@ -90,3 +95,42 @@ def student_t_reference(sample_a: Sequence[float], sample_b: Sequence[float]):
 
     result = stats.ttest_ind(list(sample_a), list(sample_b), equal_var=True)
     return float(result.statistic), float(result.pvalue)
+
+
+def configparser_ini(text: str, label: str, known_keys: dict) -> tuple[dict, tuple]:
+    """The request INI dialect read by the standard library's
+    ``ConfigParser``: the sections, plus the unknown sections and the
+    unknown keys of the sections in ``known_keys`` as sorted extras."""
+    parser = configparser.ConfigParser(
+        interpolation=None, delimiters=("=",), comment_prefixes=("#",), strict=True
+    )
+    parser.optionxform = str  # keep key case as written
+    try:
+        parser.read_string(text, source=label)
+    except configparser.Error as exc:
+        raise MalformedValue(f"{label}: {exc}") from exc
+    sections: dict[str, dict[str, str]] = {}
+    extras = []
+    for name in parser.sections():
+        data = sections[name] = {k: v.strip() for k, v in parser.items(name)}
+        for key, value in data.items():
+            if "\n" in value:
+                raise MalformedValue(f"{label}: [{name}] {key}: values must be one line")
+        if name in known_keys:
+            data = {k: v for k, v in data.items() if k not in known_keys[name]}
+            if not data:
+                continue
+        extras.append((name, tuple(sorted(data.items()))))
+    return sections, tuple(sorted(extras))
+
+
+def zipfile_stored(entries: dict[str, bytes]) -> bytes:
+    """The stored zip of ``entries`` as the standard library writes it:
+    sorted names, each dated 1980-01-01 00:00:00 with mode 0600."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression=zipfile.ZIP_STORED) as zf:
+        for name in sorted(entries):
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.external_attr = 0o600 << 16
+            zf.writestr(info, entries[name])
+    return buffer.getvalue()

@@ -4,9 +4,10 @@ import re
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cloudrerun import config_model
 from cloudrerun.caam import get_adapter
 from cloudrerun.config_model import (
     CREDENTIAL_ENV_PREFIX,
@@ -33,6 +34,7 @@ from cloudrerun.errors import (
 )
 
 from helpers import application_text, personal_text, resources_text
+from oracles import configparser_ini
 
 
 def parse_triple(res, app, pers):
@@ -341,3 +343,41 @@ def test_round_trip_property(engine, nodes, key_name, image_tag, seed):
     texts = canonical_serialize(req)
     assert parse_triple(*texts) == req
     assert canonical_serialize(parse_triple(*texts)) == texts
+
+
+# Lines over the characters the INI dialect treats specially, plus the ones
+# ``str.splitlines`` would split at but the reader must not.
+_hostile = st.text(alphabet="[]=#; \t\r\x0c\x1c\u2028ak", max_size=8)
+_indent = st.sampled_from(["", " ", "\t", "  "])
+_ini_line = st.one_of(
+    st.builds("{}[{}]{}".format, _indent,
+              st.sampled_from(["DEFAULT", "resources", "cloud.aws", "x", "a b", "]"]),
+              st.sampled_from(["", "junk", "]", " # c"])),
+    st.builds("{}{}{}={}{}".format, _indent, st.sampled_from(["", "region", "k", "K", "x_y", "a b"]),
+              st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " "]), _hostile),
+    st.builds("{}#{}".format, _indent, _hostile),
+    st.builds("{}{}".format, _indent, _hostile),
+    st.sampled_from(["", " ", "\t", "\r", "\x0c"]),
+)
+
+
+def _read_or_error(read, *args):
+    try:
+        return read(*args)
+    except MalformedValue as exc:
+        return f"MalformedValue: {exc}"
+
+
+@settings(max_examples=250, deadline=None)
+@given(lines=st.lists(_ini_line, max_size=12), end=st.sampled_from(["", "\n"]))
+@example(lines=["[x]", "k = v\x0c  w", "m = a\u2028b\r"], end="\n")
+@example(lines=["[DEFAULT]", "k = d", "[x]", "", "  k = 1", "[DEFAULT]", "j =", "  x"], end="")
+@example(lines=["[x]", "k = v", "", "  w"], end="\n")
+@example(lines=["[x]junk", "= v", "no delimiter", "= w"], end="\n")
+def test_reader_matches_configparser(lines, end):
+    """The INI reader gives configparser's sections and extras, or the same
+    error, on texts over a hostile alphabet."""
+    text = "\n".join(lines) + end
+    known = {name: config_model._KNOWN_KEYS[name] for name in config_model._RESOURCES_SECTIONS}
+    assert _read_or_error(config_model._read_ini, text, "resources.ini", tuple(known)) == \
+        _read_or_error(configparser_ini, text, "resources.ini", known)

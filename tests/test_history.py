@@ -1,8 +1,13 @@
 """History archiving, URLs, bundles, queries, redaction."""
 
+import io
+import zipfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudrerun.config_model import parse_personal
 from cloudrerun.errors import (
@@ -25,7 +30,17 @@ from cloudrerun.simcloud.provider import SimCloud
 
 from helpers import make_request, run_serverless
 
-from oracles import query_scan
+from oracles import query_scan, zipfile_stored
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Any ASCII name; NUL is refused, since zipfile would cut the name there.
+_zip_names = st.text(alphabet=st.characters(max_codepoint=127), max_size=12)
+_payloads = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda byte, size: byte * size, st.binary(min_size=1, max_size=1),
+              st.integers(min_value=65_000, max_value=70_000)),
+)
 
 
 class TestUrls:
@@ -61,6 +76,40 @@ class TestBundles:
         a = deterministic_zip({"x": b"1"})
         b = deterministic_zip({"x": b"2"})
         assert a != b
+
+    def test_golden_archives_are_written_again_byte_for_byte(self):
+        """The bundles in the state goldens, which ``zipfile`` wrote, are what
+        the writer makes of their entries."""
+        blobs = [
+            version
+            for name in ("simcloud_state.json", "simcloud_state.v2", "simcloud_state.live.v2")
+            for provider in SimCloud.load_state(GOLDEN / name).providers.values()
+            for store in provider.stores.values()
+            for key, versions in store.items()
+            if key.endswith(".zip")
+            for version in versions
+        ]
+        assert len(blobs) >= 12
+        for blob in blobs:
+            assert deterministic_zip(read_zip(blob)) == blob
+
+    @settings(max_examples=150, deadline=None)
+    @given(entries=st.dictionaries(_zip_names, _payloads, max_size=5))
+    def test_zip_is_what_zipfile_writes(self, entries):
+        if any("\0" in name for name in entries):
+            with pytest.raises(ValueError, match="not ASCII without NUL"):
+                deterministic_zip(entries)
+            return
+        blob = deterministic_zip(entries)
+        assert blob == zipfile_stored(entries)
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            assert zf.testzip() is None
+        assert read_zip(blob) == entries
+
+    def test_non_ascii_name_is_refused(self):
+        # zipfile would store it as UTF-8 and set flag bit 0x800
+        with pytest.raises(ValueError, match="not ASCII without NUL"):
+            deterministic_zip({"r\u00e9sum\u00e9.txt": b"x"})
 
     def test_dataset_content_is_pure(self):
         assert dataset_content("s3://d/alpha") == dataset_content("s3://d/alpha")

@@ -3,8 +3,11 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudrerun.caam import FUNCTION_NAMES, generate_pipeline
 from cloudrerun.errors import (
@@ -343,6 +346,25 @@ class TestSdkMode:
             for k in sdk.result_keys
         ]
         assert bytes_a == bytes_b
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.builds(Fraction, st.integers(0, 10**10), st.integers(1, 10**6)),
+        window=st.builds(Fraction, st.integers(1, 1000), st.integers(1, 10)),
+        # at most 10 s, so the walk takes at most 100 ticks a stage
+        durations=st.lists(st.builds(lambda n, d: Fraction(n % (10 * d + 1), d),
+                                     st.integers(0, 10**7), st.integers(1, 10**6)), max_size=5),
+    )
+    def test_poll_tick_is_the_walked_tick(self, start, window, durations):
+        env = SimCloud()
+        env.clock.advance_to(start)
+        orchestrator = Orchestrator(env)
+        inst = SimpleNamespace(submitted_at=start, poll_window=window)
+        tick = start
+        for duration in durations:
+            tick = orchestrator._poll_tick(inst, tick + duration)
+            assert type(tick) is Fraction and env.clock.now() == tick
+        assert tick == start + residue_walk(durations, window)[0]
 
     def test_window_multiple_of_stages_adds_nothing(self):
         # every stage duration divides the window evenly: no residues

@@ -476,6 +476,23 @@ class TestGoldenState:
                 store = HistoryStore(env, name, parse_url(row["history_url"])[1], table)
                 assert store.get_record(execution_id) == row
 
+    def test_queried_rows_are_json_copies(self):
+        """A queried row is its stored row's JSON round trip, and changing
+        its nested parts leaves the stored row as it was."""
+        for golden in GOLDENS:
+            env = SimCloud.load_state(golden)
+            for name, table in {(name, table) for name, table, _ in _golden_rows()}:
+                stored = env.provider(name).tables[table]
+                before = json.loads(json.dumps(stored))
+                rows = env.provider(name).db_query(table, {}, "query")
+                assert rows == list(before.values())
+                for row in rows:
+                    row["parameters"]["region"] = "elsewhere"
+                    for timing in row["stage_timings"].values():
+                        timing.append("0")
+                    row["input_keys"].append("inputs/elsewhere")
+                assert stored == before, golden.name
+
     def test_an_upsert_keeps_the_row_in_place(self):
         env = SimCloud.load_state(GOLDEN_STATE)
         before = [row for name, table, row in _golden_rows() if (name, table) == ("aws", "execution-records")]
