@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 from .caam import PipelineDocument, generate_pipeline
 from .config_model import AbstractRequest, parse_abstract_request
 from .errors import InsufficientSamples, NonPositiveBaseline
-from .runtime import ExecutionOutcome, ExecutionState, Orchestrator
+from .runtime import ExecutionState, Orchestrator, PipelineInstance
 from .simcloud.ledger import SECONDS_PER_HOUR, CostLedger
 from .simcloud.provider import SimCloud
 
@@ -57,7 +57,7 @@ class MetricReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def measure(outcome: ExecutionOutcome, ledger: CostLedger) -> MetricReport:
+def measure(outcome: PipelineInstance, ledger: CostLedger) -> MetricReport:
     """m1, m2 and m3 for one finished execution, exactly; m2 sums the breakdown."""
     duration = outcome.duration_s
     m1 = duration / SECONDS_PER_HOUR
@@ -314,7 +314,7 @@ class SuiteReport:
 
 def _run_once(
     doc: PipelineDocument, mode: str = "serverless", poll_window: Optional[Rational] = None
-) -> tuple[ExecutionOutcome, SimCloud]:
+) -> tuple[PipelineInstance, SimCloud]:
     """One completed run in a fresh environment."""
     env = SimCloud()
     outcome = Orchestrator(env).run(doc, mode, poll_window)

@@ -34,7 +34,7 @@ from .config_model import (
 )
 from .errors import ConfigError, InvalidMerge, NotFound
 from .history import HistoryStore, find_record_table, parse_url
-from .runtime import ExecutionOutcome, Orchestrator, poll_window_for
+from .runtime import Orchestrator, PipelineInstance, poll_window_for
 from .simcloud.provider import SimCloud
 
 # Size-for-size instance translation between the supported clouds.
@@ -76,7 +76,7 @@ class ReproductionResult:
     ancestor_url: str
     reproduction_mode: str
     request: AbstractRequest
-    outcome: ExecutionOutcome
+    outcome: PipelineInstance
 
 
 def translate_resources(resources: ResourcesSpec, source: str, target: str) -> ResourcesSpec:

@@ -18,12 +18,12 @@ step table, from function name to that state and the step's work; the same
 guard runs every stage completion and turns a stage fault into a failed run.
 
 ``Orchestrator.run`` runs both execution modes, which share all stage
-logic and the environment's one event bus.  Serverless mode acts on each
-event as it arrives.  SDK mode polls on a fixed tick grid anchored at
-submission and acts on each event at the first tick at or after it, so the
-wall-clock difference between the modes is exactly the sum of per-stage
-alignment residues.  However a run ends, it removes its trigger rules from
-the bus.
+logic and the environment's one event bus, and returns the ended run's
+``PipelineInstance``.  Serverless mode acts on each event as it arrives.
+SDK mode polls on a fixed tick grid anchored at submission and acts on each
+event at the first tick at or after it, so the wall-clock difference between
+the modes is exactly the sum of per-stage alignment residues.  However a run
+ends, it removes its trigger rules from the bus.
 """
 
 from __future__ import annotations
@@ -71,12 +71,14 @@ STAGES = ("Provisioning", "SoftwareSetup", "Executing", "Exporting", "Terminatin
 
 @dataclass
 class PipelineInstance:
+    """One run; ``Orchestrator.run`` returns it once it is Completed or Failed."""
+
     instance_id: str
-    provider_name: str
-    doc: PipelineDocument
-    request: AbstractRequest
+    provider: str
+    doc: PipelineDocument = field(repr=False)
+    request: AbstractRequest = field(repr=False)
     mode: str
-    history: Optional[HistoryStore]  # None: the run keeps no history
+    history: Optional[HistoryStore] = field(repr=False)  # None: the run keeps no history
     poll_window: Optional[Fraction] = None
     extra_parameters: dict = field(default_factory=dict)
 
@@ -88,7 +90,7 @@ class PipelineInstance:
 
     cluster: Optional[Cluster] = None
     network_id: Optional[str] = None
-    result_keys: list[str] = field(default_factory=list)
+    result_keys: tuple[str, ...] = ()
     record: Optional[dict] = None  # as last stored
 
     @property
@@ -97,7 +99,7 @@ class PipelineInstance:
 
     @property
     def source(self) -> str:
-        return f"{self.provider_name}:instance:{self.instance_id}"
+        return f"{self.provider}:instance:{self.instance_id}"
 
     @property
     def stage_timings(self) -> dict[str, tuple[Fraction, Fraction]]:
@@ -109,32 +111,11 @@ class PipelineInstance:
 
     @property
     def node_count(self) -> int:
-        return self.request.resources.provider_block(self.provider_name).instance_number
+        return self.request.resources.provider_block(self.provider).instance_number
 
     @property
     def engine(self) -> str:
         return self.request.resources.bigdata_engine.value
-
-
-def _timings_json(timings: dict[str, tuple[Fraction, Fraction]]) -> dict[str, list[str]]:
-    """Stage timings as written to an outcome and to a history record."""
-    return {name: [str(start), str(end)] for name, (start, end) in timings.items()}
-
-
-@dataclass(frozen=True)
-class ExecutionOutcome:
-    instance_id: str
-    provider: str
-    engine: str
-    mode: str
-    state: ExecutionState
-    submitted_at: Fraction
-    ended_at: Fraction
-    stage_timings: dict[str, tuple[Fraction, Fraction]]
-    result_keys: tuple[str, ...]
-    history_url: Optional[str]
-    record: Optional[dict]
-    failure: Optional[str]
 
     @property
     def duration_s(self) -> Fraction:
@@ -156,6 +137,11 @@ class ExecutionOutcome:
             "failure": self.failure,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _timings_json(timings: dict[str, tuple[Fraction, Fraction]]) -> dict[str, list[str]]:
+    """Stage timings as written to an outcome and to a history record."""
+    return {name: [str(start), str(end)] for name, (start, end) in timings.items()}
 
 
 def poll_window_for(mode: str, poll_window) -> Optional[Fraction]:
@@ -182,13 +168,6 @@ class Orchestrator:
     def __init__(self, env: SimCloud) -> None:
         self.env = env
         self.bus: EventBus = env.bus
-        # Each pipeline function: the state its step runs in, and the work.
-        self._steps = {
-            "software_env_setup": (ExecutionState.PROVISIONING, self._software_setup),
-            "run_analytics": (ExecutionState.SOFTWARE_SETUP, self._analytics),
-            "export_execution": (ExecutionState.EXECUTING, self._export),
-            "terminate_resources": (ExecutionState.EXPORTING, self._enter_terminating),
-        }
 
     # -- deployment --------------------------------------------------------
 
@@ -196,8 +175,8 @@ class Orchestrator:
         self,
         doc: PipelineDocument,
         mode: str = "serverless",
-        record_history: bool = True,
         poll_window: Optional[Fraction] = None,
+        record_history: bool = True,
         extra_parameters: Optional[dict] = None,
     ) -> PipelineInstance:
         window = poll_window_for(mode, poll_window)
@@ -225,7 +204,7 @@ class Orchestrator:
             )
         instance = PipelineInstance(
             instance_id=self.env.provider(doc.provider).next_id("exec"),
-            provider_name=doc.provider,
+            provider=doc.provider,
             doc=doc,
             request=request,
             mode=mode,
@@ -238,7 +217,7 @@ class Orchestrator:
 
     def _install_rules(self, instance: PipelineInstance) -> None:
         """Bind each row of the trigger table to ``instance``."""
-        storage_source = f"{instance.provider_name}:objectstore:{WORKSPACE_STORE}"
+        storage_source = f"{instance.provider}:objectstore:{WORKSPACE_STORE}"
         for function, kind, event, match in TRIGGER_TABLE:
             source = instance.source
             if kind == "storage":
@@ -255,8 +234,8 @@ class Orchestrator:
 
     def _step(self, inst: PipelineInstance, function: str) -> bool:
         """Run the step of ``function`` if the run is in the state it runs in."""
-        state, work = self._steps[function]
-        return self._guarded(inst, state, lambda: work(inst))
+        state, work = _STEPS[function]
+        return self._guarded(inst, state, lambda: work(self, inst))
 
     def _guarded(self, inst: PipelineInstance, state: ExecutionState, work: Callable[[], None]) -> bool:
         """The one state guard: run ``work`` only in ``state``, and fail the
@@ -280,8 +259,8 @@ class Orchestrator:
             return
         inst.submitted_at = self.env.clock.now()
         self._transition(inst, ExecutionState.PROVISIONING)
-        provider = self.env.provider(inst.provider_name)
-        block = inst.request.resources.provider_block(inst.provider_name)
+        provider = self.env.provider(inst.provider)
+        block = inst.request.resources.provider_block(inst.provider)
         network_id = provider.create_network(inst.instance_id)
         inst.network_id = network_id
         try:
@@ -295,7 +274,7 @@ class Orchestrator:
 
     def _software_setup(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.SOFTWARE_SETUP)
-        self.env.provider(inst.provider_name).resolve_image(inst.request.application.docker_image)
+        self.env.provider(inst.provider).resolve_image(inst.request.application.docker_image)
         delay = self.env.delays.image_pull_s + self.env.delays.bootstrap_cmd_s * len(
             inst.request.application.bootstrap
         )
@@ -310,7 +289,7 @@ class Orchestrator:
     def _write_results(self, inst: PipelineInstance, profile) -> None:
         if profile.exit_code != 0:
             raise AnalyticsFailure(f"command exited with code {profile.exit_code}")
-        provider = self.env.provider(inst.provider_name)
+        provider = self.env.provider(inst.provider)
         base = workload_result(
             profile.seed,
             inst.request.application.command,
@@ -336,7 +315,7 @@ class Orchestrator:
             (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
             inst.instance_id,
         )
-        inst.result_keys = keys + [f"{prefix}manifest.json"]
+        inst.result_keys = (*keys, f"{prefix}manifest.json")
 
     def _export(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.EXPORTING)
@@ -344,7 +323,7 @@ class Orchestrator:
         # A run without history has nothing to archive: no plan, no delay.
         plan = None
         if inst.history is not None:
-            provider = self.env.provider(inst.provider_name)
+            provider = self.env.provider(inst.provider)
             entries = {
                 key.rsplit("/", 1)[1]: provider.storage_get(WORKSPACE_STORE, key, inst.instance_id)
                 for key in inst.result_keys
@@ -375,7 +354,7 @@ class Orchestrator:
     def _finish(self, inst: PipelineInstance) -> None:
         """The one place a run ends: release its resources, retire its
         rules, set its end and write its final record."""
-        provider = self.env.provider(inst.provider_name)
+        provider = self.env.provider(inst.provider)
         if inst.cluster is not None:
             provider.delete_cluster(inst.cluster.cluster_id)
         if inst.network_id is not None:
@@ -401,7 +380,7 @@ class Orchestrator:
     def _record(self, inst: PipelineInstance) -> dict:
         """The run's history record, pending until the run has ended; from
         then on it carries the final status, the end and the stage timings."""
-        block = inst.request.resources.provider_block(inst.provider_name)
+        block = inst.request.resources.provider_block(inst.provider)
         parameters = {
             "instance_type": block.instance_type,
             "instance_number": block.instance_number,
@@ -414,7 +393,7 @@ class Orchestrator:
         parameters.update(inst.extra_parameters)
         ended = inst.state in TERMINAL_STATES
         record = {
-            "provider": inst.provider_name,
+            "provider": inst.provider,
             "engine": inst.engine,
             "mode": inst.mode,
             "status": inst.state.value if ended else "Completed-pending-termination",
@@ -459,22 +438,6 @@ class Orchestrator:
         if not self.env.run_next_completion():
             raise CloudRerunError(f"{inst.instance_id} stalled in state {inst.state.value}")
 
-    def _outcome(self, inst: PipelineInstance) -> ExecutionOutcome:
-        return ExecutionOutcome(
-            instance_id=inst.instance_id,
-            provider=inst.provider_name,
-            engine=inst.engine,
-            mode=inst.mode,
-            state=inst.state,
-            submitted_at=inst.submitted_at,
-            ended_at=inst.ended_at,
-            stage_timings=inst.stage_timings,
-            result_keys=tuple(inst.result_keys),
-            history_url=inst.history_url,
-            record=inst.record,
-            failure=inst.failure,
-        )
-
     def run(
         self,
         doc: PipelineDocument,
@@ -482,19 +445,19 @@ class Orchestrator:
         poll_window: Optional[Fraction] = None,
         record_history: bool = True,
         extra_parameters: Optional[dict] = None,
-    ) -> ExecutionOutcome:
+    ) -> PipelineInstance:
         """Deploy ``doc`` and drive it to its end; only sdk runs poll."""
-        return self._drive(self.deploy(doc, mode, record_history, poll_window, extra_parameters))
+        return self._drive(self.deploy(doc, mode, poll_window, record_history, extra_parameters))
 
-    def run_serverless(self, doc: PipelineDocument, record_history: bool = True) -> ExecutionOutcome:
+    def run_serverless(self, doc: PipelineDocument, record_history: bool = True) -> PipelineInstance:
         return self.run(doc, "serverless", None, record_history)
 
     def run_sdk(
         self, doc: PipelineDocument, poll_window: Fraction = Fraction(10), record_history: bool = True
-    ) -> ExecutionOutcome:
+    ) -> PipelineInstance:
         return self.run(doc, "sdk", poll_window, record_history)
 
-    def _drive(self, inst: PipelineInstance) -> ExecutionOutcome:
+    def _drive(self, inst: PipelineInstance) -> PipelineInstance:
         """Start a deployed run and drive it to its end: dispatch each queued
         event, and run the next completion when none is queued.  An sdk run
         that has not begun ending acts on an event at the first poll tick at
@@ -512,4 +475,13 @@ class Orchestrator:
                 self.bus.dispatch(event)
         finally:
             self.bus.retire(inst.instance_id)
-        return self._outcome(inst)
+        return inst
+
+
+# Each pipeline function: the state its step runs in, and its work.
+_STEPS = {
+    "software_env_setup": (ExecutionState.PROVISIONING, Orchestrator._software_setup),
+    "run_analytics": (ExecutionState.SOFTWARE_SETUP, Orchestrator._analytics),
+    "export_execution": (ExecutionState.EXECUTING, Orchestrator._export),
+    "terminate_resources": (ExecutionState.EXPORTING, Orchestrator._enter_terminating),
+}

@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,11 +168,12 @@ class SimProvider:
     tables, and a container image registry.
 
     A table maps each execution id to its row, in the order the ids were
-    first written; a write to a known id replaces its row in place."""
+    first written; a write to a known id replaces its row in place.
+    ``env`` is a weak proxy, so an environment is freed with its last reference."""
 
     def __init__(self, name: str, env: "SimCloud") -> None:
         self.name = name
-        self.env = env
+        self.env = weakref.proxy(env)
         self.max_instances = 64
         self.clusters: dict[str, Cluster] = {}
         self.networks: set[str] = set()

@@ -3,8 +3,11 @@
 It hashes, in order:
 
 * the golden pipeline documents' JSON (``tests/golden/pipeline_*.json``);
-* one run per cloud, engine and mode with history on: the outcome JSON,
-  the ``measure()`` JSON and the ``Config.zip`` and ``Result.zip`` bytes;
+* one run per cloud, engine and mode with history on, and per cloud a run
+  ending Failed, a run without history and an identical reproduction,
+  then that reproduction's ancestor, whose bill the fetch adds to: for
+  each, the outcome JSON, the ``measure()`` JSON and, when it keeps
+  history, its record and the ``Config.zip`` and ``Result.zip`` bytes;
 * each state golden, loaded and saved again.
 
 It imports only the standard library, the package and the test helpers,
@@ -19,21 +22,38 @@ prints the digest as hex.
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 from cloudrerun.caam import generate_pipeline
 from cloudrerun.metrics import measure
+from cloudrerun.reproducer import OverrideSet, reproduce
 from cloudrerun.runtime import Orchestrator
 from cloudrerun.simcloud.provider import PROVIDERS, SimCloud
 
-from helpers import make_request
+from helpers import make_request, personal_text
 
 GOLDEN = Path(__file__).parent / "golden"
 STATE_GOLDENS = ("simcloud_state.json", "simcloud_state.v2", "simcloud_state.live.v2")
 ENGINES = ("none", "dask", "horovod")  # the engines both clouds host
 POLL_WINDOWS = {"serverless": None, "sdk": Fraction(10)}
+FAILING_COMMAND = "analyze --serial-seconds 10 --parallel-seconds 100 --exit-code 1"
+
+
+def _update(sha, env: SimCloud, outcome) -> None:
+    """Hash one finished run: its outcome and ``measure()`` JSON and, when
+    it keeps history, its record and the archives the record names."""
+    sha.update(outcome.to_json().encode())
+    sha.update(measure(outcome, env.ledger).to_json().encode())
+    if outcome.record is None:
+        return
+    sha.update(json.dumps(outcome.record, sort_keys=True).encode())
+    for field in ("config_key", "result_key"):
+        if outcome.record[field] is not None:
+            objects = env.provider(outcome.provider).stores["execution-history"]
+            sha.update(objects[outcome.record[field]][-1])
 
 
 def digest() -> str:
@@ -47,12 +67,18 @@ def digest() -> str:
             for mode, window in POLL_WINDOWS.items():
                 env = SimCloud()
                 doc = generate_pipeline(make_request(engine=engine, provider=provider, nodes=2))
-                outcome = Orchestrator(env).run(doc, mode, window)
-                sha.update(outcome.to_json().encode())
-                sha.update(measure(outcome, env.ledger).to_json().encode())
-                objects = env.provider(provider).stores["execution-history"]
-                for field in ("config_key", "result_key"):
-                    sha.update(objects[outcome.record[field]][-1])
+                _update(sha, env, Orchestrator(env).run(doc, mode, window))
+        env = SimCloud()
+        failing = make_request(provider=provider, command=FAILING_COMMAND)
+        _update(sha, env, Orchestrator(env).run(generate_pipeline(failing)))
+        env = SimCloud()
+        doc = generate_pipeline(make_request(provider=provider))
+        _update(sha, env, Orchestrator(env).run(doc, record_history=False))
+        env = SimCloud()
+        ancestor = Orchestrator(env).run(doc)
+        overrides = OverrideSet(personal_text=personal_text(provider=provider))
+        _update(sha, env, reproduce(env, ancestor.history_url, overrides).outcome)
+        _update(sha, env, ancestor)
     with tempfile.TemporaryDirectory() as tmp:
         saved = Path(tmp) / "simcloud.json"
         for name in STATE_GOLDENS:

@@ -1,6 +1,7 @@
 """The package admits CPython 3.10 and later, so every such interpreter
 must write the same bytes: ``byte_digest.py`` run under each other one
-found prints the digest this interpreter computes."""
+found prints the digest this interpreter computes, and that digest is the
+pinned one, so a change that alters the bytes alike everywhere fails too."""
 
 import os
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 import byte_digest
 
 TESTS = Path(__file__).resolve().parent
+# Changes only with a deliberate change to what the package writes.
+PINNED = "3cf7fa8de042aa4e9cd783bb40ce019a9696058b14d78472e9af26d31649aa49"
 
 
 def other_interpreters() -> list[Path]:
@@ -35,6 +38,10 @@ def other_interpreters() -> list[Path]:
             seen.add(path.resolve())
             found.append(path)
     return found
+
+
+def test_this_interpreter_writes_the_pinned_bytes():
+    assert byte_digest.digest() == PINNED
 
 
 def test_every_interpreter_writes_the_same_bytes():

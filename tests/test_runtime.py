@@ -1,7 +1,9 @@
 """Lifecycle, event handling, and the two execution modes."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from cloudrerun.errors import (
     QuotaExceeded,
     StorageFailure,
 )
+from cloudrerun.reproducer import OverrideSet, reproduce
 from cloudrerun.runtime import (
     STAGES,
     WORKSPACE_STORE,
@@ -29,7 +32,7 @@ from cloudrerun.runtime import (
 )
 from cloudrerun.simcloud.provider import SimCloud
 
-from helpers import make_request, run_sdk, run_serverless
+from helpers import make_request, personal_text, run_sdk, run_serverless
 
 from oracles import residue_walk
 
@@ -95,6 +98,13 @@ class TestServerlessLifecycle:
         assert outcome.record["status"] == "Completed"
         assert outcome.record["ended_at"] == str(outcome.ended_at)
         assert outcome.history_url.startswith("rpac://aws/execution-history/")
+
+    def test_a_printed_run_leaves_out_its_document_request_and_history(self):
+        outcome, _ = run_serverless(make_request(credentials="access_key:AKIAEXAMPLE, secret_key:topsecret"))
+        printed = repr(outcome)
+        assert outcome.instance_id in printed
+        for left_out in ("resources_ini", "topsecret", "HistoryStore", " at 0x"):
+            assert left_out not in printed
 
     def test_bootstrap_extends_setup(self):
         from cloudrerun.config_model import parse_abstract_request
@@ -578,6 +588,10 @@ class TestDeploymentValidation:
         doc.body["rules"].reverse()
         assert Orchestrator(SimCloud()).run_serverless(doc).state is ExecutionState.COMPLETED
 
+    def test_deploy_takes_its_arguments_in_the_order_run_does(self):
+        inst = Orchestrator(SimCloud()).deploy(self.make_doc(), "sdk", Fraction(5), False)
+        assert (inst.mode, inst.poll_window, inst.history) == ("sdk", Fraction(5), None)
+
     def test_installed_rules_are_the_trigger_table_bound_to_the_run(self):
         orchestrator = Orchestrator(SimCloud())
         orchestrator.deploy(self.make_doc())
@@ -593,6 +607,54 @@ class TestDeploymentValidation:
              "export/aws-exec-0001/", "prefix"),
             ("terminate_resources", "aws-exec-0001", source, "ExportComplete", "exact"),
         ]
+
+
+def _environment_after_run(mode="serverless", command=None, env=None, ends=ExecutionState.COMPLETED):
+    env = env or SimCloud()
+    window = Fraction(10) if mode == "sdk" else None
+    doc = generate_pipeline(make_request(command=command) if command else make_request())
+    assert Orchestrator(env).run(doc, mode, window).state is ends
+    return env
+
+
+def _environment_after_reproduce():
+    env = SimCloud()
+    url = Orchestrator(env).run(generate_pipeline(make_request())).history_url
+    assert reproduce(env, url, OverrideSet(personal_text=personal_text())).outcome.state is ExecutionState.COMPLETED
+    return env
+
+
+def _environment_loaded_then_run(tmp_path):
+    _environment_after_run().save_state(tmp_path / "simcloud.json")
+    return _environment_after_run(env=SimCloud.load_state(tmp_path / "simcloud.json"))
+
+
+ENVIRONMENT_LIFETIMES = {
+    "bare": lambda tmp_path: SimCloud(),
+    "serverless": lambda tmp_path: _environment_after_run(),
+    "sdk": lambda tmp_path: _environment_after_run("sdk"),
+    "failed": lambda tmp_path: _environment_after_run(
+        command=command_for(1, 1, 0, 1, extra=" --exit-code 1"), ends=ExecutionState.FAILED
+    ),
+    "reproduce": lambda tmp_path: _environment_after_reproduce(),
+    "loaded": _environment_loaded_then_run,
+}
+
+
+class TestEnvironmentLifetime:
+    """An environment holds no reference cycle, so it is freed when its last
+    reference goes, without the cyclic collector."""
+
+    @pytest.mark.parametrize("case", sorted(ENVIRONMENT_LIFETIMES))
+    def test_an_environment_is_freed_with_its_last_reference(self, case, tmp_path):
+        gc.disable()
+        try:
+            env = ENVIRONMENT_LIFETIMES[case](tmp_path)
+            ref = weakref.ref(env)
+            del env
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 FAULT_OPERATIONS = (
