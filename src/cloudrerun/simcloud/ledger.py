@@ -1,10 +1,21 @@
 """Cost ledger: exact per-second proration of hourly prices plus request
-fees, with every price read from the packaged catalog."""
+fees, with every price read from the packaged catalog.
+
+The ledger is a map from scope to bill.  A scope is an execution id, or
+``query`` for the history queries no run pays for.  A bill holds its
+scope's entries in the order they were opened and its request counts per
+operation.  Open entries are also kept by resource id, so closing one is a
+lookup, and pricing a scope reads its bill alone.
+
+A saved bill is its closed entries and its request counts as canonical
+bytes (``encode_bill``).  A bill loaded from a state file stays those bytes
+until it is first charged or read, and is saved back as them if it never
+is; open entries are saved beside the bills, with the state file's index."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -27,6 +38,14 @@ def price_catalog() -> dict:
         "network_hour": Fraction(raw["network_hour"]),
         "request": {op: Fraction(p) for op, p in raw["request"].items()},
     }
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical(value) -> bytes:
+    """Compact key-sorted JSON: the saved bytes of a row or a bill."""
+    return _CANONICAL(value).encode()
 
 
 def snapshot(record) -> dict:
@@ -74,8 +93,46 @@ class LedgerEntry:
         return self.unit_price_hour * (end - self.open_time) / SECONDS_PER_HOUR
 
 
+@dataclass
+class Bill:
+    """One scope's charges: its entries in the order they were opened, and
+    its request counts per operation."""
+
+    entries: list[LedgerEntry] = field(default_factory=list)
+    requests: dict[str, int] = field(default_factory=dict)
+
+
+def encode_bill(bill: Bill) -> bytes:
+    """The canonical bytes of a bill's closed entries, each
+    ``[resource_id, category, unit_price_hour, open_time, close_time]``
+    without the scope they share, and of its request counts."""
+    closed = [
+        [e.resource_id, e.category, str(e.unit_price_hour), str(e.open_time), str(e.close_time)]
+        for e in bill.entries
+        if e.close_time is not None
+    ]
+    return canonical({"entries": closed, "requests": bill.requests})
+
+
+def decode_bill(scope: str, raw: bytes) -> Bill:
+    """The bill ``encode_bill`` wrote for ``scope``; damaged bytes raise
+    ValueError naming the scope."""
+    try:
+        doc = json.loads(raw)
+        entries = [
+            LedgerEntry(resource_id, category, Fraction(price), Fraction(opened), Fraction(closed), scope)
+            for resource_id, category, price, opened, closed in doc["entries"]
+        ]
+        requests = doc["requests"]
+        if not all(type(count) is int for count in requests.values()):
+            raise ValueError(f"request counts {requests!r} are not all ints")
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"the bill of scope {scope!r} is damaged: {type(exc).__name__}: {exc}") from exc
+    return Bill(entries, requests)
+
+
 class CostLedger:
-    """Accumulates resource intervals and per-request charges.
+    """Accumulates resource intervals and per-request charges, one bill per scope.
 
     Totals are exact: Fraction prices times Fraction durations.  ``scope``
     attributes charges to one execution so per-run cost can be read out of
@@ -83,8 +140,43 @@ class CostLedger:
     """
 
     def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
-        self.request_counts: dict[tuple[str, str], int] = {}
+        self._bills: dict[str, Bill | bytes] = {}  # in first-charge order; bytes until decoded
+        self._open: dict[str, LedgerEntry] = {}
+
+    def _read(self, scope: str) -> Optional[Bill]:
+        """``scope``'s bill, decoded on first read; None if it was never charged."""
+        bill = self._bills.get(scope)
+        if type(bill) is bytes:
+            bill = self._bills[scope] = decode_bill(scope, bill)
+        return bill
+
+    def _charge(self, scope: str) -> Bill:
+        """``scope``'s bill, started if it was never charged."""
+        bill = self._read(scope)
+        if bill is None:
+            bill = self._bills[scope] = Bill()
+        return bill
+
+    def _add(self, entry: LedgerEntry) -> None:
+        self._charge(entry.scope).entries.append(entry)
+        if entry.close_time is None:
+            self._open[entry.resource_id] = entry
+
+    def _peek(self):
+        """Each scope and its bill in first-charge order; a bill still held as
+        bytes is decoded for the answer and stays bytes."""
+        for scope, bill in self._bills.items():
+            yield scope, decode_bill(scope, bill) if type(bill) is bytes else bill
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        """Every entry, bill by bill."""
+        return [entry for _, bill in self._peek() for entry in bill.entries]
+
+    @property
+    def request_counts(self) -> dict[tuple[str, str], int]:
+        """``(scope, operation)`` to count, bill by bill."""
+        return {(scope, op): count for scope, bill in self._peek() for op, count in bill.requests.items()}
 
     def open_entry(
         self,
@@ -101,28 +193,26 @@ class CostLedger:
             open_time=Fraction(open_time),
             scope=scope,
         )
-        self.entries.append(entry)
+        self._add(entry)
         return entry
 
     def close_entry(self, resource_id: str, close_time: Fraction) -> None:
-        for entry in self.entries:
-            if entry.resource_id == resource_id and entry.close_time is None:
-                if close_time < entry.open_time:
-                    raise OpenLedger(
-                        f"close {close_time} precedes open {entry.open_time}"
-                    )
-                entry.close_time = Fraction(close_time)
-                return
-        raise OpenLedger(f"no open entry for resource {resource_id!r}")
+        entry = self._open.get(resource_id)
+        if entry is None or entry.close_time is not None:
+            raise OpenLedger(f"no open entry for resource {resource_id!r}")
+        if close_time < entry.open_time:
+            raise OpenLedger(f"close {close_time} precedes open {entry.open_time}")
+        entry.close_time = Fraction(close_time)
+        del self._open[resource_id]
 
     def charge_request(self, scope: str, operation: str, count: int = 1) -> None:
-        key = (scope, operation)
-        self.request_counts[key] = self.request_counts.get(key, 0) + count
+        requests = self._charge(scope).requests
+        requests[operation] = requests.get(operation, 0) + count
 
     def open_entries(self, scope: Optional[str] = None) -> list[LedgerEntry]:
         return [
             e
-            for e in self.entries
+            for e in self._open.values()
             if e.close_time is None and (scope is None or e.scope == scope)
         ]
 
@@ -134,14 +224,14 @@ class CostLedger:
         """Cost of ``scope`` (every scope when None) per category, request
         fees under 'requests'; an open entry raises OpenLedger.  The catalog
         prices each request; an operation it does not price costs 0."""
+        scopes = list(self._bills) if scope is None else [scope]
         per_category: dict[str, Fraction] = {}
-        for entry in self.entries:
-            if scope is None or entry.scope == scope:
-                per_category[entry.category] = per_category.get(entry.category, Fraction(0)) + entry.cost()
         prices = price_catalog()["request"]
         fees = Fraction(0)
-        for (entry_scope, operation), count in self.request_counts.items():
-            if scope is None or entry_scope == scope:
+        for bill in filter(None, map(self._read, scopes)):
+            for entry in bill.entries:
+                per_category[entry.category] = per_category.get(entry.category, Fraction(0)) + entry.cost()
+            for operation, count in bill.requests.items():
                 fees += prices.get(operation, Fraction(0)) * count
         if fees:
             per_category["requests"] = fees
@@ -150,18 +240,31 @@ class CostLedger:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Entries and request counts; prices come from the catalog and are
-        not captured."""
+        """The open entries, and each bill as ``[scope, bytes]`` in
+        first-charge order: a bill never decoded is the bytes it was loaded
+        from.  Prices come from the catalog and are not captured."""
         return {
-            "entries": [snapshot(e) for e in self.entries],
-            "request_counts": [
-                {"scope": scope, "operation": op, "count": count}
-                for (scope, op), count in sorted(self.request_counts.items())
+            "bills": [
+                [scope, bill if type(bill) is bytes else encode_bill(bill)]
+                for scope, bill in self._bills.items()
             ],
+            "open": [snapshot(e) for e in self._open.values() if e.close_time is None],
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Append the entries and request counts of a ``to_state`` snapshot."""
-        self.entries.extend(map(rebuilder(LedgerEntry), state["entries"]))
-        for rc in state["request_counts"]:
-            self.charge_request(rc["scope"], rc["operation"], rc["count"])
+    def restore_state(self, state: dict, blob) -> None:
+        """Take in a ``to_state`` snapshot, whose bills ``blob`` turns into
+        bytes; a bill holding an open entry is decoded to take it back.  The
+        snapshots of older state files list every entry and request count,
+        which are charged again."""
+        entry = rebuilder(LedgerEntry)
+        if "entries" in state:
+            for item in state["entries"]:
+                self._add(entry(item))
+            for rc in state["request_counts"]:
+                self.charge_request(rc["scope"], rc["operation"], rc["count"])
+            return
+        self._bills = {scope: blob(ref) for scope, ref in state["bills"]}
+        for item in state["open"]:
+            if item["close_time"] is not None:
+                raise ValueError(f"open entry {item['resource_id']!r} has a close time")
+            self._add(entry(item))

@@ -17,13 +17,23 @@ it, and its cost stays in the ledger.  The quota and the image registry,
 like the delays and prices, are settings of the running environment.
 
 Database tables are keyed by execution id, so a record write or a lookup by
-id touches one row.  The saved state writes each table as its list of rows
-in the order their ids were first written.
+id touches one row.  A row written in the process is a dict; a row loaded
+from a state file stays its bytes, which ``db_query`` decodes each time it
+reads them and a save writes back as they are.
 
-A state file is the line ``cloudrerun-state/2``, one index line of compact,
-key-sorted JSON ``{"state": to_state(), "tail_bytes": n}`` with each stored
-version as an ``[offset, length]`` reference, then the tail: the ``n`` raw
-bytes of every version.  A file without the first line is legacy JSON.
+A state file is the line ``cloudrerun-state/3``, one index line of compact,
+key-sorted JSON ``{"state": to_state(), "tail_bytes": n}``, then the tail:
+the ``n`` raw bytes of every stored version, row and bill, each named in the
+index by an ``[offset, length]`` reference.  The index holds what is live
+or small: the clock and counters, live clusters and networks, open ledger
+entries, each table as ``[execution_id, reference]`` pairs in the order the
+ids were first written, and each bill as ``[scope, reference]`` in
+first-charge order.  A row's bytes are its compact key-sorted JSON; a
+bill's are ``ledger.encode_bill``'s.  Every reference is checked at load,
+but a damaged row or bill shows only when a command reads it.  Files in the
+``cloudrerun-state/2`` layout, which held rows and ledger entries in the
+index, and legacy JSON files without a first line still load, and are
+saved in the current layout.
 
 Fault injection targets one (operation, call_index) pair at a time so tests
 can break exactly the n-th call of an operation and nothing else.
@@ -49,11 +59,12 @@ from ..errors import (
     UnsupportedProvider,
 )
 from .clock import VirtualClock
-from .ledger import CostLedger, price_catalog, rebuilder, snapshot
+from .ledger import CostLedger, canonical, price_catalog, rebuilder, snapshot
 
 PROVIDERS = ("aws", "azure")
 
-_STATE_MAGIC = b"cloudrerun-state/2\n"
+_STATE_MAGIC = b"cloudrerun-state/3\n"
+_V2_MAGIC = b"cloudrerun-state/2\n"
 
 
 def _copy_json(value):
@@ -65,6 +76,18 @@ def _copy_json(value):
     if type(value) is list:
         return [_copy_json(item) for item in value]
     return value
+
+
+def decode_row(provider: str, table: str, execution_id: str, raw: bytes) -> dict:
+    """The row saved as ``raw`` for ``execution_id``; damaged bytes raise
+    ValueError naming the provider, table and id."""
+    try:
+        row = json.loads(raw)
+        if type(row) is not dict or row.get("execution_id") != execution_id:
+            raise ValueError("not an object with that execution_id")
+    except ValueError as exc:
+        raise ValueError(f"{provider} table {table!r}: row {execution_id!r} is damaged: {exc}") from exc
+    return row
 
 
 @dataclass(frozen=True)
@@ -168,7 +191,8 @@ class SimProvider:
     tables, and a container image registry.
 
     A table maps each execution id to its row, in the order the ids were
-    first written; a write to a known id replaces its row in place.
+    first written; a write to a known id replaces its row in place.  A
+    row is a dict, or the bytes it was loaded as.
     ``env`` is a weak proxy, so an environment is freed with its last reference."""
 
     def __init__(self, name: str, env: "SimCloud") -> None:
@@ -178,7 +202,7 @@ class SimProvider:
         self.clusters: dict[str, Cluster] = {}
         self.networks: set[str] = set()
         self.stores: dict[str, dict[str, list[bytes]]] = {}
-        self.tables: dict[str, dict[str, dict]] = {}
+        self.tables: dict[str, dict[str, dict | bytes]] = {}
         self.registry: Optional[set[str]] = None  # None: any image resolves
         self._counters: dict[str, int] = {}
         self._op_calls: dict[str, int] = {}
@@ -333,17 +357,23 @@ class SimProvider:
 
     def db_query(self, table: str, filters: dict, scope: str) -> list[dict]:
         """Copies of the rows equal to ``filters`` on every field; a filter
-        on execution_id reads that one row."""
+        on execution_id reads that one row.  A loaded row is decoded for
+        the read and stays bytes."""
         self._enter_op("db_query")
         self.env.ledger.charge_request(scope, "db_read")
         rows = self.tables.get(table, {})
-        candidates = rows.values()
+        candidates = rows.items()
         if "execution_id" in filters:
             row = rows.get(filters["execution_id"])
-            candidates = () if row is None else (row,)
-        return [
-            _copy_json(row) for row in candidates if all(row.get(k) == v for k, v in filters.items())
-        ]
+            candidates = () if row is None else ((filters["execution_id"], row),)
+        found = []
+        for execution_id, row in candidates:
+            loaded = type(row) is bytes
+            if loaded:
+                row = decode_row(self.name, table, execution_id, row)
+            if all(row.get(k) == v for k, v in filters.items()):
+                found.append(row if loaded else _copy_json(row))
+        return found
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -418,8 +448,9 @@ class SimCloud:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """What commands change, with stored versions as bytes; the bus, pending completions,
-        quota, registry, delays and prices belong to the running environment only."""
+        """What commands change, with stored versions, rows and bills as bytes; the bus,
+        pending completions, quota, registry, delays and prices belong to the running
+        environment only."""
         return {
             "clock": str(self.clock.now()),
             "event_counter": self._event_counter,
@@ -429,7 +460,10 @@ class SimCloud:
                     "clusters": [snapshot(c) for c in p.clusters.values()],
                     "networks": sorted(p.networks),
                     "stores": {s: {k: list(v) for k, v in keys.items()} for s, keys in p.stores.items()},
-                    "tables": {table: list(rows.values()) for table, rows in p.tables.items()},
+                    "tables": {
+                        table: [[key, row if type(row) is bytes else canonical(row)] for key, row in rows.items()]
+                        for table, rows in p.tables.items()
+                    },
                 }
                 for name, p in self.providers.items()
             },
@@ -438,15 +472,17 @@ class SimCloud:
 
     @classmethod
     def from_state(cls, state: dict, blob: Callable[[object], bytes] = bytes) -> "SimCloud":
-        """The environment a snapshot describes; ``blob`` turns each saved version into bytes.
-        Older snapshots also hold terminated clusters, a quota and a registry, which are skipped.
-        A counter that is not a non-negative int raises ValueError naming it."""
+        """The environment a snapshot describes; ``blob`` turns each saved version, row and
+        bill into bytes.  Snapshots of older files hold rows and ledger entries decoded, and
+        terminated clusters, a quota and a registry, which are skipped.  A counter that is
+        not a non-negative int raises ValueError naming it."""
 
         def count(value, field: str) -> int:
             if type(value) is not int or value < 0:
                 raise ValueError(f"{field} must be a non-negative int, got {value!r}")
             return value
 
+        decoded = "entries" in state["ledger"]
         env = cls()
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = count(state["event_counter"], "event_counter")
@@ -458,14 +494,15 @@ class SimCloud:
             p.clusters = {c["cluster_id"]: cluster(c) for c in live}
             p.networks = set(pstate["networks"])
             p.stores = {
-                store: {key: [blob(v) for v in versions] for key, versions in keys.items()}
+                store: {key: list(map(blob, versions)) for key, versions in keys.items()}
                 for store, keys in pstate["stores"].items()
             }
             p.tables = {
-                table: {row["execution_id"]: dict(row) for row in rows}
+                table: {row["execution_id"]: dict(row) for row in rows} if decoded
+                else {key: blob(ref) for key, ref in rows}
                 for table, rows in pstate["tables"].items()
             }
-        env.ledger.restore_state(state["ledger"])
+        env.ledger.restore_state(state["ledger"], blob)
         return env
 
     def save_state(self, path) -> None:
@@ -473,12 +510,13 @@ class SimCloud:
         is written, flushed and fsynced, then replaces ``path``, so a reader finds the
         old file or the new one, never part of one.  The directory is fsynced last,
         since the rename is not durable before that (Pillai et al., OSDI 2014)."""
-        tail, ends = [], [0]
+        tail, size = [], 0
 
         def reference(blob: bytes) -> list[int]:
+            nonlocal size
             tail.append(blob)
-            ends.append(ends[-1] + len(blob))
-            return [ends[-2], len(blob)]
+            size += len(blob)
+            return [size - len(blob), len(blob)]
 
         # Without an indent the C encoder runs, calling ``reference`` in key order.
         state = json.dumps(self.to_state(), sort_keys=True, separators=(",", ":"), default=reference)
@@ -488,8 +526,8 @@ class SimCloud:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "wb") as fh:
-                fh.write(b'%s{"state":%s,"tail_bytes":%d}\n' % (_STATE_MAGIC, state.encode(), ends[-1]))
-                fh.writelines(tail)
+                fh.write(b'%s{"state":%s,"tail_bytes":%d}\n' % (_STATE_MAGIC, state.encode(), size))
+                fh.write(b"".join(tail))  # one write: thousands of small ones cost more than the copy
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -504,24 +542,26 @@ class SimCloud:
 
     @classmethod
     def load_state(cls, path) -> "SimCloud":
-        """Read a ``save_state`` file or a legacy one.  A damaged file raises
-        ValueError naming ``path`` and the fault."""
+        """Read a ``save_state`` file or an older one.  A damaged file raises
+        ValueError naming ``path`` and the fault; a damaged row or bill, when
+        it is read."""
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            if not data.startswith(_STATE_MAGIC):
+            if not data.startswith((_STATE_MAGIC, _V2_MAGIC)):
                 return cls.from_state(json.loads(data), bytes.fromhex)
-            _, line, tail = data.split(b"\n", 2)
-            index = json.loads(line)
-            if index["tail_bytes"] != len(tail):
-                raise ValueError(f"{len(tail)} tail bytes, the index records {index['tail_bytes']!r}")
+            line = data.index(b"\n") + 1
+            base = data.index(b"\n", line) + 1  # where the tail starts; it is not copied out
+            index = json.loads(data[line:base - 1])
+            size = len(data) - base
+            if index["tail_bytes"] != size:
+                raise ValueError(f"{size} tail bytes, the index records {index['tail_bytes']!r}")
 
             def blob(ref) -> bytes:
-                start, length = ref if type(ref) is list and len(ref) == 2 else (None, None)
-                if not (type(start) is int and type(length) is int
-                        and 0 <= start <= start + length <= len(tail)):
-                    raise ValueError(f"stored-object reference {ref!r} is no [offset, length] in the tail")
-                return tail[start:start + length]
+                start, length = ref  # a reference that is no pair raises here
+                if type(start) is int and type(length) is int and 0 <= start <= start + length <= size:
+                    return data[base + start:base + start + length]
+                raise ValueError(f"reference {ref!r} is no [offset, length] in the tail")
 
             return cls.from_state(index["state"], blob)
         # ValueError covers json.JSONDecodeError, bad literals and a tail that does not match

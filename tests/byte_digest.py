@@ -1,14 +1,17 @@
-"""One sha256 over the bytes cloudrerun must write alike on every interpreter.
+"""Two sha256 digests over the bytes cloudrerun must write alike on every
+interpreter, kept apart so that a change of the state-file format cannot
+hide a change of what a run outputs.
 
-It hashes, in order:
+The outputs digest hashes, in order:
 
 * the golden pipeline documents' JSON (``tests/golden/pipeline_*.json``);
 * one run per cloud, engine and mode with history on, and per cloud a run
   ending Failed, a run without history and an identical reproduction,
   then that reproduction's ancestor, whose bill the fetch adds to: for
   each, the outcome JSON, the ``measure()`` JSON and, when it keeps
-  history, its record and the ``Config.zip`` and ``Result.zip`` bytes;
-* each state golden, loaded and saved again.
+  history, its record and the ``Config.zip`` and ``Result.zip`` bytes.
+
+The state digest hashes each state golden, loaded and saved again.
 
 It imports only the standard library, the package and the test helpers,
 so any CPython the package admits can run it without the test
@@ -16,7 +19,7 @@ dependencies::
 
     PYTHONPATH=src python tests/byte_digest.py
 
-prints the digest as hex.
+prints ``outputs <hex>`` and ``state <hex>``, one a line.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def _update(sha, env: SimCloud, outcome) -> None:
             sha.update(objects[outcome.record[field]][-1])
 
 
-def digest() -> str:
+def outputs_digest() -> str:
     sha = hashlib.sha256()
     for provider in PROVIDERS:
         golden = make_request(engine="dask", provider=provider, nodes=2,
@@ -79,6 +82,11 @@ def digest() -> str:
         overrides = OverrideSet(personal_text=personal_text(provider=provider))
         _update(sha, env, reproduce(env, ancestor.history_url, overrides).outcome)
         _update(sha, env, ancestor)
+    return sha.hexdigest()
+
+
+def state_digest() -> str:
+    sha = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         saved = Path(tmp) / "simcloud.json"
         for name in STATE_GOLDENS:
@@ -87,5 +95,10 @@ def digest() -> str:
     return sha.hexdigest()
 
 
+def digests() -> dict[str, str]:
+    return {"outputs": outputs_digest(), "state": state_digest()}
+
+
 if __name__ == "__main__":
-    print(digest())
+    for name, value in digests().items():
+        print(name, value)

@@ -481,6 +481,16 @@ class TestErrorExitCodes:
 
             return saved(edit)
 
+        def with_part_reference(part, ref):
+            """The saved file with the reference of every aws row, or of every bill, replaced by ``ref``."""
+
+            def edit(state_doc):
+                pairs = [pair for rows in state_doc["providers"]["aws"]["tables"].values() for pair in rows]
+                for pair in pairs if part == "row" else state_doc["ledger"]["bills"]:
+                    pair[1] = ref
+
+            return saved(edit)
+
         counter_cases = [
             saved(lambda state_doc: state_doc.update(event_counter="33")),
             saved(lambda state_doc: state_doc.update(event_counter=-1)),
@@ -510,6 +520,9 @@ class TestErrorExitCodes:
             # a reference that runs past the tail
             with_reference([0, len(tail) + 1]),
             with_reference([len(tail), 1]),
+            # rows and bills are referenced as stored versions are
+            *(with_part_reference(part, ref) for part in ("row", "bill")
+              for ref in ([-1, 1], [0], "00", [0, len(tail) + 1])),
         ]
         for content in cases:
             state_file.write_bytes(content)

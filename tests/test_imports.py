@@ -206,6 +206,8 @@ CALLERLESS_ALLOWED = {
         "tests/test_acceptance.py reads it (acceptance 03's delivery explorer)",
     "runtime.py:STAGES": "tests/test_acceptance.py reads it (acceptance 06)",
     "metrics.py:reproducibility_overhead": "tests/test_acceptance.py computes m6 with it",
+    "simcloud/ledger.py:CostLedger.request_counts":
+        "tests and the benchmark's tracer read it; it decodes every loaded bill, so no src/ code may",
     "simcloud/ledger.py:CostLedger.compute_cost": BENCHMARK_READS,
     "simcloud/ledger.py:CostLedger.open_entries": BENCHMARK_READS,
     "history.py:CONFIG_ENTRY_NAMES": BENCHMARK_READS,

@@ -1,5 +1,6 @@
 """Virtual clock, cost ledger, workload model, provider operations."""
 
+import copy
 import json
 import os
 import random
@@ -24,7 +25,7 @@ from cloudrerun.errors import (
 from cloudrerun.history import HistoryStore, find_record_table, parse_url
 from cloudrerun.runtime import ExecutionState, Orchestrator
 from cloudrerun.simcloud.clock import VirtualClock
-from cloudrerun.simcloud.ledger import CostLedger, price_catalog
+from cloudrerun.simcloud.ledger import CostLedger, price_catalog, snapshot
 from cloudrerun.simcloud.provider import PROVIDERS, SimCloud
 from cloudrerun.simcloud.workload import (
     WorkloadProfile,
@@ -310,15 +311,17 @@ class TestProvider:
         assert again.ledger.request_counts == env.ledger.request_counts
         assert [e.resource_id for e in again.ledger.open_entries()] == [open_net]
         assert again.provider("aws").storage_get("bucket", "k", "r") == b"payload"
-        assert again.provider("aws").tables == provider.tables
+        # a loaded row stays the bytes it was saved as
+        assert {t: {k: json.loads(row) for k, row in rows.items()}
+                for t, rows in again.provider("aws").tables.items()} == provider.tables
         assert again.provider("aws").inventory() == {"clusters": [], "networks": [open_net]}
         assert again.provider("aws").clusters == {}
         assert SimCloud.from_state(env.to_state()).to_state() == env.to_state()
 
     def test_saved_state_format(self):
-        """The exact saved shape of a cluster and of ledger entries: every
-        field, with Fractions written as strings, so a field dropped on both
-        the saving and the loading side still shows."""
+        """The exact saved shape of a cluster, of an open ledger entry and of
+        a bill: every field, with Fractions written as strings, so a field
+        dropped on both the saving and the loading side still shows."""
         env = SimCloud()
         provider = env.provider("aws")
         net = provider.create_network("run-1")
@@ -332,31 +335,29 @@ class TestProvider:
             "state": "Provisioning",
             "ready_at": None,
         }
-        assert json.loads(json.dumps(env.to_state()))["providers"]["aws"]["clusters"] == [cluster]
+        assert json.loads(json.dumps(env.to_state()["providers"]))["aws"]["clusters"] == [cluster]
 
         env.run_next_completion()
         env.clock.advance_to(Fraction(45))
         provider.delete_network(net)
-        state = json.loads(json.dumps(env.to_state()))
-        assert state["providers"]["aws"]["clusters"] == [{**cluster, "state": "Ready", "ready_at": "30"}]
-        assert state["ledger"]["entries"] == [
-            {
-                "resource_id": "aws-net-0001",
-                "category": "network",
-                "unit_price_hour": "1/100",
-                "open_time": "0",
-                "close_time": "45",
-                "scope": "run-1",
-            },
-            {
+        provider.storage_put("bucket", "k", b"", "run-1")
+        state = env.to_state()
+        providers = json.loads(json.dumps(state["providers"], default=bytes.decode))
+        assert providers["aws"]["clusters"] == [{**cluster, "state": "Ready", "ready_at": "30"}]
+        assert state["ledger"] == {
+            "bills": [[
+                "run-1",
+                b'{"entries":[["aws-net-0001","network","1/100","0","45"]],"requests":{"storage_put":1}}',
+            ]],
+            "open": [{
                 "resource_id": "aws-cluster-0001",
                 "category": "compute",
                 "unit_price_hour": "24/125",
                 "open_time": "0",
                 "close_time": None,
                 "scope": "run-1",
-            },
-        ]
+            }],
+        }
 
         again = SimCloud.from_state(state)
         assert again.provider("aws").clusters == provider.clusters
@@ -384,8 +385,8 @@ def _environment_with_history(runs: int) -> SimCloud:
 def _state_file(state: dict) -> bytes:
     """The bytes ``save_state`` should write for a ``to_state()`` snapshot,
     built by walking it in key order: the magic line, the compact index line
-    with each stored version as its ``[offset, length]`` in the tail, then
-    the tail."""
+    with each stored version, row and bill as its ``[offset, length]`` in
+    the tail, then the tail."""
     tail = bytearray()
 
     def index(value):
@@ -400,16 +401,29 @@ def _state_file(state: dict) -> bytes:
 
     state = index(state)
     line = json.dumps({"state": state, "tail_bytes": len(tail)}, sort_keys=True, separators=(",", ":"))
-    return b"cloudrerun-state/2\n" + line.encode("ascii") + b"\n" + bytes(tail)
+    return b"cloudrerun-state/3\n" + line.encode("ascii") + b"\n" + bytes(tail)
 
 
-def _hex_versions(state: dict) -> dict:
-    """A ``to_state()`` snapshot as legacy files held it: versions in hex."""
+def _compact(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _legacy_state(env: SimCloud) -> dict:
+    """The environment's snapshot as legacy files held it: decoded rows,
+    one list of ledger entries and one of request counts, versions in hex."""
+    state = env.to_state()
     for pstate in state["providers"].values():
+        pstate["tables"] = {table: [json.loads(row) for _, row in rows] for table, rows in pstate["tables"].items()}
         pstate["stores"] = {
             store: {key: [v.hex() for v in versions] for key, versions in keys.items()}
             for store, keys in pstate["stores"].items()
         }
+    state["ledger"] = {
+        "entries": [snapshot(e) for e in env.ledger.entries],
+        "request_counts": [
+            {"scope": scope, "operation": op, "count": n} for (scope, op), n in sorted(env.ledger.request_counts.items())
+        ],
+    }
     return state
 
 
@@ -417,18 +431,20 @@ def _hex_versions(state: dict) -> dict:
 # runs on both providers, one into a custom table, one failed and one in sdk
 # mode.  GOLDEN_STATE_V2 is the same environment in the ``cloudrerun-state/2``
 # layout.  Both inputs still hold the five terminated clusters and each
-# provider's ``max_instances`` and ``registry``; GOLDEN_STATE_LIVE is the file
-# ``save_state`` writes for either of them, without these.
+# provider's ``max_instances`` and ``registry``; GOLDEN_STATE_LIVE_V2 is the
+# file the v2 writer wrote for either of them, without these, and
+# GOLDEN_STATE_LIVE the file ``save_state`` writes for any of the three.
 GOLDEN_STATE = Path(__file__).parent / "golden" / "simcloud_state.json"
 GOLDEN_STATE_V2 = Path(__file__).parent / "golden" / "simcloud_state.v2"
-GOLDEN_STATE_LIVE = Path(__file__).parent / "golden" / "simcloud_state.live.v2"
-GOLDENS = (GOLDEN_STATE, GOLDEN_STATE_V2, GOLDEN_STATE_LIVE)
+GOLDEN_STATE_LIVE_V2 = Path(__file__).parent / "golden" / "simcloud_state.live.v2"
+GOLDEN_STATE_LIVE = Path(__file__).parent / "golden" / "simcloud_state.live.v3"
+GOLDENS = (GOLDEN_STATE, GOLDEN_STATE_V2, GOLDEN_STATE_LIVE_V2, GOLDEN_STATE_LIVE)
 
 
 def _saved_providers(path: Path) -> dict:
-    """The ``providers`` part of a state file's snapshot, in either layout."""
+    """The ``providers`` part of a state file's snapshot, in any layout."""
     data = path.read_bytes()
-    if data.startswith(b"cloudrerun-state/2\n"):
+    if data.startswith(b"cloudrerun-state/"):
         return json.loads(data.split(b"\n", 2)[1])["state"]["providers"]
     return json.loads(data)["providers"]
 
@@ -458,14 +474,29 @@ class TestGoldenState:
             assert all({"max_instances", "registry"} <= set(p) for p in providers.values())
 
     def test_loads_and_saves_back_byte_for_byte(self, tmp_path):
-        """Both older layouts save to the live-only file, which saves back to itself."""
+        """The three older files save to the current live-only file, which saves back to itself."""
         path = tmp_path / "simcloud.json"
         for golden in GOLDENS:
             SimCloud.load_state(golden).save_state(path)
             assert path.read_bytes() == GOLDEN_STATE_LIVE.read_bytes(), golden.name
+        assert GOLDEN_STATE_LIVE.read_bytes().startswith(b"cloudrerun-state/3\n")
         for pstate in _saved_providers(GOLDEN_STATE_LIVE).values():
             assert sorted(pstate) == ["clusters", "counters", "networks", "stores", "tables"]
             assert pstate["clusters"] == []
+
+    def test_every_layout_loads_the_same_records_bills_and_blobs(self):
+        def content(env):
+            return (
+                [(name, table, p.db_query(table, {}, "check")) for name, p in env.providers.items()
+                 for table in p.tables],
+                env.ledger.entries,
+                env.ledger.request_counts,
+                {name: p.stores for name, p in env.providers.items()},
+            )
+
+        loaded = [content(SimCloud.load_state(golden)) for golden in GOLDENS]
+        assert loaded == [loaded[-1]] * len(GOLDENS)
+        assert [rows for _, _, rows in loaded[-1][0]] and loaded[-1][1] and loaded[-1][2]
 
     def test_every_record_is_found(self):
         for golden in GOLDENS:
@@ -483,9 +514,9 @@ class TestGoldenState:
             env = SimCloud.load_state(golden)
             for name, table in {(name, table) for name, table, _ in _golden_rows()}:
                 stored = env.provider(name).tables[table]
-                before = json.loads(json.dumps(stored))
+                before = copy.deepcopy(stored)
                 rows = env.provider(name).db_query(table, {}, "query")
-                assert rows == list(before.values())
+                assert rows == [row for n, t, row in _golden_rows() if (n, t) == (name, table)]
                 for row in rows:
                     row["parameters"]["region"] = "elsewhere"
                     for timing in row["stage_timings"].values():
@@ -500,27 +531,37 @@ class TestGoldenState:
         store = HistoryStore(env, "aws", "execution-history", "execution-records")
         store.put_record(before[0]["execution_id"], {**before[0], "status": "Failed"})
         after = env.to_state()["providers"]["aws"]["tables"]["execution-records"]
-        assert after == [{**before[0], "status": "Failed"}] + before[1:]
+        assert [json.loads(row) for _, row in after] == [{**before[0], "status": "Failed"}] + before[1:]
 
 
 class TestStateFile:
     def test_saved_text_is_compact_sorted_json(self, tmp_path):
-        """Magic line, compact key-sorted index line, then the raw tail."""
+        """Magic line, compact key-sorted index line, then the raw tail: the
+        bills, then per provider its stored versions and its rows."""
         env = _environment_with_history(20)
         path = tmp_path / "simcloud.json"
         env.save_state(path)
         data = path.read_bytes()
         magic, line, tail = data.split(b"\n", 2)
-        assert magic == b"cloudrerun-state/2"
+        assert magic == b"cloudrerun-state/3"
         index = json.loads(line)
         assert sorted(index) == ["state", "tail_bytes"] and index["tail_bytes"] == len(tail)
-        assert tail == b"".join(
-            version
-            for name in sorted(env.providers)
-            for store, keys in sorted(env.provider(name).stores.items())
-            for key, versions in sorted(keys.items())
-            for version in versions
-        )
+        scopes = [scope for scope, _ in index["state"]["ledger"]["bills"]]
+        assert scopes == list(dict.fromkeys(e.scope for e in env.ledger.entries)) and len(scopes) == 20
+        parts = [
+            _compact({
+                "entries": [[e.resource_id, e.category, str(e.unit_price_hour), str(e.open_time), str(e.close_time)]
+                            for e in env.ledger.entries if e.scope == scope],
+                "requests": {op: n for (s, op), n in env.ledger.request_counts.items() if s == scope},
+            })
+            for scope in scopes
+        ]
+        for name in sorted(env.providers):
+            p = env.provider(name)
+            parts += [version for store, keys in sorted(p.stores.items())
+                      for key, versions in sorted(keys.items()) for version in versions]
+            parts += [_compact(row) for table, rows in sorted(p.tables.items()) for row in rows.values()]
+        assert tail == b"".join(parts)
         assert data == _state_file(env.to_state())
         assert SimCloud.load_state(path).to_state() == env.to_state()
 
@@ -528,7 +569,7 @@ class TestStateFile:
         env = _environment_with_history(5)
         path = tmp_path / "simcloud.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_hex_versions(env.to_state()), fh, sort_keys=True, indent=2)
+            json.dump(_legacy_state(env), fh, sort_keys=True, indent=2)
             fh.write("\n")
         again = SimCloud.load_state(path)
         assert again.to_state() == env.to_state()
