@@ -29,6 +29,7 @@ import fcntl
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -75,6 +76,7 @@ LOCK_FILE = "simcloud.lock"
 STATE_DIR_VAR = "CLOUDRERUN_STATE_DIR"
 
 
+@cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cloudrerun",

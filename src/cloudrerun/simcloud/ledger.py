@@ -10,12 +10,14 @@ lookup, and pricing a scope reads its bill alone.
 A saved bill is its closed entries and its request counts as canonical
 bytes (``encode_bill``).  A bill loaded from a state file stays those bytes
 until it is first charged or read, and is saved back as them if it never
-is; open entries are saved beside the bills, with the state file's index."""
+is; open entries are saved beside the bills, with the state file's index,
+and are opened again on load.  The entries and request counts of older
+state files are replayed through the calls that charge a live ledger."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -51,24 +53,6 @@ def canonical(value) -> bytes:
 def snapshot(record) -> dict:
     """A dataclass's fields as JSON values, with each Fraction as a string."""
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(record).items()}
-
-
-def rebuilder(cls):
-    """The inverse of ``snapshot`` for ``cls``: a function that reads every
-    field declared as a Fraction, or as an optional one, back from its
-    string.  The fields are looked up once, and each distinct string is
-    parsed once per rebuilder (ledger rows repeat a few prices and times)."""
-    exact = [f.name for f in fields(cls) if "Fraction" in str(f.type)]
-    fraction = lru_cache(maxsize=None)(Fraction)
-
-    def rebuild(state: dict):
-        row = dict(state)
-        for name in exact:
-            if row.get(name) is not None:
-                row[name] = fraction(row[name])
-        return cls(**row)
-
-    return rebuild
 
 
 @dataclass
@@ -141,7 +125,7 @@ class CostLedger:
 
     def __init__(self) -> None:
         self._bills: dict[str, Bill | bytes] = {}  # in first-charge order; bytes until decoded
-        self._open: dict[str, LedgerEntry] = {}
+        self._open: dict[str, LedgerEntry] = {}  # open entries only, by resource id
 
     def _read(self, scope: str) -> Optional[Bill]:
         """``scope``'s bill, decoded on first read; None if it was never charged."""
@@ -156,11 +140,6 @@ class CostLedger:
         if bill is None:
             bill = self._bills[scope] = Bill()
         return bill
-
-    def _add(self, entry: LedgerEntry) -> None:
-        self._charge(entry.scope).entries.append(entry)
-        if entry.close_time is None:
-            self._open[entry.resource_id] = entry
 
     def _peek(self):
         """Each scope and its bill in first-charge order; a bill still held as
@@ -193,12 +172,13 @@ class CostLedger:
             open_time=Fraction(open_time),
             scope=scope,
         )
-        self._add(entry)
+        self._charge(scope).entries.append(entry)
+        self._open[resource_id] = entry
         return entry
 
     def close_entry(self, resource_id: str, close_time: Fraction) -> None:
         entry = self._open.get(resource_id)
-        if entry is None or entry.close_time is not None:
+        if entry is None:
             raise OpenLedger(f"no open entry for resource {resource_id!r}")
         if close_time < entry.open_time:
             raise OpenLedger(f"close {close_time} precedes open {entry.open_time}")
@@ -210,11 +190,7 @@ class CostLedger:
         requests[operation] = requests.get(operation, 0) + count
 
     def open_entries(self, scope: Optional[str] = None) -> list[LedgerEntry]:
-        return [
-            e
-            for e in self._open.values()
-            if e.close_time is None and (scope is None or e.scope == scope)
-        ]
+        return [e for e in self._open.values() if scope is None or e.scope == scope]
 
     def compute_cost(self, scope: Optional[str] = None) -> Fraction:
         """Total cost of ``scope``, or of every scope when None."""
@@ -248,23 +224,24 @@ class CostLedger:
                 [scope, bill if type(bill) is bytes else encode_bill(bill)]
                 for scope, bill in self._bills.items()
             ],
-            "open": [snapshot(e) for e in self._open.values() if e.close_time is None],
+            "open": [snapshot(e) for e in self._open.values()],
         }
 
     def restore_state(self, state: dict, blob) -> None:
         """Take in a ``to_state`` snapshot, whose bills ``blob`` turns into
-        bytes; a bill holding an open entry is decoded to take it back.  The
-        snapshots of older state files list every entry and request count,
-        which are charged again."""
-        entry = rebuilder(LedgerEntry)
-        if "entries" in state:
-            for item in state["entries"]:
-                self._add(entry(item))
-            for rc in state["request_counts"]:
-                self.charge_request(rc["scope"], rc["operation"], rc["count"])
-            return
-        self._bills = {scope: blob(ref) for scope, ref in state["bills"]}
-        for item in state["open"]:
-            if item["close_time"] is not None:
+        bytes, and open its open entries again.  The snapshots of older state
+        files list every entry and request count instead, which are replayed:
+        each entry is opened, then closed if it was, and each count charged."""
+        replay = "entries" in state
+        if not replay:
+            self._bills = {scope: blob(ref) for scope, ref in state["bills"]}
+        for item in state["entries" if replay else "open"]:
+            item = dict(item)
+            close_time = item.pop("close_time", None)
+            if close_time is not None and not replay:
                 raise ValueError(f"open entry {item['resource_id']!r} has a close time")
-            self._add(entry(item))
+            entry = self.open_entry(**item)
+            if close_time is not None:
+                self.close_entry(entry.resource_id, Fraction(close_time))
+        for rc in state["request_counts"] if replay else ():
+            self.charge_request(rc["scope"], rc["operation"], rc["count"])

@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from ..errors import (
-    ClockModeViolation,
+    CloudRerunError,
     NoSuchImage,
     NoSuchKey,
     QuotaExceeded,
@@ -59,7 +59,7 @@ from ..errors import (
     UnsupportedProvider,
 )
 from .clock import VirtualClock
-from .ledger import CostLedger, canonical, price_catalog, rebuilder, snapshot
+from .ledger import CostLedger, canonical, price_catalog, snapshot
 
 PROVIDERS = ("aws", "azure")
 
@@ -472,10 +472,10 @@ class SimCloud:
 
     @classmethod
     def from_state(cls, state: dict, blob: Callable[[object], bytes] = bytes) -> "SimCloud":
-        """The environment a snapshot describes; ``blob`` turns each saved version, row and
-        bill into bytes.  Snapshots of older files hold rows and ledger entries decoded, and
-        terminated clusters, a quota and a registry, which are skipped.  A counter that is
-        not a non-negative int raises ValueError naming it."""
+        """The environment a snapshot describes, its ledger restored through the calls that
+        charge a live one; ``blob`` turns each saved version, row and bill into bytes.  Older
+        snapshots hold rows and ledger entries decoded, and terminated clusters, a quota and a
+        registry, which are skipped.  A counter that is not a non-negative int raises ValueError."""
 
         def count(value, field: str) -> int:
             if type(value) is not int or value < 0:
@@ -486,12 +486,12 @@ class SimCloud:
         env = cls()
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = count(state["event_counter"], "event_counter")
-        cluster = rebuilder(Cluster)
         for name, pstate in state["providers"].items():
             p = env.providers[name]
             p._counters = {k: count(v, f"providers.{name}.counters.{k}") for k, v in pstate["counters"].items()}
-            live = (c for c in pstate["clusters"] if c["state"] != "Terminated")
-            p.clusters = {c["cluster_id"]: cluster(c) for c in live}
+            p.clusters = {c["cluster_id"]: Cluster(**c) for c in pstate["clusters"] if c["state"] != "Terminated"}
+            for c in p.clusters.values():  # ready_at is saved as a string
+                c.ready_at = c.ready_at and Fraction(c.ready_at)
             p.networks = set(pstate["networks"])
             p.stores = {
                 store: {key: list(map(blob, versions)) for key, versions in keys.items()}
@@ -564,7 +564,7 @@ class SimCloud:
                 raise ValueError(f"reference {ref!r} is no [offset, length] in the tail")
 
             return cls.from_state(index["state"], blob)
-        # ValueError covers json.JSONDecodeError, bad literals and a tail that does not match
-        # the index; ClockModeViolation covers a clock before zero.
-        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, ClockModeViolation) as exc:
+        # ValueError covers bad JSON, bad literals and a tail that does not match the index;
+        # CloudRerunError a clock before zero or a ledger entry that closes before it opens.
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, CloudRerunError) as exc:
             raise ValueError(f"{path}: malformed state file: {type(exc).__name__}: {exc}") from exc

@@ -23,6 +23,7 @@ from cloudrerun.cli import (
     EXIT_PROVIDER_REJECTED,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from cloudrerun.simcloud.provider import SimCloud
@@ -85,6 +86,22 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["run"])
         assert info.value.code == 2
+
+    def test_one_parser_serves_every_call_and_keeps_no_arguments(self, tmp_path, capsys):
+        """The parser is built once per process, and a ``--where`` given to
+        one call does not filter the next."""
+        state = tmp_path / "state"
+        assert main(run_args(write_files(tmp_path), state)) == EXIT_OK
+        (tmp_path / "failing").mkdir()
+        failing = write_files(tmp_path / "failing", application=application_text(command=FAILING_COMMAND))
+        assert main(run_args(failing, state)) == EXIT_EXECUTION_FAILED
+        capsys.readouterr()
+        history = ["history", "--state-dir", str(state), "--json"]
+        assert main([*history, "--where", "status=Completed"]) == EXIT_OK
+        assert [row["status"] for row in json.loads(capsys.readouterr().out)] == ["Completed"]
+        assert main(history) == EXIT_OK
+        assert [row["status"] for row in json.loads(capsys.readouterr().out)] == ["Completed", "Failed"]
+        assert build_parser() is build_parser()
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -491,6 +508,22 @@ class TestErrorExitCodes:
 
             return saved(edit)
 
+        backwards = {
+            "clock": "109",
+            "event_counter": 0,
+            "providers": {},
+            "ledger": {
+                "entries": [{
+                    "resource_id": "aws-net-0001",
+                    "category": "network",
+                    "unit_price_hour": "1/100",
+                    "open_time": "109",
+                    "close_time": "0",
+                    "scope": "aws-exec-0001",
+                }],
+                "request_counts": [],
+            },
+        }
         counter_cases = [
             saved(lambda state_doc: state_doc.update(event_counter="33")),
             saved(lambda state_doc: state_doc.update(event_counter=-1)),
@@ -523,6 +556,9 @@ class TestErrorExitCodes:
             # rows and bills are referenced as stored versions are
             *(with_part_reference(part, ref) for part in ("row", "bill")
               for ref in ([-1, 1], [0], "00", [0, len(tail) + 1])),
+            # a ledger entry that closes before it opens, in a legacy file and in a v2 one
+            json.dumps(backwards).encode(),
+            b"cloudrerun-state/2\n" + json.dumps({"state": backwards, "tail_bytes": 0}).encode() + b"\n",
         ]
         for content in cases:
             state_file.write_bytes(content)

@@ -592,9 +592,16 @@ class TestDeploymentValidation:
         inst = Orchestrator(SimCloud()).deploy(self.make_doc(), "sdk", Fraction(5), False)
         assert (inst.mode, inst.poll_window, inst.history) == ("sdk", Fraction(5), None)
 
-    def test_installed_rules_are_the_trigger_table_bound_to_the_run(self):
+    @pytest.mark.parametrize(
+        "rules", [list, lambda rules: []], ids=["generated", "emptied"]
+    )
+    def test_installed_rules_are_the_trigger_table_bound_to_the_run(self, rules):
+        """The runtime installs the trigger table, whatever rules the document lists."""
+        doc = self.make_doc()
+        doc.body["rules"] = rules(doc.body["rules"])
+        assert Orchestrator(SimCloud()).run_serverless(doc).state is ExecutionState.COMPLETED
         orchestrator = Orchestrator(SimCloud())
-        orchestrator.deploy(self.make_doc())
+        orchestrator.deploy(doc)
         installed = [
             (rule.function, rule.instance_id, rule.source, rule.event, rule.match)
             for rule, _ in orchestrator.bus.rules

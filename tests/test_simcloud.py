@@ -576,6 +576,40 @@ class TestStateFile:
         again.save_state(path)
         assert path.read_bytes() == _state_file(env.to_state())
 
+    def test_a_run_saved_mid_flight_loads_with_its_live_resources(self, tmp_path):
+        """A run saved after its first completion, with a cluster, a network
+        and their two entries open, loads from the current layout and from a
+        legacy file to a ledger that ends the run as the original does."""
+        env = SimCloud()
+        orchestrator = Orchestrator(env)
+        inst = orchestrator.deploy(generate_pipeline(make_request()))
+        orchestrator.start(inst)
+        assert env.run_next_completion() and inst.cluster.state == "Ready"
+        scope, provider = inst.instance_id, inst.provider
+        current, legacy = tmp_path / "simcloud.json", tmp_path / "legacy.json"
+        env.save_state(current)
+        legacy.write_text(json.dumps(_legacy_state(env)), encoding="utf-8")
+        clouds = [env, SimCloud.load_state(current), SimCloud.load_state(legacy)]
+
+        def before(cloud):
+            p = cloud.provider(provider)
+            return cloud.ledger.open_entries(), p.inventory(), p.clusters
+
+        def after(cloud):
+            cloud.clock.advance_to(Fraction(45))
+            p = cloud.provider(provider)
+            p.delete_cluster(inst.cluster.cluster_id)
+            p.delete_network(inst.network_id)
+            entries = [e for e in cloud.ledger.entries if e.scope == scope]
+            return cloud.ledger.open_entries(), entries, cloud.ledger.breakdown(scope), p.inventory()
+
+        seen = [before(cloud) for cloud in clouds]
+        assert [e.resource_id for e in seen[0][0]] == [inst.network_id, inst.cluster.cluster_id]
+        assert seen == [seen[0]] * len(clouds)
+        ended = [after(cloud) for cloud in clouds]
+        assert ended[0][0] == [] and [e.close_time for e in ended[0][1]] == [45, 45]
+        assert ended == [ended[0]] * len(clouds)
+
     def test_stored_bytes_round_trip(self, tmp_path):
         """Empty, newline-bearing and non-UTF-8 versions, several per key,
         under keys the index line must escape."""
