@@ -56,15 +56,11 @@ class UnknownInstanceType(CloudRerunError):
 
 
 class QuotaExceeded(CloudRerunError):
-    """Provider refused to provision (injected or configured quota)."""
+    """Provider refused to provision: its instance quota is full."""
 
 
 class NoSuchKey(CloudRerunError):
     """Object-store read of an absent bucket/key."""
-
-
-class NoSuchImage(CloudRerunError):
-    """Container image absent from the seeded registry."""
 
 
 class ClockModeViolation(CloudRerunError):
@@ -82,7 +78,7 @@ class AnalyticsFailure(CloudRerunError):
 
 
 class StorageFailure(CloudRerunError):
-    """A history-storage operation failed."""
+    """A provider operation failed: the failure tests inject into any operation."""
 
 
 # --- execution history -----------------------------------------------------

@@ -274,7 +274,7 @@ class Orchestrator:
 
     def _software_setup(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.SOFTWARE_SETUP)
-        self.env.provider(inst.provider).resolve_image(inst.request.application.docker_image)
+        self.env.provider(inst.provider).resolve_image()
         delay = self.env.delays.image_pull_s + self.env.delays.bootstrap_cmd_s * len(
             inst.request.application.bootstrap
         )

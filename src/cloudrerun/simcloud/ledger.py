@@ -70,10 +70,6 @@ class LedgerEntry:
         end = self.close_time
         if end is None:
             raise OpenLedger(f"entry {self.resource_id!r} is still open")
-        if end < self.open_time:
-            raise OpenLedger(
-                f"entry {self.resource_id!r}: close {end} precedes open {self.open_time}"
-            )
         return self.unit_price_hour * (end - self.open_time) / SECONDS_PER_HOUR
 
 
@@ -99,14 +95,17 @@ def encode_bill(bill: Bill) -> bytes:
 
 
 def decode_bill(scope: str, raw: bytes) -> Bill:
-    """The bill ``encode_bill`` wrote for ``scope``; damaged bytes raise
-    ValueError naming the scope."""
+    """The bill ``encode_bill`` wrote for ``scope``; damaged bytes, or an
+    entry that closes before it opens, raise ValueError naming the scope."""
     try:
         doc = json.loads(raw)
         entries = [
             LedgerEntry(resource_id, category, Fraction(price), Fraction(opened), Fraction(closed), scope)
             for resource_id, category, price, opened, closed in doc["entries"]
         ]
+        for e in entries:
+            if e.close_time < e.open_time:
+                raise ValueError(f"entry {e.resource_id!r}: close {e.close_time} precedes open {e.open_time}")
         requests = doc["requests"]
         if not all(type(count) is int for count in requests.values()):
             raise ValueError(f"request counts {requests!r} are not all ints")

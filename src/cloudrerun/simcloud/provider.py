@@ -13,8 +13,7 @@ Like pending completions it is transient, so a loaded environment starts
 with an empty bus.
 
 A provider holds live resources only: a deleted cluster or network leaves
-it, and its cost stays in the ledger.  The quota and the image registry,
-like the delays and prices, are settings of the running environment.
+it, and its cost stays in the ledger.
 
 Database tables are keyed by execution id, so a record write or a lookup by
 id touches one row.  A row written in the process is a dict; a row loaded
@@ -52,7 +51,6 @@ from typing import Callable, Optional
 
 from ..errors import (
     CloudRerunError,
-    NoSuchImage,
     NoSuchKey,
     QuotaExceeded,
     UnknownInstanceType,
@@ -62,6 +60,7 @@ from .clock import VirtualClock
 from .ledger import CostLedger, canonical, price_catalog, snapshot
 
 PROVIDERS = ("aws", "azure")
+MAX_INSTANCES = 64  # live instances per provider
 
 _STATE_MAGIC = b"cloudrerun-state/3\n"
 _V2_MAGIC = b"cloudrerun-state/2\n"
@@ -187,8 +186,8 @@ class DelayProfile:
 
 
 class SimProvider:
-    """One cloud: live clusters and networks, versioned object stores, database
-    tables, and a container image registry.
+    """One cloud: live clusters and networks, versioned object stores and
+    database tables.
 
     A table maps each execution id to its row, in the order the ids were
     first written; a write to a known id replaces its row in place.  A
@@ -198,12 +197,10 @@ class SimProvider:
     def __init__(self, name: str, env: "SimCloud") -> None:
         self.name = name
         self.env = weakref.proxy(env)
-        self.max_instances = 64
         self.clusters: dict[str, Cluster] = {}
         self.networks: set[str] = set()
         self.stores: dict[str, dict[str, list[bytes]]] = {}
         self.tables: dict[str, dict[str, dict | bytes]] = {}
-        self.registry: Optional[set[str]] = None  # None: any image resolves
         self._counters: dict[str, int] = {}
         self._op_calls: dict[str, int] = {}
         self._faults: dict[tuple[str, int], Callable[[], Exception]] = {}
@@ -266,10 +263,10 @@ class SimProvider:
         delay, announced by a HardwareEnvReady lifecycle event."""
         self._enter_op("create_cluster")
         price = self._instance_price(instance_type)
-        if self.live_instance_count() + instance_count > self.max_instances:
+        if self.live_instance_count() + instance_count > MAX_INSTANCES:
             raise QuotaExceeded(
                 f"{self.name}: requested {instance_count} instances, "
-                f"{self.max_instances - self.live_instance_count()} available"
+                f"{MAX_INSTANCES - self.live_instance_count()} available"
             )
         cluster = Cluster(
             cluster_id=self.next_id("cluster"),
@@ -309,14 +306,10 @@ class SimProvider:
 
     # -- images ------------------------------------------------------------
 
-    def seed_registry(self, images: list[str]) -> None:
-        """Switch to a strict registry that resolves only seeded images."""
-        self.registry = set(images)
-
-    def resolve_image(self, image: str) -> None:
+    def resolve_image(self) -> None:
+        """Pull the run's container image: every image resolves, so the pull
+        fails only by an injected fault."""
         self._enter_op("resolve_image")
-        if self.registry is not None and image not in self.registry:
-            raise NoSuchImage(f"{self.name} registry has no image {image!r}")
 
     # -- object storage ----------------------------------------------------
 
@@ -449,8 +442,7 @@ class SimCloud:
 
     def to_state(self) -> dict:
         """What commands change, with stored versions, rows and bills as bytes; the bus,
-        pending completions, quota, registry, delays and prices belong to the running
-        environment only."""
+        pending completions, delays and prices belong to the running environment only."""
         return {
             "clock": str(self.clock.now()),
             "event_counter": self._event_counter,

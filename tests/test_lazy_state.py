@@ -131,9 +131,9 @@ _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner) | st.dictionaries(s
 _ROWS = st.builds(lambda execution_id, fields: {**fields, "execution_id": execution_id},
                   st.text(min_size=1), st.dictionaries(st.text(), _JSON, max_size=6))
 _FRACTIONS = st.fractions(min_value=0, max_value=10**6)
-_ENTRIES = st.lists(
+_ENTRIES = st.lists(  # an entry closes at or after it opens, as every ledger's does
     st.tuples(st.text(), st.text(), _FRACTIONS, _FRACTIONS, st.none() | _FRACTIONS).map(
-        lambda t: LedgerEntry(t[0], t[1], t[2], t[3], t[4], "scope")
+        lambda t: LedgerEntry(t[0], t[1], t[2], t[3], None if t[4] is None else t[3] + t[4], "scope")
     ),
     max_size=6,
 )
@@ -184,17 +184,29 @@ class TestCanonicalBytes:
         assert path.read_bytes() == data
 
 
-def _damage(path: Path, pick) -> None:
-    """Overwrite the bytes of the row or bill whose reference ``pick`` finds in the snapshot."""
+def _damage(path: Path, pick, damage=lambda raw: b"\xff" * len(raw)) -> None:
+    """Replace the bytes of the row or bill whose reference ``pick`` finds in the
+    snapshot by ``damage`` of them, which keeps their length."""
     data = path.read_bytes()
     magic, line, tail = data.split(b"\n", 2)
     start, length = pick(json.loads(line)["state"])
-    tail = tail[:start] + b"\xff" * length + tail[start + length:]
+    damaged = damage(tail[start:start + length])
+    assert len(damaged) == length
+    tail = tail[:start] + damaged + tail[start + length:]
     path.write_bytes(magic + b"\n" + line + b"\n" + tail)
 
 
+def _close_before_open(raw: bytes) -> bytes:
+    """A bill whose first entry has its open and close times swapped."""
+    bill = json.loads(raw)
+    resource_id, category, price, opened, closed = bill["entries"][0]
+    assert Fraction(opened) < Fraction(closed)
+    bill["entries"][0] = [resource_id, category, price, closed, opened]
+    return canonical(bill)
+
+
 class TestDamage:
-    @pytest.mark.parametrize("part", ["row", "bill"])
+    @pytest.mark.parametrize("part", ["row", "bill", "closed-before-open"])
     def test_a_damaged_part_is_named_by_the_command_that_reads_it(self, tmp_path, history, capsys, part):
         data, urls = history
         state = _state_dir(tmp_path, data)
@@ -205,9 +217,12 @@ class TestDamage:
             message = f"aws table {TABLE!r}: row {damaged!r} is damaged"
             _damage(state / "simcloud.json",
                     lambda s: dict(s["providers"]["aws"]["tables"][TABLE])[damaged])
-        else:
+        elif part == "bill":
             message = f"the bill of scope {damaged!r} is damaged"
             _damage(state / "simcloud.json", lambda s: dict(s["ledger"]["bills"])[damaged])
+        else:
+            message = f"the bill of scope {damaged!r} is damaged: ValueError: entry"
+            _damage(state / "simcloud.json", lambda s: dict(s["ledger"]["bills"])[damaged], _close_before_open)
         saved = (state / "simcloud.json").read_bytes()
         assert main(["history", "--url", other_url, "--state-dir", str(state), "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["url"] == other_url

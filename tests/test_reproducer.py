@@ -9,6 +9,7 @@ from cloudrerun.errors import (
     MalformedValue,
     NotFound,
     QuotaExceeded,
+    StorageFailure,
     UnsupportedProvider,
 )
 from cloudrerun.metrics import measure
@@ -19,7 +20,7 @@ from cloudrerun.reproducer import (
     translate_resources,
 )
 from cloudrerun.runtime import ExecutionState, Orchestrator
-from cloudrerun.simcloud.provider import SimCloud
+from cloudrerun.simcloud.provider import MAX_INSTANCES, SimCloud
 
 from helpers import application_text, fetch_bundles, make_request, personal_text, resources_text
 
@@ -108,9 +109,13 @@ class TestModes:
         for mode in ("serverless", "sdk", "serverless"):
             reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()), mode=mode)
             assert env.subscribers == [env.bus.enqueue]
-        env.provider("aws").max_instances = 1
+        too_many = resources_text(engine="dask", nodes=MAX_INSTANCES + 1)
         with pytest.raises(QuotaExceeded):
-            reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()))
+            reproduce(
+                env,
+                outcome.history_url,
+                OverrideSet(personal_text=personal_text(), resources_text=too_many),
+            )
         assert env.subscribers == [env.bus.enqueue]
 
     def test_an_unknown_mode_raises_before_an_id_is_drawn(self):
@@ -273,7 +278,7 @@ class TestGuards:
 
     def test_failed_ancestor_has_no_config(self):
         env = SimCloud()
-        env.provider("aws").seed_registry(["something-else:1"])
+        env.provider("aws").inject_fault("resolve_image", 0, lambda: StorageFailure("registry timeout"))
         outcome = Orchestrator(env).run_serverless(generate_pipeline(make_request()))
         assert outcome.state is ExecutionState.FAILED
         with pytest.raises(NotFound):

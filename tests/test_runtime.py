@@ -17,7 +17,6 @@ from cloudrerun.errors import (
     CloudRerunError,
     DeploymentRejected,
     MalformedValue,
-    NoSuchImage,
     QuotaExceeded,
     StorageFailure,
 )
@@ -30,7 +29,7 @@ from cloudrerun.runtime import (
     InstalledRule,
     Orchestrator,
 )
-from cloudrerun.simcloud.provider import SimCloud
+from cloudrerun.simcloud.provider import MAX_INSTANCES, SimCloud
 
 from helpers import make_request, personal_text, run_sdk, run_serverless
 
@@ -229,25 +228,15 @@ class TestEventHandling:
             generate_pipeline(make_request(command=command_for(50, 100, 2, 2)))
         )
         assert len(bus.rules) == 8
-
-        def drive(inst):
-            while inst.state not in (ExecutionState.COMPLETED, ExecutionState.FAILED):
-                if bus.queue:
-                    bus.dispatch(bus.queue.popleft())
-                else:
-                    assert env.run_next_completion()
-
         orchestrator.start(first)
         orchestrator.start(second)
-        drive(first)
-        assert first.state is ExecutionState.COMPLETED
+        assert orchestrator._drive(first).state is ExecutionState.COMPLETED
         assert second.state is ExecutionState.EXECUTING
         assert [rule.instance_id for rule, _ in bus.rules] == [second.instance_id] * 4
         late = Event("late-1", first.source, "ExportComplete", "lifecycle", env.clock.now(), {})
         assert bus.dispatch(late) == []
         assert bus.dropped[-1] == late
-        drive(second)
-        assert second.state is ExecutionState.COMPLETED
+        assert orchestrator._drive(second).state is ExecutionState.COMPLETED
         assert bus.rules == []
 
     @pytest.mark.parametrize("mode", ["serverless", "sdk"])
@@ -446,9 +435,8 @@ class TestOneBusPerEnvironment:
         for mode, window in (("serverless", None), ("sdk", Fraction(10))):
             assert Orchestrator(env).run(doc, mode, window).state is ExecutionState.COMPLETED
             assert env.subscribers == [env.bus.enqueue]
-        env.provider("aws").max_instances = 1
         with pytest.raises(QuotaExceeded):
-            Orchestrator(env).run(generate_pipeline(make_request(engine="spark", nodes=2)))
+            Orchestrator(env).run(generate_pipeline(make_request(engine="spark", nodes=MAX_INSTANCES + 1)))
         assert env.subscribers == [env.bus.enqueue]
         assert (env.bus.rules, list(env.bus.queue), env.bus.seen) == ([], [], set())
 
@@ -468,26 +456,23 @@ class TestOneBusPerEnvironment:
 
 class TestFailures:
     def test_missing_image_fails_and_cleans_up(self):
+        # Every image resolves, so a missing image is a pull broken by an injected fault.
         env = SimCloud()
-        env.provider("aws").seed_registry(["other:1"])
-        orchestrator = Orchestrator(env)
-        outcome = orchestrator.run_serverless(generate_pipeline(make_request()))
+        env.provider("aws").inject_fault("resolve_image", 0, lambda: StorageFailure("no such image"))
+        outcome = Orchestrator(env).run_serverless(generate_pipeline(make_request()))
         assert outcome.state is ExecutionState.FAILED
-        assert "NoSuchImage" in outcome.failure
+        assert "no such image" in outcome.failure
         assert env.provider("aws").inventory() == {"clusters": [], "networks": []}
         assert outcome.record["status"] == "Failed"
         assert outcome.record["config_key"] is None
 
     def test_injected_pull_failure(self):
-        # The image is in the strict registry; the pull fails by the injected fault.
-        req = make_request()
         env = SimCloud()
         provider = env.provider("aws")
-        provider.seed_registry([req.application.docker_image])
-        provider.inject_fault("resolve_image", 0, lambda: NoSuchImage("registry timeout"))
-        outcome = Orchestrator(env).run_serverless(generate_pipeline(req))
+        provider.inject_fault("resolve_image", 0, lambda: StorageFailure("registry timeout"))
+        outcome = Orchestrator(env).run_serverless(generate_pipeline(make_request()))
         assert outcome.state is ExecutionState.FAILED
-        assert "NoSuchImage" in outcome.failure and "registry timeout" in outcome.failure
+        assert "StorageFailure" in outcome.failure and "registry timeout" in outcome.failure
         assert provider.inventory() == {"clusters": [], "networks": []}
 
     def test_nonzero_exit_code(self):
@@ -509,16 +494,15 @@ class TestFailures:
 
     def test_quota_exceeded_at_start(self):
         env = SimCloud()
-        env.provider("aws").max_instances = 1
         orchestrator = Orchestrator(env)
-        doc = generate_pipeline(make_request(engine="spark", nodes=2))
+        doc = generate_pipeline(make_request(engine="spark", nodes=MAX_INSTANCES + 1))
         with pytest.raises(QuotaExceeded):
             orchestrator.run_serverless(doc)
         assert env.provider("aws").inventory() == {"clusters": [], "networks": []}
 
     def test_sdk_mode_failure_path(self):
         env = SimCloud()
-        env.provider("aws").seed_registry(["other:1"])
+        env.provider("aws").inject_fault("resolve_image", 0, lambda: StorageFailure("registry timeout"))
         outcome = Orchestrator(env).run_sdk(generate_pipeline(make_request()))
         assert outcome.state is ExecutionState.FAILED
         assert env.provider("aws").inventory() == {"clusters": [], "networks": []}

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from cloudrerun.caam import generate_pipeline
 from cloudrerun.errors import (
     ClockModeViolation,
-    NoSuchImage,
     NoSuchKey,
     OpenLedger,
     QuotaExceeded,
@@ -26,7 +25,7 @@ from cloudrerun.history import HistoryStore, find_record_table, parse_url
 from cloudrerun.runtime import ExecutionState, Orchestrator
 from cloudrerun.simcloud.clock import VirtualClock
 from cloudrerun.simcloud.ledger import CostLedger, price_catalog, snapshot
-from cloudrerun.simcloud.provider import PROVIDERS, SimCloud
+from cloudrerun.simcloud.provider import MAX_INSTANCES, PROVIDERS, SimCloud
 from cloudrerun.simcloud.workload import (
     WorkloadProfile,
     parse_flags,
@@ -211,16 +210,15 @@ class TestProvider:
     def test_quota(self):
         env = SimCloud()
         provider = env.provider("aws")
-        provider.max_instances = 4
         net = provider.create_network("r")
-        first = provider.create_cluster("c5d.large", 3, net, "r")
-        with pytest.raises(QuotaExceeded):
+        first = provider.create_cluster("c5d.large", MAX_INSTANCES - 1, net, "r")
+        with pytest.raises(QuotaExceeded, match="requested 2 instances, 1 available"):
             provider.create_cluster("c5d.large", 2, net, "r")
         # deleting a cluster frees its instances
         provider.delete_cluster(first.cluster_id)
         assert provider.live_instance_count() == 0
-        second = provider.create_cluster("c5d.large", 4, net, "r")
-        assert provider.live_instance_count() == 4
+        second = provider.create_cluster("c5d.large", MAX_INSTANCES, net, "r")
+        assert provider.live_instance_count() == MAX_INSTANCES
         assert list(provider.clusters) == [second.cluster_id]
 
     def test_object_store_versions(self):
@@ -251,15 +249,6 @@ class TestProvider:
         rows = provider.db_query("t", {"status": "Completed"}, "q")
         assert sorted(r["execution_id"] for r in rows) == ["e1", "e2"]
         assert len(provider.tables["t"]) == 2
-
-    def test_registry_open_until_seeded(self):
-        env = SimCloud()
-        provider = env.provider("aws")
-        provider.resolve_image("anything:latest")
-        provider.seed_registry(["known:1"])
-        provider.resolve_image("known:1")
-        with pytest.raises(NoSuchImage):
-            provider.resolve_image("anything:latest")
 
     def test_fault_injection_hits_exact_call(self):
         env = SimCloud()
