@@ -11,8 +11,7 @@ A saved bill is its closed entries and its request counts as canonical
 bytes (``encode_bill``).  A bill loaded from a state file stays those bytes
 until it is first charged or read, and is saved back as them if it never
 is; open entries are saved beside the bills, with the state file's index,
-and are opened again on load.  The entries and request counts of older
-state files are replayed through the calls that charge a live ledger."""
+and are opened again on load."""
 
 from __future__ import annotations
 
@@ -184,9 +183,9 @@ class CostLedger:
         entry.close_time = Fraction(close_time)
         del self._open[resource_id]
 
-    def charge_request(self, scope: str, operation: str, count: int = 1) -> None:
+    def charge_request(self, scope: str, operation: str) -> None:
         requests = self._charge(scope).requests
-        requests[operation] = requests.get(operation, 0) + count
+        requests[operation] = requests.get(operation, 0) + 1
 
     def open_entries(self, scope: Optional[str] = None) -> list[LedgerEntry]:
         return [e for e in self._open.values() if scope is None or e.scope == scope]
@@ -228,19 +227,10 @@ class CostLedger:
 
     def restore_state(self, state: dict, blob) -> None:
         """Take in a ``to_state`` snapshot, whose bills ``blob`` turns into
-        bytes, and open its open entries again.  The snapshots of older state
-        files list every entry and request count instead, which are replayed:
-        each entry is opened, then closed if it was, and each count charged."""
-        replay = "entries" in state
-        if not replay:
-            self._bills = {scope: blob(ref) for scope, ref in state["bills"]}
-        for item in state["entries" if replay else "open"]:
+        bytes, and open its open entries again."""
+        self._bills = {scope: blob(ref) for scope, ref in state["bills"]}
+        for item in state["open"]:
             item = dict(item)
-            close_time = item.pop("close_time", None)
-            if close_time is not None and not replay:
+            if item.pop("close_time", None) is not None:
                 raise ValueError(f"open entry {item['resource_id']!r} has a close time")
-            entry = self.open_entry(**item)
-            if close_time is not None:
-                self.close_entry(entry.resource_id, Fraction(close_time))
-        for rc in state["request_counts"] if replay else ():
-            self.charge_request(rc["scope"], rc["operation"], rc["count"])
+            self.open_entry(**item)

@@ -29,10 +29,8 @@ entries, each table as ``[execution_id, reference]`` pairs in the order the
 ids were first written, and each bill as ``[scope, reference]`` in
 first-charge order.  A row's bytes are its compact key-sorted JSON; a
 bill's are ``ledger.encode_bill``'s.  Every reference is checked at load,
-but a damaged row or bill shows only when a command reads it.  Files in the
-``cloudrerun-state/2`` layout, which held rows and ledger entries in the
-index, and legacy JSON files without a first line still load, and are
-saved in the current layout.
+but a damaged row or bill shows only when a command reads it.  This is the
+one layout that loads: a file of any other layout is refused.
 
 Fault injection targets one (operation, call_index) pair at a time so tests
 can break exactly the n-th call of an operation and nothing else.
@@ -40,6 +38,7 @@ can break exactly the n-th call of an operation and nothing else.
 
 from __future__ import annotations
 
+import glob
 import heapq
 import json
 import os
@@ -63,7 +62,6 @@ PROVIDERS = ("aws", "azure")
 MAX_INSTANCES = 64  # live instances per provider
 
 _STATE_MAGIC = b"cloudrerun-state/3\n"
-_V2_MAGIC = b"cloudrerun-state/2\n"
 
 
 def _copy_json(value):
@@ -464,24 +462,22 @@ class SimCloud:
 
     @classmethod
     def from_state(cls, state: dict, blob: Callable[[object], bytes] = bytes) -> "SimCloud":
-        """The environment a snapshot describes, its ledger restored through the calls that
-        charge a live one; ``blob`` turns each saved version, row and bill into bytes.  Older
-        snapshots hold rows and ledger entries decoded, and terminated clusters, a quota and a
-        registry, which are skipped.  A counter that is not a non-negative int raises ValueError."""
+        """The environment a snapshot describes, its open ledger entries opened again as on a
+        live ledger; ``blob`` turns each saved version, row and bill into bytes.  A counter
+        that is not a non-negative int raises ValueError."""
 
         def count(value, field: str) -> int:
             if type(value) is not int or value < 0:
                 raise ValueError(f"{field} must be a non-negative int, got {value!r}")
             return value
 
-        decoded = "entries" in state["ledger"]
         env = cls()
         env.clock.advance_to(Fraction(state["clock"]))
         env._event_counter = count(state["event_counter"], "event_counter")
         for name, pstate in state["providers"].items():
             p = env.providers[name]
             p._counters = {k: count(v, f"providers.{name}.counters.{k}") for k, v in pstate["counters"].items()}
-            p.clusters = {c["cluster_id"]: Cluster(**c) for c in pstate["clusters"] if c["state"] != "Terminated"}
+            p.clusters = {c["cluster_id"]: Cluster(**c) for c in pstate["clusters"]}
             for c in p.clusters.values():  # ready_at is saved as a string
                 c.ready_at = c.ready_at and Fraction(c.ready_at)
             p.networks = set(pstate["networks"])
@@ -489,11 +485,7 @@ class SimCloud:
                 store: {key: list(map(blob, versions)) for key, versions in keys.items()}
                 for store, keys in pstate["stores"].items()
             }
-            p.tables = {
-                table: {row["execution_id"]: dict(row) for row in rows} if decoded
-                else {key: blob(ref) for key, ref in rows}
-                for table, rows in pstate["tables"].items()
-            }
+            p.tables = {table: {key: blob(ref) for key, ref in rows} for table, rows in pstate["tables"].items()}
         env.ledger.restore_state(state["ledger"], blob)
         return env
 
@@ -501,7 +493,11 @@ class SimCloud:
         """Write the state file and commit it atomically: a temp file beside ``path``
         is written, flushed and fsynced, then replaces ``path``, so a reader finds the
         old file or the new one, never part of one.  The directory is fsynced last,
-        since the rename is not durable before that (Pillai et al., OSDI 2014)."""
+        since the rename is not durable before that (Pillai et al., OSDI 2014).
+
+        There must be one writer per path, as the CLI's lock on the state directory
+        ensures: a save first removes every temp file of ``path``, each left by a save
+        that crashed before its rename."""
         tail, size = [], 0
 
         def reference(blob: bytes) -> list[int]:
@@ -513,8 +509,11 @@ class SimCloud:
         # Without an indent the C encoder runs, calling ``reference`` in key order.
         state = json.dumps(self.to_state(), sort_keys=True, separators=(",", ":"), default=reference)
         directory, name = os.path.split(os.fspath(path))
+        prefix = os.path.join(directory, f".{name}.")
+        for stale in glob.glob(glob.escape(prefix) + "*.tmp"):
+            os.unlink(stale)
         # O_EXCL follows no symlink; 0666 less the umask is open()'s mode (mkstemp's is 0600).
-        tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+        tmp = f"{prefix}{os.urandom(8).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "wb") as fh:
@@ -534,15 +533,15 @@ class SimCloud:
 
     @classmethod
     def load_state(cls, path) -> "SimCloud":
-        """Read a ``save_state`` file or an older one.  A damaged file raises
-        ValueError naming ``path`` and the fault; a damaged row or bill, when
-        it is read."""
+        """Read a ``save_state`` file.  A file of another layout or a damaged
+        one raises ValueError naming ``path`` and the fault; a damaged row or
+        bill, when it is read."""
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            if not data.startswith((_STATE_MAGIC, _V2_MAGIC)):
-                return cls.from_state(json.loads(data), bytes.fromhex)
-            line = data.index(b"\n") + 1
+            if not data.startswith(_STATE_MAGIC):
+                raise ValueError(f"the first line is not {_STATE_MAGIC.strip().decode()}")
+            line = len(_STATE_MAGIC)
             base = data.index(b"\n", line) + 1  # where the tail starts; it is not copied out
             index = json.loads(data[line:base - 1])
             size = len(data) - base
@@ -556,7 +555,7 @@ class SimCloud:
                 raise ValueError(f"reference {ref!r} is no [offset, length] in the tail")
 
             return cls.from_state(index["state"], blob)
-        # ValueError covers bad JSON, bad literals and a tail that does not match the index;
-        # CloudRerunError a clock before zero or a ledger entry that closes before it opens.
+        # ValueError covers another layout, bad JSON, bad literals and a tail unlike the index;
+        # CloudRerunError a clock before zero.
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, CloudRerunError) as exc:
             raise ValueError(f"{path}: malformed state file: {type(exc).__name__}: {exc}") from exc

@@ -11,7 +11,7 @@ The outputs digest hashes, in order:
   each, the outcome JSON, the ``measure()`` JSON and, when it keeps
   history, its record and the ``Config.zip`` and ``Result.zip`` bytes.
 
-The state digest hashes each state golden, loaded and saved again.
+The state digest hashes the state golden, loaded and saved again.
 
 It imports only the standard library, the package and the test helpers,
 so any CPython the package admits can run it without the test
@@ -39,7 +39,7 @@ from cloudrerun.simcloud.provider import PROVIDERS, SimCloud
 from helpers import make_request, personal_text
 
 GOLDEN = Path(__file__).parent / "golden"
-STATE_GOLDENS = ("simcloud_state.json", "simcloud_state.v2", "simcloud_state.live.v2")
+STATE_GOLDENS = ("simcloud_state.live.v3",)
 ENGINES = ("none", "dask", "horovod")  # the engines both clouds host
 POLL_WINDOWS = {"serverless": None, "sdk": Fraction(10)}
 FAILING_COMMAND = "analyze --serial-seconds 10 --parallel-seconds 100 --exit-code 1"

@@ -198,6 +198,27 @@ class TestRun:
         assert len(recorded) == len(set(recorded)) == 36
         assert ids <= set(recorded)
 
+    def test_a_save_removes_the_temp_files_crashed_saves_left(self, tmp_path, capsys):
+        """A save that crashes before its rename leaves its full-size temp
+        file; ``history`` saves nothing and leaves them, the next ``run``
+        removes them, and a file of another name stays."""
+        paths = write_files(tmp_path)
+        state = tmp_path / "s"
+        assert main(run_args(paths, state)) == EXIT_OK
+        data = (state / "simcloud.json").read_bytes()
+        planted = {
+            ".simcloud.json.0123456789abcdef.tmp": data,
+            ".simcloud.json.fedcba9876543210.tmp": data[:100],
+            ".other.tmp": b"kept",
+        }
+        for name, content in planted.items():
+            (state / name).write_bytes(content)
+        assert main(["history", "--state-dir", str(state)]) == EXIT_OK
+        assert {name: (state / name).read_bytes() for name in planted} == planted
+        assert main(run_args(paths, state)) == EXIT_OK
+        assert sorted(os.listdir(state)) == [".other.tmp", "simcloud.json", "simcloud.lock"]
+        assert (state / ".other.tmp").read_bytes() == b"kept"
+
 
 class TestHistoryCommand:
     def test_run_query_fetch_reproduce_chain(self, tmp_path, capsys):
@@ -508,7 +529,8 @@ class TestErrorExitCodes:
 
             return saved(edit)
 
-        backwards = {
+        # a well-formed legacy document and ``cloudrerun-state/2`` file, each of one closed ledger entry
+        older = {
             "clock": "109",
             "event_counter": 0,
             "providers": {},
@@ -517,13 +539,17 @@ class TestErrorExitCodes:
                     "resource_id": "aws-net-0001",
                     "category": "network",
                     "unit_price_hour": "1/100",
-                    "open_time": "109",
-                    "close_time": "0",
+                    "open_time": "0",
+                    "close_time": "109",
                     "scope": "aws-exec-0001",
                 }],
-                "request_counts": [],
+                "request_counts": [{"scope": "aws-exec-0001", "operation": "db_write", "count": 1}],
             },
         }
+        older_layouts = [
+            json.dumps(older).encode(),
+            b"cloudrerun-state/2\n" + json.dumps({"state": older, "tail_bytes": 0}).encode() + b"\n",
+        ]
         counter_cases = [
             saved(lambda state_doc: state_doc.update(event_counter="33")),
             saved(lambda state_doc: state_doc.update(event_counter=-1)),
@@ -556,9 +582,8 @@ class TestErrorExitCodes:
             # rows and bills are referenced as stored versions are
             *(with_part_reference(part, ref) for part in ("row", "bill")
               for ref in ([-1, 1], [0], "00", [0, len(tail) + 1])),
-            # a ledger entry that closes before it opens, in a legacy file and in a v2 one
-            json.dumps(backwards).encode(),
-            b"cloudrerun-state/2\n" + json.dumps({"state": backwards, "tail_bytes": 0}).encode() + b"\n",
+            # a layout before cloudrerun-state/3
+            *older_layouts,
         ]
         for content in cases:
             state_file.write_bytes(content)
@@ -568,11 +593,14 @@ class TestErrorExitCodes:
             assert f"{state_file}: malformed state file" in err
             assert state_file.read_bytes() == content
         # a run on such a file is refused the same way, before anything runs
-        for content in counter_cases:
+        for content in counter_cases + older_layouts:
             state_file.write_bytes(content)
             assert main(run_args(paths, state)) == EXIT_USAGE
-            assert f"{state_file}: malformed state file" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+            assert f"{state_file}: malformed state file" in captured.err and captured.out == ""
             assert state_file.read_bytes() == content
+            assert sorted(os.listdir(state)) == ["simcloud.json", "simcloud.lock"]
         # references that end exactly at the end of the tail are in range
         for content in (data, with_reference([0, len(tail)]), with_reference([len(tail), 0])):
             state_file.write_bytes(content)

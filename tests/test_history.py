@@ -78,18 +78,17 @@ class TestBundles:
         assert a != b
 
     def test_golden_archives_are_written_again_byte_for_byte(self):
-        """The bundles in the state goldens, which ``zipfile`` wrote, are what
+        """The bundles in the state golden, which ``zipfile`` wrote, are what
         the writer makes of their entries."""
         blobs = [
             version
-            for name in ("simcloud_state.json", "simcloud_state.v2", "simcloud_state.live.v2")
-            for provider in SimCloud.load_state(GOLDEN / name).providers.values()
+            for provider in SimCloud.load_state(GOLDEN / "simcloud_state.live.v3").providers.values()
             for store in provider.stores.values()
             for key, versions in store.items()
             if key.endswith(".zip")
             for version in versions
         ]
-        assert len(blobs) >= 12
+        assert len(blobs) == 8
         for blob in blobs:
             assert deterministic_zip(read_zip(blob)) == blob
 

@@ -86,7 +86,7 @@ def test_secret_in_personal_never_reaches_storage(marker, spot, tmp_path):
                     assert not any(secret.encode() in blob for secret in secrets)
         rows = json.dumps(provider.tables)
         assert not any(secret in rows for secret in secrets)
-    # the saved state file holds stored objects as raw bytes; legacy files held hex
+    # the saved state file holds stored objects as raw bytes, and no hex copy of them either
     env.save_state(tmp_path / "simcloud.json")
     state = (tmp_path / "simcloud.json").read_bytes()
     assert not any(s in state for secret in secrets for s in (secret.encode(), secret.encode().hex().encode()))

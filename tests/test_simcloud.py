@@ -73,8 +73,8 @@ class TestLedger:
     def test_request_fees(self):
         # The catalog prices storage_put at 0.000005 and does not price "unpriced".
         ledger = CostLedger()
-        ledger.charge_request("run-1", "storage_put", 3)
-        ledger.charge_request("run-1", "unpriced", 2)
+        for operation in ("storage_put",) * 3 + ("unpriced",) * 2:
+            ledger.charge_request("run-1", operation)
         assert ledger.compute_cost() == Fraction("0.000015")
         assert ledger.breakdown("run-1") == {"requests": Fraction("0.000015")}
 
@@ -371,7 +371,7 @@ def _environment_with_history(runs: int) -> SimCloud:
     return env
 
 
-def _state_file(state: dict) -> bytes:
+def _state_file(state: dict, magic: bytes = b"cloudrerun-state/3") -> bytes:
     """The bytes ``save_state`` should write for a ``to_state()`` snapshot,
     built by walking it in key order: the magic line, the compact index line
     with each stored version, row and bill as its ``[offset, length]`` in
@@ -390,21 +390,22 @@ def _state_file(state: dict) -> bytes:
 
     state = index(state)
     line = json.dumps({"state": state, "tail_bytes": len(tail)}, sort_keys=True, separators=(",", ":"))
-    return b"cloudrerun-state/3\n" + line.encode("ascii") + b"\n" + bytes(tail)
+    return magic + b"\n" + line.encode("ascii") + b"\n" + bytes(tail)
 
 
 def _compact(value) -> bytes:
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _legacy_state(env: SimCloud) -> dict:
-    """The environment's snapshot as legacy files held it: decoded rows,
-    one list of ledger entries and one of request counts, versions in hex."""
+def _older_state(env: SimCloud, version) -> dict:
+    """The environment's snapshot as the layouts before ``cloudrerun-state/3``
+    held it: decoded rows, one list of ledger entries and one of request
+    counts, and each stored version as ``version`` writes it."""
     state = env.to_state()
     for pstate in state["providers"].values():
         pstate["tables"] = {table: [json.loads(row) for _, row in rows] for table, rows in pstate["tables"].items()}
         pstate["stores"] = {
-            store: {key: [v.hex() for v in versions] for key, versions in keys.items()}
+            store: {key: [version(v) for v in versions] for key, versions in keys.items()}
             for store, keys in pstate["stores"].items()
         }
     state["ledger"] = {
@@ -416,36 +417,27 @@ def _legacy_state(env: SimCloud) -> dict:
     return state
 
 
-# A legacy state file, saved before tables were keyed by execution id: five
-# runs on both providers, one into a custom table, one failed and one in sdk
-# mode.  GOLDEN_STATE_V2 is the same environment in the ``cloudrerun-state/2``
-# layout.  Both inputs still hold the five terminated clusters and each
-# provider's ``max_instances`` and ``registry``; GOLDEN_STATE_LIVE_V2 is the
-# file the v2 writer wrote for either of them, without these, and
-# GOLDEN_STATE_LIVE the file ``save_state`` writes for any of the three.
-GOLDEN_STATE = Path(__file__).parent / "golden" / "simcloud_state.json"
-GOLDEN_STATE_V2 = Path(__file__).parent / "golden" / "simcloud_state.v2"
-GOLDEN_STATE_LIVE_V2 = Path(__file__).parent / "golden" / "simcloud_state.live.v2"
-GOLDEN_STATE_LIVE = Path(__file__).parent / "golden" / "simcloud_state.live.v3"
-GOLDENS = (GOLDEN_STATE, GOLDEN_STATE_V2, GOLDEN_STATE_LIVE_V2, GOLDEN_STATE_LIVE)
+# The state file of five runs on both providers, one into a custom table,
+# one failed and one in sdk mode.
+GOLDEN_STATE = Path(__file__).parent / "golden" / "simcloud_state.live.v3"
 
 
-def _saved_providers(path: Path) -> dict:
-    """The ``providers`` part of a state file's snapshot, in any layout."""
-    data = path.read_bytes()
-    if data.startswith(b"cloudrerun-state/"):
-        return json.loads(data.split(b"\n", 2)[1])["state"]["providers"]
-    return json.loads(data)["providers"]
+def _golden_index() -> tuple[dict, bytes]:
+    """The golden file's snapshot and its tail, split apart without the loader."""
+    magic, line, tail = GOLDEN_STATE.read_bytes().split(b"\n", 2)
+    assert magic == b"cloudrerun-state/3"
+    return json.loads(line)["state"], tail
 
 
 def _golden_rows() -> list[tuple[str, str, dict]]:
-    """(provider, table, row) for every row of the golden file, in file order."""
-    saved = json.loads(GOLDEN_STATE.read_text(encoding="utf-8"))
+    """(provider, table, row) for every row of the golden file, in file
+    order, each row's bytes sliced out of the tail by its reference."""
+    state, tail = _golden_index()
     return [
-        (name, table, row)
-        for name, pstate in saved["providers"].items()
+        (name, table, json.loads(tail[start:start + length]))
+        for name, pstate in state["providers"].items()
         for table, rows in pstate["tables"].items()
-        for row in rows
+        for _, (start, length) in rows
     ]
 
 
@@ -457,61 +449,44 @@ class TestGoldenState:
         assert "team-records" in {table for _, table, _ in rows}
         assert {row["status"] for _, _, row in rows} == {"Completed", "Failed"}
         assert "sdk" in {row["mode"] for _, _, row in rows}
-        for golden in (GOLDEN_STATE, GOLDEN_STATE_V2):
-            providers = _saved_providers(golden)
-            assert [c["state"] for p in providers.values() for c in p["clusters"]] == ["Terminated"] * 5
-            assert all({"max_instances", "registry"} <= set(p) for p in providers.values())
-
-    def test_loads_and_saves_back_byte_for_byte(self, tmp_path):
-        """The three older files save to the current live-only file, which saves back to itself."""
-        path = tmp_path / "simcloud.json"
-        for golden in GOLDENS:
-            SimCloud.load_state(golden).save_state(path)
-            assert path.read_bytes() == GOLDEN_STATE_LIVE.read_bytes(), golden.name
-        assert GOLDEN_STATE_LIVE.read_bytes().startswith(b"cloudrerun-state/3\n")
-        for pstate in _saved_providers(GOLDEN_STATE_LIVE).values():
+        for pstate in _golden_index()[0]["providers"].values():
             assert sorted(pstate) == ["clusters", "counters", "networks", "stores", "tables"]
             assert pstate["clusters"] == []
 
-    def test_every_layout_loads_the_same_records_bills_and_blobs(self):
-        def content(env):
-            return (
-                [(name, table, p.db_query(table, {}, "check")) for name, p in env.providers.items()
-                 for table in p.tables],
-                env.ledger.entries,
-                env.ledger.request_counts,
-                {name: p.stores for name, p in env.providers.items()},
-            )
-
-        loaded = [content(SimCloud.load_state(golden)) for golden in GOLDENS]
-        assert loaded == [loaded[-1]] * len(GOLDENS)
-        assert [rows for _, _, rows in loaded[-1][0]] and loaded[-1][1] and loaded[-1][2]
+    def test_loads_and_saves_back_byte_for_byte(self, tmp_path):
+        """Saved as loaded, and again after every bill was decoded, which
+        saves each one as ``encode_bill`` writes it."""
+        path = tmp_path / "simcloud.json"
+        env = SimCloud.load_state(GOLDEN_STATE)
+        env.save_state(path)
+        assert path.read_bytes() == GOLDEN_STATE.read_bytes()
+        assert env.ledger.breakdown()
+        env.save_state(path)
+        assert path.read_bytes() == GOLDEN_STATE.read_bytes()
 
     def test_every_record_is_found(self):
-        for golden in GOLDENS:
-            env = SimCloud.load_state(golden)
-            for name, table, row in _golden_rows():
-                execution_id = row["execution_id"]
-                assert find_record_table(env, name, execution_id) == table
-                store = HistoryStore(env, name, parse_url(row["history_url"])[1], table)
-                assert store.get_record(execution_id) == row
+        env = SimCloud.load_state(GOLDEN_STATE)
+        for name, table, row in _golden_rows():
+            execution_id = row["execution_id"]
+            assert find_record_table(env, name, execution_id) == table
+            store = HistoryStore(env, name, parse_url(row["history_url"])[1], table)
+            assert store.get_record(execution_id) == row
 
     def test_queried_rows_are_json_copies(self):
         """A queried row is its stored row's JSON round trip, and changing
         its nested parts leaves the stored row as it was."""
-        for golden in GOLDENS:
-            env = SimCloud.load_state(golden)
-            for name, table in {(name, table) for name, table, _ in _golden_rows()}:
-                stored = env.provider(name).tables[table]
-                before = copy.deepcopy(stored)
-                rows = env.provider(name).db_query(table, {}, "query")
-                assert rows == [row for n, t, row in _golden_rows() if (n, t) == (name, table)]
-                for row in rows:
-                    row["parameters"]["region"] = "elsewhere"
-                    for timing in row["stage_timings"].values():
-                        timing.append("0")
-                    row["input_keys"].append("inputs/elsewhere")
-                assert stored == before, golden.name
+        env = SimCloud.load_state(GOLDEN_STATE)
+        for name, table in {(name, table) for name, table, _ in _golden_rows()}:
+            stored = env.provider(name).tables[table]
+            before = copy.deepcopy(stored)
+            rows = env.provider(name).db_query(table, {}, "query")
+            assert rows == [row for n, t, row in _golden_rows() if (n, t) == (name, table)]
+            for row in rows:
+                row["parameters"]["region"] = "elsewhere"
+                for timing in row["stage_timings"].values():
+                    timing.append("0")
+                row["input_keys"].append("inputs/elsewhere")
+            assert stored == before
 
     def test_an_upsert_keeps_the_row_in_place(self):
         env = SimCloud.load_state(GOLDEN_STATE)
@@ -554,31 +529,36 @@ class TestStateFile:
         assert data == _state_file(env.to_state())
         assert SimCloud.load_state(path).to_state() == env.to_state()
 
-    def test_legacy_indented_file_loads_and_is_saved_compact(self, tmp_path):
+    def test_an_older_layout_is_refused(self, tmp_path):
+        """A legacy JSON document, compact or indented, and a
+        ``cloudrerun-state/2`` file, each well-formed, are refused and left
+        as they are."""
         env = _environment_with_history(5)
+        legacy = _older_state(env, bytes.hex)
         path = tmp_path / "simcloud.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_legacy_state(env), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        again = SimCloud.load_state(path)
-        assert again.to_state() == env.to_state()
-        again.save_state(path)
-        assert path.read_bytes() == _state_file(env.to_state())
+        for content in (
+            _compact(legacy),
+            json.dumps(legacy, sort_keys=True, indent=2).encode() + b"\n",
+            _state_file(_older_state(env, bytes), b"cloudrerun-state/2"),
+        ):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match="malformed state file: .*not cloudrerun-state/3"):
+                SimCloud.load_state(path)
+            assert path.read_bytes() == content
 
     def test_a_run_saved_mid_flight_loads_with_its_live_resources(self, tmp_path):
         """A run saved after its first completion, with a cluster, a network
-        and their two entries open, loads from the current layout and from a
-        legacy file to a ledger that ends the run as the original does."""
+        and their two entries open, loads to a ledger that ends the run as the
+        original does."""
         env = SimCloud()
         orchestrator = Orchestrator(env)
         inst = orchestrator.deploy(generate_pipeline(make_request()))
         orchestrator.start(inst)
         assert env.run_next_completion() and inst.cluster.state == "Ready"
         scope, provider = inst.instance_id, inst.provider
-        current, legacy = tmp_path / "simcloud.json", tmp_path / "legacy.json"
-        env.save_state(current)
-        legacy.write_text(json.dumps(_legacy_state(env)), encoding="utf-8")
-        clouds = [env, SimCloud.load_state(current), SimCloud.load_state(legacy)]
+        path = tmp_path / "simcloud.json"
+        env.save_state(path)
+        clouds = [env, SimCloud.load_state(path)]
 
         def before(cloud):
             p = cloud.provider(provider)
