@@ -16,13 +16,15 @@ A pipeline document is a JSON-serializable description with four cloud
 function bindings (software setup, analytics, export, terminate), one
 trigger rule per function, and a provisioning step that announces hardware
 readiness.  The application and personal parts are provider-independent by
-construction and are byte-identical across adapters.
+construction and are byte-identical across adapters.  An adapter's document
+builds its body on the first read; deploying and running it read only the
+archive texts, so a run never builds the rest.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Optional
 
 from .config_model import AbstractRequest, Engine, canonical_serialize
@@ -93,24 +95,54 @@ def lookup_service(provider: str, category: str) -> str:
     return table[category]
 
 
-@dataclass(frozen=True)
 class PipelineDocument:
-    """Executable pipeline for one provider, JSON all the way down."""
+    """Executable pipeline for one provider, JSON all the way down.
 
-    provider: str
-    body: dict
-    # Set by the adapter that assembled ``body``: a copy of the archive texts
-    # it wrote and the request they parse to.  Not part of the document, so
-    # ``to_json`` leaves it out and equality ignores it.
-    compiled: Optional[tuple[dict, AbstractRequest]] = field(default=None, compare=False, repr=False)
+    ``PipelineDocument(provider, body)`` holds ``body`` as given, such as a
+    body read back from ``to_json``.  An adapter's document is made with no
+    body: it holds the archive texts the adapter wrote, and builds the rest
+    of its body on the first read of ``body``.  A run reads only
+    ``archive``, so it never builds the rest.  Equality compares provider
+    and body, so it builds both bodies."""
+
+    def __init__(
+        self,
+        provider: str,
+        body: Optional[dict],
+        compiled: Optional[tuple[CloudAdapter, dict, AbstractRequest]] = None,
+    ) -> None:
+        self.provider = provider
+        self._body = body
+        # Set by the adapter that made the document: the adapter, the archive
+        # texts it wrote and the request they parse to.  Not part of the
+        # document, so ``to_json`` leaves it out and equality ignores it.
+        self.compiled = compiled
+        self._archive = None if compiled is None else dict(compiled[1])
+
+    @property
+    def body(self) -> dict:
+        if self._body is None:
+            adapter, _, request = self.compiled
+            self._body = adapter.body(request, self._archive)
+        return self._body
+
+    @property
+    def archive(self):
+        """The body's archive section, read without building the rest of the body."""
+        return self._archive if self._body is None else self._body.get("archive", {})
 
     def compiled_request(self) -> Optional[AbstractRequest]:
         """The request this document was compiled from, personal part
         redacted, while the body's archive texts are still the ones written
         for it; None for a document rebuilt from its JSON or edited."""
-        if self.compiled is None or self.body.get("archive") != self.compiled[0]:
+        if self.compiled is None or self.archive != self.compiled[1]:
             return None
-        return self.compiled[1]
+        return self.compiled[2]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PipelineDocument):
+            return NotImplemented
+        return (self.provider, self.body) == (other.provider, other.body)
 
     def to_json(self) -> str:
         return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
@@ -194,12 +226,18 @@ class CloudAdapter:
         ]
 
     def assemble(self, req: AbstractRequest) -> PipelineDocument:
+        """The document of ``req``, whose body is built on its first read."""
         self._check_engine(req)
         archived = replace(req, personal=req.personal.redacted())
         # ``archived`` shares ``req``'s resources and application parts.
         archive = dict(zip(("resources_ini", "application_ini", "personal_ini"),
                            canonical_serialize(archived)))
-        body = {
+        return PipelineDocument(self.provider, None, compiled=(self, archive, archived))
+
+    def body(self, req: AbstractRequest, archive: dict) -> dict:
+        """The body of ``req``'s document around its ``archive`` texts.  The
+        personal part of ``req`` may be redacted: the body holds no secret."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "provider": self.provider,
             "executable": {
@@ -214,7 +252,6 @@ class CloudAdapter:
             # the exact configuration; the personal part is pre-redacted.
             "archive": archive,
         }
-        return PipelineDocument(self.provider, body, compiled=(dict(archive), archived))
 
 
 class AwsAdapter(CloudAdapter):

@@ -181,9 +181,7 @@ def _locked_env(state_dir: Optional[str]):
 
 
 def _outcome_report(outcome, metrics) -> dict:
-    report = json.loads(outcome.to_json())
-    report["metrics"] = None if metrics is None else json.loads(metrics.to_json())
-    return report
+    return {**outcome.payload(), "metrics": None if metrics is None else metrics.payload()}
 
 
 def _write_reports(out_dir: Optional[str], outcome, metrics) -> None:

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import struct
 import zipfile
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .config_model import PersonalSpec
@@ -106,6 +106,56 @@ def deterministic_zip(entries: dict[str, bytes]) -> bytes:
     count = len(entries)
     end = _ZIP_END_RECORD.pack(b"PK\x05\x06", 0, 0, count, count, len(directory), offset, 0)
     return b"".join(local) + directory + end
+
+
+def indented_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, for a value built of
+    dicts with str keys, lists, str, int, bool and None: the shapes of the
+    JSON files a run archives (``engine.json``, ``manifest.json``).  Any
+    other type raises TypeError rather than being written another way.
+    The standard library writes indented JSON with its pure-Python encoder
+    before 3.13; this writer knows only these shapes and is faster."""
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append the text of ``value``, nested at the indent ``newline`` ends in."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True or value is False:
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not written as JSON")
 
 
 def read_zip(data: bytes) -> dict[str, bytes]:
@@ -181,7 +231,7 @@ class HistoryStore:
                     "resources.ini": archive_texts["resources_ini"].encode(),
                     "application.ini": archive_texts["application_ini"].encode(),
                     "personal.ini": archive_texts["personal_ini"].encode(),
-                    "engine.json": (json.dumps(engine_config, sort_keys=True, indent=2) + "\n").encode(),
+                    "engine.json": (indented_json(engine_config) + "\n").encode(),
                 }
             ),
             result_key: deterministic_zip(result_entries),

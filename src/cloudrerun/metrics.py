@@ -44,8 +44,10 @@ class MetricReport:
     m3_ppr: Fraction
     breakdown: dict[str, Fraction]
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report as JSON values: what ``to_json`` writes and a
+        ``--json`` report holds."""
+        return {
             "execution_id": self.execution_id,
             "mode": self.mode,
             "duration_s": str(self.duration_s),
@@ -54,7 +56,9 @@ class MetricReport:
             "m3_ppr": {"exact": str(self.m3_ppr), "approx": float(self.m3_ppr)},
             "breakdown": {k: str(v) for k, v in sorted(self.breakdown.items())},
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
 
 
 def measure(outcome: PipelineInstance, ledger: CostLedger) -> MetricReport:

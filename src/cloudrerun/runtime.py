@@ -43,7 +43,7 @@ from .errors import (
     DeploymentRejected,
     MalformedValue,
 )
-from .history import HistoryStore
+from .history import HistoryStore, indented_json
 from .simcloud.provider import Cluster, EventBus, InstalledRule, SimCloud
 from .simcloud.workload import workload_duration, workload_result
 
@@ -121,8 +121,10 @@ class PipelineInstance:
     def duration_s(self) -> Fraction:
         return self.ended_at - self.submitted_at
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The outcome as JSON values: what ``to_json`` writes and a
+        ``--json`` report holds."""
+        return {
             "instance_id": self.instance_id,
             "provider": self.provider,
             "engine": self.engine,
@@ -136,7 +138,9 @@ class PipelineInstance:
             "history_url": self.history_url,
             "failure": self.failure,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
 
 
 def _timings_json(timings: dict[str, tuple[Fraction, Fraction]]) -> dict[str, list[str]]:
@@ -180,7 +184,7 @@ class Orchestrator:
         extra_parameters: Optional[dict] = None,
     ) -> PipelineInstance:
         window = poll_window_for(mode, poll_window)
-        archive = doc.body.get("archive", {})
+        archive = doc.archive
         if not isinstance(archive, dict):
             raise DeploymentRejected(f"archive section is not an object: {archive!r}")
         request = doc.compiled_request()
@@ -312,7 +316,7 @@ class Orchestrator:
         provider.storage_put(
             WORKSPACE_STORE,
             f"{prefix}manifest.json",
-            (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
+            (indented_json(manifest) + "\n").encode(),
             inst.instance_id,
         )
         inst.result_keys = (*keys, f"{prefix}manifest.json")
@@ -330,7 +334,7 @@ class Orchestrator:
             }
             plan = inst.history.plan_export(
                 inst.instance_id,
-                inst.doc.body["archive"],
+                inst.doc.archive,
                 inst.request.personal,
                 capture_engine_config(inst.request),
                 entries,

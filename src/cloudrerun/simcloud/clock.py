@@ -10,6 +10,13 @@ from ..errors import ClockModeViolation
 Seconds = Union[int, Fraction]
 
 
+def as_fraction(value) -> Fraction:
+    """``value`` as an exact Fraction; one that already is one is returned
+    as it is, since building a Fraction from a Fraction costs as much as
+    the arithmetic on it."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 class VirtualClock:
     """Deterministic monotonic clock, advanced only explicitly.
 
@@ -24,7 +31,7 @@ class VirtualClock:
         return self._now
 
     def advance_to(self, timestamp: Seconds) -> Fraction:
-        timestamp = Fraction(timestamp)
+        timestamp = as_fraction(timestamp)
         if timestamp < self._now:
             raise ClockModeViolation(
                 f"cannot move the clock backwards (now={self._now}, target={timestamp})"

@@ -23,6 +23,7 @@ from importlib import resources
 from typing import Optional
 
 from ..errors import OpenLedger
+from .clock import as_fraction
 
 SECONDS_PER_HOUR = Fraction(3600)
 
@@ -166,8 +167,8 @@ class CostLedger:
         entry = LedgerEntry(
             resource_id=resource_id,
             category=category,
-            unit_price_hour=Fraction(unit_price_hour),
-            open_time=Fraction(open_time),
+            unit_price_hour=as_fraction(unit_price_hour),
+            open_time=as_fraction(open_time),
             scope=scope,
         )
         self._charge(scope).entries.append(entry)
@@ -180,7 +181,7 @@ class CostLedger:
             raise OpenLedger(f"no open entry for resource {resource_id!r}")
         if close_time < entry.open_time:
             raise OpenLedger(f"close {close_time} precedes open {entry.open_time}")
-        entry.close_time = Fraction(close_time)
+        entry.close_time = as_fraction(close_time)
         del self._open[resource_id]
 
     def charge_request(self, scope: str, operation: str) -> None:

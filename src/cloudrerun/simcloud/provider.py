@@ -55,7 +55,7 @@ from ..errors import (
     UnknownInstanceType,
     UnsupportedProvider,
 )
-from .clock import VirtualClock
+from .clock import VirtualClock, as_fraction
 from .ledger import CostLedger, canonical, price_catalog, snapshot
 
 PROVIDERS = ("aws", "azure")
@@ -397,8 +397,9 @@ class SimCloud:
 
     def schedule_in(self, delay: Fraction, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` seconds from now; a negative delay means now."""
+        delay, now = as_fraction(delay), self.clock.now()
         self._seq += 1
-        when = self.clock.now() + max(Fraction(delay), Fraction(0))
+        when = now + delay if delay > 0 else now
         heapq.heappush(self._completions, (when, self._seq, callback))
 
     def next_completion_time(self) -> Optional[Fraction]:

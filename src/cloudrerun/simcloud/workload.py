@@ -12,12 +12,19 @@ Duration on n nodes with per-node parallelism p:
 computed exactly in Fractions.  The result payload is a pure function of
 (seed, command, datasets, n, p): identical on every provider and at every
 virtual time, which is what makes byte-level reproduction checkable.
+
+A command is tokenized in the one POSIX dialect of ``shlex.split``:
+whitespace is space, tab, CR and LF; single quotes keep every character;
+inside double quotes a backslash escapes only ``"`` and ``\\``; outside
+quotes a backslash escapes the next character.  An unclosed quote raises
+``ValueError("No closing quotation")`` and a final lone backslash
+``ValueError("No escaped character")``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import shlex
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -31,6 +38,16 @@ _FLAG_DEFAULTS = {
 }
 
 RESULT_BLOCKS = 4  # sha256 blocks per result payload (128 bytes)
+
+# The body of a double-quoted string: each character, or a backslash and the
+# character it escapes, is one repetition, so an unclosed quote fails in
+# linear time.
+_DOUBLE_BODY = re.compile(r'(?:[^"\\]|\\.)*', re.DOTALL)
+# Whitespace, then one token: unquoted runs, backslash escapes and quoted
+# strings up to the next whitespace.
+_TOKEN = re.compile(rf"""[ \t\r\n]*((?:[^ \t\r\n\\'"]+|\\.|'[^']*'|"{_DOUBLE_BODY.pattern}")*)""", re.DOTALL)
+_QUOTED = re.compile(rf"""\\(.)|'([^']*)'|"({_DOUBLE_BODY.pattern})\"""", re.DOTALL)
+_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\(["\\])')
 
 
 @dataclass(frozen=True)
@@ -61,12 +78,42 @@ def _int_flag(value: str, flag: str) -> int:
         raise MalformedValue(f"--{flag}: expected an integer, got {value!r}") from exc
 
 
+def _unquoted(match: re.Match) -> str:
+    """The characters one escape or quoted string of a token stands for."""
+    if match.lastindex == 3:
+        return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", match[3])
+    return match[match.lastindex]
+
+
+def split_command(command: str) -> list[str]:
+    """The tokens of a command line, as ``shlex.split`` gives them; raises
+    ValueError, with its message, on an unclosed quote or a final lone
+    backslash."""
+    tokens, position, end = [], 0, len(command)
+    while True:
+        match = _TOKEN.match(command, position)
+        position = match.end()
+        if match[1]:
+            tokens.append(_QUOTED.sub(_unquoted, match[1]))
+        if position == end:
+            return tokens
+        if command[position] not in " \t\r\n":
+            break
+    # What stopped the token: a lone final backslash, a single quote that
+    # never closes, or a double quote that never closes, either at the end
+    # of the text or at a lone final backslash inside it.
+    rest = command[position:]
+    if rest[0] == '"':
+        rest = rest[_DOUBLE_BODY.match(rest, 1).end():]
+    raise ValueError("No escaped character" if rest == "\\" else "No closing quotation")
+
+
 def parse_flags(command: str) -> dict[str, str]:
     """Every ``--flag value`` pair of a command line, keyed by flag name; a
     later repeat of a flag wins.  A ``--`` token is never a value, so a flag
     followed by another flag or by nothing is not recorded.  Raises
     ValueError on unbalanced quoting."""
-    tokens = shlex.split(command)
+    tokens = split_command(command)
     values: dict[str, str] = {}
     for token, following in zip(tokens, tokens[1:]):
         if token.startswith("--") and not following.startswith("--"):

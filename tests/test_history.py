@@ -1,6 +1,7 @@
 """History archiving, URLs, bundles, queries, redaction."""
 
 import io
+import json
 import zipfile
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from cloudrerun.history import (
     deterministic_zip,
     execution_url,
     find_record_table,
+    indented_json,
     parse_url,
     read_zip,
 )
@@ -40,6 +42,13 @@ _payloads = st.one_of(
     st.binary(max_size=64),
     st.builds(lambda byte, size: byte * size, st.binary(min_size=1, max_size=1),
               st.integers(min_value=65_000, max_value=70_000)),
+)
+# What an archived JSON file may hold: the engine configuration has a None
+# port for engines other than horovod.  Text covers escapes and non-ASCII.
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
 )
 
 
@@ -109,6 +118,19 @@ class TestBundles:
         # zipfile would store it as UTF-8 and set flag bit 0x800
         with pytest.raises(ValueError, match="not ASCII without NUL"):
             deterministic_zip({"r\u00e9sum\u00e9.txt": b"x"})
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_values)
+    def test_indented_json_is_what_json_dumps_writes(self, value):
+        assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [0.5, (1, 2), Fraction(1, 3), {"port": 1.0}, ["a", ("b",)], {1: "one"}],
+        ids=["float", "tuple", "fraction", "nested-float", "nested-tuple", "int-key"],
+    )
+    def test_indented_json_refuses_any_other_type(self, value):
+        with pytest.raises(TypeError):
+            indented_json(value)
 
     def test_dataset_content_is_pure(self):
         assert dataset_content("s3://d/alpha") == dataset_content("s3://d/alpha")

@@ -6,7 +6,10 @@ names a second time in an ``__all__`` list, and only parsing builds a
 request."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cloudrerun
@@ -537,3 +540,12 @@ def test_only_config_model_constructs_a_request():
     }
     assert {(name, module) for name, module in constructing if module != CONSTRUCTED_BY[name]} == set()
     assert {module for _, module in constructing} == set(CONSTRUCTED_BY.values())
+
+
+def test_the_cli_loads_no_shlex():
+    # A fresh interpreter without site-packages, so no start-up hook loads
+    # anything: the modules present are the ones the CLI's imports load.
+    check = "import sys, cloudrerun.cli; print(sorted({'shlex'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-S", "-c", check], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -8,7 +8,6 @@ request back, which the property below checks over a wide request space.
 """
 
 import json
-import shlex
 from dataclasses import replace
 
 import pytest
@@ -28,6 +27,7 @@ from cloudrerun.errors import DeploymentRejected
 from cloudrerun.metrics import make_suite_request
 from cloudrerun.reproducer import OverrideSet, reproduce
 from cloudrerun.runtime import ExecutionState, Orchestrator
+from cloudrerun.simcloud import workload
 from cloudrerun.simcloud.provider import SimCloud
 
 from helpers import application_text, make_request, personal_text, resources_text
@@ -162,9 +162,9 @@ def test_suite_requests_round_trip(nodes, parallelism, engine):
 @pytest.mark.parametrize("mode", ["serverless", "sdk"])
 def test_a_run_reads_each_text_once_and_splits_the_command_once(monkeypatch, mode):
     reads, splits = [], []
-    read_ini, split = config_model._read_ini, shlex.split
+    read_ini, split = config_model._read_ini, workload.split_command
     monkeypatch.setattr(config_model, "_read_ini", lambda text, label, known: reads.append(label) or read_ini(text, label, known))
-    monkeypatch.setattr(shlex, "split", lambda text: splits.append(text) or split(text))
+    monkeypatch.setattr(workload, "split_command", lambda text: splits.append(text) or split(text))
 
     req = make_request(engine="spark", nodes=2)
     orchestrator = Orchestrator(SimCloud())
@@ -175,6 +175,36 @@ def test_a_run_reads_each_text_once_and_splits_the_command_once(monkeypatch, mod
     assert outcome.state is ExecutionState.COMPLETED and outcome.history_url
     assert sorted(reads) == ["application.ini", "personal.ini", "resources.ini"]
     assert splits == [req.application.command]
+
+
+@pytest.mark.parametrize("mode", ["serverless", "sdk"])
+def test_a_run_builds_no_part_of_its_document_but_the_archive(monkeypatch, mode):
+    built = []
+    for name in ("_functions", "_rules", "_security_groups", "provisioning_doc"):
+        method = getattr(caam.CloudAdapter, name)
+        monkeypatch.setattr(caam.CloudAdapter, name,
+                            lambda self, req, name=name, method=method: built.append(name) or method(self, req))
+    req = make_request(engine="horovod", nodes=2, command="train --ssh-port 2222")
+    doc = generate_pipeline(req)
+
+    outcome = Orchestrator(SimCloud()).run(doc, mode, 10)
+
+    assert outcome.state is ExecutionState.COMPLETED and outcome.history_url
+    assert built == []
+    # Read after the run, the body is the whole document, built once.
+    assert doc.body["functions"] and doc.body["security_groups"]
+    assert sorted(built) == ["_functions", "_rules", "_security_groups", "provisioning_doc"]
+    assert doc == generate_pipeline(req)
+
+
+def test_an_archive_edited_before_the_body_is_read_is_parsed_again():
+    doc = generate_pipeline(make_request(nodes=1))
+    archive = doc.archive
+    archive["resources_ini"] = archive["resources_ini"].replace("instance_number = 1", "instance_number = 3")
+    assert doc.compiled_request() is None
+    inst = Orchestrator(SimCloud()).deploy(doc)
+    assert inst.request.resources.cloud_aws.instance_number == 3
+    assert doc.body["archive"] is archive
 
 
 def count_captures(monkeypatch) -> list:

@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import random
+import shlex
 import stat
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from cloudrerun.simcloud.workload import (
     WorkloadProfile,
     parse_flags,
     parse_workload,
+    split_command,
     workload_duration,
     workload_result,
 )
@@ -38,6 +40,32 @@ from cloudrerun.reproducer import INSTANCE_TYPE_EQUIVALENCE
 
 from helpers import make_request
 from oracles import per_second_cost
+
+# Command text: shlex's whitespace, its quotes and escape, characters it
+# does not treat as whitespace (\x0b, \xa0) and non-ASCII letters, alone
+# and in fragments that quote or escape them.
+_command_chars = " \t\r\n\x0b\xa0'\"\\-az9\u00e9\u00df\u0436\u4e2d"
+_escaped = st.sampled_from(_command_chars).map(lambda c: "\\" + c)
+_commands = st.one_of(
+    st.text(alphabet=_command_chars, max_size=30),
+    st.lists(
+        st.one_of(
+            st.text(alphabet=_command_chars, max_size=3),
+            _escaped,
+            st.text(alphabet=_command_chars.replace("'", ""), max_size=6).map(lambda t: f"'{t}'"),
+            st.lists(st.one_of(st.sampled_from(_command_chars.replace('"', "").replace("\\", "")), _escaped),
+                     max_size=6).map(lambda parts: '"' + "".join(parts) + '"'),
+        ),
+        max_size=8,
+    ).map("".join),
+)
+
+
+def _tokens_or_error(split, command: str):
+    try:
+        return split(command)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class TestClock:
@@ -136,6 +164,12 @@ class TestWorkload:
     def test_flag_pairs_give_the_profile_of_their_command(self):
         command = "analyze --serial-seconds 1/2 --parallelism 3 --seed 4 --exit-code 1"
         assert parse_workload(sorted(parse_flags(command).items())) == parse_workload(command)
+
+    @settings(max_examples=400, deadline=None)
+    @given(command=_commands)
+    def test_split_command_is_shlex_split(self, command):
+        """The same tokens as shlex.split, or a ValueError with its message."""
+        assert _tokens_or_error(split_command, command) == _tokens_or_error(shlex.split, command)
 
     def test_result_is_deterministic_and_input_sensitive(self):
         a = workload_result(1, "cmd", ["s3://x"], 2, 4)
