@@ -23,7 +23,6 @@ archive texts, so a run never builds the rest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .errors import (
     UnsupportedEngineOnProvider,
     UnsupportedProvider,
 )
+from .history import indented_json
 
 SCHEMA_VERSION = 1
 
@@ -145,7 +145,7 @@ class PipelineDocument:
         return (self.provider, self.body) == (other.provider, other.body)
 
     def to_json(self) -> str:
-        return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
+        return indented_json(self.body) + "\n"
 
 
 def _application_doc(req: AbstractRequest) -> dict:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
-import json
 import os
 import sys
 from functools import cache
@@ -49,7 +48,7 @@ from .errors import (
     UnsupportedEngineOnProvider,
     UnsupportedProvider,
 )
-from .history import HistoryStore, find_record_table, parse_url
+from .history import HistoryStore, find_record_table, indented_json, parse_url
 from .metrics import measure, run_efficiency_suite, run_scaling_suite
 from .reproducer import OverrideSet, reproduce
 from .runtime import ExecutionState, Orchestrator, poll_window_for
@@ -196,7 +195,7 @@ def _write_reports(out_dir: Optional[str], outcome, metrics) -> None:
 
 def _print_outcome(outcome, metrics, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_outcome_report(outcome, metrics), sort_keys=True, indent=2))
+        print(indented_json(_outcome_report(outcome, metrics)))
         return
     print(f"execution : {outcome.instance_id}")
     print(f"provider  : {outcome.provider}")
@@ -286,7 +285,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
             "config_entries": sorted(fetched.config) if fetched.config else None,
             "result_entries": sorted(fetched.result) if fetched.result else None,
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(indented_json(payload))
         return EXIT_OK
 
     filters: dict[str, str] = {}
@@ -306,7 +305,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
         rows.extend(HistoryStore(env, provider_name, args.store, args.table).query(filters))
 
     if args.json:
-        print(json.dumps(rows, sort_keys=True, indent=2))
+        print(indented_json(rows))
         return EXIT_OK
     if not rows:
         print("no matching executions")
@@ -336,18 +335,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    suites = (
-        ("scale_up", "scale_out", "efficiency")
-        if args.suite == "all"
-        else (args.suite,)
-    )
+    suites = ("scale_up", "scale_out", "efficiency") if args.suite == "all" else (args.suite,)
     payload: dict[str, object] = {}
     for suite in suites:
         if suite == "efficiency":
-            report = run_efficiency_suite(
-                repeats=args.repeats, poll_window=poll_window
-            )
-            payload[suite] = json.loads(report.to_json())
+            report = run_efficiency_suite(repeats=args.repeats, poll_window=poll_window)
             if out_dir:
                 (out_dir / "efficiency.json").write_text(report.to_json())
             if not args.json:
@@ -365,14 +357,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 )
         else:
             report = run_scaling_suite(suite, levels)
-            payload[suite] = [json.loads(line) for line in report.to_jsonl().splitlines()]
             if out_dir:
                 (out_dir / f"{suite}.jsonl").write_text(report.to_jsonl())
             if not args.json:
                 print(f"[{suite}]")
                 print(report.table())
+        payload[suite] = report.payload()
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(indented_json(payload))
     return EXIT_OK
 
 

@@ -68,6 +68,7 @@ _ZIP_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
 _ZIP_END_RECORD = struct.Struct("<4s4H2LH")
 _ZIP_DATE = 1 << 5 | 1  # MS-DOS date of 1980-01-01; the time field is 0
 _ZIP_MODE = 0o600 << 16  # Unix permissions in the external attributes
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # json.dumps's spellings
 
 
 def execution_url(provider: str, store: str, execution_id: str) -> str:
@@ -110,11 +111,13 @@ def deterministic_zip(entries: dict[str, bytes]) -> bytes:
 
 def indented_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, for a value built of
-    dicts with str keys, lists, str, int, bool and None: the shapes of the
-    JSON files a run archives (``engine.json``, ``manifest.json``).  Any
-    other type raises TypeError rather than being written another way.
-    The standard library writes indented JSON with its pure-Python encoder
-    before 3.13; this writer knows only these shapes and is faster."""
+    dicts with str keys, lists, str, int, float, bool and None: the one
+    writer of archived JSON files, reports, pipeline documents and the
+    CLI's ``--json`` output.  A float is spelled as ``json.dumps`` spells
+    it: its ``repr`` when finite, else ``Infinity``, ``-Infinity`` or
+    ``NaN``.  Any other type (a tuple, a Fraction) or a key that is no str
+    raises TypeError.  The standard library writes indented JSON with its
+    pure-Python encoder before 3.13; this writer is faster."""
     parts: list[str] = []
     _write_json(value, "\n", parts)
     return "".join(parts)
@@ -130,6 +133,9 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         parts.append("true" if value else "false")
     elif isinstance(value, int):
         parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        parts.append(_JSON_NONFINITE.get(text, text))
     elif isinstance(value, list):
         if not value:
             parts.append("[]")

@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Union
 from .caam import PipelineDocument, generate_pipeline
 from .config_model import AbstractRequest, parse_abstract_request
 from .errors import InsufficientSamples, NonPositiveBaseline
+from .history import indented_json
 from .runtime import ExecutionState, Orchestrator, PipelineInstance
 from .simcloud.ledger import SECONDS_PER_HOUR, CostLedger
 from .simcloud.provider import SimCloud
@@ -58,7 +59,7 @@ class MetricReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
+        return indented_json(self.payload()) + "\n"
 
 
 def measure(outcome: PipelineInstance, ledger: CostLedger) -> MetricReport:
@@ -199,8 +200,9 @@ class EfficiencyReport:
     degrees_of_freedom: int
     p_value: float
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report as JSON values, as ``to_json`` and ``bench --json`` write it."""
+        return {
             "n_sdk": self.n_sdk,
             "n_serverless": self.n_serverless,
             "mean_sdk_s": str(self.mean_sdk_s),
@@ -213,7 +215,9 @@ class EfficiencyReport:
             "degrees_of_freedom": self.degrees_of_freedom,
             "p_value": self.p_value,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return indented_json(self.payload()) + "\n"
 
 
 def efficiency_comparison(
@@ -281,27 +285,26 @@ class SuiteReport:
     kind: str  # "scale_up" or "scale_out"
     rows: tuple[SuiteRow, ...]
 
+    def payload(self) -> list[dict]:
+        """The rows as JSON values, as ``to_jsonl`` and ``bench --json`` write them."""
+        return [
+            {
+                "kind": self.kind,
+                "level": row.level,
+                "nodes": row.nodes,
+                "parallelism": row.parallelism,
+                "duration_s": str(row.metrics.duration_s),
+                "m1_hours": str(row.metrics.m1_hours),
+                "m2_cost": str(row.metrics.m2_cost),
+                "m3_ppr": str(row.metrics.m3_ppr),
+                "usage_fraction": str(row.usage_fraction),
+                "usage_cost": str(row.usage_cost),
+            }
+            for row in self.rows
+        ]
+
     def to_jsonl(self) -> str:
-        lines = []
-        for row in self.rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": self.kind,
-                        "level": row.level,
-                        "nodes": row.nodes,
-                        "parallelism": row.parallelism,
-                        "duration_s": str(row.metrics.duration_s),
-                        "m1_hours": str(row.metrics.m1_hours),
-                        "m2_cost": str(row.metrics.m2_cost),
-                        "m3_ppr": str(row.metrics.m3_ppr),
-                        "usage_fraction": str(row.usage_fraction),
-                        "usage_cost": str(row.usage_cost),
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join(json.dumps(row, sort_keys=True) for row in self.payload()) + "\n"
 
     def table(self) -> str:
         header = f"{'level':>5} {'nodes':>5} {'par':>4} {'m1 (h)':>12} {'m2 ($)':>12} {'m3':>12}"

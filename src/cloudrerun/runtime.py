@@ -28,7 +28,6 @@ ends, it removes its trigger rules from the bus.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -140,7 +139,7 @@ class PipelineInstance:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
+        return indented_json(self.payload()) + "\n"
 
 
 def _timings_json(timings: dict[str, tuple[Fraction, Fraction]]) -> dict[str, list[str]]:

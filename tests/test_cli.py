@@ -26,6 +26,7 @@ from cloudrerun.cli import (
     build_parser,
     main,
 )
+from cloudrerun.config_model import DEFAULTS
 from cloudrerun.simcloud.provider import SimCloud
 
 from helpers import application_text, fetch_bundles, personal_text, resources_text
@@ -355,6 +356,71 @@ class TestHistoryCommand:
     def test_empty_history(self, tmp_path, capsys):
         assert main(["history", "--state-dir", str(tmp_path / "s")]) == EXIT_OK
         assert "no matching executions" in capsys.readouterr().out
+
+
+def dumped(text: str) -> str:
+    """What ``json.dumps(v, sort_keys=True, indent=2)`` writes of the value
+    ``text`` holds, with the newline that ends a printed or written report."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+class TestIndentedJsonBytes:
+    """Every indented JSON text the CLI prints or writes is what
+    ``json.dumps(v, sort_keys=True, indent=2)`` writes of its value."""
+
+    def test_run_reproduce_and_history_output_and_reports(self, tmp_path, capsys):
+        paths = write_files(tmp_path)
+        state, out_dir = tmp_path / "state", tmp_path / "reports"
+        assert main(run_args(paths, state, "--json", "--out-dir", str(out_dir))) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == dumped(out)
+        url = json.loads(out)["history_url"]
+        for argv in (
+            ["reproduce", url, "--personal", str(paths["personal"]), "--json", "--out-dir", str(out_dir)],
+            ["history", "--json"],
+            ["history", "--url", url],
+        ):
+            assert main([*argv, "--state-dir", str(state)]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert out == dumped(out)
+        reports = sorted(out_dir.iterdir())
+        assert [path.name for path in reports] == [
+            "aws-exec-0001-metrics.json", "aws-exec-0001-outcome.json",
+            "aws-exec-0002-metrics.json", "aws-exec-0002-outcome.json",
+        ]
+        for path in reports:
+            text = path.read_text()
+            assert text == dumped(text)
+
+    def test_bench_output_and_reports(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench-out"
+        argv = ["bench", "--suite", "all", "--levels", "1,2", "--repeats", "2", "--json"]
+        assert main([*argv, "--out-dir", str(out_dir), "--state-dir", str(tmp_path / "s")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == dumped(out)
+        payload = json.loads(out)
+        text = (out_dir / "efficiency.json").read_text()
+        assert text == dumped(text)
+        assert json.loads(text) == payload["efficiency"]
+        for suite in ("scale_up", "scale_out"):
+            rows = payload[suite]
+            assert (out_dir / f"{suite}.jsonl").read_text() == "".join(
+                json.dumps(row, sort_keys=True) + "\n" for row in rows
+            )
+
+    def test_history_prints_a_loaded_row_that_holds_floats(self, tmp_path, capsys):
+        # A table row may hold any JSON value; one loaded from a state file
+        # holds floats as json.loads reads them.
+        row = {"execution_id": "aws-exec-0001", "provider": "aws", "score": 0.1, "t": float("inf"), "tiny": 5e-324}
+        env = SimCloud()
+        env.provider("aws").db_put(DEFAULTS["reproduce_database"], row, "seed")
+        state = tmp_path / "state"
+        state.mkdir()
+        env.save_state(state / "simcloud.json")
+        assert main(["history", "--state-dir", str(state), "--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == dumped(out)
+        assert json.loads(out) == [row]
 
 
 class TestReproduceCommand:

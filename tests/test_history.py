@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudrerun.config_model import parse_personal
@@ -43,10 +43,15 @@ _payloads = st.one_of(
     st.builds(lambda byte, size: byte * size, st.binary(min_size=1, max_size=1),
               st.integers(min_value=65_000, max_value=70_000)),
 )
-# What an archived JSON file may hold: the engine configuration has a None
-# port for engines other than horovod.  Text covers escapes and non-ASCII.
+# What an archived JSON file, a report or a loaded row may hold: the engine
+# configuration has a None port for engines other than horovod, and a
+# report's approximations and t statistic are floats, infinite when the
+# pooled variance is 0.  Text covers escapes and non-ASCII.
+_floats = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, float("inf"), float("-inf"), float("nan")])
+)
 _json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.text()),
+    st.one_of(st.none(), st.booleans(), st.integers(), _floats, st.text()),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=24,
 )
@@ -121,12 +126,13 @@ class TestBundles:
 
     @settings(max_examples=300, deadline=None)
     @given(value=_json_values)
+    @example(value={"t": [float("inf"), float("-inf"), float("nan")], "z": [-0.0, {"min": 5e-324, "e": 1e16}]})
     def test_indented_json_is_what_json_dumps_writes(self, value):
         assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
-        "value", [0.5, (1, 2), Fraction(1, 3), {"port": 1.0}, ["a", ("b",)], {1: "one"}],
-        ids=["float", "tuple", "fraction", "nested-float", "nested-tuple", "int-key"],
+        "value", [(1, 2), Fraction(1, 3), ["a", ("b",)], {1: "one"}],
+        ids=["tuple", "fraction", "nested-tuple", "int-key"],
     )
     def test_indented_json_refuses_any_other_type(self, value):
         with pytest.raises(TypeError):

@@ -2,8 +2,8 @@
 private name is referenced somewhere and imported by no other module, every
 public name has a caller in the package and every defaulted parameter a call
 that passes it, or a stated reason to stay, no module declares its public
-names a second time in an ``__all__`` list, and only parsing builds a
-request."""
+names a second time in an ``__all__`` list, only parsing builds a request,
+and only ``history.indented_json`` writes indented JSON."""
 
 import ast
 import os
@@ -540,6 +540,44 @@ def test_only_config_model_constructs_a_request():
     }
     assert {(name, module) for name, module in constructing if module != CONSTRUCTED_BY[name]} == set()
     assert {module for _, module in constructing} == set(CONSTRUCTED_BY.values())
+
+
+def indented_json_writers(source: str) -> list[str]:
+    """``name:line`` of each call of ``dumps``, ``dump`` or ``JSONEncoder``,
+    by any path to the name, that passes ``indent=``: a writer of indented
+    JSON beside ``history.indented_json``."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in ("dumps", "dump", "JSONEncoder")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+
+
+def test_indented_writer_detector_flags_only_calls_passing_indent():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "json.dumps(v, sort_keys=True, indent=2)\n"
+        "json.dumps(v, sort_keys=True, separators=(',', ':'))\n"
+        "json.dump(v, fh, indent=None)\n"
+        "dumps(v, indent=4)\n"
+        "json.encoder.JSONEncoder(indent=2).encode(v)\n"
+        "json.JSONEncoder(sort_keys=True).encode(v)\n"
+        "pformat(v, indent=2)\n"
+    )
+    assert indented_json_writers(source) == ["dumps:3", "dump:5", "dumps:6", "JSONEncoder:7"]
+
+
+def test_the_package_has_one_writer_of_indented_json():
+    # ``history.indented_json`` writes what ``json.dumps(v, sort_keys=True,
+    # indent=2)`` would; a second writer would be a second serializer of one format.
+    found = {
+        str(path.relative_to(PACKAGE)): indented_json_writers(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def test_the_cli_loads_no_shlex():

@@ -1,5 +1,6 @@
 """Metric arithmetic, statistics, and the measurement suites."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -144,6 +145,12 @@ class TestEfficiencyReport:
         assert report.mean_sdk_s > report.mean_serverless_s
         assert report.percent_reduction > 0
         assert 0 <= report.p_value <= 1
+
+    def test_an_infinite_t_statistic_is_written_as_json_dumps_writes_it(self):
+        # Zero pooled variance with different means: t is +inf, p is 0.
+        text = efficiency_comparison([10, 10], [5, 5]).to_json()
+        assert '"t_statistic": Infinity' in text
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
     def test_a_failed_run_stops_the_suite(self, monkeypatch):
         # A failed run's duration must not reach the t-test.
