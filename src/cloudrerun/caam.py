@@ -160,6 +160,18 @@ def _application_doc(req: AbstractRequest) -> dict:
     }
 
 
+def _security_groups(req: AbstractRequest) -> list[dict]:
+    """The cluster's security groups; adapters share them verbatim."""
+    groups = build_security_groups(req.resources.bigdata_engine, req.ssh_daemon_port)
+    return [
+        {
+            "group_id": g.group_id,
+            "rules": [{**vars(r), "port_range": list(r.port_range)} for r in g.rules],
+        }
+        for g in groups
+    ]
+
+
 class CloudAdapter:
     """Assembles one provider's pipeline document; subclasses name the
     provider and the engines it cannot host."""
@@ -215,16 +227,6 @@ class CloudAdapter:
             for function, kind, event, match in TRIGGER_TABLE
         ]
 
-    def _security_groups(self, req: AbstractRequest) -> list[dict]:
-        groups = build_security_groups(req.resources.bigdata_engine, req.ssh_daemon_port)
-        return [
-            {
-                "group_id": g.group_id,
-                "rules": [{**vars(r), "port_range": list(r.port_range)} for r in g.rules],
-            }
-            for g in groups
-        ]
-
     def assemble(self, req: AbstractRequest) -> PipelineDocument:
         """The document of ``req``, whose body is built on its first read."""
         self._check_engine(req)
@@ -247,7 +249,7 @@ class CloudAdapter:
             },
             "functions": self._functions(req),
             "rules": self._rules(req),
-            "security_groups": self._security_groups(req),
+            "security_groups": _security_groups(req),
             # Canonical request texts ride along so deployment can archive
             # the exact configuration; the personal part is pre-redacted.
             "archive": archive,

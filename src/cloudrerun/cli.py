@@ -268,7 +268,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             record_history=not args.no_history,
             environ=os.environ,
         )
-    header = (f"ancestor  : {result.ancestor_url}", f"kind      : {result.reproduction_mode}")
+    header = (f"ancestor  : {args.url}", f"kind      : {result.reproduction_mode}")
     return _conclude(args, env, result.outcome, header)
 
 
@@ -280,7 +280,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
         table = find_record_table(env, provider_name, execution_id) or args.table
         fetched = HistoryStore(env, provider_name, store, table).fetch(args.url)
         payload = {
-            "url": fetched.url,
+            "url": args.url,
             "record": fetched.record,
             "config_entries": sorted(fetched.config) if fetched.config else None,
             "result_entries": sorted(fetched.result) if fetched.result else None,

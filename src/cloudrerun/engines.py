@@ -26,12 +26,6 @@ CLIENT_PEER = "client"
 
 
 @dataclass(frozen=True)
-class NodeRole:
-    node_index: int
-    role: str
-
-
-@dataclass(frozen=True)
 class SecurityRule:
     direction: str  # "ingress" or "egress"
     protocol: str  # "tcp" or "udp"
@@ -54,17 +48,14 @@ class SecurityGroup:
         )
 
 
-def assign_roles(engine: Engine, node_count: int) -> tuple[NodeRole, ...]:
-    """Node 0 leads; everyone else works.  With no engine all nodes are
+def assign_roles(engine: Engine, node_count: int) -> list[dict]:
+    """Each node's ``{"node_index", "role"}``, as ``engine.json`` holds it:
+    node 0 leads and everyone else works.  With no engine all nodes are
     standalone peers."""
     if node_count < 1:
         raise ValueError(f"node count must be >= 1, got {node_count}")
-    if engine is Engine.NONE:
-        return tuple(NodeRole(i, "standalone") for i in range(node_count))
-    head = HEAD_ROLE[engine]
-    return tuple(
-        NodeRole(i, head if i == 0 else "worker") for i in range(node_count)
-    )
+    rest = "standalone" if engine is Engine.NONE else "worker"
+    return [{"node_index": i, "role": rest if i else HEAD_ROLE[engine]} for i in range(node_count)]
 
 
 def _intra_cluster_rules(peers: tuple[str, ...]) -> list[SecurityRule]:
@@ -127,7 +118,7 @@ def capture_engine_config(req: AbstractRequest) -> dict:
     return {
         "engine": engine.value,
         "node_count": node_count,
-        "roles": [dict(vars(r)) for r in assign_roles(engine, node_count)],
+        "roles": assign_roles(engine, node_count),
         "command": req.application.command,
         "parameters": dict(req.application.flags),
         "bootstrap": list(req.application.bootstrap),

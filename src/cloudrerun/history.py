@@ -195,7 +195,6 @@ class ExportPlan:
 
 @dataclass(frozen=True)
 class FetchedExecution:
-    url: str
     record: dict
     config: Optional[dict[str, bytes]]
     result: Optional[dict[str, bytes]]
@@ -303,7 +302,7 @@ class HistoryStore:
         result_key = record.get("result_key")
         if result_key and self._provider.storage_has(store, result_key):
             result = read_zip(self._provider.storage_get(store, result_key, execution_id))
-        return FetchedExecution(url=url, record=record, config=config, result=result)
+        return FetchedExecution(record=record, config=config, result=result)
 
     def query(self, filters: dict) -> list[dict]:
         """Equality filtering on record fields, ordered by submit time."""

@@ -211,7 +211,8 @@ class EfficiencyReport:
                 "exact": str(self.percent_reduction),
                 "approx": float(self.percent_reduction),
             },
-            "t_statistic": self.t_statistic,
+            # JSON has no infinity; JSON.stringify writes it as null.
+            "t_statistic": self.t_statistic if math.isfinite(self.t_statistic) else None,
             "degrees_of_freedom": self.degrees_of_freedom,
             "p_value": self.p_value,
         }

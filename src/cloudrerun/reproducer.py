@@ -25,7 +25,6 @@ from .config_model import (
     AbstractRequest,
     AwsBlock,
     AzureBlock,
-    PersonalSpec,
     ResourcesSpec,
     build_request,
     parse_application,
@@ -73,7 +72,6 @@ class OverrideSet:
 
 @dataclass(frozen=True)
 class ReproductionResult:
-    ancestor_url: str
     reproduction_mode: str
     request: AbstractRequest
     outcome: PipelineInstance
@@ -102,23 +100,6 @@ def translate_resources(resources: ResourcesSpec, source: str, target: str) -> R
         cloud_azure=ported if target == "azure" else None,
         extras=tuple(pair for pair in resources.extras if pair[0] != f"cloud.{source}"),
     )
-
-
-def _classify(
-    ancestor_provider: str,
-    target_provider: str,
-    overrides: OverrideSet,
-    archived_personal: PersonalSpec,
-    new_personal: PersonalSpec,
-) -> str:
-    if target_provider != ancestor_provider:
-        return "cross-cloud"
-    if overrides.resources_text is not None or overrides.application_text is not None:
-        return "modified"
-    # Credentials are redacted in the archive, so identity is compared on
-    # the non-secret fields only.
-    same_identity = archived_personal.identity() == new_personal.identity()
-    return "identical" if same_identity else "new-personal"
 
 
 def _merging(unusable: str, step, *args):
@@ -166,28 +147,30 @@ def reproduce(
 
     # Each text is parsed once; the overrides merge on the parsed specs.
     config = fetched.config
-    archived_personal = _merging("personal override unusable", parse_personal, config["personal.ini"].decode())
     if resources is None:
-        resources = _merging("resources override unusable", parse_resources, config["resources.ini"].decode())
+        resources = _merging("archived resources.ini unusable", parse_resources, config["resources.ini"].decode())
     # Port the other cloud's block; with no block at all, build_request
     # default-fills the target's, as it does for a run.
     source = "azure" if target == "aws" else "aws"
     if resources.provider_block(target) is None and resources.provider_block(source) is not None:
         resources = translate_resources(resources, source, target)
     if application is None:
-        application = _merging("merged request is invalid", parse_application, config["application.ini"].decode())
+        application = _merging(
+            "archived application.ini unusable", parse_application, config["application.ini"].decode()
+        )
     request = _merging("merged request is invalid", build_request, resources, application, new_personal)
 
-    reproduction_mode = _classify(
-        fetched.record["provider"], target, overrides, archived_personal, new_personal
-    )
+    if target != fetched.record["provider"]:
+        reproduction_mode = "cross-cloud"
+    elif overrides.resources_text is not None or overrides.application_text is not None:
+        reproduction_mode = "modified"
+    else:
+        # Only here is the archived personal.ini read.  Credentials are
+        # redacted in the archive, so identity is compared on the non-secret
+        # fields only.
+        archived = _merging("archived personal.ini unusable", parse_personal, config["personal.ini"].decode())
+        reproduction_mode = "identical" if archived.identity() == new_personal.identity() else "new-personal"
 
     extra = {"ancestor_url": url, "reproduction_mode": reproduction_mode}
     outcome = Orchestrator(env).run(generate_pipeline(request), mode, poll_window, record_history, extra)
-    return ReproductionResult(
-        ancestor_url=url,
-        reproduction_mode=reproduction_mode,
-        request=request,
-        outcome=outcome,
-    )
-
+    return ReproductionResult(reproduction_mode=reproduction_mode, request=request, outcome=outcome)

@@ -120,31 +120,57 @@ class PipelineInstance:
     def duration_s(self) -> Fraction:
         return self.ended_at - self.submitted_at
 
+    def _facts(self) -> dict:
+        """What an outcome and a history record both say of the run; the end
+        and the stage timings once it has ended."""
+        facts = {
+            "provider": self.provider,
+            "engine": self.engine,
+            "mode": self.mode,
+            "submitted_at": str(self.submitted_at),
+            "failure": self.failure,
+        }
+        if self.state in TERMINAL_STATES:
+            facts["ended_at"] = str(self.ended_at)
+            facts["stage_timings"] = {
+                stage: [str(start), str(end)] for stage, (start, end) in self.stage_timings.items()
+            }
+        return facts
+
     def payload(self) -> dict:
         """The outcome as JSON values: what ``to_json`` writes and a
         ``--json`` report holds."""
         return {
+            **self._facts(),
             "instance_id": self.instance_id,
-            "provider": self.provider,
-            "engine": self.engine,
-            "mode": self.mode,
             "state": self.state.value,
-            "submitted_at": str(self.submitted_at),
-            "ended_at": str(self.ended_at),
             "duration_s": str(self.duration_s),
-            "stage_timings": _timings_json(self.stage_timings),
             "result_keys": list(self.result_keys),
             "history_url": self.history_url,
-            "failure": self.failure,
         }
 
     def to_json(self) -> str:
         return indented_json(self.payload()) + "\n"
 
-
-def _timings_json(timings: dict[str, tuple[Fraction, Fraction]]) -> dict[str, list[str]]:
-    """Stage timings as written to an outcome and to a history record."""
-    return {name: [str(start), str(end)] for name, (start, end) in timings.items()}
+    def history_record(self) -> dict:
+        """The run's history record, pending until the run has ended; from
+        then on it carries the final status, the end and the stage timings."""
+        block = self.request.resources.provider_block(self.provider)
+        parameters = {
+            "instance_type": block.instance_type,
+            "instance_number": block.instance_number,
+            "region": block.region,
+            "docker_image": self.request.application.docker_image,
+            "command": self.request.application.command,
+        }
+        if self.poll_window is not None:
+            parameters["poll_window_s"] = str(self.poll_window)
+        parameters.update(self.extra_parameters)
+        return {
+            **self._facts(),
+            "status": self.state.value if self.state in TERMINAL_STATES else "Completed-pending-termination",
+            "parameters": parameters,
+        }
 
 
 def poll_window_for(mode: str, poll_window) -> Optional[Fraction]:
@@ -342,7 +368,7 @@ class Orchestrator:
 
         def done() -> None:
             if plan is not None:
-                inst.record = inst.history.commit_export(inst.instance_id, plan, self._record(inst))
+                inst.record = inst.history.commit_export(inst.instance_id, plan, inst.history_record())
             self.env.emit(inst.source, "ExportComplete", "lifecycle")
 
         delay = Fraction(0) if plan is None else self.env.delays.history_op_s * plan.op_count
@@ -370,54 +396,18 @@ class Orchestrator:
         now = self.env.clock.now()
         inst.ended_at = self._poll_tick(inst, now) if inst.mode == "sdk" else now
         if inst.history is not None:
-            self._finalize_record(inst)
+            # Over the stored record, or over empty archive fields when the
+            # run archived nothing.
+            stored = inst.history.get_record(inst.instance_id) or {
+                "config_key": None, "result_key": None, "input_keys": [],
+            }
+            inst.record = inst.history.put_record(inst.instance_id, {**stored, **inst.history_record()})
 
     def _fail(self, inst: PipelineInstance, exc: Exception) -> None:
         if inst.failure is None:
             inst.failure = f"{type(exc).__name__}: {exc}"
         if inst.state not in ENDING_STATES:
             self._enter_terminating(inst)
-
-    # -- history glue ------------------------------------------------------
-
-    def _record(self, inst: PipelineInstance) -> dict:
-        """The run's history record, pending until the run has ended; from
-        then on it carries the final status, the end and the stage timings."""
-        block = inst.request.resources.provider_block(inst.provider)
-        parameters = {
-            "instance_type": block.instance_type,
-            "instance_number": block.instance_number,
-            "region": block.region,
-            "docker_image": inst.request.application.docker_image,
-            "command": inst.request.application.command,
-        }
-        if inst.poll_window is not None:
-            parameters["poll_window_s"] = str(inst.poll_window)
-        parameters.update(inst.extra_parameters)
-        ended = inst.state in TERMINAL_STATES
-        record = {
-            "provider": inst.provider,
-            "engine": inst.engine,
-            "mode": inst.mode,
-            "status": inst.state.value if ended else "Completed-pending-termination",
-            "submitted_at": str(inst.submitted_at),
-            "parameters": parameters,
-            "failure": inst.failure,
-        }
-        if ended:
-            record["ended_at"] = str(inst.ended_at)
-            record["stage_timings"] = _timings_json(inst.stage_timings)
-        return record
-
-    def _finalize_record(self, inst: PipelineInstance) -> None:
-        """Write the final record over the stored one, or over empty archive
-        fields when the run archived nothing."""
-        stored = inst.history.get_record(inst.instance_id) or {
-            "config_key": None,
-            "result_key": None,
-            "input_keys": [],
-        }
-        inst.record = inst.history.put_record(inst.instance_id, {**stored, **self._record(inst)})
 
     # -- execution modes ---------------------------------------------------
 

@@ -104,17 +104,13 @@ def make_request(
 
 def run_serverless(req, record_history: bool = True):
     env = SimCloud()
-    outcome = Orchestrator(env).run_serverless(
-        generate_pipeline(req), record_history=record_history
-    )
+    outcome = Orchestrator(env).run(generate_pipeline(req), "serverless", None, record_history)
     return outcome, env
 
 
 def run_sdk(req, poll_window=Fraction(10), record_history: bool = True):
     env = SimCloud()
-    outcome = Orchestrator(env).run_sdk(
-        generate_pipeline(req), poll_window=Fraction(poll_window), record_history=record_history
-    )
+    outcome = Orchestrator(env).run(generate_pipeline(req), "sdk", Fraction(poll_window), record_history)
     return outcome, env
 
 

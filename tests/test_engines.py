@@ -21,20 +21,20 @@ from oracles import reachable_pairs
 
 class TestRoles:
     def test_head_role_per_engine(self):
-        assert assign_roles(Engine.SPARK, 3)[0].role == "master"
-        assert assign_roles(Engine.DASK, 3)[0].role == "scheduler"
-        assert assign_roles(Engine.HOROVOD, 3)[0].role == "primary_worker"
+        assert assign_roles(Engine.SPARK, 3)[0]["role"] == "master"
+        assert assign_roles(Engine.DASK, 3)[0]["role"] == "scheduler"
+        assert assign_roles(Engine.HOROVOD, 3)[0]["role"] == "primary_worker"
 
     def test_workers_follow_head(self):
         roles = assign_roles(Engine.SPARK, 4)
-        assert [r.role for r in roles[1:]] == ["worker"] * 3
-        assert [r.node_index for r in roles] == [0, 1, 2, 3]
+        assert [r["role"] for r in roles[1:]] == ["worker"] * 3
+        assert [r["node_index"] for r in roles] == [0, 1, 2, 3]
 
     def test_no_engine_all_standalone(self):
-        assert {r.role for r in assign_roles(Engine.NONE, 5)} == {"standalone"}
+        assert {r["role"] for r in assign_roles(Engine.NONE, 5)} == {"standalone"}
 
     def test_single_node_engine_cluster(self):
-        assert [r.role for r in assign_roles(Engine.DASK, 1)] == ["scheduler"]
+        assert [r["role"] for r in assign_roles(Engine.DASK, 1)] == ["scheduler"]
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,9 @@
 private name is referenced somewhere and imported by no other module, every
 public name has a caller in the package and every defaulted parameter a call
 that passes it, or a stated reason to stay, no module declares its public
-names a second time in an ``__all__`` list, only parsing builds a request,
-and only ``history.indented_json`` writes indented JSON."""
+names a second time in an ``__all__`` list, every method reads its instance,
+only parsing builds a request, and only ``history.indented_json`` writes
+indented JSON."""
 
 import ast
 import os
@@ -226,6 +227,72 @@ def test_every_public_name_has_a_caller_or_a_reason():
     }
     callerless = callerless_public_names(sources)
     assert allowlist_findings(callerless, CALLERLESS_ALLOWED) == {"unlisted": [], "stale": []}
+
+
+def methods_ignoring_their_instance(source: str) -> list[str]:
+    """``Class.method`` of each ``def`` in a class body, at any depth of the
+    module, whose first parameter is never read, or that has none.  A
+    ``@staticmethod`` takes no instance and a ``@classmethod`` its class, so
+    neither is named.  Setting an attribute of the instance reads it."""
+    found = []
+    for owner in ast.walk(ast.parse(source)):
+        if not isinstance(owner, ast.ClassDef):
+            continue
+        for func in owner.body:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or any(
+                isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod") for d in func.decorator_list
+            ):
+                continue
+            positional = func.args.posonlyargs + func.args.args
+            first = positional[0].arg if positional else None
+            if not any(
+                isinstance(node, ast.Name) and node.id == first and isinstance(node.ctx, ast.Load)
+                for node in ast.walk(func)
+            ):
+                found.append(f"{owner.name}.{func.name}")
+    return found
+
+
+def test_instance_detector_flags_only_methods_that_never_read_their_first_parameter():
+    source = (
+        "class Box:\n"
+        "    def __init__(self, size):\n"
+        "        self.size = size\n"
+        "    def read(self):\n"
+        "        return self.size\n"
+        "    def later(self):\n"
+        "        return lambda: self.size\n"
+        "    def ignores(self, other):\n"
+        "        return other.size\n"
+        "    def bare():\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def make(size):\n"
+        "        return size\n"
+        "    @classmethod\n"
+        "    def default(cls):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def constant(self):\n"
+        "        return 3\n"
+        "def free(self):\n"
+        "    return 0\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        def flat(this):\n"
+        "            return 0\n"
+    )
+    assert methods_ignoring_their_instance(source) == ["Box.ignores", "Box.bare", "Box.constant", "Inner.flat"]
+
+
+def test_every_method_reads_its_instance():
+    # A method that never reads its instance is a function kept in a class;
+    # it belongs beside the class, as a module function.
+    found = {
+        str(path.relative_to(PACKAGE)): methods_ignoring_their_instance(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: methods for name, methods in found.items() if methods} == {}
 
 
 def defaulted_parameters(module: str, owner, func) -> list[tuple]:

@@ -180,10 +180,12 @@ def test_a_run_reads_each_text_once_and_splits_the_command_once(monkeypatch, mod
 @pytest.mark.parametrize("mode", ["serverless", "sdk"])
 def test_a_run_builds_no_part_of_its_document_but_the_archive(monkeypatch, mode):
     built = []
-    for name in ("_functions", "_rules", "_security_groups", "provisioning_doc"):
+    for name in ("_functions", "_rules", "provisioning_doc"):
         method = getattr(caam.CloudAdapter, name)
         monkeypatch.setattr(caam.CloudAdapter, name,
                             lambda self, req, name=name, method=method: built.append(name) or method(self, req))
+    groups = caam._security_groups
+    monkeypatch.setattr(caam, "_security_groups", lambda req: built.append("_security_groups") or groups(req))
     req = make_request(engine="horovod", nodes=2, command="train --ssh-port 2222")
     doc = generate_pipeline(req)
 
@@ -229,17 +231,17 @@ def test_only_the_run_that_archives_captures_the_engine_config(monkeypatch, reco
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, personal_reads",
     [
-        {},
-        {"personal_text": personal_text(key_name="other")},
-        {"resources_text": resources_text(engine="dask", nodes=3)},
-        {"personal_text": personal_text(provider="azure")},
-        {"target_provider": "azure", "application_text": application_text(bootstrap="apt update")},
+        ({}, 2),
+        ({"personal_text": personal_text(key_name="other")}, 2),
+        ({"resources_text": resources_text(engine="dask", nodes=3)}, 1),
+        ({"personal_text": personal_text(provider="azure")}, 1),
+        ({"target_provider": "azure", "application_text": application_text(bootstrap="apt update")}, 1),
     ],
     ids=["identical", "new-personal", "modified", "cross-cloud", "ported-and-modified"],
 )
-def test_a_reproduction_reads_each_text_once(monkeypatch, overrides):
+def test_a_reproduction_reads_each_text_once(monkeypatch, overrides, personal_reads):
     env = SimCloud()
     ancestor = Orchestrator(env).run_serverless(generate_pipeline(make_request(engine="dask", nodes=2)))
     reads = []
@@ -249,8 +251,9 @@ def test_a_reproduction_reads_each_text_once(monkeypatch, overrides):
     result = reproduce(env, ancestor.history_url, OverrideSet(**{"personal_text": personal_text(), **overrides}))
 
     assert result.outcome.state is ExecutionState.COMPLETED
-    # the override's personal.ini and the archived one, then one of each other file
-    assert sorted(reads) == ["application.ini", "personal.ini", "personal.ini", "resources.ini"]
+    # The override's personal.ini, and the archived one only when identities
+    # are compared; then one of each other file.
+    assert sorted(reads) == ["application.ini", *["personal.ini"] * personal_reads, "resources.ini"]
     assert parse_abstract_request(*canonical_serialize(result.request)) == result.request
 
 

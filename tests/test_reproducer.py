@@ -12,6 +12,7 @@ from cloudrerun.errors import (
     StorageFailure,
     UnsupportedProvider,
 )
+from cloudrerun.history import deterministic_zip
 from cloudrerun.metrics import measure
 from cloudrerun.reproducer import (
     INSTANCE_TYPE_EQUIVALENCE,
@@ -283,6 +284,21 @@ class TestGuards:
         assert outcome.state is ExecutionState.FAILED
         with pytest.raises(NotFound):
             reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()))
+
+    def test_a_damaged_archived_personal_ini_fails_only_the_reproduction_that_reads_it(self):
+        # Only a same-cloud reproduction with no other override compares
+        # identities, so only it reads the archived personal.ini.
+        env, outcome = seeded_env()
+        config = fetch_bundles(env, outcome.history_url).config
+        config["personal.ini"] = b"[personal]\nkey_name = team-key\n"
+        env.provider("aws").storage_put(
+            "execution-history", outcome.record["config_key"], deterministic_zip(config), outcome.instance_id
+        )
+        with pytest.raises(InvalidMerge, match="^archived personal.ini unusable: "):
+            reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text()))
+        result = reproduce(env, outcome.history_url, OverrideSet(personal_text=personal_text(), target_provider="azure"))
+        assert result.reproduction_mode == "cross-cloud"
+        assert result.outcome.state is ExecutionState.COMPLETED
 
     def test_broken_personal_override(self):
         env, outcome = seeded_env()

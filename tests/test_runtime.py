@@ -20,6 +20,7 @@ from cloudrerun.errors import (
     QuotaExceeded,
     StorageFailure,
 )
+from cloudrerun.history import HistoryStore
 from cloudrerun.reproducer import OverrideSet, reproduce
 from cloudrerun.runtime import (
     STAGES,
@@ -508,6 +509,30 @@ class TestFailures:
         assert env.provider("aws").inventory() == {"clusters": [], "networks": []}
         assert outcome.record["status"] == "Failed"
         assert outcome.record["ended_at"] == str(outcome.ended_at)
+
+
+@pytest.mark.parametrize("completes", [True, False])
+@pytest.mark.parametrize("run", [run_serverless, run_sdk])
+def test_the_record_and_the_outcome_say_the_same_of_a_run(monkeypatch, run, completes):
+    stored = []
+    put = HistoryStore.put_record
+    monkeypatch.setattr(HistoryStore, "put_record", lambda self, *args: stored.append(put(self, *args)) or stored[-1])
+    command = None if completes else command_for(1, 1, 0, 1, extra=" --exit-code 3")
+    outcome, _ = run(make_request(engine="dask", nodes=2, command=command))
+
+    assert outcome.state is (ExecutionState.COMPLETED if completes else ExecutionState.FAILED)
+    shared = ("provider", "engine", "mode", "submitted_at", "ended_at", "stage_timings", "failure")
+    payload = outcome.payload()
+    assert {key: outcome.record[key] for key in shared} == {key: payload[key] for key in shared}
+    assert stored[-1] == outcome.record
+    # A completed run stored its pending record at export; a failed one
+    # archived nothing, so its final record is its only one.
+    pending = stored[:-1]
+    assert len(pending) == (1 if completes else 0)
+    for record in pending:
+        assert record["status"] == "Completed-pending-termination"
+        assert "ended_at" not in record and "stage_timings" not in record
+        assert all(record[key] == payload[key] for key in shared if key in record)
 
 
 class TestDeploymentValidation:

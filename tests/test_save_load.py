@@ -149,7 +149,7 @@ class SaveLoadIsInvisible(RuleBasedStateMachine):
             table = find_record_table(env, provider, execution_id) or DEFAULTS["reproduce_database"]
             fetched = HistoryStore(env, provider, store, table).fetch(url)
             return {
-                "url": fetched.url,
+                "url": url,
                 "record": fetched.record,
                 "config_entries": sorted(fetched.config) if fetched.config else None,
                 "result_entries": sorted(fetched.result) if fetched.result else None,
