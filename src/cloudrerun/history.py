@@ -34,12 +34,12 @@ import struct
 import zipfile
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .config_model import PersonalSpec
 from .errors import MalformedURL, NotFound, RedactionViolation, UnknownField
+from .simcloud.clock import as_fraction
 from .simcloud.provider import SimCloud
 
 URL_SCHEME = "rpac"
@@ -314,5 +314,5 @@ class HistoryStore:
         rows = self._provider.db_query(self.table, dict(filters), "query")
         return sorted(
             rows,
-            key=lambda r: (Fraction(r.get("submitted_at", "0")), r.get("execution_id", "")),
+            key=lambda r: (as_fraction(r.get("submitted_at", "0")), r.get("execution_id", "")),
         )

@@ -29,6 +29,7 @@ from .config_model import AbstractRequest, parse_abstract_request
 from .errors import InsufficientSamples, NonPositiveBaseline
 from .history import indented_json
 from .runtime import ExecutionState, Orchestrator, PipelineInstance
+from .simcloud.clock import as_fraction
 from .simcloud.ledger import SECONDS_PER_HOUR, CostLedger
 from .simcloud.provider import SimCloud
 
@@ -81,13 +82,13 @@ def measure(outcome: PipelineInstance, ledger: CostLedger) -> MetricReport:
 
 def cost_by_usage(total_cost: Rational, fraction: Union[Rational, float]) -> Fraction:
     """Share of a total cost attributed to a usage fraction."""
-    return Fraction(total_cost) * Fraction(fraction)
+    return as_fraction(total_cost) * as_fraction(fraction)
 
 
 def reproducibility_overhead(with_history: Rational, without_history: Rational) -> Fraction:
     """m6: relative slowdown caused by history capture."""
-    with_history = Fraction(with_history)
-    without_history = Fraction(without_history)
+    with_history = as_fraction(with_history)
+    without_history = as_fraction(without_history)
     if without_history <= 0:
         raise NonPositiveBaseline(
             f"baseline duration must be positive, got {without_history}"
@@ -224,8 +225,8 @@ class EfficiencyReport:
 def efficiency_comparison(
     sdk_durations: Sequence[Rational], serverless_durations: Sequence[Rational]
 ) -> EfficiencyReport:
-    sdk = [Fraction(x) for x in sdk_durations]
-    srv = [Fraction(x) for x in serverless_durations]
+    sdk = [as_fraction(x) for x in sdk_durations]
+    srv = [as_fraction(x) for x in serverless_durations]
     if len(sdk) < 2 or len(srv) < 2:
         raise InsufficientSamples(
             f"need at least 2 runs per mode, got {len(sdk)} and {len(srv)}"

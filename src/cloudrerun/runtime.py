@@ -43,7 +43,8 @@ from .errors import (
     MalformedValue,
 )
 from .history import HistoryStore, indented_json
-from .simcloud.provider import Cluster, EventBus, InstalledRule, SimCloud
+from .simcloud.clock import as_fraction
+from .simcloud.provider import EventBus, InstalledRule, SimCloud
 from .simcloud.workload import workload_duration, workload_result
 
 WORKSPACE_STORE = "analytics-workspace"
@@ -87,7 +88,7 @@ class PipelineInstance:
     failure: Optional[str] = None
     transitions: list[tuple[Fraction, str, str]] = field(default_factory=list)
 
-    cluster: Optional[Cluster] = None
+    cluster_id: Optional[str] = None
     network_id: Optional[str] = None
     result_keys: tuple[str, ...] = ()
     record: Optional[dict] = None  # as last stored
@@ -182,7 +183,7 @@ def poll_window_for(mode: str, poll_window) -> Optional[Fraction]:
     if mode != "sdk":
         raise MalformedValue(f"execution mode must be serverless or sdk, got {mode!r}")
     try:
-        window = Fraction(poll_window)
+        window = as_fraction(poll_window)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         window = Fraction(0)
     if window <= 0:
@@ -293,7 +294,7 @@ class Orchestrator:
         network_id = provider.create_network(inst.instance_id)
         inst.network_id = network_id
         try:
-            inst.cluster = provider.create_cluster(
+            inst.cluster_id = provider.create_cluster(
                 block.instance_type, block.instance_number, network_id, inst.instance_id
             )
         except CloudRerunError:
@@ -384,8 +385,8 @@ class Orchestrator:
         """The one place a run ends: release its resources, retire its
         rules, set its end and write its final record."""
         provider = self.env.provider(inst.provider)
-        if inst.cluster is not None:
-            provider.delete_cluster(inst.cluster.cluster_id)
+        if inst.cluster_id is not None:
+            provider.delete_cluster(inst.cluster_id)
         if inst.network_id is not None:
             provider.delete_network(inst.network_id)
         final = ExecutionState.FAILED if inst.failure else ExecutionState.COMPLETED

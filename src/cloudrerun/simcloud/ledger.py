@@ -9,9 +9,10 @@ lookup, and pricing a scope reads its bill alone.
 
 A saved bill is its closed entries and its request counts as canonical
 bytes (``encode_bill``).  A bill loaded from a state file stays those bytes
-until it is first charged or read, and is saved back as them if it never
-is; open entries are saved beside the bills, with the state file's index,
-and are opened again on load."""
+until it is first charged, as a loaded row stays its bytes until it is
+written: a read decodes it for the answer only, and a bill never charged
+is saved back as its bytes.  Open entries are saved beside the bills, with
+the state file's index, and are opened again on load."""
 
 from __future__ import annotations
 
@@ -34,11 +35,11 @@ def price_catalog() -> dict:
     raw = json.loads(catalog.read_text(encoding="utf-8"))
     return {
         "instance_hour": {
-            provider: {t: Fraction(p) for t, p in types.items()}
+            provider: {t: as_fraction(p) for t, p in types.items()}
             for provider, types in raw["instance_hour"].items()
         },
-        "network_hour": Fraction(raw["network_hour"]),
-        "request": {op: Fraction(p) for op, p in raw["request"].items()},
+        "network_hour": as_fraction(raw["network_hour"]),
+        "request": {op: as_fraction(p) for op, p in raw["request"].items()},
     }
 
 
@@ -100,7 +101,7 @@ def decode_bill(scope: str, raw: bytes) -> Bill:
     try:
         doc = json.loads(raw)
         entries = [
-            LedgerEntry(resource_id, category, Fraction(price), Fraction(opened), Fraction(closed), scope)
+            LedgerEntry(resource_id, category, as_fraction(price), as_fraction(opened), as_fraction(closed), scope)
             for resource_id, category, price, opened, closed in doc["entries"]
         ]
         for e in entries:
@@ -127,34 +128,27 @@ class CostLedger:
         self._open: dict[str, LedgerEntry] = {}  # open entries only, by resource id
 
     def _read(self, scope: str) -> Optional[Bill]:
-        """``scope``'s bill, decoded on first read; None if it was never charged."""
+        """``scope``'s bill, None if it was never charged; a bill held as
+        bytes is decoded for the answer and stays bytes."""
         bill = self._bills.get(scope)
-        if type(bill) is bytes:
-            bill = self._bills[scope] = decode_bill(scope, bill)
-        return bill
+        return decode_bill(scope, bill) if type(bill) is bytes else bill
 
     def _charge(self, scope: str) -> Bill:
-        """``scope``'s bill, started if it was never charged."""
-        bill = self._read(scope)
-        if bill is None:
-            bill = self._bills[scope] = Bill()
+        """``scope``'s bill, decoded to be kept, or started if it was never charged."""
+        bill = self._bills.get(scope)
+        if type(bill) is not Bill:
+            bill = self._bills[scope] = Bill() if bill is None else decode_bill(scope, bill)
         return bill
-
-    def _peek(self):
-        """Each scope and its bill in first-charge order; a bill still held as
-        bytes is decoded for the answer and stays bytes."""
-        for scope, bill in self._bills.items():
-            yield scope, decode_bill(scope, bill) if type(bill) is bytes else bill
 
     @property
     def entries(self) -> list[LedgerEntry]:
         """Every entry, bill by bill."""
-        return [entry for _, bill in self._peek() for entry in bill.entries]
+        return [entry for scope in self._bills for entry in self._read(scope).entries]
 
     @property
     def request_counts(self) -> dict[tuple[str, str], int]:
         """``(scope, operation)`` to count, bill by bill."""
-        return {(scope, op): count for scope, bill in self._peek() for op, count in bill.requests.items()}
+        return {(scope, op): count for scope in self._bills for op, count in self._read(scope).requests.items()}
 
     def open_entry(
         self,
@@ -216,7 +210,7 @@ class CostLedger:
 
     def to_state(self) -> dict:
         """The open entries, and each bill as ``[scope, bytes]`` in
-        first-charge order: a bill never decoded is the bytes it was loaded
+        first-charge order: a bill never charged is the bytes it was loaded
         from.  Prices come from the catalog and are not captured."""
         return {
             "bills": [

@@ -12,8 +12,8 @@ every orchestrator on the environment installs its trigger rules there.
 Like pending completions it is transient, so a loaded environment starts
 with an empty bus.
 
-A provider holds live resources only: a deleted cluster or network leaves
-it, and its cost stays in the ledger.
+A provider holds live resources only, a cluster as its instance count: a
+deleted cluster or network leaves it, and its cost stays in the ledger.
 
 Database tables are keyed by execution id, so a record write or a lookup by
 id touches one row.  A row written in the process is a dict; a row loaded
@@ -24,13 +24,14 @@ A state file is the line ``cloudrerun-state/3``, one index line of compact,
 key-sorted JSON ``{"state": to_state(), "tail_bytes": n}``, then the tail:
 the ``n`` raw bytes of every stored version, row and bill, each named in the
 index by an ``[offset, length]`` reference.  The index holds what is live
-or small: the clock and counters, live clusters and networks, open ledger
-entries, each table as ``[execution_id, reference]`` pairs in the order the
-ids were first written, and each bill as ``[scope, reference]`` in
-first-charge order.  A row's bytes are its compact key-sorted JSON; a
-bill's are ``ledger.encode_bill``'s.  Every reference is checked at load,
-but a damaged row or bill shows only when a command reads it.  This is the
-one layout that loads: a file of any other layout is refused.
+or small: the clock and counters, each live cluster as ``[cluster_id,
+instance_count]``, live networks, open ledger entries, each table as
+``[execution_id, reference]`` pairs in the order the ids were first
+written, and each bill as ``[scope, reference]`` in first-charge order.  A
+row's bytes are its compact key-sorted JSON; a bill's are
+``ledger.encode_bill``'s.  Every reference is checked at load, but a damaged
+row or bill shows only when a command reads it.  This is the one layout
+that loads: a file of any other layout is refused.
 
 Fault injection targets one (operation, call_index) pair at a time so tests
 can break exactly the n-th call of an operation and nothing else.
@@ -56,7 +57,7 @@ from ..errors import (
     UnsupportedProvider,
 )
 from .clock import VirtualClock, as_fraction
-from .ledger import CostLedger, canonical, price_catalog, snapshot
+from .ledger import CostLedger, canonical, price_catalog
 
 PROVIDERS = ("aws", "azure")
 MAX_INSTANCES = 64  # live instances per provider
@@ -161,17 +162,6 @@ class EventBus:
         return acted
 
 
-@dataclass
-class Cluster:
-    cluster_id: str
-    instance_type: str
-    instance_count: int
-    network_id: str
-    scope: str
-    state: str = "Provisioning"  # Provisioning -> Ready; delete_cluster removes it
-    ready_at: Optional[Fraction] = None
-
-
 @dataclass(frozen=True)
 class DelayProfile:
     """Fixed operation latencies, in seconds."""
@@ -195,7 +185,7 @@ class SimProvider:
     def __init__(self, name: str, env: "SimCloud") -> None:
         self.name = name
         self.env = weakref.proxy(env)
-        self.clusters: dict[str, Cluster] = {}
+        self.clusters: dict[str, int] = {}  # live cluster id -> instance count
         self.networks: set[str] = set()
         self.stores: dict[str, dict[str, list[bytes]]] = {}
         self.tables: dict[str, dict[str, dict | bytes]] = {}
@@ -231,7 +221,7 @@ class SimProvider:
         return prices[instance_type]
 
     def live_instance_count(self) -> int:
-        return sum(c.instance_count for c in self.clusters.values())
+        return sum(self.clusters.values())
 
     # -- compute and network ----------------------------------------------
 
@@ -256,9 +246,10 @@ class SimProvider:
 
     def create_cluster(
         self, instance_type: str, instance_count: int, network_id: str, scope: str
-    ) -> Cluster:
-        """Start provisioning; the cluster turns Ready after the provisioning
-        delay, announced by a HardwareEnvReady lifecycle event."""
+    ) -> str:
+        """Start provisioning and return the cluster's id; once the
+        provisioning delay has passed, a HardwareEnvReady lifecycle event
+        announces the cluster, unless it was deleted first."""
         self._enter_op("create_cluster")
         price = self._instance_price(instance_type)
         if self.live_instance_count() + instance_count > MAX_INSTANCES:
@@ -266,36 +257,17 @@ class SimProvider:
                 f"{self.name}: requested {instance_count} instances, "
                 f"{MAX_INSTANCES - self.live_instance_count()} available"
             )
-        cluster = Cluster(
-            cluster_id=self.next_id("cluster"),
-            instance_type=instance_type,
-            instance_count=instance_count,
-            network_id=network_id,
-            scope=scope,
-        )
-        self.clusters[cluster.cluster_id] = cluster
-        self.env.ledger.open_entry(
-            resource_id=cluster.cluster_id,
-            category="compute",
-            unit_price_hour=price * instance_count,
-            open_time=self.env.clock.now(),
-            scope=scope,
-        )
+        cluster_id = self.next_id("cluster")
+        self.clusters[cluster_id] = instance_count
+        self.env.ledger.open_entry(cluster_id, "compute", price * instance_count, self.env.clock.now(), scope)
 
         def ready() -> None:
-            if self.clusters.get(cluster.cluster_id) is not cluster:
-                return
-            cluster.state = "Ready"
-            cluster.ready_at = self.env.clock.now()
-            self.env.emit(
-                source=f"{self.name}:instance:{scope}",
-                name="HardwareEnvReady",
-                kind="lifecycle",
-                payload={"cluster_id": cluster.cluster_id},
-            )
+            if cluster_id in self.clusters:
+                payload = {"cluster_id": cluster_id}
+                self.env.emit(f"{self.name}:instance:{scope}", "HardwareEnvReady", "lifecycle", payload)
 
         self.env.schedule_in(self.env.delays.provisioning_s, ready)
-        return cluster
+        return cluster_id
 
     def delete_cluster(self, cluster_id: str) -> None:
         self._enter_op("delete_cluster")
@@ -448,7 +420,7 @@ class SimCloud:
             "providers": {
                 name: {
                     "counters": dict(p._counters),
-                    "clusters": [snapshot(c) for c in p.clusters.values()],
+                    "clusters": [[cluster_id, count] for cluster_id, count in p.clusters.items()],
                     "networks": sorted(p.networks),
                     "stores": {s: {k: list(v) for k, v in keys.items()} for s, keys in p.stores.items()},
                     "tables": {
@@ -465,7 +437,7 @@ class SimCloud:
     def from_state(cls, state: dict, blob: Callable[[object], bytes] = bytes) -> "SimCloud":
         """The environment a snapshot describes, its open ledger entries opened again as on a
         live ledger; ``blob`` turns each saved version, row and bill into bytes.  A counter
-        that is not a non-negative int raises ValueError."""
+        or instance count that is not a non-negative int raises ValueError."""
 
         def count(value, field: str) -> int:
             if type(value) is not int or value < 0:
@@ -473,14 +445,12 @@ class SimCloud:
             return value
 
         env = cls()
-        env.clock.advance_to(Fraction(state["clock"]))
+        env.clock.advance_to(as_fraction(state["clock"]))
         env._event_counter = count(state["event_counter"], "event_counter")
         for name, pstate in state["providers"].items():
             p = env.providers[name]
             p._counters = {k: count(v, f"providers.{name}.counters.{k}") for k, v in pstate["counters"].items()}
-            p.clusters = {c["cluster_id"]: Cluster(**c) for c in pstate["clusters"]}
-            for c in p.clusters.values():  # ready_at is saved as a string
-                c.ready_at = c.ready_at and Fraction(c.ready_at)
+            p.clusters = {c: count(n, f"providers.{name}.clusters.{c}") for c, n in pstate["clusters"]}
             p.networks = set(pstate["networks"])
             p.stores = {
                 store: {key: list(map(blob, versions)) for key, versions in keys.items()}

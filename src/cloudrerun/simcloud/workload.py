@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from ..errors import MalformedValue
+from .clock import as_fraction
 
 _FLAG_DEFAULTS = {
     "serial-seconds": Fraction(10),
@@ -63,7 +64,7 @@ class WorkloadProfile:
 def _fraction_flag(value: str, flag: str) -> Fraction:
     """A duration flag: a non-negative rational number of seconds."""
     try:
-        seconds = Fraction(value)
+        seconds = as_fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedValue(f"--{flag}: expected a rational number, got {value!r}") from exc
     if seconds < 0:

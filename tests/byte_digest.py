@@ -15,9 +15,10 @@ The state digest hashes the state golden, loaded and saved again.
 
 It imports only the standard library, the package and the test helpers,
 so any CPython the package admits can run it without the test
-dependencies::
+dependencies.  Run as a script, it puts the checkout's ``src`` first on
+``sys.path``::
 
-    PYTHONPATH=src python tests/byte_digest.py
+    python tests/byte_digest.py
 
 prints ``outputs <hex>`` and ``state <hex>``, one a line.
 """
@@ -26,9 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cloudrerun.caam import generate_pipeline
 from cloudrerun.metrics import measure

@@ -61,3 +61,12 @@ def test_every_interpreter_writes_the_same_bytes():
                               capture_output=True, text=True, timeout=60)
         printed[str(python)] = done.stdout if done.returncode == 0 else done.stderr[-500:]
     assert printed == {str(python): expected for python in interpreters}
+
+
+def test_the_script_runs_without_pythonpath(tmp_path):
+    # From any directory: the script puts the checkout's package first itself.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(TESTS / "byte_digest.py")], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "".join(f"{name} {value}\n" for name, value in PINNED.items())

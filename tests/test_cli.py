@@ -559,6 +559,32 @@ class TestErrorExitCodes:
                 assert captured.err.startswith("error: "), argv
                 assert captured.out == "", argv
 
+    def test_an_exponent_beyond_the_int_digit_limit_is_refused_before_the_lock(self, tmp_path, capsys):
+        # ``Fraction`` would build the 100,001-digit numerator of 1e100000 and
+        # the run would go on; each reader refuses it before the state directory.
+        bomb = "1e100000"
+        (tmp_path / "bad").mkdir()
+        bad = write_files(tmp_path / "bad", application=application_text(command=f"analyze --serial-seconds {bomb}"))
+        paths = write_files(tmp_path)
+        state = tmp_path / "s"
+        window = ("--poll-window", bomb)
+        commands = {
+            "--serial-seconds": run_args(bad, state),
+            "--poll-window": run_args(paths, state, "--mode", "sdk", *window),
+            "reproduce": ["reproduce", "rpac://aws/store/aws-exec-0001", "--personal", str(paths["personal"]),
+                          "--state-dir", str(state), *window],
+            "bench": ["bench", "--suite", "efficiency", "--repeats", "2", "--state-dir", str(state), *window],
+        }
+        for name, argv in commands.items():
+            assert main(argv) == EXIT_USAGE, name
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1, name
+            if name == "--serial-seconds":
+                assert captured.err.startswith("error: application.ini: [application] command: --serial-seconds")
+            else:
+                assert captured.err == f"error: poll window must be a positive rational, got {bomb!r}\n", name
+            assert not state.exists(), name
+
     def test_malformed_state_file_is_usage_error(self, tmp_path, capsys):
         paths = write_files(tmp_path)
         state = tmp_path / "s"

@@ -3,8 +3,8 @@ private name is referenced somewhere and imported by no other module, every
 public name has a caller in the package and every defaulted parameter a call
 that passes it, or a stated reason to stay, no module declares its public
 names a second time in an ``__all__`` list, every method reads its instance,
-only parsing builds a request, and only ``history.indented_json`` writes
-indented JSON."""
+only parsing builds a request, only ``history.indented_json`` writes
+indented JSON, and only ``simcloud.clock.as_fraction`` reads rational text."""
 
 import ast
 import os
@@ -642,6 +642,63 @@ def test_the_package_has_one_writer_of_indented_json():
     # indent=2)`` would; a second writer would be a second serializer of one format.
     found = {
         str(path.relative_to(PACKAGE)): indented_json_writers(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def rational_text_readers(source: str, reader: str = "") -> list[str]:
+    """``Fraction:line`` of each call of ``Fraction``, by any path to the
+    name, with one argument that is no int literal, outside the module-level
+    function ``reader``: a reader of rational text beside ``as_fraction``."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name == reader
+        for node in ast.walk(function)
+    }
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in exempt
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
+        and len(node.args) + len(node.keywords) == 1
+        and not (node.args and isinstance(node.args[0], ast.Constant) and type(node.args[0].value) is int)
+    ]
+    return [f"Fraction:{node.lineno}" for node in sorted(calls, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_rational_reader_detector_flags_only_one_argument_calls_of_no_int_literal():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "def as_fraction(value):\n"
+        "    return Fraction(value)\n"
+        "Fraction(0), Fraction(3600), Fraction(1, 2), Fraction(n, d)\n"
+        "Fraction(text)\n"
+        "fractions.Fraction('1/2')\n"
+        "Fraction(-1)\n"
+        "Fraction(numerator=x)\n"
+        "Fraction(1.5)\n"
+        "def other():\n"
+        "    return Fraction(True)\n"
+    )
+    assert rational_text_readers(source, "as_fraction") == [
+        "Fraction:6", "Fraction:7", "Fraction:8", "Fraction:9", "Fraction:10", "Fraction:12"
+    ]
+    assert rational_text_readers(source) == ["Fraction:4"] + rational_text_readers(source, "as_fraction")
+
+
+def test_only_as_fraction_reads_rational_text():
+    # ``Fraction(text)`` builds ``10 ** exponent`` for any exponent a text
+    # holds; ``simcloud.clock.as_fraction`` refuses one above the int-digit
+    # limit first, so it is the one reader.
+    found = {
+        str(path.relative_to(PACKAGE)): rational_text_readers(
+            path.read_text(encoding="utf-8"), "as_fraction" if path == PACKAGE / "simcloud" / "clock.py" else ""
+        )
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert {name: calls for name, calls in found.items() if calls} == {}

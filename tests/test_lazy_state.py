@@ -125,6 +125,22 @@ class TestLaziness:
         assert path.read_bytes() == data
         assert decoded == {"rows": [], "bills": []}
 
+    def test_a_read_keeps_no_decoded_bill(self, tmp_path, history, decoded, monkeypatch):
+        """A bill no command charged is decoded for each read, as a row no
+        command wrote is, and saved back as its bytes with no encoding."""
+        data, urls = history
+        path = tmp_path / "simcloud.json"
+        path.write_bytes(data)
+        env = SimCloud.load_state(path)
+        scope = urls[0].rsplit("/", 1)[1]
+        costs = [env.ledger.breakdown(scope) for _ in range(2)]
+        assert costs[0] and costs == [costs[0]] * 2
+        assert decoded == {"rows": [], "bills": [scope, scope]}
+        encoded = []
+        monkeypatch.setattr(ledger_module, "encode_bill", lambda bill: encoded.append(bill) or encode_bill(bill))
+        env.save_state(path)
+        assert encoded == [] and path.read_bytes() == data
+
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=20)
@@ -165,9 +181,9 @@ class TestCanonicalBytes:
             provider.db_put("t", row, row["execution_id"])
         for scope, operation in charges:
             env.ledger.charge_request(scope, operation)
-        cluster = provider.create_cluster("c5d.large", 1, provider.create_network("net"), "run")
+        cluster_id = provider.create_cluster("c5d.large", 1, provider.create_network("net"), "run")
         env.clock.advance_to(Fraction(7, 2))
-        provider.delete_cluster(cluster.cluster_id)  # the network stays open, in another scope
+        provider.delete_cluster(cluster_id)  # the network stays open, in another scope
         path = tmp_path_factory.mktemp("state") / "simcloud.json"
         env.save_state(path)
         data = path.read_bytes()
@@ -232,3 +248,31 @@ class TestDamage:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err, err
         assert (state / "simcloud.json").read_bytes() == saved
+
+    @pytest.mark.parametrize("part", ["row", "bill"])
+    def test_an_exponent_beyond_the_int_digit_limit_fails_the_command_that_reads_it(self, tmp_path, capsys, part):
+        """A loaded row whose ``submitted_at`` or a loaded bill whose price is
+        ``1e100000`` fails the history query or the fetch that reads it."""
+        env = SimCloud()
+        url = Orchestrator(env).run(generate_pipeline(make_request())).history_url
+        execution_id = url.rsplit("/", 1)[1]
+        state = env.to_state()
+        if part == "row":
+            (pair,) = state["providers"]["aws"]["tables"][TABLE]
+            pair[1] = canonical({**json.loads(pair[1]), "submitted_at": "1e100000"})
+            argv, message = ["history"], "error: the exponent of '1e100000' exceeds"
+        else:
+            (pair,) = [pair for pair in state["ledger"]["bills"] if pair[0] == execution_id]
+            bill = json.loads(pair[1])
+            bill["entries"][0][2] = "1e100000"
+            pair[1] = canonical(bill)
+            argv, message = ["history", "--url", url], f"error: the bill of scope {execution_id!r} is damaged"
+            with pytest.raises(ValueError, match="exponent"):
+                decode_bill(execution_id, pair[1])
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        SimCloud.from_state(state).save_state(state_dir / "simcloud.json")
+        saved = (state_dir / "simcloud.json").read_bytes()
+        assert main(argv + ["--state-dir", str(state_dir)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(message)
+        assert (state_dir / "simcloud.json").read_bytes() == saved

@@ -4,8 +4,10 @@ import copy
 import json
 import os
 import random
+import re
 import shlex
 import stat
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudrerun.caam import generate_pipeline
+from cloudrerun.cli import EXIT_USAGE, main
 from cloudrerun.errors import (
     ClockModeViolation,
     NoSuchKey,
@@ -24,7 +27,7 @@ from cloudrerun.errors import (
 )
 from cloudrerun.history import HistoryStore, find_record_table, parse_url
 from cloudrerun.runtime import ExecutionState, Orchestrator
-from cloudrerun.simcloud.clock import VirtualClock
+from cloudrerun.simcloud.clock import VirtualClock, as_fraction
 from cloudrerun.simcloud.ledger import CostLedger, price_catalog, snapshot
 from cloudrerun.simcloud.provider import MAX_INSTANCES, PROVIDERS, SimCloud
 from cloudrerun.simcloud.workload import (
@@ -82,6 +85,55 @@ class TestClock:
         with pytest.raises(ClockModeViolation):
             clock.advance_to(Fraction(19, 2))
         assert clock.now() == 10
+
+
+# Rational texts as ``Fraction`` reads them: digits (ASCII and others
+# ``int`` reads), a point, a slash, exponent marks, signs, underscores and
+# whitespace.  Their exponents have at most three digits or lie within
+# ±640, the lowest int-digit limit an interpreter can be given.
+_rational_chars = "0123456789.eE+-/_ \t\u0661\uff10"
+_small_exponent_texts = st.text(alphabet=_rational_chars, max_size=14).filter(
+    lambda text: not re.search(r"[eE][-+]?[\d_]{4}", text)
+)
+_mantissas = st.from_regex(r"\A[-+]?(\d+(\.\d*)?|\.\d+)\Z")
+_exponent_texts = st.builds(
+    lambda mantissa, mark, exponent, tail: f"{mantissa}{mark}{exponent}{tail}",
+    _mantissas, st.sampled_from("eE"), st.integers(-640, 640), st.sampled_from(["", " ", "\n"]),
+)
+
+
+def _value_or_error(read, text):
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRationalText:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_small_exponent_texts | _exponent_texts)
+    def test_a_text_without_a_huge_exponent_reads_as_fraction_reads_it(self, text):
+        assert _value_or_error(as_fraction, text) == _value_or_error(Fraction, text)
+
+    # Exponents up to 100,000, so a reader that builds them fails fast.
+    @settings(max_examples=50, deadline=None)
+    @given(mantissa=_mantissas, exponent=st.integers(4301, 100_000), sign=st.sampled_from(["", "+", "-"]))
+    def test_an_exponent_above_the_int_digit_limit_is_refused(self, mantissa, exponent, sign):
+        with pytest.raises(ValueError, match="exponent"):
+            as_fraction(f"{mantissa}e{sign}{exponent}")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-digit limit to set")
+    def test_the_limit_is_the_interpreters(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(5000)
+            assert as_fraction("1e5000") == 10**5000  # at the limit, not above it
+            with pytest.raises(ValueError, match="exponent"):
+                as_fraction("1e5001")
+            sys.set_int_max_str_digits(0)  # no limit, as for int
+            assert as_fraction("1e-5001") == Fraction(1, 10**5001)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestLedger:
@@ -210,14 +262,15 @@ class TestProvider:
         env.subscribers.append(events.append)
         provider = env.provider("aws")
         net = provider.create_network("run-1")
-        cluster = provider.create_cluster("c5d.large", 2, net, "run-1")
-        assert cluster.state == "Provisioning"
+        cluster_id = provider.create_cluster("c5d.large", 2, net, "run-1")
+        assert provider.clusters == {cluster_id: 2} and events == []
         assert env.run_next_completion()
-        assert cluster.state == "Ready"
+        assert provider.clusters == {cluster_id: 2}
         assert env.clock.now() == env.delays.provisioning_s
         (event,) = events
         assert event.name == "HardwareEnvReady"
         assert event.source == "aws:instance:run-1"
+        assert event.payload == {"cluster_id": cluster_id}
 
     def test_a_cluster_deleted_while_provisioning_never_turns_ready(self):
         env = SimCloud()
@@ -225,12 +278,12 @@ class TestProvider:
         env.subscribers.append(events.append)
         provider = env.provider("aws")
         net = provider.create_network("run-1")
-        cluster = provider.create_cluster("c5d.large", 2, net, "run-1")
-        provider.delete_cluster(cluster.cluster_id)
-        provider.delete_cluster(cluster.cluster_id)  # already deleted: a no-op
+        cluster_id = provider.create_cluster("c5d.large", 2, net, "run-1")
+        provider.delete_cluster(cluster_id)
+        provider.delete_cluster(cluster_id)  # already deleted: a no-op
         provider.delete_network(net)
         assert env.run_next_completion()
-        assert events == [] and cluster.ready_at is None and provider.clusters == {}
+        assert events == [] and provider.clusters == {}
         assert provider.inventory() == {"clusters": [], "networks": []}
         assert not env.ledger.open_entries()
 
@@ -249,11 +302,11 @@ class TestProvider:
         with pytest.raises(QuotaExceeded, match="requested 2 instances, 1 available"):
             provider.create_cluster("c5d.large", 2, net, "r")
         # deleting a cluster frees its instances
-        provider.delete_cluster(first.cluster_id)
+        provider.delete_cluster(first)
         assert provider.live_instance_count() == 0
         second = provider.create_cluster("c5d.large", MAX_INSTANCES, net, "r")
         assert provider.live_instance_count() == MAX_INSTANCES
-        assert list(provider.clusters) == [second.cluster_id]
+        assert provider.clusters == {second: MAX_INSTANCES}
 
     def test_object_store_versions(self):
         env = SimCloud()
@@ -297,9 +350,9 @@ class TestProvider:
         env = SimCloud()
         provider = env.provider("aws")
         net = provider.create_network("r")
-        cluster = provider.create_cluster("c5d.large", 1, net, "r")
-        assert provider.inventory() == {"clusters": [cluster.cluster_id], "networks": [net]}
-        provider.delete_cluster(cluster.cluster_id)
+        cluster_id = provider.create_cluster("c5d.large", 1, net, "r")
+        assert provider.inventory() == {"clusters": [cluster_id], "networks": [net]}
+        provider.delete_cluster(cluster_id)
         provider.delete_network(net)
         assert provider.inventory() == {"clusters": [], "networks": []}
 
@@ -318,11 +371,11 @@ class TestProvider:
         env = SimCloud()
         provider = env.provider("aws")
         net = provider.create_network("r")
-        cluster = provider.create_cluster("c5d.large", 1, net, "r")
+        cluster_id = provider.create_cluster("c5d.large", 1, net, "r")
         env.run_next_completion()
         provider.storage_put("bucket", "k", b"payload", "r")
         provider.db_put("t", {"execution_id": "e1", "status": "Completed"}, "e1")
-        provider.delete_cluster(cluster.cluster_id)
+        provider.delete_cluster(cluster_id)
         provider.delete_network(net)
         open_net = provider.create_network("r2")
 
@@ -342,22 +395,14 @@ class TestProvider:
         assert SimCloud.from_state(env.to_state()).to_state() == env.to_state()
 
     def test_saved_state_format(self):
-        """The exact saved shape of a cluster, of an open ledger entry and of
-        a bill: every field, with Fractions written as strings, so a field
-        dropped on both the saving and the loading side still shows."""
+        """The exact saved shape of a live cluster, of an open ledger entry
+        and of a bill: every field, with Fractions written as strings, so a
+        field dropped on both the saving and the loading side still shows."""
         env = SimCloud()
         provider = env.provider("aws")
         net = provider.create_network("run-1")
         provider.create_cluster("c5d.large", 2, net, "run-1")
-        cluster = {
-            "cluster_id": "aws-cluster-0001",
-            "instance_type": "c5d.large",
-            "instance_count": 2,
-            "network_id": "aws-net-0001",
-            "scope": "run-1",
-            "state": "Provisioning",
-            "ready_at": None,
-        }
+        cluster = ["aws-cluster-0001", 2]
         assert json.loads(json.dumps(env.to_state()["providers"]))["aws"]["clusters"] == [cluster]
 
         env.run_next_completion()
@@ -366,7 +411,7 @@ class TestProvider:
         provider.storage_put("bucket", "k", b"", "run-1")
         state = env.to_state()
         providers = json.loads(json.dumps(state["providers"], default=bytes.decode))
-        assert providers["aws"]["clusters"] == [{**cluster, "state": "Ready", "ready_at": "30"}]
+        assert providers["aws"]["clusters"] == [cluster]  # turning ready changes nothing saved
         assert state["ledger"] == {
             "bills": [[
                 "run-1",
@@ -580,15 +625,66 @@ class TestStateFile:
                 SimCloud.load_state(path)
             assert path.read_bytes() == content
 
+    @pytest.mark.parametrize(
+        "clusters",
+        [
+            [{"cluster_id": "aws-cluster-0001", "instance_type": "c5d.large", "instance_count": 2,
+              "network_id": "aws-net-0001", "scope": "run-1", "state": "Ready", "ready_at": "30"}],
+            [["aws-cluster-0001", -1]],
+            [["aws-cluster-0001", "2"]],
+            [["aws-cluster-0001", 2.0]],
+            [["aws-cluster-0001", True]],
+            [["aws-cluster-0001", None]],
+            [["aws-cluster-0001"]],
+            [["aws-cluster-0001", 2, "c5d.large"]],
+        ],
+        ids=["older-dict", "negative", "str", "float", "bool", "null", "no-count", "triple"],
+    )
+    def test_a_live_cluster_saved_as_anything_but_an_id_and_a_count_is_refused(self, tmp_path, capsys, clusters):
+        """Only a library caller saves a live cluster: a CLI command saves
+        after its run, whose end deleted the cluster.  A file holding one in
+        the shape before ``[cluster_id, instance_count]``, or a pair whose
+        count is no non-negative int, is refused and left as it is."""
+        env = SimCloud()
+        provider = env.provider("aws")
+        provider.create_cluster("c5d.large", 2, provider.create_network("run-1"), "run-1")
+        env.run_next_completion()
+        state = env.to_state()
+        assert state["providers"]["aws"]["clusters"] == [["aws-cluster-0001", 2]]
+        state["providers"]["aws"]["clusters"] = clusters
+        path = tmp_path / "simcloud.json"
+        content = _state_file(state)
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="malformed state file"):
+            SimCloud.load_state(path)
+        assert main(["history", "--state-dir", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: malformed state file") and captured.out == ""
+        assert path.read_bytes() == content
+
+    def test_a_clock_whose_exponent_exceeds_the_int_digit_limit_is_refused(self, tmp_path, capsys):
+        state = _environment_with_history(2).to_state()
+        state["clock"] = "1e100000"
+        path = tmp_path / "simcloud.json"
+        content = _state_file(state)
+        path.write_bytes(content)
+        assert main(["history", "--state-dir", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: malformed state file: ValueError: the exponent")
+        assert path.read_bytes() == content
+
     def test_a_run_saved_mid_flight_loads_with_its_live_resources(self, tmp_path):
         """A run saved after its first completion, with a cluster, a network
         and their two entries open, loads to a ledger that ends the run as the
         original does."""
         env = SimCloud()
+        events = []
+        env.subscribers.append(events.append)
         orchestrator = Orchestrator(env)
         inst = orchestrator.deploy(generate_pipeline(make_request()))
         orchestrator.start(inst)
-        assert env.run_next_completion() and inst.cluster.state == "Ready"
+        assert env.run_next_completion() and [e.name for e in events] == ["HardwareEnvReady"]
+        assert env.provider(inst.provider).clusters == {inst.cluster_id: inst.node_count}
         scope, provider = inst.instance_id, inst.provider
         path = tmp_path / "simcloud.json"
         env.save_state(path)
@@ -601,13 +697,13 @@ class TestStateFile:
         def after(cloud):
             cloud.clock.advance_to(Fraction(45))
             p = cloud.provider(provider)
-            p.delete_cluster(inst.cluster.cluster_id)
+            p.delete_cluster(inst.cluster_id)
             p.delete_network(inst.network_id)
             entries = [e for e in cloud.ledger.entries if e.scope == scope]
             return cloud.ledger.open_entries(), entries, cloud.ledger.breakdown(scope), p.inventory()
 
         seen = [before(cloud) for cloud in clouds]
-        assert [e.resource_id for e in seen[0][0]] == [inst.network_id, inst.cluster.cluster_id]
+        assert [e.resource_id for e in seen[0][0]] == [inst.network_id, inst.cluster_id]
         assert seen == [seen[0]] * len(clouds)
         ended = [after(cloud) for cloud in clouds]
         assert ended[0][0] == [] and [e.close_time for e in ended[0][1]] == [45, 45]
