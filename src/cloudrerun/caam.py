@@ -1,10 +1,17 @@
 """Cloud-agnostic application model: one abstract request, per-cloud
 executable pipeline documents.
 
-The provider-specific knowledge lives in two places only:
+The provider-specific knowledge of a document lives in two places only:
 
 * a service mapping table (category -> concrete managed service per cloud),
 * an adapter per provider that assembles the pipeline document.
+
+Each is a table keyed by provider, as are the rest of the program's
+provider tables: ``config_model.CLOUD_BLOCKS`` (a request's resource block),
+the price catalog and the reproducer's equivalence tables, so no code
+branches on a provider's name.  The engine parts of a document (its
+security groups) come from ``engines`` as the JSON the document holds, and
+every adapter takes them verbatim.
 
 Dispatch follows the adaptee-mapping convention: look the provider up in the
 adapter table and delegate, raising for anything unregistered.  The table also
@@ -160,18 +167,6 @@ def _application_doc(req: AbstractRequest) -> dict:
     }
 
 
-def _security_groups(req: AbstractRequest) -> list[dict]:
-    """The cluster's security groups; adapters share them verbatim."""
-    groups = build_security_groups(req.resources.bigdata_engine, req.ssh_daemon_port)
-    return [
-        {
-            "group_id": g.group_id,
-            "rules": [{**vars(r), "port_range": list(r.port_range)} for r in g.rules],
-        }
-        for g in groups
-    ]
-
-
 class CloudAdapter:
     """Assembles one provider's pipeline document; subclasses name the
     provider and the engines it cannot host."""
@@ -213,7 +208,7 @@ class CloudAdapter:
             for name in FUNCTION_NAMES
         ]
 
-    def _rules(self, req: AbstractRequest) -> list[dict]:
+    def _rules(self) -> list[dict]:
         """The trigger table; a storage trigger also names the mapped service."""
         storage_service = lookup_service(self.provider, "storage")
         return [
@@ -248,8 +243,8 @@ class CloudAdapter:
                 "personal": self.personal_doc(req),
             },
             "functions": self._functions(req),
-            "rules": self._rules(req),
-            "security_groups": _security_groups(req),
+            "rules": self._rules(),
+            "security_groups": build_security_groups(req.resources.bigdata_engine, req.ssh_daemon_port),
             # Canonical request texts ride along so deployment can archive
             # the exact configuration; the personal part is pre-redacted.
             "archive": archive,

@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedProvider,
 )
 from .history import HistoryStore, find_record_table, indented_json, parse_url
-from .metrics import measure, run_efficiency_suite, run_scaling_suite
+from .metrics import approx, measure, run_efficiency_suite, run_scaling_suite
 from .reproducer import OverrideSet, reproduce
 from .runtime import ExecutionState, Orchestrator, poll_window_for
 from .simcloud.provider import PROVIDERS, SimCloud
@@ -202,15 +202,15 @@ def _print_outcome(outcome, metrics, as_json: bool) -> None:
     print(f"engine    : {outcome.engine}")
     print(f"mode      : {outcome.mode}")
     print(f"state     : {outcome.state.value}")
-    print(f"duration  : {float(outcome.duration_s):.3f}s")
+    print(f"duration  : {approx(outcome.duration_s):.3f}s")
     if outcome.history_url:
         print(f"history   : {outcome.history_url}")
     if outcome.failure:
         print(f"failure   : {outcome.failure}")
     if metrics is not None:
-        print(f"m1        : {float(metrics.m1_hours):.6f} h")
-        print(f"m2        : {float(metrics.m2_cost):.6f} $")
-        print(f"m3        : {float(metrics.m3_ppr):.8f} h*$")
+        print(f"m1        : {approx(metrics.m1_hours):.6f} h")
+        print(f"m2        : {approx(metrics.m2_cost):.6f} $")
+        print(f"m3        : {approx(metrics.m3_ppr):.8f} h*$")
 
 
 def _conclude(args: argparse.Namespace, env: SimCloud, outcome, header: tuple[str, ...] = ()) -> int:
@@ -345,12 +345,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if not args.json:
                 print(f"[{suite}]")
                 print(
-                    f"  mean sdk        : {float(report.mean_sdk_s):.3f}s over {report.n_sdk} runs"
+                    f"  mean sdk        : {approx(report.mean_sdk_s):.3f}s over {report.n_sdk} runs"
                 )
                 print(
-                    f"  mean serverless : {float(report.mean_serverless_s):.3f}s over {report.n_serverless} runs"
+                    f"  mean serverless : {approx(report.mean_serverless_s):.3f}s over {report.n_serverless} runs"
                 )
-                print(f"  reduction       : {float(report.percent_reduction):.2f}%")
+                print(f"  reduction       : {approx(report.percent_reduction):.2f}%")
                 print(
                     f"  t = {report.t_statistic:.6f}, dof = {report.degrees_of_freedom}, "
                     f"p = {report.p_value:.6g}"

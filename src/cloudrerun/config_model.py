@@ -2,8 +2,9 @@
 
 The user-facing input is three INI files:
 
-* ``resources.ini``   -- sections ``[resources]``, ``[cloud.aws]``,
-  ``[cloud.azure]``, ``[reproduce]``
+* ``resources.ini``   -- sections ``[resources]``, one ``[cloud.<provider>]``
+  per provider of ``CLOUD_BLOCKS`` (``[cloud.aws]``, ``[cloud.azure]``),
+  ``[reproduce]``
 * ``application.ini`` -- section ``[application]``
 * ``personal.ini``    -- section ``[personal]``
 
@@ -118,7 +119,10 @@ CREDENTIAL_ENV_PREFIX = "CLOUDRERUN_CREDENTIAL_"
 # The block dataclasses are the one definition of their INI sections: the
 # field names are the section's keys and the field defaults fill what a
 # request leaves out.  Parsing, serializing, porting and the adapters'
-# provisioning documents all read the fields from here.
+# provisioning documents all read the fields from here.  ``CLOUD_BLOCKS``
+# is the one table of the clouds a request may hold a block for: it names
+# each ``[cloud.<provider>]`` section and its block, in canonical section
+# order, so no code branches on a provider's name.
 
 @dataclass(frozen=True)
 class AwsBlock:
@@ -137,6 +141,9 @@ class AzureBlock:
     instance_type: str = DEFAULTS["azure_instance_type"]
 
 
+CLOUD_BLOCKS = {"aws": AwsBlock, "azure": AzureBlock}
+
+
 @dataclass(frozen=True)
 class ReproduceBlock:
     reproduce_storage: str = DEFAULTS["reproduce_storage"]
@@ -146,18 +153,16 @@ class ReproduceBlock:
 @dataclass(frozen=True)
 class ResourcesSpec:
     bigdata_engine: Engine
-    cloud_aws: Optional[AwsBlock]
-    cloud_azure: Optional[AzureBlock]
+    # (provider, block) of each cloud block the request holds, in
+    # ``CLOUD_BLOCKS`` order.
+    clouds: tuple[tuple[str, AwsBlock | AzureBlock], ...]
     reproduce: ReproduceBlock
     # Unknown keys, kept per section for forward compatibility.
     extras: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
 
     def provider_block(self, provider: str):
-        if provider == "aws":
-            return self.cloud_aws
-        if provider == "azure":
-            return self.cloud_azure
-        return None
+        """The block of ``provider``; None when the request holds none."""
+        return dict(self.clouds).get(provider)
 
 
 @dataclass(frozen=True)
@@ -238,7 +243,7 @@ class AbstractRequest:
 # parsing
 # ---------------------------------------------------------------------------
 
-_BLOCKS = {"cloud.aws": AwsBlock, "cloud.azure": AzureBlock, "reproduce": ReproduceBlock}
+_BLOCKS = {**{f"cloud.{p}": block for p, block in CLOUD_BLOCKS.items()}, "reproduce": ReproduceBlock}
 _RESOURCES_SECTIONS = ("resources", *_BLOCKS)
 _APPLICATION_SECTIONS = ("application",)
 _PERSONAL_SECTIONS = ("personal",)
@@ -378,8 +383,11 @@ def parse_resources(text: str) -> ResourcesSpec:
 
     return ResourcesSpec(
         bigdata_engine=engine,
-        cloud_aws=_parse_block(sections, "cloud.aws"),
-        cloud_azure=_parse_block(sections, "cloud.azure"),
+        clouds=tuple(
+            (provider, _parse_block(sections, f"cloud.{provider}"))
+            for provider in CLOUD_BLOCKS
+            if f"cloud.{provider}" in sections
+        ),
         reproduce=_parse_block(sections, "reproduce") or ReproduceBlock(),
         extras=extras,
     )
@@ -440,11 +448,9 @@ def fill_defaults(req: AbstractRequest) -> AbstractRequest:
     provider named in personal.ini is created (known providers only).
     """
     res = req.resources
-    if res.cloud_aws is None and res.cloud_azure is None:
-        if req.personal.cloud_provider == "aws":
-            res = replace(res, cloud_aws=AwsBlock())
-        elif req.personal.cloud_provider == "azure":
-            res = replace(res, cloud_azure=AzureBlock())
+    provider = req.personal.cloud_provider
+    if not res.clouds and provider in CLOUD_BLOCKS:
+        res = replace(res, clouds=((provider, CLOUD_BLOCKS[provider]()),))
     return replace(req, resources=res)
 
 
@@ -510,8 +516,9 @@ def _render(sections: list[tuple[str, dict[str, str]]], extras, known_sections) 
 
 def serialize_resources(res: ResourcesSpec) -> str:
     sections = [("resources", {"bigdata_engine": res.bigdata_engine.value})]
-    blocks = (("cloud.aws", res.cloud_aws), ("cloud.azure", res.cloud_azure), ("reproduce", res.reproduce))
-    for name, block in blocks:
+    blocks = {f"cloud.{provider}": res.provider_block(provider) for provider in CLOUD_BLOCKS}
+    blocks["reproduce"] = res.reproduce
+    for name, block in blocks.items():
         if block is not None:
             sections.append((name, {k: str(v) for k, v in vars(block).items()}))
     return _render(sections, res.extras, _RESOURCES_SECTIONS)

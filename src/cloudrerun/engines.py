@@ -1,6 +1,12 @@
 """Engine-specific cluster layout: node roles, security groups, captured
 configuration artifacts.
 
+This module is where engine knowledge lives; the adapters in ``caam`` hold
+the provider knowledge and take the engine parts from here verbatim.  Each
+part is built as the JSON it becomes: the roles as ``engine.json`` holds
+them and the security groups as the pipeline document holds them, so no
+adapter converts them.
+
 Every supported engine follows the same pattern: node 0 is the head
 (master, scheduler, or primary worker depending on the engine) and the
 rest are workers.  Security groups isolate the cluster: intra-cluster
@@ -10,7 +16,6 @@ SSH from the client machine reaches the head node only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .config_model import DEFAULT_SSH_DAEMON_PORT, AbstractRequest, Engine
@@ -25,29 +30,6 @@ HEAD_ROLE = {
 CLIENT_PEER = "client"
 
 
-@dataclass(frozen=True)
-class SecurityRule:
-    direction: str  # "ingress" or "egress"
-    protocol: str  # "tcp" or "udp"
-    peer: str  # another group id, or "client"
-    port_range: tuple[int, int] = (0, 65535)
-
-
-@dataclass(frozen=True)
-class SecurityGroup:
-    group_id: str
-    rules: tuple[SecurityRule, ...]
-
-    def allows(self, direction: str, protocol: str, peer: str, port: int) -> bool:
-        return any(
-            r.direction == direction
-            and r.protocol == protocol
-            and r.peer == peer
-            and r.port_range[0] <= port <= r.port_range[1]
-            for r in self.rules
-        )
-
-
 def assign_roles(engine: Engine, node_count: int) -> list[dict]:
     """Each node's ``{"node_index", "role"}``, as ``engine.json`` holds it:
     node 0 leads and everyone else works.  With no engine all nodes are
@@ -58,19 +40,18 @@ def assign_roles(engine: Engine, node_count: int) -> list[dict]:
     return [{"node_index": i, "role": rest if i else HEAD_ROLE[engine]} for i in range(node_count)]
 
 
-def _intra_cluster_rules(peers: tuple[str, ...]) -> list[SecurityRule]:
-    rules = []
-    for direction in ("ingress", "egress"):
-        for protocol in ("tcp", "udp"):
-            for peer in peers:
-                rules.append(SecurityRule(direction, protocol, peer))
-    return rules
+def _rule(direction: str, protocol: str, peer: str, ports: tuple[int, int] = (0, 65535)) -> dict:
+    """One rule as the document holds it: ``direction`` is ingress or
+    egress, ``protocol`` tcp or udp, ``peer`` a group id or ``client``."""
+    return {"direction": direction, "protocol": protocol, "peer": peer, "port_range": list(ports)}
 
 
 def build_security_groups(
     engine: Engine, ssh_daemon_port: Optional[int] = DEFAULT_SSH_DAEMON_PORT
-) -> tuple[SecurityGroup, ...]:
-    """Security groups for a cluster running ``engine``.
+) -> list[dict]:
+    """Security groups for a cluster running ``engine``, as the document
+    holds them: ``[{"group_id", "rules": [{"direction", "protocol",
+    "peer", "port_range": [lo, hi]}]}]``.
 
     Engine selected: a head group and a worker group, open to each other
     over TCP and UDP in both directions and to nothing else; client SSH
@@ -82,32 +63,23 @@ def build_security_groups(
 
     No engine: one group, client SSH only.
     """
+    client_ssh = [_rule(direction, "tcp", CLIENT_PEER, (22, 22)) for direction in ("ingress", "egress")]
     if engine is Engine.NONE:
-        return (
-            SecurityGroup(
-                "sg-standalone",
-                (
-                    SecurityRule("ingress", "tcp", CLIENT_PEER, (22, 22)),
-                    SecurityRule("egress", "tcp", CLIENT_PEER, (22, 22)),
-                ),
-            ),
-        )
+        return [{"group_id": "sg-standalone", "rules": client_ssh}]
 
-    head_id, worker_id = "sg-head", "sg-workers"
-    cluster = (head_id, worker_id)
-    head_rules = _intra_cluster_rules(cluster)
-    head_rules.append(SecurityRule("ingress", "tcp", CLIENT_PEER, (22, 22)))
-    head_rules.append(SecurityRule("egress", "tcp", CLIENT_PEER, (22, 22)))
-    worker_rules = _intra_cluster_rules(cluster)
-    if engine is Engine.HOROVOD:
-        port = (ssh_daemon_port, ssh_daemon_port)
-        for rules in (head_rules, worker_rules):
-            rules.append(SecurityRule("ingress", "tcp", head_id, port))
-            rules.append(SecurityRule("ingress", "tcp", worker_id, port))
-    return (
-        SecurityGroup(head_id, tuple(head_rules)),
-        SecurityGroup(worker_id, tuple(worker_rules)),
-    )
+    cluster = ("sg-head", "sg-workers")
+    groups = []
+    for group_id, from_client in zip(cluster, (client_ssh, [])):
+        rules = [
+            _rule(direction, protocol, peer)
+            for direction in ("ingress", "egress")
+            for protocol in ("tcp", "udp")
+            for peer in cluster
+        ] + from_client
+        if engine is Engine.HOROVOD:
+            rules += [_rule("ingress", "tcp", peer, (ssh_daemon_port, ssh_daemon_port)) for peer in cluster]
+        groups.append({"group_id": group_id, "rules": rules})
+    return groups
 
 
 def capture_engine_config(req: AbstractRequest) -> dict:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -34,6 +35,36 @@ from .simcloud.ledger import SECONDS_PER_HOUR, CostLedger
 from .simcloud.provider import SimCloud
 
 Rational = Union[int, str, Fraction]
+
+
+def approx(value: Fraction) -> float:
+    """The float that reports show for the exact ``value``: the nearest
+    one, or an infinity of its sign when no float can hold it, which text
+    prints as ``inf`` and ``_json_number`` writes as null."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _json_number(x: float) -> Optional[float]:
+    """``x`` as a JSON value: JSON has no infinity, so an infinite ``x`` is
+    null, as JSON.stringify writes it."""
+    return x if math.isfinite(x) else None
+
+
+def _exact_and_approx(value: Fraction) -> dict:
+    """An exact metric as JSON values: its rational text and its ``approx``."""
+    try:
+        exact = str(value)
+    except ValueError:
+        # More digits than an int's text may hold: m3 multiplies two
+        # metrics, so its terms can be twice as long as any parsed input's.
+        # Decimal writes an int's digits without that limit.
+        exact = str(Decimal(value.numerator))
+        if value.denominator != 1:
+            exact += f"/{Decimal(value.denominator)}"
+    return {"exact": exact, "approx": _json_number(approx(value))}
 
 
 @dataclass(frozen=True)
@@ -53,9 +84,9 @@ class MetricReport:
             "execution_id": self.execution_id,
             "mode": self.mode,
             "duration_s": str(self.duration_s),
-            "m1_hours": {"exact": str(self.m1_hours), "approx": float(self.m1_hours)},
-            "m2_cost": {"exact": str(self.m2_cost), "approx": float(self.m2_cost)},
-            "m3_ppr": {"exact": str(self.m3_ppr), "approx": float(self.m3_ppr)},
+            "m1_hours": _exact_and_approx(self.m1_hours),
+            "m2_cost": _exact_and_approx(self.m2_cost),
+            "m3_ppr": _exact_and_approx(self.m3_ppr),
             "breakdown": {k: str(v) for k, v in sorted(self.breakdown.items())},
         }
 
@@ -208,12 +239,8 @@ class EfficiencyReport:
             "n_serverless": self.n_serverless,
             "mean_sdk_s": str(self.mean_sdk_s),
             "mean_serverless_s": str(self.mean_serverless_s),
-            "percent_reduction": {
-                "exact": str(self.percent_reduction),
-                "approx": float(self.percent_reduction),
-            },
-            # JSON has no infinity; JSON.stringify writes it as null.
-            "t_statistic": self.t_statistic if math.isfinite(self.t_statistic) else None,
+            "percent_reduction": _exact_and_approx(self.percent_reduction),
+            "t_statistic": _json_number(self.t_statistic),
             "degrees_of_freedom": self.degrees_of_freedom,
             "p_value": self.p_value,
         }
@@ -314,9 +341,9 @@ class SuiteReport:
         for row in self.rows:
             lines.append(
                 f"{row.level:>5} {row.nodes:>5} {row.parallelism:>4}"
-                f" {float(row.metrics.m1_hours):>12.6f}"
-                f" {float(row.metrics.m2_cost):>12.6f}"
-                f" {float(row.metrics.m3_ppr):>12.8f}"
+                f" {approx(row.metrics.m1_hours):>12.6f}"
+                f" {approx(row.metrics.m2_cost):>12.6f}"
+                f" {approx(row.metrics.m3_ppr):>12.8f}"
             )
         return "\n".join(lines)
 

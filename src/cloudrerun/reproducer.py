@@ -21,10 +21,9 @@ from typing import Mapping, Optional
 
 from .caam import generate_pipeline, get_adapter
 from .config_model import (
+    CLOUD_BLOCKS,
     DEFAULTS,
     AbstractRequest,
-    AwsBlock,
-    AzureBlock,
     ResourcesSpec,
     build_request,
     parse_application,
@@ -86,7 +85,7 @@ def translate_resources(resources: ResourcesSpec, source: str, target: str) -> R
         raise InvalidMerge(
             f"instance type {block.instance_type!r} has no {target} equivalent"
         )
-    block_type = AwsBlock if target == "aws" else AzureBlock
+    block_type = CLOUD_BLOCKS[target]
     ported = block_type(
         # An unmapped region falls back to the target block's default region.
         region=REGION_EQUIVALENCE[(source, target)].get(block.region, block_type.region),
@@ -96,8 +95,7 @@ def translate_resources(resources: ResourcesSpec, source: str, target: str) -> R
     # The unknown keys of the source block's section go with the block.
     return replace(
         resources,
-        cloud_aws=ported if target == "aws" else None,
-        cloud_azure=ported if target == "azure" else None,
+        clouds=((target, ported),),
         extras=tuple(pair for pair in resources.extras if pair[0] != f"cloud.{source}"),
     )
 
@@ -149,11 +147,10 @@ def reproduce(
     config = fetched.config
     if resources is None:
         resources = _merging("archived resources.ini unusable", parse_resources, config["resources.ini"].decode())
-    # Port the other cloud's block; with no block at all, build_request
-    # default-fills the target's, as it does for a run.
-    source = "azure" if target == "aws" else "aws"
-    if resources.provider_block(target) is None and resources.provider_block(source) is not None:
-        resources = translate_resources(resources, source, target)
+    # Port the block the resources hold for another cloud; with no block at
+    # all, build_request default-fills the target's, as it does for a run.
+    if resources.clouds and resources.provider_block(target) is None:
+        resources = translate_resources(resources, resources.clouds[0][0], target)
     if application is None:
         application = _merging(
             "archived application.ini unusable", parse_application, config["application.ini"].decode()

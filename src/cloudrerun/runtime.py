@@ -253,7 +253,7 @@ class Orchestrator:
             if kind == "storage":
                 source, event = storage_source, f"{event}{instance.instance_id}/"
             rule = InstalledRule(function, instance.instance_id, source, event, match)
-            self.bus.install(rule, lambda _e, f=function: self._step(instance, f))
+            self.bus.install(rule, lambda f=function: self._step(instance, f))
 
     # -- state machine -----------------------------------------------------
 
@@ -294,9 +294,7 @@ class Orchestrator:
         network_id = provider.create_network(inst.instance_id)
         inst.network_id = network_id
         try:
-            inst.cluster_id = provider.create_cluster(
-                block.instance_type, block.instance_number, network_id, inst.instance_id
-            )
+            inst.cluster_id = provider.create_cluster(block.instance_type, block.instance_number, inst.instance_id)
         except CloudRerunError:
             provider.delete_network(network_id)
             inst.network_id = None

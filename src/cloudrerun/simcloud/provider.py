@@ -125,7 +125,7 @@ class EventBus:
     def __init__(self) -> None:
         self.queue: deque[Event] = deque()
         self.seen: set[str] = set()
-        self.rules: list[tuple[InstalledRule, Callable[[Event], bool]]] = []
+        self.rules: list[tuple[InstalledRule, Callable[[], bool]]] = []
         self.dropped: list[Event] = []
 
     def enqueue(self, event: Event) -> None:
@@ -133,7 +133,7 @@ class EventBus:
         if self.rules:
             self.queue.append(event)
 
-    def install(self, rule: InstalledRule, handler: Callable[[Event], bool]) -> None:
+    def install(self, rule: InstalledRule, handler: Callable[[], bool]) -> None:
         self.rules.append((rule, handler))
 
     def retire(self, instance_id: str) -> None:
@@ -155,7 +155,7 @@ class EventBus:
         for rule, handler in self.rules:
             if rule.matches(event):
                 matched = True
-                if handler(event):
+                if handler():
                     acted.append(rule.function)
         if not matched:
             self.dropped.append(event)
@@ -244,9 +244,7 @@ class SimProvider:
             self.networks.discard(network_id)
             self.env.ledger.close_entry(network_id, self.env.clock.now())
 
-    def create_cluster(
-        self, instance_type: str, instance_count: int, network_id: str, scope: str
-    ) -> str:
+    def create_cluster(self, instance_type: str, instance_count: int, scope: str) -> str:
         """Start provisioning and return the cluster's id; once the
         provisioning delay has passed, a HardwareEnvReady lifecycle event
         announces the cluster, unless it was deleted first."""

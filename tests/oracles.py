@@ -73,14 +73,28 @@ def query_scan(
 
 def reachable_pairs(groups) -> set[tuple[str, str, str]]:
     """Every (protocol, source_group, peer) combination some ingress rule
-    permits, enumerated over all ports by brute force on rule bounds."""
+    permits, enumerated over all ports by brute force on rule bounds.
+    ``groups`` are security groups as the pipeline document holds them."""
     pairs = set()
     for group in groups:
-        for rule in group.rules:
-            if rule.direction != "ingress":
+        for rule in group["rules"]:
+            if rule["direction"] != "ingress":
                 continue
-            pairs.add((rule.protocol, group.group_id, rule.peer))
+            pairs.add((rule["protocol"], group["group_id"], rule["peer"]))
     return pairs
+
+
+def allows(group: dict, direction: str, protocol: str, peer: str, port: int) -> bool:
+    """Whether some rule of ``group``, a security group as the pipeline
+    document holds it, lets ``protocol`` traffic on ``port`` pass in
+    ``direction`` to or from ``peer``."""
+    return any(
+        rule["direction"] == direction
+        and rule["protocol"] == protocol
+        and rule["peer"] == peer
+        and rule["port_range"][0] <= port <= rule["port_range"][1]
+        for rule in group["rules"]
+    )
 
 
 def student_t_reference(sample_a: Sequence[float], sample_b: Sequence[float]):

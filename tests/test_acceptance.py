@@ -63,6 +63,7 @@ from helpers import (
     run_serverless,
 )
 from oracles import (
+    allows,
     per_second_cost,
     reachable_pairs,
     residue_walk,
@@ -582,17 +583,17 @@ def test_10_security_policy(announce):
         cluster_ids = {"sg-head", "sg-workers"}
         for engine in (Engine.SPARK, Engine.DASK, Engine.HOROVOD):
             groups = build_security_groups(engine)
-            assert {g.group_id for g in groups} == cluster_ids
+            assert {g["group_id"] for g in groups} == cluster_ids
 
             for group in groups:
-                for rule in group.rules:
-                    assert rule.peer in cluster_ids | {"client"}
-                    if rule.peer == "client":
-                        assert group.group_id == "sg-head"
-                        assert rule.protocol == "tcp"
-                        assert tuple(rule.port_range) == (22, 22)
+                for rule in group["rules"]:
+                    assert rule["peer"] in cluster_ids | {"client"}
+                    if rule["peer"] == "client":
+                        assert group["group_id"] == "sg-head"
+                        assert rule["protocol"] == "tcp"
+                        assert rule["port_range"] == [22, 22]
                     else:
-                        assert rule.protocol in ("tcp", "udp")
+                        assert rule["protocol"] in ("tcp", "udp")
 
             pairs = reachable_pairs(groups)
             assert ("tcp", "sg-head", "client") in pairs
@@ -603,17 +604,17 @@ def test_10_security_policy(announce):
                     for peer in cluster_ids:
                         assert (protocol, group_id, peer) in pairs
 
-            head = next(g for g in groups if g.group_id == "sg-head")
-            workers = next(g for g in groups if g.group_id == "sg-workers")
-            assert head.allows("ingress", "tcp", "client", 22)
-            assert not workers.allows("ingress", "tcp", "client", 22)
+            head = next(g for g in groups if g["group_id"] == "sg-head")
+            workers = next(g for g in groups if g["group_id"] == "sg-workers")
+            assert allows(head, "ingress", "tcp", "client", 22)
+            assert not allows(workers, "ingress", "tcp", "client", 22)
             if engine is Engine.HOROVOD:
-                assert head.allows(
-                    "ingress", "tcp", "sg-workers", DEFAULT_SSH_DAEMON_PORT
+                assert allows(
+                    head, "ingress", "tcp", "sg-workers", DEFAULT_SSH_DAEMON_PORT
                 )
 
         standalone = build_security_groups(Engine.NONE)
-        assert [g.group_id for g in standalone] == ["sg-standalone"]
+        assert [g["group_id"] for g in standalone] == ["sg-standalone"]
         assert reachable_pairs(standalone) == {("tcp", "sg-standalone", "client")}
 
 

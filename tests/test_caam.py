@@ -1,5 +1,6 @@
 """Service mapping and per-cloud pipeline assembly."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -15,12 +16,16 @@ from cloudrerun.caam import (
     lookup_service,
     PipelineDocument,
 )
-from cloudrerun.config_model import parse_abstract_request
+from cloudrerun.config_model import CLOUD_BLOCKS, Engine, parse_abstract_request
 from cloudrerun.errors import (
     UnmappedService,
     UnsupportedEngineOnProvider,
     UnsupportedProvider,
 )
+from cloudrerun.history import indented_json
+from cloudrerun.reproducer import INSTANCE_TYPE_EQUIVALENCE, REGION_EQUIVALENCE
+from cloudrerun.simcloud.ledger import price_catalog
+from cloudrerun.simcloud.provider import PROVIDERS
 
 from helpers import application_text, personal_text, resources_text
 
@@ -131,6 +136,18 @@ class TestDispatch:
             assert generate_pipeline(request_for("azure", engine)).provider == "azure"
 
 
+def test_every_table_names_the_same_clouds():
+    """A cloud missing from one table fails here rather than in a run.
+    ``SERVICE_MAPPING`` keeps its services for gcloud, which has no adapter,
+    so it is left out."""
+    clouds = set(PROVIDERS)
+    assert set(CLOUD_BLOCKS) == clouds
+    assert {get_adapter(provider).provider for provider in PROVIDERS} == clouds
+    assert set(price_catalog()["instance_hour"]) == clouds
+    pairs = {(source, target) for source in clouds for target in clouds if source != target}
+    assert set(INSTANCE_TYPE_EQUIVALENCE) == set(REGION_EQUIVALENCE) == pairs
+
+
 class TestPipelineDocument:
     def test_golden_aws(self):
         doc = generate_pipeline(request_for("aws"))
@@ -198,3 +215,42 @@ class TestPipelineDocument:
         again = PipelineDocument(doc.provider, json.loads(doc.to_json()))
         assert again == doc
         assert again.to_json() == doc.to_json()
+
+
+class TestBodyPins:
+    """The sha256 of every document body the adapters build: each engine on
+    each cloud that hosts it, and horovod with a custom ``--ssh-port``.  The
+    goldens pin dask only; these pin the security groups and provisioning
+    blocks of the rest."""
+
+    PINS = {
+        ("aws", "none", None): "fc3702b73f6aef06067c1a23ac7050c50cd369e085be0219ebc23c7ec59b68f8",
+        ("aws", "spark", None): "dee2d9a4373400f24d8aa8b1927baf80d3306ef167970c206b7b522c9b64f87d",
+        ("aws", "horovod", None): "be793f85a4d9f6d7be924bf75fd2629c9f592e2509fcb360d8a2c32caa03f4d1",
+        ("aws", "horovod", 2222): "e9e638dadcf85b958d969e32e9f0438d0609a40a8fb41036c768df971f307275",
+        ("aws", "dask", None): "03920fb991430444be695981a499dab152eff828431f47dab7e94794d0bedea3",
+        ("azure", "none", None): "6f84277bcfeed980288349f48558122f54c6f564724216aee7ee065ce2068cda",
+        ("azure", "horovod", None): "ae2af7dcceee57c11770ba33b7a682eb3c97ca0ab0ed290f0eef64b27113f5ef",
+        ("azure", "horovod", 2222): "e1bc06b0933dd77fe0b97feb2bf5b748d1a29bfa4fdf616f5a1cab42885905b8",
+        ("azure", "dask", None): "034caf8f7ae7fe2d9c76b53041b4c67a241e0a8b1c50b9a9051cbaf6bb55114d",
+    }
+
+    def test_pins_cover_every_hosted_engine(self):
+        hosted = {
+            (provider, engine.value)
+            for provider, adapter in caam._ADAPTERS.items()
+            for engine in Engine
+            if engine not in adapter.unsupported_engines
+        }
+        assert {(provider, engine) for provider, engine, _ in self.PINS} == hosted
+
+    @pytest.mark.parametrize("provider,engine,ssh_port", sorted(PINS, key=str))
+    def test_body_bytes(self, provider, engine, ssh_port):
+        command = COMMAND if ssh_port is None else f"{COMMAND} --ssh-port {ssh_port}"
+        req = parse_abstract_request(
+            resources_text(engine=engine, provider=provider, nodes=2),
+            application_text(command=command),
+            personal_text(provider=provider, credentials="access_key:AKIAEXAMPLE, secret_key:topsecret"),
+        )
+        body = indented_json(generate_pipeline(req).body).encode()
+        assert hashlib.sha256(body).hexdigest() == self.PINS[(provider, engine, ssh_port)]

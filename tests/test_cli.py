@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,6 +136,31 @@ class TestRun:
         metrics = report["metrics"]
         assert metrics["m3_ppr"]["approx"] > 0
         assert Fraction(metrics["m1_hours"]["exact"]) > 0
+
+    def test_a_value_no_float_can_hold_is_reported_as_inf_and_null(self, tmp_path, capsys):
+        """A run whose exact metrics exceed every float completes and reports:
+        text prints their approximation as ``inf``, and ``--json`` writes it
+        as null beside the exact text, in JSON that holds no non-JSON token."""
+        paths = write_files(tmp_path, application=application_text(
+            command="analyze --serial-seconds 1e3000 --parallel-seconds 1 --seed 1"))
+        assert main(run_args(paths, tmp_path / "text")) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "state     : Completed" in out and "duration  : infs" in out
+        for line in ("m1        : inf h", "m2        : inf $", "m3        : inf h*$"):
+            assert line in out
+
+        def refuse(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        assert main(run_args(paths, tmp_path / "json", "--json")) == EXIT_OK
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        metrics = report["metrics"]
+        assert report["state"] == "Completed"
+        assert [metrics[name]["approx"] for name in ("m1_hours", "m2_cost", "m3_ppr")] == [None] * 3
+        # m3's terms hold more digits than ``Fraction(text)`` may read.
+        numerator, _, denominator = metrics["m3_ppr"]["exact"].partition("/")
+        m3 = Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))
+        assert m3 == Fraction(metrics["m1_hours"]["exact"]) * Fraction(metrics["m2_cost"]["exact"])
 
     def test_sdk_mode(self, tmp_path, capsys):
         paths = write_files(tmp_path)

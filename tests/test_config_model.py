@@ -49,7 +49,7 @@ class TestParsing:
             "[personal]\ncloud_provider = aws\n",
         )
         assert req.resources.bigdata_engine is Engine.NONE
-        aws = req.resources.cloud_aws
+        aws = req.resources.provider_block("aws")
         assert aws.instance_number == 1
         assert aws.region == DEFAULTS["aws_region"]
         assert aws.instance_type == DEFAULTS["aws_instance_type"]
@@ -62,9 +62,9 @@ class TestParsing:
             "[application]\ndocker_image = img:1\n",
             "[personal]\ncloud_provider = azure\n",
         )
-        assert req.resources.cloud_azure is not None
-        assert req.resources.cloud_aws is None
-        assert req.resources.cloud_azure.instance_type == DEFAULTS["azure_instance_type"]
+        ((provider, azure),) = req.resources.clouds
+        assert provider == "azure"
+        assert azure.instance_type == DEFAULTS["azure_instance_type"]
 
     def test_engine_enumeration_is_closed(self):
         for engine in ("none", "spark", "horovod", "dask"):

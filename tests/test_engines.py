@@ -16,7 +16,7 @@ from cloudrerun.simcloud.workload import parse_flags
 
 from helpers import application_text, personal_text, resources_text
 
-from oracles import reachable_pairs
+from oracles import allows, reachable_pairs
 
 
 class TestRoles:
@@ -44,14 +44,14 @@ class TestRoles:
 class TestSecurityGroups:
     def test_engine_cluster_has_two_groups(self):
         groups = build_security_groups(Engine.SPARK)
-        assert [g.group_id for g in groups] == ["sg-head", "sg-workers"]
+        assert [g["group_id"] for g in groups] == ["sg-head", "sg-workers"]
 
     def test_intra_cluster_traffic_is_closed(self):
         """TCP/UDP may flow only between the cluster's own groups; the only
         other reachable peer is the client, over SSH, into the head."""
         for engine in (Engine.SPARK, Engine.DASK, Engine.HOROVOD):
             groups = build_security_groups(engine)
-            cluster = {g.group_id for g in groups}
+            cluster = {g["group_id"] for g in groups}
             for protocol, group_id, peer in reachable_pairs(groups):
                 if peer == CLIENT_PEER:
                     assert protocol == "tcp"
@@ -61,30 +61,30 @@ class TestSecurityGroups:
 
     def test_ssh_from_client_reaches_head_only(self):
         head, workers = build_security_groups(Engine.DASK)
-        assert head.allows("ingress", "tcp", CLIENT_PEER, 22)
-        assert not workers.allows("ingress", "tcp", CLIENT_PEER, 22)
+        assert allows(head, "ingress", "tcp", CLIENT_PEER, 22)
+        assert not allows(workers, "ingress", "tcp", CLIENT_PEER, 22)
 
     def test_cluster_groups_talk_tcp_and_udp_both_ways(self):
         head, workers = build_security_groups(Engine.SPARK)
         for group in (head, workers):
             for protocol in ("tcp", "udp"):
                 for peer in ("sg-head", "sg-workers"):
-                    assert group.allows("ingress", protocol, peer, 7077)
-                    assert group.allows("egress", protocol, peer, 7077)
+                    assert allows(group, "ingress", protocol, peer, 7077)
+                    assert allows(group, "egress", protocol, peer, 7077)
 
     def test_no_engine_single_group_client_ssh_only(self):
         (group,) = build_security_groups(Engine.NONE)
-        assert group.allows("ingress", "tcp", CLIENT_PEER, 22)
-        assert not group.allows("ingress", "tcp", CLIENT_PEER, 80)
-        assert not group.allows("ingress", "udp", CLIENT_PEER, 22)
-        assert {r.peer for r in group.rules} == {CLIENT_PEER}
+        assert allows(group, "ingress", "tcp", CLIENT_PEER, 22)
+        assert not allows(group, "ingress", "tcp", CLIENT_PEER, 80)
+        assert not allows(group, "ingress", "udp", CLIENT_PEER, 22)
+        assert {r["peer"] for r in group["rules"]} == {CLIENT_PEER}
 
     def test_horovod_daemon_port_pinned(self):
         head, workers = build_security_groups(Engine.HOROVOD, ssh_daemon_port=2222)
         explicit = [
-            r for r in workers.rules if r.port_range == (2222, 2222) and r.direction == "ingress"
+            r for r in workers["rules"] if r["port_range"] == [2222, 2222] and r["direction"] == "ingress"
         ]
-        assert {r.peer for r in explicit} == {"sg-head", "sg-workers"}
+        assert {r["peer"] for r in explicit} == {"sg-head", "sg-workers"}
 
 
 class TestCaptureEngineConfig:

@@ -1,10 +1,11 @@
 """Reference gates over the package: every top-level import is used, every
 private name is referenced somewhere and imported by no other module, every
 public name has a caller in the package and every defaulted parameter a call
-that passes it, or a stated reason to stay, no module declares its public
-names a second time in an ``__all__`` list, every method reads its instance,
-only parsing builds a request, only ``history.indented_json`` writes
-indented JSON, and only ``simcloud.clock.as_fraction`` reads rational text."""
+that passes it, or a stated reason to stay, every parameter is read, no
+module declares its public names a second time in an ``__all__`` list,
+every method reads its instance, only parsing builds a request, only
+``history.indented_json`` writes indented JSON, and only
+``simcloud.clock.as_fraction`` reads rational text."""
 
 import ast
 import os
@@ -205,7 +206,6 @@ CALLERLESS_ALLOWED = {
     "simcloud/provider.py:SimProvider.inventory":
         "test seam: the live clusters and networks that a finished run must release",
     "errors.py:StorageFailure": "the failure tests inject into any provider operation",
-    "engines.py:SecurityGroup.allows": "tests/test_acceptance.py reads it (acceptance 10)",
     "simcloud/provider.py:SimCloud.next_completion_time":
         "tests/test_acceptance.py reads it (acceptance 03's delivery explorer)",
     "runtime.py:STAGES": "tests/test_acceptance.py reads it (acceptance 06)",
@@ -406,6 +406,70 @@ def test_every_defaulted_parameter_is_passed_or_has_a_reason():
     }
     found = callerless_parameters(sources)
     assert allowlist_findings(found, UNPASSED_ALLOWED) == {"unlisted": [], "stale": []}
+
+
+def parameters_never_read(source: str) -> list[str]:
+    """``qualname(parameter)`` of each parameter of a ``def`` or ``lambda``,
+    at any depth of the module, that its body never reads.  ``*args`` and
+    ``**kwargs`` are parameters too; a read inside a nested function or
+    lambda counts, and defaults, annotations and decorators are not the
+    body.  A lambda's name is ``<lambda>``."""
+    found = []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                qualname = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                parameters = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {
+                    node.id
+                    for statement in body
+                    for node in ast.walk(statement)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                }
+                found.extend(f"{qualname}({a.arg})" for a in parameters if a is not None and a.arg not in read)
+                visit(child, qualname + ".")
+            else:
+                visit(child, prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_unread_parameter_detector_flags_only_parameters_no_body_reads():
+    source = (
+        "def f(a, b, *rest, c, d=1, **extra):\n"
+        "    return a, c, extra\n"
+        "def outer(x, y: int = 0):\n"
+        "    def inner(z):\n"
+        "        return x\n"
+        "    return inner, lambda: y, lambda _e: True\n"
+        "def shadowed(n=len, m=[k for k in ()]):\n"
+        "    return 0\n"
+        "class Box:\n"
+        "    def put(self, item):\n"
+        "        self.item = None\n"
+        "    @staticmethod\n"
+        "    def make(kind):\n"
+        "        return lambda size: kind\n"
+        "handler = lambda event, *_: event\n"
+    )
+    assert parameters_never_read(source) == [
+        "f(b)", "f(rest)", "f(d)", "outer.inner(z)", "outer.<lambda>(_e)",
+        "shadowed(n)", "shadowed(m)", "Box.put(item)", "Box.make.<lambda>(size)", "<lambda>(_)",
+    ]
+
+
+def test_every_parameter_is_read():
+    # A parameter no body reads is an input the caller computes for nothing;
+    # there is no allowlist, so it goes, with every argument passed for it.
+    found = {
+        str(path.relative_to(PACKAGE)): parameters_never_read(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {name: parameters for name, parameters in found.items() if parameters} == {}
 
 
 def test_every_benchmark_reason_names_a_benchmark_read():

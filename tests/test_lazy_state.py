@@ -181,7 +181,8 @@ class TestCanonicalBytes:
             provider.db_put("t", row, row["execution_id"])
         for scope, operation in charges:
             env.ledger.charge_request(scope, operation)
-        cluster_id = provider.create_cluster("c5d.large", 1, provider.create_network("net"), "run")
+        provider.create_network("net")
+        cluster_id = provider.create_cluster("c5d.large", 1, "run")
         env.clock.advance_to(Fraction(7, 2))
         provider.delete_cluster(cluster_id)  # the network stays open, in another scope
         path = tmp_path_factory.mktemp("state") / "simcloud.json"

@@ -202,7 +202,7 @@ class TestScalingSuites:
 
     def test_suite_request_shape(self):
         req = make_suite_request(nodes=4, parallelism=2, seed=3)
-        assert req.resources.cloud_aws.instance_number == 4
+        assert req.resources.provider_block("aws").instance_number == 4
         assert "--parallelism 2" in req.application.command
         assert "--seed 3" in req.application.command
 
@@ -212,7 +212,7 @@ class TestScalingSuites:
             " --comm-seconds 2 --parallelism 2 --seed 3"
         )
         assert make_suite_request(4, 2, seed=3, serial_s=Fraction(1, 2)) == AbstractRequest(
-            ResourcesSpec(Engine.SPARK, AwsBlock(instance_number=4), None, ReproduceBlock()),
+            ResourcesSpec(Engine.SPARK, (("aws", AwsBlock(instance_number=4)),), ReproduceBlock()),
             ApplicationSpec("registry.example/analytics:1.0", ("s3://datasets/benchmark",), command),
             PersonalSpec(cloud_provider="aws"),
         )

@@ -183,9 +183,10 @@ def test_a_run_builds_no_part_of_its_document_but_the_archive(monkeypatch, mode)
     for name in ("_functions", "_rules", "provisioning_doc"):
         method = getattr(caam.CloudAdapter, name)
         monkeypatch.setattr(caam.CloudAdapter, name,
-                            lambda self, req, name=name, method=method: built.append(name) or method(self, req))
-    groups = caam._security_groups
-    monkeypatch.setattr(caam, "_security_groups", lambda req: built.append("_security_groups") or groups(req))
+                            lambda *args, name=name, method=method: built.append(name) or method(*args))
+    groups = caam.build_security_groups
+    monkeypatch.setattr(caam, "build_security_groups",
+                        lambda *args: built.append("build_security_groups") or groups(*args))
     req = make_request(engine="horovod", nodes=2, command="train --ssh-port 2222")
     doc = generate_pipeline(req)
 
@@ -195,7 +196,7 @@ def test_a_run_builds_no_part_of_its_document_but_the_archive(monkeypatch, mode)
     assert built == []
     # Read after the run, the body is the whole document, built once.
     assert doc.body["functions"] and doc.body["security_groups"]
-    assert sorted(built) == ["_functions", "_rules", "_security_groups", "provisioning_doc"]
+    assert sorted(built) == ["_functions", "_rules", "build_security_groups", "provisioning_doc"]
     assert doc == generate_pipeline(req)
 
 
@@ -205,7 +206,7 @@ def test_an_archive_edited_before_the_body_is_read_is_parsed_again():
     archive["resources_ini"] = archive["resources_ini"].replace("instance_number = 1", "instance_number = 3")
     assert doc.compiled_request() is None
     inst = Orchestrator(SimCloud()).deploy(doc)
-    assert inst.request.resources.cloud_aws.instance_number == 3
+    assert inst.request.resources.provider_block("aws").instance_number == 3
     assert doc.body["archive"] is archive
 
 
@@ -271,7 +272,7 @@ def test_a_valid_edit_of_the_archive_is_the_request_that_runs():
     archive["resources_ini"] = archive["resources_ini"].replace("instance_number = 1", "instance_number = 3")
     assert doc.compiled_request() is None
     inst = Orchestrator(SimCloud()).deploy(doc)
-    assert inst.request.resources.cloud_aws.instance_number == 3
+    assert inst.request.resources.provider_block("aws").instance_number == 3
     texts = (archive["resources_ini"], archive["application_ini"], archive["personal_ini"])
     assert inst.request == parse_abstract_request(*texts)
 

@@ -61,7 +61,7 @@ class TestModes:
             OverrideSet(personal_text=personal_text(), resources_text=bigger),
         )
         assert result.reproduction_mode == "modified"
-        assert result.request.resources.cloud_aws.instance_number == 4
+        assert result.request.resources.provider_block("aws").instance_number == 4
         assert len([k for k in result.outcome.result_keys if "part-" in k]) == 4
 
     def test_cross_cloud(self):
@@ -73,7 +73,7 @@ class TestModes:
         )
         assert result.reproduction_mode == "cross-cloud"
         assert result.outcome.provider == "azure"
-        assert result.request.resources.cloud_azure.instance_type == "F4s_v2"
+        assert result.request.resources.provider_block("azure").instance_type == "F4s_v2"
 
     @pytest.mark.parametrize("target, kind", [(None, "modified"), ("azure", "cross-cloud")])
     def test_resources_override_without_a_provider_block_is_default_filled(self, target, kind):
@@ -89,9 +89,9 @@ class TestModes:
         resources = result.request.resources
         assert resources.bigdata_engine is Engine.NONE
         if target is None:
-            assert (resources.cloud_aws, resources.cloud_azure) == (AwsBlock(), None)
+            assert resources.clouds == (("aws", AwsBlock()),)
         else:
-            assert (resources.cloud_aws, resources.cloud_azure) == (None, AzureBlock())
+            assert resources.clouds == (("azure", AzureBlock()),)
 
     def test_target_provider_beats_personal_provider(self):
         env, outcome = seeded_env()
@@ -182,8 +182,8 @@ class TestTranslation:
     def test_translate_block_fields(self):
         resources = parse_resources(resources_text(engine="dask", nodes=3))
         translated = translate_resources(resources, "aws", "azure")
-        azure = translated.cloud_azure
-        assert translated.cloud_aws is None
+        azure = translated.provider_block("azure")
+        assert [provider for provider, _ in translated.clouds] == ["azure"]
         assert azure.instance_type == "F4s_v2"
         assert azure.instance_number == 3
         assert azure.region == "westus2"
@@ -199,7 +199,7 @@ class TestTranslation:
     def test_unmapped_region_falls_back_to_default(self):
         resources = parse_resources(resources_text(region="eu-central-1"))
         translated = translate_resources(resources, "aws", "azure")
-        assert translated.cloud_azure.region == "westus2"
+        assert translated.provider_block("azure").region == "westus2"
 
     def test_unknown_keys_of_the_source_block_go_with_it(self):
         text = resources_text(extra="\n[extra]\nnote = kept\n").replace(

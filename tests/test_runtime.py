@@ -198,7 +198,7 @@ class TestEventHandling:
     def test_unmatched_events_are_dropped(self):
         bus = EventBus()
         rule = InstalledRule("f", "i", "aws:instance:i", "Go", "exact")
-        bus.install(rule, lambda ev: True)
+        bus.install(rule, lambda: True)
         from cloudrerun.simcloud.provider import Event
 
         stray = Event("e-1", "aws:instance:other", "Go", "lifecycle", Fraction(0), {})

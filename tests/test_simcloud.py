@@ -261,8 +261,8 @@ class TestProvider:
         events = []
         env.subscribers.append(events.append)
         provider = env.provider("aws")
-        net = provider.create_network("run-1")
-        cluster_id = provider.create_cluster("c5d.large", 2, net, "run-1")
+        provider.create_network("run-1")
+        cluster_id = provider.create_cluster("c5d.large", 2, "run-1")
         assert provider.clusters == {cluster_id: 2} and events == []
         assert env.run_next_completion()
         assert provider.clusters == {cluster_id: 2}
@@ -278,7 +278,7 @@ class TestProvider:
         env.subscribers.append(events.append)
         provider = env.provider("aws")
         net = provider.create_network("run-1")
-        cluster_id = provider.create_cluster("c5d.large", 2, net, "run-1")
+        cluster_id = provider.create_cluster("c5d.large", 2, "run-1")
         provider.delete_cluster(cluster_id)
         provider.delete_cluster(cluster_id)  # already deleted: a no-op
         provider.delete_network(net)
@@ -290,21 +290,21 @@ class TestProvider:
     def test_unknown_instance_type(self):
         env = SimCloud()
         with pytest.raises(UnknownInstanceType):
-            env.provider("aws").create_cluster("m5.mega", 1, "net", "run-1")
+            env.provider("aws").create_cluster("m5.mega", 1, "run-1")
         with pytest.raises(UnknownInstanceType):
-            env.provider("azure").create_cluster("c5d.large", 1, "net", "run-1")
+            env.provider("azure").create_cluster("c5d.large", 1, "run-1")
 
     def test_quota(self):
         env = SimCloud()
         provider = env.provider("aws")
-        net = provider.create_network("r")
-        first = provider.create_cluster("c5d.large", MAX_INSTANCES - 1, net, "r")
+        provider.create_network("r")
+        first = provider.create_cluster("c5d.large", MAX_INSTANCES - 1, "r")
         with pytest.raises(QuotaExceeded, match="requested 2 instances, 1 available"):
-            provider.create_cluster("c5d.large", 2, net, "r")
+            provider.create_cluster("c5d.large", 2, "r")
         # deleting a cluster frees its instances
         provider.delete_cluster(first)
         assert provider.live_instance_count() == 0
-        second = provider.create_cluster("c5d.large", MAX_INSTANCES, net, "r")
+        second = provider.create_cluster("c5d.large", MAX_INSTANCES, "r")
         assert provider.live_instance_count() == MAX_INSTANCES
         assert provider.clusters == {second: MAX_INSTANCES}
 
@@ -350,7 +350,7 @@ class TestProvider:
         env = SimCloud()
         provider = env.provider("aws")
         net = provider.create_network("r")
-        cluster_id = provider.create_cluster("c5d.large", 1, net, "r")
+        cluster_id = provider.create_cluster("c5d.large", 1, "r")
         assert provider.inventory() == {"clusters": [cluster_id], "networks": [net]}
         provider.delete_cluster(cluster_id)
         provider.delete_network(net)
@@ -371,7 +371,7 @@ class TestProvider:
         env = SimCloud()
         provider = env.provider("aws")
         net = provider.create_network("r")
-        cluster_id = provider.create_cluster("c5d.large", 1, net, "r")
+        cluster_id = provider.create_cluster("c5d.large", 1, "r")
         env.run_next_completion()
         provider.storage_put("bucket", "k", b"payload", "r")
         provider.db_put("t", {"execution_id": "e1", "status": "Completed"}, "e1")
@@ -401,7 +401,7 @@ class TestProvider:
         env = SimCloud()
         provider = env.provider("aws")
         net = provider.create_network("run-1")
-        provider.create_cluster("c5d.large", 2, net, "run-1")
+        provider.create_cluster("c5d.large", 2, "run-1")
         cluster = ["aws-cluster-0001", 2]
         assert json.loads(json.dumps(env.to_state()["providers"]))["aws"]["clusters"] == [cluster]
 
@@ -647,7 +647,8 @@ class TestStateFile:
         count is no non-negative int, is refused and left as it is."""
         env = SimCloud()
         provider = env.provider("aws")
-        provider.create_cluster("c5d.large", 2, provider.create_network("run-1"), "run-1")
+        provider.create_network("run-1")
+        provider.create_cluster("c5d.large", 2, "run-1")
         env.run_next_completion()
         state = env.to_state()
         assert state["providers"]["aws"]["clusters"] == [["aws-cluster-0001", 2]]
