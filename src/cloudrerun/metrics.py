@@ -211,6 +211,8 @@ def pooled_t_statistic(
 
 
 def two_sided_p_value(t: float, dof: int) -> float:
+    if math.isnan(t):  # a sample no float holds: no t, so no p
+        return math.nan
     if math.isinf(t):
         return 0.0
     if t == 0.0:
@@ -242,7 +244,7 @@ class EfficiencyReport:
             "percent_reduction": _exact_and_approx(self.percent_reduction),
             "t_statistic": _json_number(self.t_statistic),
             "degrees_of_freedom": self.degrees_of_freedom,
-            "p_value": self.p_value,
+            "p_value": _json_number(self.p_value),
         }
 
     def to_json(self) -> str:
@@ -262,7 +264,7 @@ def efficiency_comparison(
     mean_srv = sum(srv, Fraction(0)) / len(srv)
     if mean_srv <= 0:
         raise NonPositiveBaseline("serverless mean duration must be positive")
-    t, dof = pooled_t_statistic([float(x) for x in sdk], [float(x) for x in srv])
+    t, dof = pooled_t_statistic([approx(x) for x in sdk], [approx(x) for x in srv])
     return EfficiencyReport(
         n_sdk=len(sdk),
         n_serverless=len(srv),

@@ -8,11 +8,14 @@ operation.  Open entries are also kept by resource id, so closing one is a
 lookup, and pricing a scope reads its bill alone.
 
 A saved bill is its closed entries and its request counts as canonical
-bytes (``encode_bill``).  A bill loaded from a state file stays those bytes
-until it is first charged, as a loaded row stays its bytes until it is
-written: a read decodes it for the answer only, and a bill never charged
-is saved back as its bytes.  Open entries are saved beside the bills, with
-the state file's index, and are opened again on load."""
+bytes (``encode_bill``).  A bill loaded from a state file stays the
+``[offset, length]`` reference into the file's ``Tail`` that the index
+holds until it is first charged, as a loaded row stays its reference until
+it is written: a read slices and decodes it for the answer only, and a
+bill never charged is saved back as its reference, naming the same bytes.
+A charged one is decoded to be kept, and the bytes it leaves in the tail
+are dead.  Open entries are saved beside the bills, with the state file's
+index, and are opened again on load."""
 
 from __future__ import annotations
 
@@ -54,6 +57,41 @@ def canonical(value) -> bytes:
 def snapshot(record) -> dict:
     """A dataclass's fields as JSON values, with each Fraction as a string."""
     return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(record).items()}
+
+
+class Tail:
+    """The tail of a loaded state file (empty for an environment that never
+    loaded one): the bytes that each stored version, row and bill it loaded
+    still names by its ``[offset, length]`` reference, sliced only when
+    read.  ``live`` counts the bytes some part still references; the others
+    are dead, left by a row written again or a bill charged again."""
+
+    def __init__(self, data: bytes | memoryview) -> None:
+        self.data = data
+        self.live = 0
+
+    def check(self, part):
+        """``part`` itself, when it is bytes or a reference into the tail,
+        whose bytes then count as live; anything else raises ValueError."""
+        if type(part) is bytes:
+            return part
+        start, length = part  # a reference that is no pair raises here
+        if type(start) is int and type(length) is int and 0 <= start <= start + length <= len(self.data):
+            self.live += length
+            return part
+        raise ValueError(f"reference {part!r} is no [offset, length] in the tail")
+
+    def read(self, part) -> bytes:
+        """The bytes of a stored part: a reference is sliced out of the tail."""
+        if type(part) is not list:
+            return part
+        start, length = part
+        return bytes(self.data[start:start + length])
+
+    def drop(self, part) -> None:
+        """Forget ``part``, which is written again: a reference's bytes are dead."""
+        if type(part) is list:
+            self.live -= part[1]
 
 
 @dataclass
@@ -124,20 +162,30 @@ class CostLedger:
     """
 
     def __init__(self) -> None:
-        self._bills: dict[str, Bill | bytes] = {}  # in first-charge order; bytes until decoded
+        self._bills: dict[str, Bill | bytes | list] = {}  # in first-charge order; stored until decoded
         self._open: dict[str, LedgerEntry] = {}  # open entries only, by resource id
+        self.tail = Tail(b"")  # what a loaded bill's reference points into
+
+    def _decode(self, scope: str, stored) -> Bill:
+        """A stored bill decoded, with its scope's open entries, which a
+        stored bill leaves out until then."""
+        bill = decode_bill(scope, self.tail.read(stored))
+        bill.entries += [e for e in self._open.values() if e.scope == scope]
+        return bill
 
     def _read(self, scope: str) -> Optional[Bill]:
-        """``scope``'s bill, None if it was never charged; a bill held as
-        bytes is decoded for the answer and stays bytes."""
+        """``scope``'s bill, None if it was never charged; a stored bill is
+        decoded for the answer and stays as it is."""
         bill = self._bills.get(scope)
-        return decode_bill(scope, bill) if type(bill) is bytes else bill
+        return bill if bill is None or type(bill) is Bill else self._decode(scope, bill)
 
     def _charge(self, scope: str) -> Bill:
         """``scope``'s bill, decoded to be kept, or started if it was never charged."""
-        bill = self._bills.get(scope)
-        if type(bill) is not Bill:
-            bill = self._bills[scope] = Bill() if bill is None else decode_bill(scope, bill)
+        stored = self._bills.get(scope)
+        if type(stored) is Bill:
+            return stored
+        bill = self._bills[scope] = Bill() if stored is None else self._decode(scope, stored)
+        self.tail.drop(stored)
         return bill
 
     @property
@@ -165,7 +213,11 @@ class CostLedger:
             open_time=as_fraction(open_time),
             scope=scope,
         )
-        self._charge(scope).entries.append(entry)
+        bill = self._bills.get(scope)
+        if bill is None:
+            bill = self._bills[scope] = Bill()
+        if type(bill) is Bill:  # a stored bill takes its open entries in when it is decoded
+            bill.entries.append(entry)
         self._open[resource_id] = entry
         return entry
 
@@ -175,6 +227,7 @@ class CostLedger:
             raise OpenLedger(f"no open entry for resource {resource_id!r}")
         if close_time < entry.open_time:
             raise OpenLedger(f"close {close_time} precedes open {entry.open_time}")
+        self._charge(entry.scope)  # so that a kept bill holds the entry it closes
         entry.close_time = as_fraction(close_time)
         del self._open[resource_id]
 
@@ -209,21 +262,22 @@ class CostLedger:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """The open entries, and each bill as ``[scope, bytes]`` in
-        first-charge order: a bill never charged is the bytes it was loaded
-        from.  Prices come from the catalog and are not captured."""
+        """The open entries, and each bill as ``[scope, part]`` in
+        first-charge order: a bill never charged is still what it was loaded
+        as, bytes or a reference into the tail; a charged one is its bytes.
+        Prices come from the catalog and are not captured."""
         return {
             "bills": [
-                [scope, bill if type(bill) is bytes else encode_bill(bill)]
+                [scope, encode_bill(bill) if type(bill) is Bill else bill]
                 for scope, bill in self._bills.items()
             ],
             "open": [snapshot(e) for e in self._open.values()],
         }
 
-    def restore_state(self, state: dict, blob) -> None:
-        """Take in a ``to_state`` snapshot, whose bills ``blob`` turns into
-        bytes, and open its open entries again."""
-        self._bills = {scope: blob(ref) for scope, ref in state["bills"]}
+    def restore_state(self, state: dict) -> None:
+        """Take in a ``to_state`` snapshot, each bill checked by the tail,
+        and open its open entries again, leaving their stored bills as they are."""
+        self._bills = {scope: self.tail.check(part) for scope, part in state["bills"]}
         for item in state["open"]:
             item = dict(item)
             if item.pop("close_time", None) is not None:

@@ -17,8 +17,9 @@ deleted cluster or network leaves it, and its cost stays in the ledger.
 
 Database tables are keyed by execution id, so a record write or a lookup by
 id touches one row.  A row written in the process is a dict; a row loaded
-from a state file stays its bytes, which ``db_query`` decodes each time it
-reads them and a save writes back as they are.
+from a state file stays its reference into the file's tail, which
+``db_query`` slices and decodes each time it reads it and a save writes
+back as it is.
 
 A state file is the line ``cloudrerun-state/3``, one index line of compact,
 key-sorted JSON ``{"state": to_state(), "tail_bytes": n}``, then the tail:
@@ -32,6 +33,15 @@ row's bytes are its compact key-sorted JSON; a bill's are
 ``ledger.encode_bill``'s.  Every reference is checked at load, but a damaged
 row or bill shows only when a command reads it.  This is the one layout
 that loads: a file of any other layout is refused.
+
+A loaded environment keeps the file's tail as one ``ledger.Tail`` and every
+stored version, row and bill as its reference into it, sliced only when
+read.  Its save writes that tail unchanged and appends the parts written
+since, in the index's key order, so a command pays for what it touches;
+the bytes of a row written again or a bill charged again stay in the tail,
+dead.  A save that would keep more dead bytes than live ones writes the
+fresh layout instead, as an environment that never loaded does: every part
+in key order, nothing dead.  Either file loads the same.
 
 Fault injection targets one (operation, call_index) pair at a time so tests
 can break exactly the n-th call of an operation and nothing else.
@@ -57,7 +67,7 @@ from ..errors import (
     UnsupportedProvider,
 )
 from .clock import VirtualClock, as_fraction
-from .ledger import CostLedger, canonical, price_catalog
+from .ledger import CostLedger, Tail, canonical, price_catalog
 
 PROVIDERS = ("aws", "azure")
 MAX_INSTANCES = 64  # live instances per provider
@@ -74,6 +84,17 @@ def _copy_json(value):
     if type(value) is list:
         return [_copy_json(item) for item in value]
     return value
+
+
+def _read_every_part(state: dict, read: Callable[[object], bytes]) -> None:
+    """Replace each stored version, row and bill of a ``to_state`` snapshot by ``read`` of it."""
+    for pstate in state["providers"].values():
+        for keys in pstate["stores"].values():
+            for versions in keys.values():
+                versions[:] = map(read, versions)
+    pairs = [pair for pstate in state["providers"].values() for rows in pstate["tables"].values() for pair in rows]
+    for pair in pairs + state["ledger"]["bills"]:
+        pair[1] = read(pair[1])
 
 
 def decode_row(provider: str, table: str, execution_id: str, raw: bytes) -> dict:
@@ -179,7 +200,8 @@ class SimProvider:
 
     A table maps each execution id to its row, in the order the ids were
     first written; a write to a known id replaces its row in place.  A
-    row is a dict, or the bytes it was loaded as.
+    row is a dict, or the part it was stored as: bytes, or a reference
+    into the environment's tail.  So is an object version.
     ``env`` is a weak proxy, so an environment is freed with its last reference."""
 
     def __init__(self, name: str, env: "SimCloud") -> None:
@@ -187,8 +209,8 @@ class SimProvider:
         self.env = weakref.proxy(env)
         self.clusters: dict[str, int] = {}  # live cluster id -> instance count
         self.networks: set[str] = set()
-        self.stores: dict[str, dict[str, list[bytes]]] = {}
-        self.tables: dict[str, dict[str, dict | bytes]] = {}
+        self.stores: dict[str, dict[str, list[bytes | list]]] = {}
+        self.tables: dict[str, dict[str, dict | bytes | list]] = {}
         self._counters: dict[str, int] = {}
         self._op_calls: dict[str, int] = {}
         self._faults: dict[tuple[str, int], Callable[[], Exception]] = {}
@@ -302,7 +324,7 @@ class SimProvider:
         if not versions:
             raise NoSuchKey(f"{self.name}:{store} has no key {key!r}")
         self.env.ledger.charge_request(scope, "storage_get")
-        return versions[-1]
+        return self.env.tail.read(versions[-1])
 
     def storage_has(self, store: str, key: str) -> bool:
         return bool(self.stores.get(store, {}).get(key))
@@ -314,12 +336,13 @@ class SimProvider:
         self._enter_op("db_put")
         rows = self.tables.setdefault(table, {})
         self.env.ledger.charge_request(scope, "db_write")
+        self.env.tail.drop(rows.get(record["execution_id"]))
         rows[record["execution_id"]] = dict(record)
 
     def db_query(self, table: str, filters: dict, scope: str) -> list[dict]:
         """Copies of the rows equal to ``filters`` on every field; a filter
-        on execution_id reads that one row.  A loaded row is decoded for
-        the read and stays bytes."""
+        on execution_id reads that one row.  A stored row is decoded for
+        the read and stays as it is."""
         self._enter_op("db_query")
         self.env.ledger.charge_request(scope, "db_read")
         rows = self.tables.get(table, {})
@@ -329,9 +352,9 @@ class SimProvider:
             candidates = () if row is None else ((filters["execution_id"], row),)
         found = []
         for execution_id, row in candidates:
-            loaded = type(row) is bytes
+            loaded = type(row) is not dict
             if loaded:
-                row = decode_row(self.name, table, execution_id, row)
+                row = decode_row(self.name, table, execution_id, self.env.tail.read(row))
             if all(row.get(k) == v for k, v in filters.items()):
                 found.append(row if loaded else _copy_json(row))
         return found
@@ -344,12 +367,14 @@ class SimProvider:
 
 
 class SimCloud:
-    """Shared environment: clock, providers, ledger, scheduler, event bus."""
+    """Shared environment: clock, providers, ledger, scheduler, event bus,
+    and the tail of the state file it was loaded from, if any."""
 
     def __init__(self, delays: Optional[DelayProfile] = None) -> None:
         self.clock = VirtualClock()
         self.delays = delays or DelayProfile()
         self.ledger = CostLedger()
+        self.tail = self.ledger.tail  # the loaded state file's, shared with the ledger
         self.providers = {name: SimProvider(name, self) for name in PROVIDERS}
         self.bus = EventBus()
         self.subscribers: list[Callable[[Event], None]] = [self.bus.enqueue]
@@ -410,8 +435,9 @@ class SimCloud:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """What commands change, with stored versions, rows and bills as bytes; the bus,
-        pending completions, delays and prices belong to the running environment only."""
+        """What commands change, with each stored version, row and bill as its part: bytes,
+        or the reference into the loaded tail it still is.  The bus, pending completions,
+        delays and prices belong to the running environment only."""
         return {
             "clock": str(self.clock.now()),
             "event_counter": self._event_counter,
@@ -422,7 +448,7 @@ class SimCloud:
                     "networks": sorted(p.networks),
                     "stores": {s: {k: list(v) for k, v in keys.items()} for s, keys in p.stores.items()},
                     "tables": {
-                        table: [[key, row if type(row) is bytes else canonical(row)] for key, row in rows.items()]
+                        table: [[key, canonical(row) if type(row) is dict else row] for key, row in rows.items()]
                         for table, rows in p.tables.items()
                     },
                 }
@@ -432,10 +458,11 @@ class SimCloud:
         }
 
     @classmethod
-    def from_state(cls, state: dict, blob: Callable[[object], bytes] = bytes) -> "SimCloud":
+    def from_state(cls, state: dict, tail: bytes | memoryview) -> "SimCloud":
         """The environment a snapshot describes, its open ledger entries opened again as on a
-        live ledger; ``blob`` turns each saved version, row and bill into bytes.  A counter
-        or instance count that is not a non-negative int raises ValueError."""
+        live ledger.  Each stored version, row and bill is bytes, or a reference into
+        ``tail``, which the environment keeps.  A counter or instance count that is not a
+        non-negative int, or a reference outside ``tail``, raises ValueError."""
 
         def count(value, field: str) -> int:
             if type(value) is not int or value < 0:
@@ -443,6 +470,8 @@ class SimCloud:
             return value
 
         env = cls()
+        env.tail = env.ledger.tail = Tail(tail)
+        check = env.tail.check
         env.clock.advance_to(as_fraction(state["clock"]))
         env._event_counter = count(state["event_counter"], "event_counter")
         for name, pstate in state["providers"].items():
@@ -451,11 +480,11 @@ class SimCloud:
             p.clusters = {c: count(n, f"providers.{name}.clusters.{c}") for c, n in pstate["clusters"]}
             p.networks = set(pstate["networks"])
             p.stores = {
-                store: {key: list(map(blob, versions)) for key, versions in keys.items()}
+                store: {key: list(map(check, versions)) for key, versions in keys.items()}
                 for store, keys in pstate["stores"].items()
             }
-            p.tables = {table: {key: blob(ref) for key, ref in rows} for table, rows in pstate["tables"].items()}
-        env.ledger.restore_state(state["ledger"], blob)
+            p.tables = {table: {key: check(part) for key, part in rows} for table, rows in pstate["tables"].items()}
+        env.ledger.restore_state(state["ledger"])
         return env
 
     def save_state(self, path) -> None:
@@ -464,19 +493,29 @@ class SimCloud:
         old file or the new one, never part of one.  The directory is fsynced last,
         since the rename is not durable before that (Pillai et al., OSDI 2014).
 
+        The tail written is the loaded one, unchanged, then every part written since,
+        unless the loaded tail holds more dead bytes than live ones: then every part is
+        written in key order, as an environment that never loaded writes them.
+
         There must be one writer per path, as the CLI's lock on the state directory
         ensures: a save first removes every temp file of ``path``, each left by a save
         that crashed before its rename."""
-        tail, size = [], 0
+        state, kept = self.to_state(), self.tail.data
+        if len(kept) > 2 * self.tail.live:
+            _read_every_part(state, self.tail.read)
+            kept = b""
+        added, size = [], len(kept)
 
         def reference(blob: bytes) -> list[int]:
             nonlocal size
-            tail.append(blob)
+            added.append(blob)
             size += len(blob)
             return [size - len(blob), len(blob)]
 
-        # Without an indent the C encoder runs, calling ``reference`` in key order.
-        state = json.dumps(self.to_state(), sort_keys=True, separators=(",", ":"), default=reference)
+        # Without an indent the C encoder runs, calling ``reference`` in key order
+        # for each part that is bytes; a reference into the kept tail is written as it is.
+        # A snapshot is a tree, so the encoder need not look for cycles.
+        index = json.dumps(state, sort_keys=True, separators=(",", ":"), default=reference, check_circular=False)
         directory, name = os.path.split(os.fspath(path))
         prefix = os.path.join(directory, f".{name}.")
         for stale in glob.glob(glob.escape(prefix) + "*.tmp"):
@@ -486,8 +525,8 @@ class SimCloud:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "wb") as fh:
-                fh.write(b'%s{"state":%s,"tail_bytes":%d}\n' % (_STATE_MAGIC, state.encode(), size))
-                fh.write(b"".join(tail))  # one write: thousands of small ones cost more than the copy
+                header = b'%s{"state":%s,"tail_bytes":%d}\n' % (_STATE_MAGIC, index.encode(), size)
+                fh.writelines([header, kept, *added])  # the kept tail is not copied
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -511,19 +550,12 @@ class SimCloud:
             if not data.startswith(_STATE_MAGIC):
                 raise ValueError(f"the first line is not {_STATE_MAGIC.strip().decode()}")
             line = len(_STATE_MAGIC)
-            base = data.index(b"\n", line) + 1  # where the tail starts; it is not copied out
+            base = data.index(b"\n", line) + 1  # where the tail starts
             index = json.loads(data[line:base - 1])
             size = len(data) - base
             if index["tail_bytes"] != size:
                 raise ValueError(f"{size} tail bytes, the index records {index['tail_bytes']!r}")
-
-            def blob(ref) -> bytes:
-                start, length = ref  # a reference that is no pair raises here
-                if type(start) is int and type(length) is int and 0 <= start <= start + length <= size:
-                    return data[base + start:base + start + length]
-                raise ValueError(f"reference {ref!r} is no [offset, length] in the tail")
-
-            return cls.from_state(index["state"], blob)
+            return cls.from_state(index["state"], memoryview(data)[base:])
         # ValueError covers another layout, bad JSON, bad literals and a tail unlike the index;
         # CloudRerunError a clock before zero.
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, CloudRerunError) as exc:

@@ -11,7 +11,9 @@ The outputs digest hashes, in order:
   each, the outcome JSON, the ``measure()`` JSON and, when it keeps
   history, its record and the ``Config.zip`` and ``Result.zip`` bytes.
 
-The state digest hashes the state golden, loaded and saved again.
+The state digest hashes the state golden, loaded and saved again; the
+appended digest, the state golden loaded, with one default run added, then
+saved, which appends that run's parts to the loaded tail.
 
 It imports only the standard library, the package and the test helpers,
 so any CPython the package admits can run it without the test
@@ -20,7 +22,7 @@ dependencies.  Run as a script, it puts the checkout's ``src`` first on
 
     python tests/byte_digest.py
 
-prints ``outputs <hex>`` and ``state <hex>``, one a line.
+prints ``outputs <hex>``, ``state <hex>`` and ``appended <hex>``, one a line.
 """
 
 from __future__ import annotations
@@ -100,8 +102,17 @@ def state_digest() -> str:
     return sha.hexdigest()
 
 
+def appended_digest() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = Path(tmp) / "simcloud.json"
+        env = SimCloud.load_state(GOLDEN / STATE_GOLDENS[0])
+        Orchestrator(env).run(generate_pipeline(make_request()))
+        env.save_state(saved)
+        return hashlib.sha256(saved.read_bytes()).hexdigest()
+
+
 def digests() -> dict[str, str]:
-    return {"outputs": outputs_digest(), "state": state_digest()}
+    return {"outputs": outputs_digest(), "state": state_digest(), "appended": appended_digest()}
 
 
 if __name__ == "__main__":

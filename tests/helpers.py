@@ -119,3 +119,19 @@ def fetch_bundles(env, url):
     provider, store, execution_id = parse_url(url)
     table = find_record_table(env, provider, execution_id)
     return HistoryStore(env, provider, store, table).fetch(url)
+
+
+def resolved_state(env: SimCloud) -> dict:
+    """``env.to_state()`` with every stored version, row and bill as its
+    bytes, so a loaded environment, whose parts are still references into
+    its tail, compares equal to a live one holding the same content."""
+    state = env.to_state()
+    read = env.tail.read
+    for pstate in state["providers"].values():
+        pstate["stores"] = {
+            store: {key: [read(version) for version in versions] for key, versions in keys.items()}
+            for store, keys in pstate["stores"].items()
+        }
+        pstate["tables"] = {table: [[key, read(row)] for key, row in rows] for table, rows in pstate["tables"].items()}
+    state["ledger"]["bills"] = [[scope, read(bill)] for scope, bill in state["ledger"]["bills"]]
+    return state

@@ -2,8 +2,8 @@
 must write the same bytes: ``byte_digest.py`` run under each other one
 found prints the digests this interpreter computes, and those digests are
 the pinned ones, so a change that alters the bytes alike everywhere fails
-too.  The outputs digest and the state digest are pinned apart: a new
-state-file layout re-pins the second only."""
+too.  The outputs digest is pinned apart from the state and appended
+digests: a new state-file layout re-pins the last two only."""
 
 import os
 import subprocess
@@ -19,6 +19,7 @@ TESTS = Path(__file__).resolve().parent
 PINNED = {
     "outputs": "e1c013ebb9c35b717d0cebfd1a24b18a00cc98f4236ec2e06e42b12c2a4b00d2",
     "state": "48707b667f2acb326cdafdffbe15a19cf6cd42d894f21fde193cd25b65349653",
+    "appended": "ea2a6d8813b01286cfe767b7e5eaa79d827a6dcb2f1b0950229c3b564e88ec0b",
 }
 
 

@@ -585,6 +585,19 @@ class TestErrorExitCodes:
                 assert captured.err.startswith("error: "), argv
                 assert captured.out == "", argv
 
+    @pytest.mark.parametrize("text", ["1e4300", "12e4299", "1e-4300"])
+    def test_a_value_of_more_digits_than_an_int_may_write_is_refused_before_any_run(self, tmp_path, capsys, text):
+        """Its exponent is within the int-digit limit, but its numerator or
+        denominator is not, so the clock could not be saved after the run."""
+        paths = write_files(tmp_path, application=application_text(command=f"analyze --serial-seconds {text}"))
+        state = tmp_path / "s"
+        assert main(run_args(paths, state)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: application.ini: [application] command: --serial-seconds: expected a rational number, got {text!r}\n")
+        assert captured.out == ""
+        assert not state.exists()
+
     def test_an_exponent_beyond_the_int_digit_limit_is_refused_before_the_lock(self, tmp_path, capsys):
         # ``Fraction`` would build the 100,001-digit numerator of 1e100000 and
         # the run would go on; each reader refuses it before the state directory.

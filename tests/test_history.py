@@ -94,9 +94,10 @@ class TestBundles:
     def test_golden_archives_are_written_again_byte_for_byte(self):
         """The bundles in the state golden, which ``zipfile`` wrote, are what
         the writer makes of their entries."""
+        env = SimCloud.load_state(GOLDEN / "simcloud_state.live.v3")
         blobs = [
-            version
-            for provider in SimCloud.load_state(GOLDEN / "simcloud_state.live.v3").providers.values()
+            env.tail.read(version)
+            for provider in env.providers.values()
             for store in provider.stores.values()
             for key, versions in store.items()
             if key.endswith(".zip")

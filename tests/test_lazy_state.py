@@ -1,33 +1,40 @@
-"""The state file's rows and bills are decoded only when a command reads them.
+"""The state file's parts are sliced and decoded only when a command reads them.
 
-A command on a state directory with 200 earlier runs must decode no earlier
-row or bill to make a run, and only its target's row and bill to fetch or
-reproduce one; every row and bill it leaves alone is saved back byte for
-byte.  Decoding a row or bill and encoding it again gives back its bytes,
-so a save writes the same file whether nothing or everything was read.  A
-damaged row or bill is reported, naming it, by the command that reads it.
+A command on a state directory with 200 earlier runs must slice no earlier
+stored version, row or bill to make a run, and only its target's to fetch
+or reproduce one; its save writes the loaded tail back byte for byte and
+appends what the command added.  Decoding a row or bill and encoding it
+again gives back its bytes, so a save writes the same file whether nothing
+or everything was read, and a save that drops the tail's dead bytes writes
+what an environment that never loaded writes.  A damaged row or bill is
+reported, naming it, by the command that reads it.
 """
 
 import json
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cloudrerun.caam import generate_pipeline
 from cloudrerun.cli import EXIT_OK, EXIT_USAGE, main
+from cloudrerun.errors import CloudRerunError
+from cloudrerun.history import HistoryStore, parse_url
+from cloudrerun.reproducer import OverrideSet, reproduce
 from cloudrerun.runtime import Orchestrator
 from cloudrerun.simcloud import ledger as ledger_module
 from cloudrerun.simcloud import provider as provider_module
-from cloudrerun.simcloud.ledger import Bill, LedgerEntry, canonical, decode_bill, encode_bill
+from cloudrerun.simcloud.ledger import Bill, LedgerEntry, Tail, canonical, decode_bill, encode_bill
 from cloudrerun.simcloud.provider import PROVIDERS, SimCloud, decode_row
 
-from helpers import application_text, make_request, personal_text, resources_text
+from helpers import application_text, make_request, personal_text, resolved_state, resources_text
 
 RUNS = 200
 TABLE = "execution-records"
+GOLDEN = Path(__file__).parent / "golden" / "simcloud_state.live.v3"
 
 
 def _saved_parts(path: Path) -> dict:
@@ -40,6 +47,45 @@ def _saved_parts(path: Path) -> dict:
             for key, (start, length) in rows:
                 parts[(name, table, key)] = tail[start:start + length]
     return parts
+
+
+def _named_references(state: dict):
+    """(name, reference) of every stored version, row and bill an index holds:
+    a version by (provider, store, key, version), a row by (provider, table,
+    id), a bill by ("bill", scope)."""
+    for name, pstate in state["providers"].items():
+        for store, keys in pstate["stores"].items():
+            for key, versions in keys.items():
+                for version, ref in enumerate(versions):
+                    yield (name, store, key, version), ref
+        for table, rows in pstate["tables"].items():
+            for key, ref in rows:
+                yield (name, table, key), ref
+    for scope, ref in state["ledger"]["bills"]:
+        yield ("bill", scope), ref
+
+
+def _names(data: bytes) -> dict:
+    """The name of each reference a state file's index holds."""
+    return {tuple(ref): name for name, ref in _named_references(json.loads(data.split(b"\n", 2)[1])["state"])}
+
+
+def _tail(data: bytes) -> bytes:
+    return data.split(b"\n", 2)[2]
+
+
+def _live_and_dead(data: bytes) -> tuple[int, int]:
+    """How many bytes of a state file's tail some reference names, and how many none does."""
+    live = end = 0
+    for start, length in sorted(_names(data)):
+        live += max(0, start + length - max(start, end))
+        end = max(end, start + length)
+    return live, len(_tail(data)) - live
+
+
+def logical_dump(env: SimCloud) -> dict:
+    """Every stored version, row and bill's bytes by name, key-sorted."""
+    return dict(sorted(_named_references(resolved_state(env))))
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +118,22 @@ def decoded(monkeypatch):
     monkeypatch.setattr(provider_module, "decode_row", row)
     monkeypatch.setattr(ledger_module, "decode_bill", bill)
     return seen
+
+
+@pytest.fixture
+def sliced(monkeypatch):
+    """The name of every stored part sliced out of a loaded tail while the
+    test runs, given the state file the tail was loaded from."""
+    seen = []
+    read = Tail.read
+
+    def spy(self, part):
+        if type(part) is list:
+            seen.append(tuple(part))
+        return read(self, part)
+
+    monkeypatch.setattr(Tail, "read", spy)
+    return lambda data: sorted(map(_names(data).__getitem__, seen))
 
 
 def _state_dir(tmp_path: Path, data: bytes) -> Path:
@@ -116,6 +178,40 @@ class TestLaziness:
         assert main(argv + ["--state-dir", str(state), "--json"]) == EXIT_OK
         capsys.readouterr()
         assert decoded == {"rows": [(provider, TABLE, target)], "bills": [target]}
+
+    def test_a_run_slices_nothing_stored_and_appends_to_the_loaded_tail(self, tmp_path, history, sliced, capsys):
+        data, _ = history
+        state = _state_dir(tmp_path, data)
+        argv = ["run", "--state-dir", str(state), "--json"]
+        for name, text in {"resources": resources_text(), "application": application_text(),
+                           "personal": personal_text()}.items():
+            argv += [f"--{name}", _input(tmp_path, f"{name}.ini", text)]
+        assert main(argv) == EXIT_OK
+        new = json.loads(capsys.readouterr().out)["instance_id"]
+        assert sliced(data) == []
+        saved = (state / "simcloud.json").read_bytes()
+        assert _tail(saved).startswith(_tail(data))
+        names = _names(saved)
+        assert {ref: names[ref] for ref in _names(data)} == _names(data)
+        added = [name for ref, name in names.items() if ref not in _names(data)]
+        assert sorted(added) == [
+            ("aws", "analytics-workspace", f"export/{new}/manifest.json", 0),
+            ("aws", "analytics-workspace", f"export/{new}/part-0000", 0),
+            ("aws", "execution-history", f"executions/{new}/Config.zip", 0),
+            ("aws", "execution-history", f"executions/{new}/Result.zip", 0),
+            ("aws", TABLE, new),
+            ("bill", new),
+        ]
+
+    def test_a_fetch_slices_only_its_target(self, tmp_path, history, sliced, capsys):
+        data, urls = history
+        state = _state_dir(tmp_path, data)
+        url = urls[RUNS // 2]
+        provider, store, target = parse_url(url)
+        assert main(["history", "--url", url, "--state-dir", str(state), "--json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)["record"]
+        archives = [(provider, store, record[key], 0) for key in ("config_key", "result_key")]
+        assert sliced(data) == sorted([(provider, TABLE, target), ("bill", target), *archives])
 
     def test_a_save_with_nothing_touched_rewrites_the_same_bytes(self, tmp_path, history, decoded):
         data, _ = history
@@ -192,13 +288,114 @@ class TestCanonicalBytes:
         assert path.read_bytes() == data
         loaded = SimCloud.load_state(path)
         for table, stored in loaded.provider("aws").tables.items():
-            for key, raw in stored.items():
-                stored[key] = decode_row("aws", table, key, raw)
+            for key, part in stored.items():
+                row = decode_row("aws", table, key, loaded.tail.read(part))
+                assert canonical(row) == canonical(provider.tables[table][key])
         assert loaded.ledger.breakdown("run") == env.ledger.breakdown("run")
         for scope in {scope for scope, _ in charges}:
             loaded.ledger.breakdown(scope)
         loaded.save_state(path)
         assert path.read_bytes() == data
+
+
+_COMMANDS = st.lists(
+    st.tuples(st.just("run"), st.sampled_from(PROVIDERS), st.booleans())
+    | st.tuples(st.just("reproduce"), st.integers(0, 99))
+    | st.tuples(st.just("rewrite"), st.sampled_from([0, 100, 20_000]))
+    | st.tuples(st.just("charge"), st.integers(0, 99))
+    | st.just(("save",)),
+    max_size=14,
+)
+
+
+def _stored(env: SimCloud) -> tuple[list, list]:
+    """(provider, table, id) of each row, longest first, and the scope of
+    each bill, in index order, that are still references into the loaded tail."""
+    state = env.to_state()
+    rows = [(part[1], (name, table, key)) for name, pstate in state["providers"].items()
+            for table, pairs in pstate["tables"].items() for key, part in pairs if type(part) is list]
+    return [row for _, row in sorted(rows, reverse=True)], [
+        scope for scope, part in state["ledger"]["bills"] if type(part) is list]
+
+
+def _rewrite_the_longest_record(env: SimCloud, note: str) -> None:
+    """Write the longest record still stored in the loaded tail again, with ``note``."""
+    (provider, table, key), *_ = _stored(env)[0]
+    (record,) = env.provider(provider).db_query(table, {"execution_id": key}, key)
+    store = HistoryStore(env, provider, parse_url(record["history_url"])[1], table)
+    store.put_record(key, {**record, "note": note})
+
+
+class TestAppendedSaves:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(commands=_COMMANDS)
+    def test_every_save_loads_as_the_environment_it_saved(self, tmp_path_factory, commands):
+        """From the state golden, loaded, any runs, reproductions, rewrites of
+        the longest loaded record (which may grow it past the rest of the
+        tail, so that its next rewrite leaves more dead bytes than live
+        ones) and charges of loaded bills, with a save and a load between
+        some of them.  Each save loads as the environment it saved, keeps no
+        more dead bytes than live ones, and either appends to the loaded tail
+        or, when that would keep more dead bytes than live ones, writes what
+        an environment that never loaded writes for the same content."""
+        directory = tmp_path_factory.mktemp("state")
+        path, fresh = directory / "simcloud.json", directory / "fresh.json"
+        shutil.copyfile(GOLDEN, path)
+        env = SimCloud.load_state(path)
+        urls = sorted(json.loads(env.tail.read(row))["history_url"]
+                      for p in env.providers.values() for rows in p.tables.values() for row in rows.values())
+        for command, *args in commands + [("save",)]:
+            if command == "run":
+                provider, history = args
+                outcome = Orchestrator(env).run(generate_pipeline(make_request(provider=provider)),
+                                                record_history=history)
+                urls += [outcome.history_url] if outcome.history_url else []
+            elif command == "reproduce":
+                url = urls[args[0] % len(urls)]
+                try:
+                    outcome = reproduce(env, url, OverrideSet(personal_text=personal_text(parse_url(url)[0]))).outcome
+                except CloudRerunError:
+                    continue
+                urls += [outcome.history_url]
+            elif command == "rewrite" and _stored(env)[0]:
+                _rewrite_the_longest_record(env, "x" * args[0])
+            elif command == "charge" and _stored(env)[1]:
+                scopes = _stored(env)[1]
+                env.ledger.charge_request(scopes[args[0] % len(scopes)], "db_read")
+            elif command == "save":
+                loaded = _tail(path.read_bytes())
+                kept = sum(part[1] for _, part in _named_references(env.to_state()) if type(part) is list)
+                before, dump = resolved_state(env), logical_dump(env)
+                env.save_state(path)
+                data = path.read_bytes()
+                env = SimCloud.load_state(path)
+                assert logical_dump(env) == dump and resolved_state(env) == before
+                live, dead = _live_and_dead(data)
+                assert dead <= live
+                if len(loaded) - kept > kept:
+                    SimCloud.from_state(before, b"").save_state(fresh)
+                    assert data == fresh.read_bytes()
+                else:
+                    assert _tail(data).startswith(loaded)
+
+    def test_a_save_that_would_keep_more_dead_bytes_than_live_ones_writes_the_fresh_layout(self, tmp_path):
+        """Two rewrites of a record grown past the rest of the tail: the first
+        appends, the second leaves the grown bytes dead and rewrites the file."""
+        path = tmp_path / "simcloud.json"
+        shutil.copyfile(GOLDEN, path)
+        size = len(_tail(GOLDEN.read_bytes()))
+        written = []
+        for note in ("x" * size, "y"):
+            env = SimCloud.load_state(path)
+            _rewrite_the_longest_record(env, note)
+            loaded = _tail(path.read_bytes())
+            env.save_state(path)
+            written.append(path.read_bytes())
+        assert _tail(written[0]).startswith(_tail(GOLDEN.read_bytes()))
+        assert not _tail(written[1]).startswith(loaded)
+        SimCloud.from_state(resolved_state(env), b"").save_state(tmp_path / "fresh.json")
+        assert written[1] == (tmp_path / "fresh.json").read_bytes()
+        assert _live_and_dead(written[1])[1] == 0
 
 
 def _damage(path: Path, pick, damage=lambda raw: b"\xff" * len(raw)) -> None:
@@ -272,7 +469,7 @@ class TestDamage:
                 decode_bill(execution_id, pair[1])
         state_dir = tmp_path / "state"
         state_dir.mkdir()
-        SimCloud.from_state(state).save_state(state_dir / "simcloud.json")
+        SimCloud.from_state(state, b"").save_state(state_dir / "simcloud.json")
         saved = (state_dir / "simcloud.json").read_bytes()
         assert main(argv + ["--state-dir", str(state_dir)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(message)

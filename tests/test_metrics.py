@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudrerun import metrics
+from cloudrerun.cli import EXIT_OK, main
 from cloudrerun.config_model import (
     AbstractRequest,
     ApplicationSpec,
@@ -155,6 +156,25 @@ class TestEfficiencyReport:
         tokens = []
         json.loads(text, parse_constant=tokens.append)
         assert tokens == []
+
+    def test_durations_no_float_can_hold_end_in_a_report_of_nulls(self, tmp_path, capsys):
+        """SDK runs polled every 1e3000 s last longer than any float: the
+        t-test reads them as inf, so t and p are no number, written as null,
+        while the means and the reduction stay exact."""
+        report = efficiency_comparison([Fraction(10) ** 400, Fraction(10) ** 400 + 1], [100, 101])
+        assert math.isnan(report.t_statistic) and math.isnan(report.p_value)
+        tokens = []
+        payload = json.loads(report.to_json(), parse_constant=tokens.append)
+        assert tokens == [] and (payload["t_statistic"], payload["p_value"]) == (None, None)
+        assert Fraction(payload["mean_sdk_s"]) == Fraction(10) ** 400 + Fraction(1, 2)
+        assert payload["percent_reduction"]["approx"] is None
+        argv = ["bench", "--suite", "efficiency", "--repeats", "2", "--poll-window", "1e3000",
+                "--state-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert "t = nan, dof = 2, p = nan" in capsys.readouterr().out
+        assert main(argv + ["--json"]) == EXIT_OK
+        efficiency = json.loads(capsys.readouterr().out, parse_constant=tokens.append)["efficiency"]
+        assert tokens == [] and (efficiency["t_statistic"], efficiency["p_value"]) == (None, None)
 
     def test_a_failed_run_stops_the_suite(self, monkeypatch):
         # A failed run's duration must not reach the t-test.

@@ -448,7 +448,7 @@ class TestOneBusPerEnvironment:
         assert len(env.bus.queue) == 1 and len(env.bus.rules) == 4
         state = env.to_state()
         assert set(state) == {"clock", "event_counter", "providers", "ledger"}
-        again = SimCloud.from_state(state)
+        again = SimCloud.from_state(state, b"")
         assert again.bus is not env.bus
         assert again.subscribers == [again.bus.enqueue]
         assert (again.bus.rules, list(again.bus.queue), again.bus.seen) == ([], [], set())

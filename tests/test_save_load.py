@@ -107,7 +107,7 @@ class SaveLoadIsInvisible(RuleBasedStateMachine):
     def golden_runs(self):
         """The URLs of the golden's runs, so reads and reproductions reach loaded records."""
         rows = [row for p in self.memory.providers.values() for t in p.tables.values() for row in t.values()]
-        return multiple(*sorted(json.loads(row)["history_url"] for row in rows))
+        return multiple(*sorted(json.loads(self.memory.tail.read(row))["history_url"] for row in rows))
 
     @rule(target=urls, engine=ENGINES, provider=st.sampled_from(PROVIDERS),
           nodes=st.integers(1, 3), mode=MODES, window=WINDOWS, history=st.booleans())

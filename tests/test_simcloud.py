@@ -41,7 +41,7 @@ from cloudrerun.simcloud.workload import (
 
 from cloudrerun.reproducer import INSTANCE_TYPE_EQUIVALENCE
 
-from helpers import make_request
+from helpers import make_request, resolved_state
 from oracles import per_second_cost
 
 # Command text: shlex's whitespace, its quotes and escape, characters it
@@ -122,12 +122,26 @@ class TestRationalText:
         with pytest.raises(ValueError, match="exponent"):
             as_fraction(f"{mantissa}e{sign}{exponent}")
 
+    # Exponents about the limit, where a numerator or denominator passes it.
+    @settings(max_examples=300, deadline=None)
+    @given(text=_small_exponent_texts | _exponent_texts | st.builds(
+        lambda mantissa, sign, exponent: f"{mantissa}e{sign}{exponent}",
+        _mantissas, st.sampled_from(["", "+", "-"]), st.integers(4200, 4300)))
+    def test_an_accepted_text_can_be_written_back(self, text):
+        try:
+            value = as_fraction(text)
+        except (ValueError, ZeroDivisionError):
+            return
+        assert Fraction(str(value)) == value
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-digit limit to set")
     def test_the_limit_is_the_interpreters(self):
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(5000)
-            assert as_fraction("1e5000") == 10**5000  # at the limit, not above it
+            assert as_fraction("1e4999") == 10**4999  # 5,000 digits: at the limit, not above it
+            with pytest.raises(ValueError, match="more than 5000 digits"):
+                as_fraction("1e5000")
             with pytest.raises(ValueError, match="exponent"):
                 as_fraction("1e5001")
             sys.set_int_max_str_digits(0)  # no limit, as for int
@@ -387,12 +401,12 @@ class TestProvider:
         assert again.ledger.request_counts == env.ledger.request_counts
         assert [e.resource_id for e in again.ledger.open_entries()] == [open_net]
         assert again.provider("aws").storage_get("bucket", "k", "r") == b"payload"
-        # a loaded row stays the bytes it was saved as
-        assert {t: {k: json.loads(row) for k, row in rows.items()}
+        # a loaded row stays the reference to the bytes it was saved as
+        assert {t: {k: json.loads(again.tail.read(row)) for k, row in rows.items()}
                 for t, rows in again.provider("aws").tables.items()} == provider.tables
         assert again.provider("aws").inventory() == {"clusters": [], "networks": [open_net]}
         assert again.provider("aws").clusters == {}
-        assert SimCloud.from_state(env.to_state()).to_state() == env.to_state()
+        assert SimCloud.from_state(env.to_state(), b"").to_state() == env.to_state()
 
     def test_saved_state_format(self):
         """The exact saved shape of a live cluster, of an open ledger entry
@@ -427,7 +441,7 @@ class TestProvider:
             }],
         }
 
-        again = SimCloud.from_state(state)
+        again = SimCloud.from_state(state, b"")
         assert again.provider("aws").clusters == provider.clusters
         assert again.ledger.entries == env.ledger.entries
 
@@ -573,7 +587,7 @@ class TestGoldenState:
         assert len(before) > 1
         store = HistoryStore(env, "aws", "execution-history", "execution-records")
         store.put_record(before[0]["execution_id"], {**before[0], "status": "Failed"})
-        after = env.to_state()["providers"]["aws"]["tables"]["execution-records"]
+        after = resolved_state(env)["providers"]["aws"]["tables"]["execution-records"]
         assert [json.loads(row) for _, row in after] == [{**before[0], "status": "Failed"}] + before[1:]
 
 
@@ -606,7 +620,7 @@ class TestStateFile:
             parts += [_compact(row) for table, rows in sorted(p.tables.items()) for row in rows.values()]
         assert tail == b"".join(parts)
         assert data == _state_file(env.to_state())
-        assert SimCloud.load_state(path).to_state() == env.to_state()
+        assert resolved_state(SimCloud.load_state(path)) == env.to_state()
 
     def test_an_older_layout_is_refused(self, tmp_path):
         """A legacy JSON document, compact or indented, and a
@@ -723,10 +737,12 @@ class TestStateFile:
         env.save_state(path)
         assert path.read_bytes() == _state_file(env.to_state())
         again = SimCloud.load_state(path)
-        assert again.provider("aws").stores == {"bucket": {"k": blobs}}
-        assert again.provider("azure").stores == {"other": {"a\nkey": [b"\n\n"], "ключ": [b""]}}
-        assert {type(v) for p in again.providers.values() for keys in p.stores.values()
-                for versions in keys.values() for v in versions} == {bytes}
+        stores = {name: state["stores"] for name, state in resolved_state(again)["providers"].items()}
+        assert stores["aws"] == {"bucket": {"k": blobs}}
+        assert stores["azure"] == {"other": {"a\nkey": [b"\n\n"], "ключ": [b""]}}
+        loaded = [v for p in again.providers.values() for keys in p.stores.values()
+                  for versions in keys.values() for v in versions]
+        assert {type(v) for v in loaded} == {list} and {type(again.tail.read(v)) for v in loaded} == {bytes}
         again.save_state(path)
         assert path.read_bytes() == _state_file(env.to_state())
 
