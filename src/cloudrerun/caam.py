@@ -1,23 +1,26 @@
 """Cloud-agnostic application model: one abstract request, per-cloud
 executable pipeline documents.
 
-The provider-specific knowledge of a document lives in two places only:
+The provider-specific knowledge of a document lives in two tables only:
 
 * a service mapping table (category -> concrete managed service per cloud),
-* an adapter per provider that assembles the pipeline document.
+* the engines each cloud cannot host.
 
 Each is a table keyed by provider, as are the rest of the program's
 provider tables: ``config_model.CLOUD_BLOCKS`` (a request's resource block),
 the price catalog and the reproducer's equivalence tables, so no code
-branches on a provider's name.  The engine parts of a document (its
-security groups) come from ``engines`` as the JSON the document holds, and
-every adapter takes them verbatim.
+branches on a provider's name.  One ``CloudAdapter`` class assembles every
+cloud's document from these rows; it is made once per cloud of
+``CLOUD_BLOCKS``, so a cloud has an adapter exactly when a request can hold
+a block for it.  The engine parts of a document (its security groups) come
+from ``engines`` as the JSON the document holds, and every adapter takes
+them verbatim.
 
 Dispatch follows the adaptee-mapping convention: look the provider up in the
-adapter table and delegate, raising for anything unregistered.  The table also
-names services for a third cloud (gcloud); carrying the names costs nothing
-and no adapter exists for it, so using it fails exactly like any other
-unregistered provider.
+adapter table and delegate, raising for anything unregistered.  The service
+table also names services for a third cloud (gcloud); carrying the names
+costs nothing and no adapter exists for it, so using it fails exactly like
+any other unregistered provider.
 
 A pipeline document is a JSON-serializable description with four cloud
 function bindings (software setup, analytics, export, terminate), one
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from .config_model import AbstractRequest, Engine, canonical_serialize
+from .config_model import CLOUD_BLOCKS, AbstractRequest, Engine, canonical_serialize
 from .engines import build_security_groups
 from .errors import (
     UnmappedService,
@@ -78,6 +81,10 @@ SERVICE_MAPPING = {
     },
 }
 
+# Engines a provider cannot host.  HDInsight offers no Docker-based engine
+# deployment, so the containerized engine path is unavailable on azure.
+UNSUPPORTED_ENGINES = {"azure": frozenset({Engine.SPARK})}
+
 # Analytics results land under this key prefix; the export function is
 # triggered by object-created events matching it.
 EXPORT_PREFIX = "export/"
@@ -109,8 +116,7 @@ class PipelineDocument:
     body read back from ``to_json``.  An adapter's document is made with no
     body: it holds the archive texts the adapter wrote, and builds the rest
     of its body on the first read of ``body``.  A run reads only
-    ``archive``, so it never builds the rest.  Equality compares provider
-    and body, so it builds both bodies."""
+    ``archive``, so it never builds the rest."""
 
     def __init__(
         self,
@@ -122,7 +128,7 @@ class PipelineDocument:
         self._body = body
         # Set by the adapter that made the document: the adapter, the archive
         # texts it wrote and the request they parse to.  Not part of the
-        # document, so ``to_json`` leaves it out and equality ignores it.
+        # document, so ``to_json`` leaves it out.
         self.compiled = compiled
         self._archive = None if compiled is None else dict(compiled[1])
 
@@ -146,11 +152,6 @@ class PipelineDocument:
             return None
         return self.compiled[2]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PipelineDocument):
-            return NotImplemented
-        return (self.provider, self.body) == (other.provider, other.body)
-
     def to_json(self) -> str:
         return indented_json(self.body) + "\n"
 
@@ -168,15 +169,15 @@ def _application_doc(req: AbstractRequest) -> dict:
 
 
 class CloudAdapter:
-    """Assembles one provider's pipeline document; subclasses name the
-    provider and the engines it cannot host."""
+    """Assembles one provider's pipeline document from that provider's rows
+    of ``SERVICE_MAPPING`` and ``UNSUPPORTED_ENGINES``."""
 
-    provider: str = ""
-    unsupported_engines: frozenset[Engine] = frozenset()
+    def __init__(self, provider: str) -> None:
+        self.provider = provider
 
     def _check_engine(self, req: AbstractRequest) -> None:
         engine = req.resources.bigdata_engine
-        if engine in self.unsupported_engines:
+        if engine in UNSUPPORTED_ENGINES.get(self.provider, frozenset()):
             raise UnsupportedEngineOnProvider(
                 f"{self.provider} cannot host the {engine.value} engine"
             )
@@ -251,18 +252,7 @@ class CloudAdapter:
         }
 
 
-class AwsAdapter(CloudAdapter):
-    provider = "aws"
-
-
-class AzureAdapter(CloudAdapter):
-    provider = "azure"
-    # HDInsight offers no Docker-based engine deployment, so the
-    # containerized engine path is unavailable on this provider.
-    unsupported_engines = frozenset({Engine.SPARK})
-
-
-_ADAPTERS: dict[str, CloudAdapter] = {a.provider: a for a in (AwsAdapter(), AzureAdapter())}
+_ADAPTERS: dict[str, CloudAdapter] = {provider: CloudAdapter(provider) for provider in CLOUD_BLOCKS}
 
 
 def get_adapter(provider: str) -> CloudAdapter:

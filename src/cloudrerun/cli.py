@@ -277,7 +277,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
     if args.url:
         provider_name, store, execution_id = parse_url(args.url)
-        table = find_record_table(env, provider_name, execution_id) or args.table
+        table = find_record_table(env, provider_name, execution_id)
         fetched = HistoryStore(env, provider_name, store, table).fetch(args.url)
         payload = {
             "url": args.url,

@@ -203,7 +203,7 @@ class FetchedExecution:
 class HistoryStore:
     """Archive and query interface over one provider's history storage."""
 
-    def __init__(self, env: SimCloud, provider_name: str, store: str, table: str) -> None:
+    def __init__(self, env: SimCloud, provider_name: str, store: str, table: Optional[str]) -> None:
         self.env = env
         self.provider_name = provider_name
         self.store = store

@@ -22,7 +22,6 @@ from typing import Mapping, Optional
 from .caam import generate_pipeline, get_adapter
 from .config_model import (
     CLOUD_BLOCKS,
-    DEFAULTS,
     AbstractRequest,
     ResourcesSpec,
     build_request,
@@ -134,10 +133,7 @@ def reproduce(
         application = _merging("merged request is invalid", parse_application, overrides.application_text)
 
     provider_name, store, execution_id = parse_url(url)
-    table = (
-        find_record_table(env, provider_name, execution_id)
-        or DEFAULTS["reproduce_database"]
-    )
+    table = find_record_table(env, provider_name, execution_id)
     history = HistoryStore(env, provider_name, store, table)
     fetched = history.fetch(url)
     if fetched.config is None:

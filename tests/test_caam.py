@@ -11,6 +11,7 @@ from cloudrerun.caam import (
     FUNCTION_NAMES,
     SERVICE_MAPPING,
     TRIGGER_TABLE,
+    UNSUPPORTED_ENGINES,
     generate_pipeline,
     get_adapter,
     lookup_service,
@@ -143,6 +144,9 @@ def test_every_table_names_the_same_clouds():
     clouds = set(PROVIDERS)
     assert set(CLOUD_BLOCKS) == clouds
     assert {get_adapter(provider).provider for provider in PROVIDERS} == clouds
+    assert set(UNSUPPORTED_ENGINES) <= clouds
+    for engines in UNSUPPORTED_ENGINES.values():
+        assert isinstance(engines, frozenset) and all(isinstance(e, Engine) for e in engines)
     assert set(price_catalog()["instance_hour"]) == clouds
     pairs = {(source, target) for source in clouds for target in clouds if source != target}
     assert set(INSTANCE_TYPE_EQUIVALENCE) == set(REGION_EQUIVALENCE) == pairs
@@ -213,7 +217,7 @@ class TestPipelineDocument:
     def test_json_round_trip(self):
         doc = generate_pipeline(request_for("azure"))
         again = PipelineDocument(doc.provider, json.loads(doc.to_json()))
-        assert again == doc
+        assert (again.provider, again.body) == (doc.provider, doc.body)
         assert again.to_json() == doc.to_json()
 
 
@@ -238,9 +242,9 @@ class TestBodyPins:
     def test_pins_cover_every_hosted_engine(self):
         hosted = {
             (provider, engine.value)
-            for provider, adapter in caam._ADAPTERS.items()
+            for provider in caam._ADAPTERS
             for engine in Engine
-            if engine not in adapter.unsupported_engines
+            if engine not in UNSUPPORTED_ENGINES.get(provider, frozenset())
         }
         assert {(provider, engine) for provider, engine, _ in self.PINS} == hosted
 

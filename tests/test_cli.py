@@ -353,6 +353,20 @@ class TestHistoryCommand:
         assert code == EXIT_NOT_FOUND
         assert "error:" in capsys.readouterr().err
 
+    def test_table_flag_does_not_change_a_url_fetch(self, tmp_path, capsys):
+        # A URL fetch reads the table that holds the id; an id no table holds
+        # is refused the same way whatever --table names.
+        state = tmp_path / "state"
+        paths = write_files(tmp_path, resources=resources_text(table="team-records"))
+        assert main(run_args(paths, state)) == EXIT_OK
+        capsys.readouterr()
+        fetch = ["history", "--url", "rpac://aws/execution-history/aws-exec-9999", "--state-dir", str(state)]
+        assert main(fetch) == EXIT_NOT_FOUND
+        without = capsys.readouterr()
+        assert main([*fetch, "--table", "team-records"]) == EXIT_NOT_FOUND
+        assert capsys.readouterr() == without
+        assert "no execution record for" in without.err
+
     def test_fetch_url_naming_another_store(self, tmp_path, capsys):
         paths = write_files(tmp_path)
         state = tmp_path / "state"

@@ -651,6 +651,68 @@ def test_package_imports_no_private_name_of_another_module():
     assert {name: imports for name, imports in found.items() if imports} == {}
 
 
+def derived_classes(sources: dict[str, str], exempt: str) -> list[str]:
+    """``module:Class`` of each class, at any depth of a module of
+    ``sources`` other than ``exempt``, whose bases name a class that a
+    module of ``sources`` defines.  A base is named by a bare or dotted name,
+    also inside a subscript; names match by name alone."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    found = []
+    for module, tree in trees.items():
+        if module == exempt:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                named = {
+                    getattr(part, "id", getattr(part, "attr", None))
+                    for base in node.bases
+                    for part in ast.walk(base)
+                }
+                if named & defined:
+                    found.append(f"{module}:{node.name}")
+    return found
+
+
+def test_derived_class_detector_flags_only_subclasses_of_package_classes():
+    sources = {
+        "errors.py": "class Base(Exception): pass\nclass Leaf(Base): pass\n",
+        "a.py": (
+            "from enum import Enum\n"
+            "class Adapter:\n"
+            "    pass\n"
+            "class Kind(str, Enum):\n"
+            "    A = 'a'\n"
+            "class Local(Adapter):\n"
+            "    pass\n"
+            "def f():\n"
+            "    class Nested(Kind): pass\n"
+        ),
+        "b.py": (
+            "import a, errors\n"
+            "from typing import Generic\n"
+            "class Dotted(a.Adapter): pass\n"
+            "class Failure(errors.Base): pass\n"
+            "class Boxed(Generic[a.Kind]): pass\n"
+            "class Plain(object): pass\n"
+        ),
+    }
+    assert derived_classes(sources, "errors.py") == [
+        "a.py:Local", "a.py:Nested", "b.py:Dotted", "b.py:Failure", "b.py:Boxed"
+    ]
+
+
+def test_no_class_derives_from_a_package_class():
+    # A cloud's facts are rows of the provider tables, not subclasses that
+    # override class attributes; ``errors.py`` alone builds a hierarchy, so
+    # that ``except`` can catch a family of failures.
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert derived_classes(sources, "errors.py") == []
+
+
 # Each constructed type and the one module that builds it.
 CONSTRUCTED_BY = {
     **dict.fromkeys(("AbstractRequest", "ResourcesSpec", "ApplicationSpec", "PersonalSpec"), "config_model.py"),

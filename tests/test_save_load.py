@@ -146,7 +146,7 @@ class SaveLoadIsInvisible(RuleBasedStateMachine):
     def history_url(self, url):
         def command(env):
             provider, store, execution_id = parse_url(url)
-            table = find_record_table(env, provider, execution_id) or DEFAULTS["reproduce_database"]
+            table = find_record_table(env, provider, execution_id)
             fetched = HistoryStore(env, provider, store, table).fetch(url)
             return {
                 "url": url,
