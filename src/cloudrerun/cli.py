@@ -51,7 +51,7 @@ from .errors import (
 from .history import HistoryStore, find_record_table, indented_json, parse_url
 from .metrics import approx, measure, run_efficiency_suite, run_scaling_suite
 from .reproducer import OverrideSet, reproduce
-from .runtime import ExecutionState, Orchestrator, poll_window_for
+from .runtime import SDK_POLL_WINDOW, ExecutionState, Orchestrator, poll_window_for
 from .simcloud.provider import PROVIDERS, SimCloud
 
 EXIT_OK = 0
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--poll-window",
-            default="10",
+            default=SDK_POLL_WINDOW,
             help="sdk polling window in seconds (rational, e.g. 10 or 5/2)",
         )
         p.add_argument(
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--levels", default="1,2,4,8", help="comma-separated levels")
     p_bench.add_argument("--repeats", type=int, default=10)
-    p_bench.add_argument("--poll-window", default="10")
+    p_bench.add_argument("--poll-window", default=SDK_POLL_WINDOW)
     p_bench.add_argument("--out-dir", default=None)
     add_common(p_bench)
 

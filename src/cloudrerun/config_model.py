@@ -73,25 +73,6 @@ class Engine(str, Enum):
 # Horovod's in-cluster SSH daemon port when the command sets no --ssh-port.
 DEFAULT_SSH_DAEMON_PORT = 12345
 
-# Default values used to complete partially specified requests.  These are
-# configuration choices, not measured facts.
-DEFAULTS = {
-    "bigdata_engine": "none",
-    "instance_number": 1,
-    "aws_region": "us-west-2",
-    "azure_region": "westus2",
-    "aws_instance_type": "c5d.4xlarge",
-    "azure_instance_type": "F16s_v2",
-    "subnet_id": "subnet-default",
-    "vpc_id": "vpc-default",
-    "resource_group_name": "analytics-rg",
-    "reproduce_storage": "execution-history",
-    "reproduce_database": "execution-records",
-    "key_path": "~/.ssh/analytics.pem",
-    "key_name": "analytics-key",
-    "python_runtime": "3.8",
-}
-
 # Key-name fragments that mark a value as secret material.
 SECRET_KEY_MARKERS = (
     "credential",
@@ -116,29 +97,30 @@ def _looks_secret(key: str) -> bool:
 CREDENTIAL_ENV_PREFIX = "CLOUDRERUN_CREDENTIAL_"
 
 
-# The block dataclasses are the one definition of their INI sections: the
-# field names are the section's keys and the field defaults fill what a
-# request leaves out.  Parsing, serializing, porting and the adapters'
-# provisioning documents all read the fields from here.  ``CLOUD_BLOCKS``
-# is the one table of the clouds a request may hold a block for: it names
-# each ``[cloud.<provider>]`` section and its block, in canonical section
-# order, so no code branches on a provider's name.
+# The block dataclasses, like ``PersonalSpec``, are the one definition of
+# their INI sections: the field names are the section's keys and the field
+# defaults (configuration choices, not measured facts) fill what a request
+# leaves out.  Parsing, serializing, porting and the adapters' provisioning
+# documents all read the fields from here.  ``CLOUD_BLOCKS`` is the one
+# table of the clouds a request may hold a block for: it names each
+# ``[cloud.<provider>]`` section and its block, in canonical section order,
+# so no code branches on a provider's name.
 
 @dataclass(frozen=True)
 class AwsBlock:
-    region: str = DEFAULTS["aws_region"]
-    instance_number: int = DEFAULTS["instance_number"]
-    subnet_id: str = DEFAULTS["subnet_id"]
-    instance_type: str = DEFAULTS["aws_instance_type"]
-    vpc_id: str = DEFAULTS["vpc_id"]
+    region: str = "us-west-2"
+    instance_number: int = 1
+    subnet_id: str = "subnet-default"
+    instance_type: str = "c5d.4xlarge"
+    vpc_id: str = "vpc-default"
 
 
 @dataclass(frozen=True)
 class AzureBlock:
-    region: str = DEFAULTS["azure_region"]
-    instance_number: int = DEFAULTS["instance_number"]
-    resource_group_name: str = DEFAULTS["resource_group_name"]
-    instance_type: str = DEFAULTS["azure_instance_type"]
+    region: str = "westus2"
+    instance_number: int = 1
+    resource_group_name: str = "analytics-rg"
+    instance_type: str = "F16s_v2"
 
 
 CLOUD_BLOCKS = {"aws": AwsBlock, "azure": AzureBlock}
@@ -146,8 +128,12 @@ CLOUD_BLOCKS = {"aws": AwsBlock, "azure": AzureBlock}
 
 @dataclass(frozen=True)
 class ReproduceBlock:
-    reproduce_storage: str = DEFAULTS["reproduce_storage"]
-    reproduce_database: str = DEFAULTS["reproduce_database"]
+    reproduce_storage: str = "execution-history"
+    reproduce_database: str = "execution-records"
+
+
+# ``ReproduceBlock``'s defaults by key, which ``history --store/--table`` share.
+DEFAULTS = {f.name: f.default for f in fields(ReproduceBlock)}
 
 
 @dataclass(frozen=True)
@@ -196,9 +182,9 @@ class ApplicationSpec:
 @dataclass(frozen=True)
 class PersonalSpec:
     cloud_provider: str
-    key_path: str = DEFAULTS["key_path"]
-    key_name: str = DEFAULTS["key_name"]
-    python_runtime: str = DEFAULTS["python_runtime"]
+    key_path: str = "~/.ssh/analytics.pem"
+    key_name: str = "analytics-key"
+    python_runtime: str = "3.8"
     cloud_credentials: tuple[tuple[str, str], ...] = ()
     extras: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
 
@@ -372,7 +358,7 @@ def parse_resources(text: str) -> ResourcesSpec:
     _reject_secrets(extras, "resources.ini")
 
     res = sections.get("resources", {})
-    engine_raw = res.get("bigdata_engine", DEFAULTS["bigdata_engine"])
+    engine_raw = res.get("bigdata_engine", Engine.NONE.value)
     try:
         engine = Engine(engine_raw)
     except ValueError as exc:

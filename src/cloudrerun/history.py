@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import lzma
 import struct
 import zipfile
 import zlib
@@ -68,6 +69,8 @@ _ZIP_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
 _ZIP_END_RECORD = struct.Struct("<4s4H2LH")
 _ZIP_DATE = 1 << 5 | 1  # MS-DOS date of 1980-01-01; the time field is 0
 _ZIP_MODE = 0o600 << 16  # Unix permissions in the external attributes
+# What zipfile and the decompressor an entry's method picks raise on damaged bytes.
+_ZIP_DAMAGE = (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, zlib.error, lzma.LZMAError)
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # json.dumps's spellings
 
 
@@ -164,9 +167,18 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not written as JSON")
 
 
-def read_zip(data: bytes) -> dict[str, bytes]:
-    with zipfile.ZipFile(io.BytesIO(data)) as zf:
-        return {name: zf.read(name) for name in zf.namelist()}
+def read_zip(data: bytes, name: str = "zip") -> dict[str, bytes]:
+    """The entries of a bundle that ``deterministic_zip`` wrote; other bytes raise
+    ValueError naming ``name``.  ``zipfile`` reads some changed bytes without error
+    (a changed comment length hides later entries), so the entries must zip back to them."""
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            entries = {entry: zf.read(entry) for entry in zf.namelist()}
+        if deterministic_zip(entries) != data:
+            raise zipfile.BadZipFile("its bytes are not the zip of its entries")
+    except _ZIP_DAMAGE as exc:
+        raise ValueError(f"{name} is damaged: {type(exc).__name__}: {exc}") from exc
+    return entries
 
 
 def dataset_content(uri: str) -> bytes:
@@ -295,13 +307,11 @@ class HistoryStore:
         record = self.get_record(execution_id)
         if record.get("history_url") != url:
             raise NotFound(f"no execution record for {url!r}")
-        config = result = None
-        config_key = record.get("config_key")
-        if config_key and self._provider.storage_has(store, config_key):
-            config = read_zip(self._provider.storage_get(store, config_key, execution_id))
-        result_key = record.get("result_key")
-        if result_key and self._provider.storage_has(store, result_key):
-            result = read_zip(self._provider.storage_get(store, result_key, execution_id))
+        config, result = (
+            read_zip(self._provider.storage_get(store, key, execution_id), f"{url}: archive {key!r}")
+            if key and self._provider.storage_has(store, key) else None
+            for key in (record.get("config_key"), record.get("result_key"))
+        )
         return FetchedExecution(record=record, config=config, result=result)
 
     def query(self, filters: dict) -> list[dict]:

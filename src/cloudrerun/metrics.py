@@ -29,7 +29,7 @@ from .caam import PipelineDocument, generate_pipeline
 from .config_model import AbstractRequest, parse_abstract_request
 from .errors import InsufficientSamples, NonPositiveBaseline
 from .history import indented_json
-from .runtime import ExecutionState, Orchestrator, PipelineInstance
+from .runtime import SDK_POLL_WINDOW, ExecutionState, Orchestrator, PipelineInstance
 from .simcloud.clock import as_fraction
 from .simcloud.ledger import SECONDS_PER_HOUR, CostLedger
 from .simcloud.provider import SimCloud
@@ -350,18 +350,16 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _run_once(
-    doc: PipelineDocument, mode: str = "serverless", poll_window: Optional[Rational] = None
-) -> tuple[PipelineInstance, SimCloud]:
-    """One completed run in a fresh environment."""
+def _run_once(doc: PipelineDocument, *mode_and_window) -> tuple[PipelineInstance, SimCloud]:
+    """One completed run of ``Orchestrator.run(doc, *mode_and_window)`` in a fresh environment."""
     env = SimCloud()
-    outcome = Orchestrator(env).run(doc, mode, poll_window)
+    outcome = Orchestrator(env).run(doc, *mode_and_window)
     if outcome.state is not ExecutionState.COMPLETED:
         raise NonPositiveBaseline(f"suite run failed: {outcome.failure}")
     return outcome, env
 
 
-def run_scaling_suite(kind: str, levels: Sequence[int] = (1, 2, 4, 8)) -> SuiteReport:
+def run_scaling_suite(kind: str, levels: Sequence[int]) -> SuiteReport:
     """m4 (scale-up) or m5 (scale-out) over the given levels.
 
     Scale-up holds one node and grows per-node parallelism; scale-out grows
@@ -390,9 +388,7 @@ def run_scaling_suite(kind: str, levels: Sequence[int] = (1, 2, 4, 8)) -> SuiteR
     return SuiteReport(kind=kind, rows=tuple(rows))
 
 
-def run_efficiency_suite(
-    repeats: int = 10, poll_window: Rational = 10
-) -> EfficiencyReport:
+def run_efficiency_suite(repeats: int, poll_window: Rational = SDK_POLL_WINDOW) -> EfficiencyReport:
     """m7 with ``repeats`` paired runs per mode.
 
     The workload profile varies deterministically with the repeat index so

@@ -31,7 +31,7 @@ from .config_model import (
 )
 from .errors import ConfigError, InvalidMerge, NotFound
 from .history import HistoryStore, find_record_table, parse_url
-from .runtime import Orchestrator, PipelineInstance, poll_window_for
+from .runtime import SDK_POLL_WINDOW, Orchestrator, PipelineInstance, poll_window_for
 from .simcloud.provider import SimCloud
 
 # Size-for-size instance translation between the supported clouds.
@@ -112,7 +112,7 @@ def reproduce(
     url: str,
     overrides: OverrideSet,
     mode: str = "serverless",
-    poll_window: Fraction = Fraction(10),
+    poll_window: Fraction = SDK_POLL_WINDOW,
     record_history: bool = True,
     environ: Optional[Mapping[str, str]] = None,
 ) -> ReproductionResult:

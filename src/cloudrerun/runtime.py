@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .caam import EXPORT_PREFIX, TRIGGER_TABLE, PipelineDocument
@@ -48,6 +49,8 @@ from .simcloud.provider import EventBus, InstalledRule, SimCloud
 from .simcloud.workload import workload_duration, workload_result
 
 WORKSPACE_STORE = "analytics-workspace"
+# The sdk poll window, in seconds, of a run that names none.
+SDK_POLL_WINDOW = Fraction(10)
 
 
 class ExecutionState(str, Enum):
@@ -246,14 +249,15 @@ class Orchestrator:
         return instance
 
     def _install_rules(self, instance: PipelineInstance) -> None:
-        """Bind each row of the trigger table to ``instance``."""
+        """Bind each row of the trigger table, and its function's step, to ``instance``."""
         storage_source = f"{instance.provider}:objectstore:{WORKSPACE_STORE}"
         for function, kind, event, match in TRIGGER_TABLE:
             source = instance.source
             if kind == "storage":
                 source, event = storage_source, f"{event}{instance.instance_id}/"
             rule = InstalledRule(function, instance.instance_id, source, event, match)
-            self.bus.install(rule, lambda f=function: self._step(instance, f))
+            state, work = _STEPS[function]
+            self.bus.install(rule, partial(self._guarded, instance, state, partial(work, self, instance)))
 
     # -- state machine -----------------------------------------------------
 
@@ -261,11 +265,6 @@ class Orchestrator:
         now = self.env.clock.now()
         inst.transitions.append((now, inst.state.value, to.value))
         inst.state = to
-
-    def _step(self, inst: PipelineInstance, function: str) -> bool:
-        """Run the step of ``function`` if the run is in the state it runs in."""
-        state, work = _STEPS[function]
-        return self._guarded(inst, state, lambda: work(self, inst))
 
     def _guarded(self, inst: PipelineInstance, state: ExecutionState, work: Callable[[], None]) -> bool:
         """The one state guard: run ``work`` only in ``state``, and fail the
@@ -445,7 +444,7 @@ class Orchestrator:
         return self.run(doc, "serverless", None, record_history)
 
     def run_sdk(
-        self, doc: PipelineDocument, poll_window: Fraction = Fraction(10), record_history: bool = True
+        self, doc: PipelineDocument, poll_window: Fraction = SDK_POLL_WINDOW, record_history: bool = True
     ) -> PipelineInstance:
         return self.run(doc, "sdk", poll_window, record_history)
 

@@ -166,6 +166,10 @@ class CostLedger:
         self._open: dict[str, LedgerEntry] = {}  # open entries only, by resource id
         self.tail = Tail(b"")  # what a loaded bill's reference points into
 
+    def __contains__(self, scope: str) -> bool:
+        """Whether ``scope`` holds a bill; no stored bill is decoded."""
+        return scope in self._bills
+
     def _decode(self, scope: str, stored) -> Bill:
         """A stored bill decoded, with its scope's open entries, which a
         stored bill leaves out until then."""

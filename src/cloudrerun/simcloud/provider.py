@@ -218,9 +218,14 @@ class SimProvider:
     # -- infrastructure ----------------------------------------------------
 
     def next_id(self, kind: str) -> str:
+        """The next id of ``kind``; one that a table row or a bill already holds
+        raises ValueError, so a counter behind its ids overwrites no run."""
         n = self._counters.get(kind, 0) + 1
+        new_id = f"{self.name}-{kind}-{n:04d}"
+        if new_id in self.env.ledger or any(new_id in rows for rows in self.tables.values()):
+            raise ValueError(f"{self.name} counter {kind!r} is at {n - 1}, but {new_id!r} is already taken")
         self._counters[kind] = n
-        return f"{self.name}-{kind}-{n:04d}"
+        return new_id
 
     def inject_fault(
         self, operation: str, call_index: int, make_exc: Callable[[], Exception]

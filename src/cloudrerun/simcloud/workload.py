@@ -5,6 +5,9 @@ A workload is described entirely by flags on the application command::
     analyze --serial-seconds 10 --parallel-seconds 100 --comm-seconds 2 \
             --parallelism 4 --seed 7 --exit-code 0
 
+A flag the command leaves out takes the default of its ``WorkloadProfile``
+field.
+
 Duration on n nodes with per-node parallelism p:
 
     serial + parallel / (n * p) + comm * (n - 1)
@@ -32,12 +35,6 @@ from typing import Iterable, Sequence, Union
 from ..errors import MalformedValue
 from .clock import as_fraction
 
-_FLAG_DEFAULTS = {
-    "serial-seconds": Fraction(10),
-    "parallel-seconds": Fraction(100),
-    "comm-seconds": Fraction(2),
-}
-
 RESULT_BLOCKS = 4  # sha256 blocks per result payload (128 bytes)
 
 # The body of a double-quoted string: each character, or a backslash and the
@@ -53,12 +50,12 @@ _DOUBLE_QUOTED_ESCAPE = re.compile(r'\\(["\\])')
 
 @dataclass(frozen=True)
 class WorkloadProfile:
-    serial_s: Fraction
-    parallel_s: Fraction
-    comm_s: Fraction
-    parallelism: int
-    seed: int
-    exit_code: int
+    serial_s: Fraction = Fraction(10)
+    parallel_s: Fraction = Fraction(100)
+    comm_s: Fraction = Fraction(2)
+    parallelism: int = 1
+    seed: int = 0
+    exit_code: int = 0
 
 
 def _fraction_flag(value: str, flag: str) -> Fraction:
@@ -77,6 +74,18 @@ def _int_flag(value: str, flag: str) -> int:
         return int(value)
     except ValueError as exc:
         raise MalformedValue(f"--{flag}: expected an integer, got {value!r}") from exc
+
+
+# Each workload flag: the profile field it sets and the reader of its value,
+# in the order a command's flags are read, so the first bad one is reported.
+_FLAGS = {
+    "serial-seconds": ("serial_s", _fraction_flag),
+    "parallel-seconds": ("parallel_s", _fraction_flag),
+    "comm-seconds": ("comm_s", _fraction_flag),
+    "parallelism": ("parallelism", _int_flag),
+    "seed": ("seed", _int_flag),
+    "exit-code": ("exit_code", _int_flag),
+}
 
 
 def _unquoted(match: re.Match) -> str:
@@ -127,22 +136,12 @@ def parse_workload(command: Union[str, Iterable[tuple[str, str]]]) -> WorkloadPr
     pairs as parsing already tokenized them (``ApplicationSpec.flags``);
     unknown flags are someone else's business and are ignored."""
     values = parse_flags(command) if isinstance(command, str) else dict(command)
-    serial, parallel, comm = (_fraction_flag(values[f], f) if f in values else d for f, d in _FLAG_DEFAULTS.items())
-    parallelism = _int_flag(values.get("parallelism", "1"), "parallelism")
-    seed = _int_flag(values.get("seed", "0"), "seed")
-    exit_code = _int_flag(values.get("exit-code", "0"), "exit-code")
-
-    if parallelism < 1:
-        raise MalformedValue(f"--parallelism must be >= 1, got {parallelism}")
-
-    return WorkloadProfile(
-        serial_s=serial,
-        parallel_s=parallel,
-        comm_s=comm,
-        parallelism=parallelism,
-        seed=seed,
-        exit_code=exit_code,
-    )
+    profile = WorkloadProfile(**{
+        field: read(values[flag], flag) for flag, (field, read) in _FLAGS.items() if flag in values
+    })
+    if profile.parallelism < 1:
+        raise MalformedValue(f"--parallelism must be >= 1, got {profile.parallelism}")
+    return profile
 
 
 def workload_duration(profile: WorkloadProfile, nodes: int) -> Fraction:

@@ -8,7 +8,7 @@ from typing import Optional
 from cloudrerun.caam import generate_pipeline
 from cloudrerun.config_model import parse_abstract_request
 from cloudrerun.history import HistoryStore, find_record_table, parse_url
-from cloudrerun.runtime import Orchestrator
+from cloudrerun.runtime import SDK_POLL_WINDOW, Orchestrator
 from cloudrerun.simcloud.provider import SimCloud
 
 DEFAULT_IMAGE = "registry.example/analytics:1.0"
@@ -108,7 +108,7 @@ def run_serverless(req, record_history: bool = True):
     return outcome, env
 
 
-def run_sdk(req, poll_window=Fraction(10), record_history: bool = True):
+def run_sdk(req, poll_window=SDK_POLL_WINDOW, record_history: bool = True):
     env = SimCloud()
     outcome = Orchestrator(env).run(generate_pipeline(req), "sdk", Fraction(poll_window), record_history)
     return outcome, env

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import cloudrerun
+from cloudrerun import cli
 from cloudrerun.cli import (
     EXIT_EXECUTION_FAILED,
     EXIT_NOT_FOUND,
@@ -750,6 +751,69 @@ class TestErrorExitCodes:
         for content in (data, with_reference([0, len(tail)]), with_reference([len(tail), 0])):
             state_file.write_bytes(content)
             assert main(["history", "--state-dir", str(state)]) == EXIT_OK
+
+    def test_a_damaged_archive_is_refused_and_the_state_file_kept(self, tmp_path, capsys):
+        """A changed byte in a stored Config.zip, in the end record's
+        signature or in its central directory offset, makes ``history --url``
+        and ``reproduce`` exit 2 with one error line naming the URL and key."""
+        paths = write_files(tmp_path)
+        state = tmp_path / "s"
+        assert main(run_args(paths, state)) == EXIT_OK
+        url = history_url_from(capsys.readouterr().out)
+        state_file = state / "simcloud.json"
+        data = state_file.read_bytes()
+        env = SimCloud.load_state(state_file)
+        key = fetch_bundles(env, url).record["config_key"]
+        blob = env.tail.read(env.provider("aws").stores["execution-history"][key][-1])
+        start = data.index(blob)
+        for offset in (len(blob) - 22, len(blob) - 6):
+            damaged = bytearray(data)
+            damaged[start + offset] ^= 0xFF
+            state_file.write_bytes(damaged)
+            for argv in (["history", "--url", url], ["reproduce", url, "--personal", str(paths["personal"])]):
+                assert main([*argv, "--state-dir", str(state)]) == EXIT_USAGE
+                captured = capsys.readouterr()
+                assert captured.err.startswith(f"error: {url}: archive {key!r} is damaged: "), captured.err
+                assert captured.err.count("\n") == 1 and captured.out == ""
+                assert state_file.read_bytes() == damaged
+
+    @pytest.mark.parametrize("extra", [(), ("--no-history",)], ids=["row", "bill"])
+    def test_a_lowered_id_counter_overwrites_no_run(self, tmp_path, capsys, extra):
+        """An execution id that a table row, or only a bill, already holds
+        is refused: the run exits 2 and the state file is kept."""
+        paths = write_files(tmp_path)
+        state = tmp_path / "s"
+        for _ in range(2):
+            assert main(run_args(paths, state, *extra)) == EXIT_OK
+        history = ["history", "--state-dir", str(state)]
+        capsys.readouterr()
+        assert main(history) == EXIT_OK
+        listing = capsys.readouterr().out
+        state_file = state / "simcloud.json"
+        magic, line, tail = state_file.read_bytes().split(b"\n", 2)
+        index = json.loads(line)
+        assert index["state"]["providers"]["aws"]["counters"]["exec"] == 2
+        index["state"]["providers"]["aws"]["counters"]["exec"] = 1
+        lowered = magic + b"\n" + json.dumps(index, separators=(",", ":")).encode() + b"\n" + tail
+        state_file.write_bytes(lowered)
+        assert main(run_args(paths, state, *extra)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: aws counter 'exec' is at 1, but 'aws-exec-0002' is already taken\n"
+        assert captured.out == ""
+        assert state_file.read_bytes() == lowered
+        assert main(history) == EXIT_OK
+        assert capsys.readouterr().out == listing
+
+    def test_an_error_no_exit_code_maps_escapes(self, tmp_path, monkeypatch, capsys):
+        """An error of a kind that no exit code names is not reported as one."""
+
+        def broken(args):
+            raise LookupError(f"broken {args.command}")
+
+        monkeypatch.setitem(cli._COMMANDS, "history", broken)
+        with pytest.raises(LookupError, match="broken history"):
+            main(["history", "--state-dir", str(tmp_path / "s")])
+        assert capsys.readouterr().err == ""
 
     def test_nonpositive_poll_window(self, tmp_path, capsys):
         paths = write_files(tmp_path)

@@ -11,11 +11,11 @@ from cloudrerun import config_model
 from cloudrerun.caam import get_adapter
 from cloudrerun.config_model import (
     CREDENTIAL_ENV_PREFIX,
-    DEFAULTS,
     REDACTED,
     AwsBlock,
     AzureBlock,
     Engine,
+    PersonalSpec,
     ReproduceBlock,
     canonical_serialize,
     fill_defaults,
@@ -51,10 +51,10 @@ class TestParsing:
         assert req.resources.bigdata_engine is Engine.NONE
         aws = req.resources.provider_block("aws")
         assert aws.instance_number == 1
-        assert aws.region == DEFAULTS["aws_region"]
-        assert aws.instance_type == DEFAULTS["aws_instance_type"]
-        assert req.resources.reproduce.reproduce_storage == DEFAULTS["reproduce_storage"]
-        assert req.personal.python_runtime == DEFAULTS["python_runtime"]
+        assert aws.region == AwsBlock.region == "us-west-2"
+        assert aws.instance_type == AwsBlock.instance_type == "c5d.4xlarge"
+        assert req.resources.reproduce.reproduce_storage == ReproduceBlock.reproduce_storage == "execution-history"
+        assert req.personal.python_runtime == PersonalSpec.python_runtime == "3.8"
 
     def test_missing_provider_block_is_created_from_personal(self):
         req = parse_triple(
@@ -64,7 +64,7 @@ class TestParsing:
         )
         ((provider, azure),) = req.resources.clouds
         assert provider == "azure"
-        assert azure.instance_type == DEFAULTS["azure_instance_type"]
+        assert azure.instance_type == AzureBlock.instance_type == "F16s_v2"
 
     def test_engine_enumeration_is_closed(self):
         for engine in ("none", "spark", "horovod", "dask"):

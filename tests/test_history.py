@@ -159,6 +159,27 @@ class TestArchive:
         ]
         assert sorted(fetched.result) == ["manifest.json", "part-0000", "part-0001"]
 
+    def test_a_changed_archive_byte_is_refused(self):
+        """Each byte of a stored Config.zip and Result.zip changed in turn
+        (XOR 0xFF): every fetch raises one ValueError naming the URL and the
+        key, even where ``zipfile`` alone would read the bytes."""
+        outcome, env = run_serverless(make_request(nodes=2))
+        url = outcome.history_url
+        store = HistoryStore(env, "aws", "execution-history", "execution-records")
+        intact = store.fetch(url)
+        versions = env.provider("aws").stores["execution-history"]
+        for key in (intact.record["config_key"], intact.record["result_key"]):
+            blob = versions[key][-1]
+            for index in range(len(blob)):
+                damaged = bytearray(blob)
+                damaged[index] ^= 0xFF
+                versions[key][-1] = bytes(damaged)
+                with pytest.raises(ValueError) as info:
+                    store.fetch(url)
+                assert str(info.value).startswith(f"{url}: archive {key!r} is damaged: "), (key, index)
+            versions[key][-1] = blob
+        assert store.fetch(url) == intact
+
     def test_fetch_unknown_execution(self):
         env = SimCloud()
         store = HistoryStore(env, "aws", "execution-history", "execution-records")

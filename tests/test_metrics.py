@@ -66,6 +66,12 @@ class TestCoreMetrics:
         with pytest.raises(OpenLedger):
             ledger.compute_cost(scope="run-1")
 
+    def test_a_serverless_mean_that_is_not_positive_is_rejected(self):
+        with pytest.raises(NonPositiveBaseline, match="serverless mean duration must be positive"):
+            efficiency_comparison([10, 12], [0, 0])
+        with pytest.raises(NonPositiveBaseline):
+            efficiency_comparison([10, 12], [3, -5])
+
     def test_cost_by_usage(self):
         assert cost_by_usage(8, 0.25) == 2
         assert cost_by_usage(8, Fraction(1, 3)) == Fraction(8, 3)

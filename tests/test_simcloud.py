@@ -19,6 +19,7 @@ from cloudrerun.caam import generate_pipeline
 from cloudrerun.cli import EXIT_USAGE, main
 from cloudrerun.errors import (
     ClockModeViolation,
+    MalformedValue,
     NoSuchKey,
     OpenLedger,
     QuotaExceeded,
@@ -188,6 +189,12 @@ class TestLedger:
         with pytest.raises(OpenLedger):
             ledger.close_entry("i-1", Fraction(10))
 
+    def test_closing_an_entry_never_opened_is_rejected(self):
+        ledger = CostLedger()
+        with pytest.raises(OpenLedger, match="no open entry for resource 'i-1'"):
+            ledger.close_entry("i-1", Fraction(10))
+        assert ledger.entries == []
+
     def test_randomized_ledgers_match_per_second_oracle(self):
         rng = random.Random(20260823)
         for _ in range(50):
@@ -222,6 +229,23 @@ class TestWorkload:
             seed=0,
             exit_code=0,
         )
+
+    def test_a_node_count_below_one_is_rejected(self):
+        with pytest.raises(MalformedValue, match="node count must be >= 1, got 0"):
+            workload_duration(parse_workload("analyze"), 0)
+
+    def test_the_first_bad_flag_in_reading_order_is_reported(self):
+        """Flags are read in one fixed order, whatever their order in the
+        command, and the parallelism check follows every read."""
+        order = ("serial-seconds", "parallel-seconds", "comm-seconds", "parallelism", "seed", "exit-code")
+        for index, flag in enumerate(order):
+            command = "analyze " + " ".join(f"--{bad} x" for bad in reversed(order[index:]))
+            with pytest.raises(MalformedValue, match=f"^--{flag}: expected an? "):
+                parse_workload(command)
+        with pytest.raises(MalformedValue, match="^--exit-code: expected an integer"):
+            parse_workload("analyze --parallelism 0 --exit-code x")
+        with pytest.raises(MalformedValue, match="^--parallelism must be >= 1, got 0$"):
+            parse_workload("analyze --parallelism 0 --exit-code 2")
 
     def test_a_valueless_flag_does_not_take_the_next_flag(self):
         assert parse_flags("analyze --verbose --seed 3 --trailing") == {"seed": "3"}
