@@ -179,23 +179,18 @@ def _locked_env(state_dir: Optional[str]):
         env.save_state(path)
 
 
-def _outcome_report(outcome, metrics) -> dict:
-    return {**outcome.payload(), "metrics": None if metrics is None else metrics.payload()}
-
-
 def _write_reports(out_dir: Optional[str], outcome, metrics) -> None:
     if not out_dir:
         return
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / f"{outcome.instance_id}-outcome.json").write_text(outcome.to_json())
-    if metrics is not None:
-        (directory / f"{outcome.instance_id}-metrics.json").write_text(metrics.to_json())
+    (directory / f"{outcome.instance_id}-metrics.json").write_text(metrics.to_json())
 
 
 def _print_outcome(outcome, metrics, as_json: bool) -> None:
     if as_json:
-        print(indented_json(_outcome_report(outcome, metrics)))
+        print(indented_json({**outcome.payload(), "metrics": metrics.payload()}))
         return
     print(f"execution : {outcome.instance_id}")
     print(f"provider  : {outcome.provider}")
@@ -207,20 +202,17 @@ def _print_outcome(outcome, metrics, as_json: bool) -> None:
         print(f"history   : {outcome.history_url}")
     if outcome.failure:
         print(f"failure   : {outcome.failure}")
-    if metrics is not None:
-        print(f"m1        : {approx(metrics.m1_hours):.6f} h")
-        print(f"m2        : {approx(metrics.m2_cost):.6f} $")
-        print(f"m3        : {approx(metrics.m3_ppr):.8f} h*$")
+    print(f"m1        : {approx(metrics.m1_hours):.6f} h")
+    print(f"m2        : {approx(metrics.m2_cost):.6f} $")
+    print(f"m3        : {approx(metrics.m3_ppr):.8f} h*$")
 
 
 def _conclude(args: argparse.Namespace, env: SimCloud, outcome, header: tuple[str, ...] = ()) -> int:
-    """The end of ``run`` and ``reproduce``: measure the outcome (no metrics
-    when the ledger refuses them), write its reports, print ``header`` and
-    the outcome, and return the exit code."""
-    try:
-        metrics = measure(outcome, env.ledger)
-    except CloudRerunError:
-        metrics = None
+    """The end of ``run`` and ``reproduce``: measure the outcome, write its
+    reports, print ``header`` and the outcome, and return the exit code.  A
+    returned run has closed every ledger entry of its scope, so it can
+    always be measured."""
+    metrics = measure(outcome, env.ledger)
     _write_reports(args.out_dir, outcome, metrics)
     if not args.json:
         for line in header:

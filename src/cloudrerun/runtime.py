@@ -290,13 +290,11 @@ class Orchestrator:
         self._transition(inst, ExecutionState.PROVISIONING)
         provider = self.env.provider(inst.provider)
         block = inst.request.resources.provider_block(inst.provider)
-        network_id = provider.create_network(inst.instance_id)
-        inst.network_id = network_id
+        inst.network_id = provider.create_network(inst.instance_id)
         try:
             inst.cluster_id = provider.create_cluster(block.instance_type, block.instance_number, inst.instance_id)
         except CloudRerunError:
-            provider.delete_network(network_id)
-            inst.network_id = None
+            self._release(inst)
             raise
 
     def _software_setup(self, inst: PipelineInstance) -> None:
@@ -378,21 +376,23 @@ class Orchestrator:
         # is not a stage fault, and escapes the run.
         self.env.schedule_in(self.env.delays.terminate_s, lambda: self._finish(inst))
 
-    def _finish(self, inst: PipelineInstance) -> None:
-        """The one place a run ends: release its resources, retire its
-        rules, set its end and write its final record."""
+    def _release(self, inst: PipelineInstance) -> None:
+        """Delete the run's cluster, then its network: whichever it holds."""
         provider = self.env.provider(inst.provider)
         if inst.cluster_id is not None:
             provider.delete_cluster(inst.cluster_id)
         if inst.network_id is not None:
             provider.delete_network(inst.network_id)
+
+    def _finish(self, inst: PipelineInstance) -> None:
+        """The one place a run ends: release its resources, retire its
+        rules, set its end at the poll tick that observes it and write its
+        final record."""
+        self._release(inst)
         final = ExecutionState.FAILED if inst.failure else ExecutionState.COMPLETED
         self._transition(inst, final)
         self.bus.retire(inst.instance_id)
-        # An sdk run ends at the poll that observes termination, not at the
-        # termination instant itself.
-        now = self.env.clock.now()
-        inst.ended_at = self._poll_tick(inst, now) if inst.mode == "sdk" else now
+        inst.ended_at = self._poll_tick(inst, self.env.clock.now())
         if inst.history is not None:
             # Over the stored record, or over empty archive fields when the
             # run archived nothing.
@@ -410,10 +410,15 @@ class Orchestrator:
     # -- execution modes ---------------------------------------------------
 
     def _poll_tick(self, inst: PipelineInstance, ready_at: Fraction) -> Fraction:
-        """Advance to the first poll tick at or after ``ready_at``."""
+        """The instant a run observes what is ready at ``ready_at``: that one
+        for a run without a poll window (serverless), else the first poll
+        tick at or after it, which the clock advances to.  So an sdk run ends
+        at the poll that observes termination, not at termination itself."""
+        start, window = inst.submitted_at, inst.poll_window
+        if window is None:
+            return ready_at
         # ceil((ready_at - start) / window) and start + ticks * window, on
         # numerators and denominators: exact, without Fraction operators.
-        start, window = inst.submitted_at, inst.poll_window
         numerator = (ready_at.numerator * start.denominator
                      - start.numerator * ready_at.denominator) * window.denominator
         ticks = max(0, -(-numerator // (ready_at.denominator * start.denominator * window.numerator)))
@@ -423,11 +428,6 @@ class Orchestrator:
         if tick > self.env.clock.now():
             self.env.clock.advance_to(tick)
         return tick
-
-    def _run_next_completion(self, inst: PipelineInstance) -> None:
-        """Run the earliest pending completion; with none pending, the run is stalled."""
-        if not self.env.run_next_completion():
-            raise CloudRerunError(f"{inst.instance_id} stalled in state {inst.state.value}")
 
     def run(
         self,
@@ -450,22 +450,24 @@ class Orchestrator:
 
     def _drive(self, inst: PipelineInstance) -> PipelineInstance:
         """Start a deployed run and drive it to its end: dispatch each queued
-        event, and run the next completion when none is queued.  An sdk run
-        that has not begun ending acts on an event at the first poll tick at
-        or after it.  However the drive ends, it retires the run's rules."""
+        event, and run the next completion when none is queued.  A run with a
+        poll window that has not begun ending acts on an event at the first
+        poll tick at or after it.  A run that ends has its rules retired by
+        ``_finish``; one that raises, here."""
         try:
             self.start(inst)
             queue = self.bus.queue
             while inst.state not in TERMINAL_STATES:
-                if not queue:
-                    self._run_next_completion(inst)
-                    continue
-                event = queue.popleft()
-                if inst.mode == "sdk" and inst.state not in ENDING_STATES:
-                    self._poll_tick(inst, event.time)
-                self.bus.dispatch(event)
-        finally:
+                if queue:
+                    event = queue.popleft()
+                    if inst.poll_window is not None and inst.state not in ENDING_STATES:
+                        self._poll_tick(inst, event.time)
+                    self.bus.dispatch(event)
+                elif not self.env.run_next_completion():
+                    raise CloudRerunError(f"{inst.instance_id} stalled in state {inst.state.value}")
+        except BaseException:
             self.bus.retire(inst.instance_id)
+            raise
         return inst
 
 

@@ -474,3 +474,43 @@ class TestDamage:
         assert main(argv + ["--state-dir", str(state_dir)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(message)
         assert (state_dir / "simcloud.json").read_bytes() == saved
+
+    @pytest.mark.parametrize("part", ["request-count", "open-with-close", "row-without-its-id"])
+    def test_each_stored_byte_check_fails_its_command_and_names_the_part(self, tmp_path, capsys, part):
+        """A bill whose request count is no int, an open entry saved with a
+        close time and a row that is not an object with its execution id each
+        fail the command that reads them, with one line naming the part."""
+        env = SimCloud()
+        url = Orchestrator(env).run(generate_pipeline(make_request())).history_url
+        execution_id = url.rsplit("/", 1)[1]
+        env.provider("aws").create_network("loose")  # an entry left open
+        state = env.to_state()
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        path = state_dir / "simcloud.json"
+        if part == "request-count":
+            (pair,) = [pair for pair in state["ledger"]["bills"] if pair[0] == execution_id]
+            pair[1] = canonical({**json.loads(pair[1]), "requests": {"db_put": "1"}})
+            argvs = [["history", "--url", url]]
+            message = f"error: the bill of scope {execution_id!r} is damaged: ValueError: request counts"
+        elif part == "row-without-its-id":
+            (pair,) = state["providers"]["aws"]["tables"][TABLE]
+            pair[1] = canonical({**json.loads(pair[1]), "execution_id": "aws-exec-0099"})
+            argvs = [["history", "--json"]]
+            message = f"error: aws table {TABLE!r}: row {execution_id!r} is damaged: not an object"
+        SimCloud.from_state(state, b"").save_state(path)
+        if part == "open-with-close":
+            magic, line, tail = path.read_bytes().split(b"\n", 2)
+            index = json.loads(line)
+            (entry,) = index["state"]["ledger"]["open"]
+            entry["close_time"] = "1"
+            path.write_bytes(magic + b"\n" + json.dumps(index).encode() + b"\n" + tail)
+            personal = _input(tmp_path, "personal.ini", personal_text())
+            argvs = [["history"], ["history", "--url", url], ["reproduce", url, "--personal", personal]]
+            message = f"error: {path}: malformed state file: ValueError: open entry 'aws-net-0002' has a close time"
+        saved = path.read_bytes()
+        for argv in argvs:
+            assert main(argv + ["--state-dir", str(state_dir)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.count("\n") == 1, err
+        assert path.read_bytes() == saved

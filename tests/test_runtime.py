@@ -21,6 +21,7 @@ from cloudrerun.errors import (
     StorageFailure,
 )
 from cloudrerun.history import HistoryStore
+from cloudrerun.metrics import measure
 from cloudrerun.reproducer import OverrideSet, reproduce
 from cloudrerun.runtime import (
     STAGES,
@@ -510,6 +511,18 @@ class TestFailures:
         assert outcome.record["status"] == "Failed"
         assert outcome.record["ended_at"] == str(outcome.ended_at)
 
+    @pytest.mark.parametrize("mode", ["serverless", "sdk"])
+    def test_a_run_cut_off_from_its_events_stalls_and_retires_its_rules(self, mode):
+        """With no subscriber the bus never hears that the hardware is ready:
+        nothing is queued and nothing is pending, so the drive raises."""
+        env = SimCloud()
+        env.subscribers.clear()
+        poll_window = Fraction(10) if mode == "sdk" else None
+        with pytest.raises(CloudRerunError) as raised:
+            Orchestrator(env).run(generate_pipeline(make_request()), mode, poll_window)
+        assert repr(raised.value) == repr(CloudRerunError("aws-exec-0001 stalled in state Provisioning"))
+        assert env.bus.rules == []
+
 
 @pytest.mark.parametrize("completes", [True, False])
 @pytest.mark.parametrize("run", [run_serverless, run_sdk])
@@ -734,6 +747,12 @@ class TestModeEquivalenceSweep:
                         for mode, (outcome, _, _) in results.items():
                             twice, _, _ = run_with_fault(req, mode, None, history, deliveries=2)
                             assert twice.to_json() == outcome.to_json(), (case, mode)
+                    for outcome, _, env in results.values():
+                        if outcome is not None:
+                            # a returned run holds nothing and can be measured
+                            assert env.provider("aws").inventory() == {"clusters": [], "networks": []}, case
+                            assert env.ledger.open_entries(scope=outcome.instance_id) == [], case
+                            measure(outcome, env.ledger)
                     (out_a, err_a, env_a), (out_b, err_b, env_b) = results.values()
                     if err_a is not None or err_b is not None:
                         assert repr(err_a) == repr(err_b), case
