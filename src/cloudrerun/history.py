@@ -22,17 +22,14 @@ ASCII name and the stored (uncompressed) bytes, with the CRC-32 and sizes
 in the header and no data descriptor; then one central directory header per
 entry and the end record.  Every entry is dated 1980-01-01 00:00:00, made
 by version 2.0 on Unix, with mode 0600 and no extra field or comment: the
-bytes ``zipfile`` writes for the same entries.  Reading goes through
-``zipfile``, which checks what it reads.
+bytes ``zipfile`` writes for the same entries.  Reading walks that layout
+alone: nothing in an archive is decompressed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-import lzma
 import struct
-import zipfile
 import zlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -69,8 +66,6 @@ _ZIP_CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
 _ZIP_END_RECORD = struct.Struct("<4s4H2LH")
 _ZIP_DATE = 1 << 5 | 1  # MS-DOS date of 1980-01-01; the time field is 0
 _ZIP_MODE = 0o600 << 16  # Unix permissions in the external attributes
-# What zipfile and the decompressor an entry's method picks raise on damaged bytes.
-_ZIP_DAMAGE = (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, zlib.error, lzma.LZMAError)
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # json.dumps's spellings
 
 
@@ -169,14 +164,18 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
 
 def read_zip(data: bytes, name: str = "zip") -> dict[str, bytes]:
     """The entries of a bundle that ``deterministic_zip`` wrote; other bytes raise
-    ValueError naming ``name``.  ``zipfile`` reads some changed bytes without error
-    (a changed comment length hides later entries), so the entries must zip back to them."""
+    ValueError naming ``name``.  Each local header gives a name and stored bytes; the
+    entries must zip back to ``data``, which checks the CRCs, directory and end record."""
+    entries, offset = {}, 0
     try:
-        with zipfile.ZipFile(io.BytesIO(data)) as zf:
-            entries = {entry: zf.read(entry) for entry in zf.namelist()}
+        while data.startswith(b"PK\x03\x04", offset):
+            *_, size, _, name_length, _ = _ZIP_LOCAL_HEADER.unpack_from(data, offset)
+            start = offset + _ZIP_LOCAL_HEADER.size + name_length
+            entries[data[start - name_length:start].decode("ascii")] = data[start:start + size]
+            offset = start + size
         if deterministic_zip(entries) != data:
-            raise zipfile.BadZipFile("its bytes are not the zip of its entries")
-    except _ZIP_DAMAGE as exc:
+            raise ValueError("its bytes are not the zip of its entries")
+    except (struct.error, ValueError) as exc:
         raise ValueError(f"{name} is damaged: {type(exc).__name__}: {exc}") from exc
     return entries
 

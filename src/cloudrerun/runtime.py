@@ -291,11 +291,7 @@ class Orchestrator:
         provider = self.env.provider(inst.provider)
         block = inst.request.resources.provider_block(inst.provider)
         inst.network_id = provider.create_network(inst.instance_id)
-        try:
-            inst.cluster_id = provider.create_cluster(block.instance_type, block.instance_number, inst.instance_id)
-        except CloudRerunError:
-            self._release(inst)
-            raise
+        inst.cluster_id = provider.create_cluster(block.instance_type, block.instance_number, inst.instance_id)
 
     def _software_setup(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.SOFTWARE_SETUP)
@@ -373,7 +369,7 @@ class Orchestrator:
     def _enter_terminating(self, inst: PipelineInstance) -> None:
         self._transition(inst, ExecutionState.TERMINATING)
         # Not through the guard: a fault in teardown or in the final record
-        # is not a stage fault, and escapes the run.
+        # is not a stage fault; it escapes the run, which ``_drive`` releases.
         self.env.schedule_in(self.env.delays.terminate_s, lambda: self._finish(inst))
 
     def _release(self, inst: PipelineInstance) -> None:
@@ -452,8 +448,8 @@ class Orchestrator:
         """Start a deployed run and drive it to its end: dispatch each queued
         event, and run the next completion when none is queued.  A run with a
         poll window that has not begun ending acts on an event at the first
-        poll tick at or after it.  A run that ends has its rules retired by
-        ``_finish``; one that raises, here."""
+        poll tick at or after it.  A run that ends is retired and released by
+        ``_finish``; one that raises, here, which retries a faulted teardown."""
         try:
             self.start(inst)
             queue = self.bus.queue
@@ -467,6 +463,7 @@ class Orchestrator:
                     raise CloudRerunError(f"{inst.instance_id} stalled in state {inst.state.value}")
         except BaseException:
             self.bus.retire(inst.instance_id)
+            self._release(inst)
             raise
         return inst
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 import zipfile
 from fractions import Fraction
 from pathlib import Path
@@ -119,6 +120,28 @@ class TestBundles:
         with zipfile.ZipFile(io.BytesIO(blob)) as zf:
             assert zf.testzip() is None
         assert read_zip(blob) == entries
+
+    def test_an_archive_this_code_never_wrote_is_refused_without_being_inflated(self):
+        """A deflated 16 MiB entry is refused from its 16 KiB of bytes: the
+        read allocates nothing near what the entry would inflate to."""
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
+            zf.writestr("part-0000", bytes(16 << 20))
+        blob = buffer.getvalue()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^Result\.zip is damaged: "):
+                read_zip(blob, "Result.zip")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_every_prefix_and_an_appended_byte_are_refused(self):
+        blob = deterministic_zip({"a.txt": b"alpha", "b.txt": b"bravo"})
+        for damaged in [blob[:end] for end in range(len(blob))] + [blob + b"\0"]:
+            with pytest.raises(ValueError, match="is damaged: "):
+                read_zip(damaged)
 
     def test_non_ascii_name_is_refused(self):
         # zipfile would store it as UTF-8 and set flag bit 0x800

@@ -514,7 +514,8 @@ class TestFailures:
     @pytest.mark.parametrize("mode", ["serverless", "sdk"])
     def test_a_run_cut_off_from_its_events_stalls_and_retires_its_rules(self, mode):
         """With no subscriber the bus never hears that the hardware is ready:
-        nothing is queued and nothing is pending, so the drive raises."""
+        nothing is queued and nothing is pending, so the drive raises, and
+        releases the cluster and network the run holds."""
         env = SimCloud()
         env.subscribers.clear()
         poll_window = Fraction(10) if mode == "sdk" else None
@@ -522,6 +523,8 @@ class TestFailures:
             Orchestrator(env).run(generate_pipeline(make_request()), mode, poll_window)
         assert repr(raised.value) == repr(CloudRerunError("aws-exec-0001 stalled in state Provisioning"))
         assert env.bus.rules == []
+        assert env.provider("aws").inventory() == {"clusters": [], "networks": []}
+        assert env.ledger.open_entries() == []
 
 
 @pytest.mark.parametrize("completes", [True, False])
@@ -748,11 +751,14 @@ class TestModeEquivalenceSweep:
                             twice, _, _ = run_with_fault(req, mode, None, history, deliveries=2)
                             assert twice.to_json() == outcome.to_json(), (case, mode)
                     for outcome, _, env in results.values():
+                        # a run holds nothing once it returns or raises
+                        assert env.provider("aws").inventory() == {"clusters": [], "networks": []}, case
                         if outcome is not None:
-                            # a returned run holds nothing and can be measured
-                            assert env.provider("aws").inventory() == {"clusters": [], "networks": []}, case
+                            # and a returned run can be measured
                             assert env.ledger.open_entries(scope=outcome.instance_id) == [], case
                             measure(outcome, env.ledger)
+                        else:
+                            assert env.ledger.open_entries() == [], case
                     (out_a, err_a, env_a), (out_b, err_b, env_b) = results.values()
                     if err_a is not None or err_b is not None:
                         assert repr(err_a) == repr(err_b), case
