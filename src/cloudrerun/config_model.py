@@ -426,20 +426,6 @@ def parse_personal(text: str, env: Optional[Mapping[str, str]] = None) -> Person
     return PersonalSpec(**known, extras=extras)
 
 
-def fill_defaults(req: AbstractRequest) -> AbstractRequest:
-    """Complete a request with default values; idempotent.
-
-    Parsing already fills per-key defaults.  This adds the one structural
-    default: when no provider block was given at all, the block for the
-    provider named in personal.ini is created (known providers only).
-    """
-    res = req.resources
-    provider = req.personal.cloud_provider
-    if not res.clouds and provider in CLOUD_BLOCKS:
-        res = replace(res, clouds=((provider, CLOUD_BLOCKS[provider]()),))
-    return replace(req, resources=res)
-
-
 def parse_abstract_request(
     resources_text: str,
     application_text: str,
@@ -463,18 +449,25 @@ def build_request(
     resources: ResourcesSpec, application: ApplicationSpec, personal: PersonalSpec
 ) -> AbstractRequest:
     """The default-filled request of three parsed specs, after the checks
-    between the files (ProviderMismatch, MissingRequiredKey, a bad port)."""
-    req = fill_defaults(AbstractRequest(resources, application, personal))
+    between the files (ProviderMismatch, MissingRequiredKey, a bad port).
 
-    if req.resources.provider_block(personal.cloud_provider) is None:
+    Parsing fills the per-key defaults.  This adds the one structural
+    default: when no provider block was given at all, the block for the
+    provider named in personal.ini is created (known providers only).
+    """
+    provider = personal.cloud_provider
+    if not resources.clouds and provider in CLOUD_BLOCKS:
+        resources = replace(resources, clouds=((provider, CLOUD_BLOCKS[provider]()),))
+    if resources.provider_block(provider) is None:
         raise ProviderMismatch(
-            f"personal.cloud_provider={personal.cloud_provider!r} has no matching "
+            f"personal.cloud_provider={provider!r} has no matching "
             "provider block in resources.ini"
         )
-    if req.resources.bigdata_engine is not Engine.NONE and not application.command:
+    if resources.bigdata_engine is not Engine.NONE and not application.command:
         raise MissingRequiredKey(
             "application.command is required when bigdata_engine is not 'none'"
         )
+    req = AbstractRequest(resources, application, personal)
     req.ssh_daemon_port  # read the port now, so a bad --ssh-port fails at parse
     return req
 

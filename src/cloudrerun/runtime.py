@@ -74,13 +74,14 @@ STAGES = ("Provisioning", "SoftwareSetup", "Executing", "Exporting", "Terminatin
 
 @dataclass
 class PipelineInstance:
-    """One run; ``Orchestrator.run`` returns it once it is Completed or Failed."""
+    """One run; ``Orchestrator.run`` returns it once it is Completed or Failed.
+    Its poll window is its mode: None for a serverless run, a positive
+    rational for an sdk run (``poll_window_for``)."""
 
     instance_id: str
     provider: str
     doc: PipelineDocument = field(repr=False)
     request: AbstractRequest = field(repr=False)
-    mode: str
     history: Optional[HistoryStore] = field(repr=False)  # None: the run keeps no history
     poll_window: Optional[Fraction] = None
     extra_parameters: dict = field(default_factory=dict)
@@ -95,6 +96,10 @@ class PipelineInstance:
     network_id: Optional[str] = None
     result_keys: tuple[str, ...] = ()
     record: Optional[dict] = None  # as last stored
+
+    @property
+    def mode(self) -> str:
+        return "serverless" if self.poll_window is None else "sdk"
 
     @property
     def history_url(self) -> Optional[str]:
@@ -240,7 +245,6 @@ class Orchestrator:
             provider=doc.provider,
             doc=doc,
             request=request,
-            mode=mode,
             history=history,
             poll_window=window,
             extra_parameters=dict(extra_parameters or {}),
@@ -446,17 +450,18 @@ class Orchestrator:
 
     def _drive(self, inst: PipelineInstance) -> PipelineInstance:
         """Start a deployed run and drive it to its end: dispatch each queued
-        event, and run the next completion when none is queued.  A run with a
-        poll window that has not begun ending acts on an event at the first
-        poll tick at or after it.  A run that ends is retired and released by
-        ``_finish``; one that raises, here, which retries a faulted teardown."""
+        event, and run the next completion when none is queued.  A run that
+        has not begun ending acts on an event at ``_poll_tick`` of its time,
+        which is that time itself for a serverless run.  A run that ends is
+        retired and released by ``_finish``; one that raises, here, which
+        retries a faulted teardown."""
         try:
             self.start(inst)
             queue = self.bus.queue
             while inst.state not in TERMINAL_STATES:
                 if queue:
                     event = queue.popleft()
-                    if inst.poll_window is not None and inst.state not in ENDING_STATES:
+                    if inst.state not in ENDING_STATES:
                         self._poll_tick(inst, event.time)
                     self.bus.dispatch(event)
                 elif not self.env.run_next_completion():

@@ -1,26 +1,38 @@
-"""List every line inside a ``src/`` function that no tier-1 test runs.
+"""List every line inside a ``src/`` function that a run of the tier-1
+suite, or of the benchmark's workloads, leaves unrun.
 
-It runs the tier-1 suite in this process, as ``python -m pytest -q
---continue-on-collection-errors`` from the checkout's root does, under a
-trace function set by ``sys.settrace`` and ``threading.settrace`` that
-records each line run in a file under ``src/``.  A line is a function's
-when the compiled code of some function, method, lambda or comprehension
-maps an instruction to it; module and class bodies are left out.  Child
-processes are not followed: a line that only a subprocess runs is listed
-as unrun.
-
-Beside pytest, which runs the suite, it imports only the standard library,
-and pytest does not collect it.  Run it from any directory::
+It runs its traffic in this process under a trace function set by
+``sys.settrace`` and ``threading.settrace`` that records each line run in
+a file under ``src/``.  A line is a function's when the compiled code of
+some function, method, lambda or comprehension maps an instruction to it;
+module and class bodies are left out.  Child processes are not followed: a
+line that only a subprocess runs is listed as unrun.  Run it from any
+directory, in one of two modes::
 
     python tests/line_audit.py
+    python tests/line_audit.py --traffic
 
-It prints ``UNRUN <module>:<line>: <text>`` for each unrun line, in module
-and line order, then ``ran N of M lines``, and exits with pytest's exit
-code.  Tracing makes the suite about two and a half times slower.
+The first runs the tier-1 suite, as ``python -m pytest -q
+--continue-on-collection-errors`` from the checkout's root does; any other
+arguments are passed on to pytest.  The second runs every workload of
+``perfbench/run.py`` in turn, with ``--seed 7 --seconds 1 --trace 0``, and
+prints each one's result line.  ``--workload all`` would start a child
+process per workload, so the workloads run here one by one instead, as
+``all`` runs them.  This mode reads ``perfbench/`` and writes only the
+benchmark's own scratch directory, which it removes.
+
+Beside pytest, and the benchmark in the second mode, it imports only the
+standard library, and pytest does not collect it.  It prints ``UNRUN
+<module>:<line>: <text>`` for each unrun line, in module and line order,
+then ``ran N of M lines``, and exits with pytest's exit code or, in the
+second mode, the first non-zero exit code of a workload.  Tracing makes
+the suite about two and a half times slower.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import sys
 import threading
@@ -82,14 +94,33 @@ def unrun_lines(path: Path, ran: set[int]) -> list[int]:
     return sorted(function_lines(path) - ran)
 
 
-def main(argv: list[str]) -> int:
+def run_suite(argv: list[str]) -> int:
     import pytest
 
+    return int(pytest.main(["-q", "--continue-on-collection-errors", *argv]))
+
+
+def run_traffic() -> int:
+    """Run each benchmark workload in this process and print its result line."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench import run, workloads
+
+    code = 0
+    for name in workloads.WORKLOADS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = run.main(["--workload", name, "--seed", "7", "--seconds", "1", "--trace", "0"])
+        code = code or status
+        print(f"{name}: {out.getvalue().splitlines()[-1]}")
+    return code
+
+
+def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(SRC))
     paths = sorted(SRC.rglob("*.py"))
     with LineCollector(str(path) for path in paths) as collector:
-        code = pytest.main(["-q", "--continue-on-collection-errors", *argv])
+        code = run_traffic() if argv == ["--traffic"] else run_suite(argv)
     total = unrun = 0
     for path in paths:
         lines = function_lines(path)
@@ -100,7 +131,7 @@ def main(argv: list[str]) -> int:
         for line in missed:
             print(f"UNRUN {module}:{line}: {text[line - 1].strip()}")
     print(f"ran {total - unrun} of {total} lines")
-    return int(code)
+    return code
 
 
 if __name__ == "__main__":

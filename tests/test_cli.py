@@ -204,6 +204,37 @@ class TestRun:
         assert "state     : Failed" in out
         assert "failure   :" in out
 
+    def test_every_save_holds_no_live_resource_and_no_open_entry(self, tmp_path, capsys):
+        """The CLI saves only after a run has returned, so each saved index
+        holds no live cluster or network on either cloud and no open ledger
+        entry, whatever the mode, outcome or history setting."""
+        paths = write_files(tmp_path)
+        (tmp_path / "failing").mkdir()
+        failing = write_files(tmp_path / "failing", application=application_text(command=FAILING_COMMAND))
+        state = tmp_path / "state"
+
+        def assert_saved_index_holds_nothing_live():
+            index = json.loads((state / "simcloud.json").read_bytes().split(b"\n")[1])["state"]
+            assert sorted(index["providers"]) == ["aws", "azure"]
+            for provider in index["providers"].values():
+                assert (provider["clusters"], provider["networks"]) == ([], [])
+            assert index["ledger"]["open"] == []
+
+        assert main(run_args(paths, state)) == EXIT_OK
+        url = history_url_from(capsys.readouterr().out)
+        assert_saved_index_holds_nothing_live()
+        for argv, code in [
+            (run_args(paths, state, "--mode", "sdk", "--poll-window", "5"), EXIT_OK),
+            (run_args(failing, state), EXIT_EXECUTION_FAILED),
+            (run_args(paths, state, "--no-history"), EXIT_OK),
+            (["reproduce", url, "--personal", str(paths["personal"]), "--state-dir", str(state)], EXIT_OK),
+        ]:
+            saved = (state / "simcloud.json").read_bytes()
+            assert main(argv) == code
+            assert (state / "simcloud.json").read_bytes() != saved
+            assert_saved_index_holds_nothing_live()
+        assert "kind      : identical" in capsys.readouterr().out
+
     def test_concurrent_runs_on_one_state_directory(self, tmp_path, capsys):
         """Six processes run at once on one directory: the lock makes each
         load see the previous save, so no record or execution id is lost."""

@@ -1,7 +1,7 @@
 """Request configuration: parsing, rejection, defaults, serialization."""
 
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +17,8 @@ from cloudrerun.config_model import (
     Engine,
     PersonalSpec,
     ReproduceBlock,
+    build_request,
     canonical_serialize,
-    fill_defaults,
     parse_abstract_request,
     parse_application,
     parse_personal,
@@ -164,8 +164,8 @@ class TestBlockDefinition:
         block = BLOCKS[provider]()
         assert parse_resources(f"[resources]\n[cloud.{provider}]\n").provider_block(provider) == block
         req = parse_triple(resources_text(provider=provider), application_text(), personal_text(provider))
-        bare = replace(req, resources=parse_resources("[resources]\n"))
-        assert fill_defaults(bare).resources.provider_block(provider) == block
+        bare = build_request(parse_resources("[resources]\n"), req.application, req.personal)
+        assert bare.resources.provider_block(provider) == block
 
     def test_both_blocks_round_trip_with_every_field_set(self, provider):
         res = parse_resources(ALL_BLOCKS_TEXT)
@@ -313,8 +313,9 @@ class TestSerialization:
         req = parse_triple(
             "[resources]\n", "[application]\ndocker_image = i\n", "[personal]\ncloud_provider = aws\n"
         )
-        assert fill_defaults(req) == req
-        assert fill_defaults(fill_defaults(req)) == fill_defaults(req)
+        again = build_request(req.resources, req.application, req.personal)
+        assert again == req
+        assert build_request(again.resources, again.application, again.personal) == again
 
 
 _engines = st.sampled_from(["none", "spark", "horovod", "dask"])

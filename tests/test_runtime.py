@@ -609,9 +609,21 @@ class TestDeploymentValidation:
             Orchestrator(SimCloud()).deploy(doc)
 
     def test_rules_in_any_order_deploy(self):
-        doc = self.make_doc()
-        doc.body["rules"].reverse()
-        assert Orchestrator(SimCloud()).run_serverless(doc).state is ExecutionState.COMPLETED
+        """A document's rule order reaches neither the installed rules nor the run."""
+
+        def installed(doc):
+            orchestrator = Orchestrator(SimCloud())
+            orchestrator.deploy(doc)
+            return [
+                (rule.function, rule.instance_id, rule.source, rule.event, rule.match)
+                for rule, _ in orchestrator.bus.rules
+            ]
+
+        doc, reversed_doc = self.make_doc(), self.make_doc()
+        reversed_doc.body["rules"].reverse()
+        assert reversed_doc.body["rules"] != doc.body["rules"]
+        assert installed(reversed_doc) == installed(doc)
+        assert Orchestrator(SimCloud()).run_serverless(reversed_doc).state is ExecutionState.COMPLETED
 
     def test_deploy_takes_its_arguments_in_the_order_run_does(self):
         inst = Orchestrator(SimCloud()).deploy(self.make_doc(), "sdk", Fraction(5), False)
