@@ -14,8 +14,9 @@ holds until it is first charged, as a loaded row stays its reference until
 it is written: a read slices and decodes it for the answer only, and a
 bill never charged is saved back as its reference, naming the same bytes.
 A charged one is decoded to be kept, and the bytes it leaves in the tail
-are dead.  Open entries are saved beside the bills, with the state file's
-index, and are opened again on load."""
+are dead.  A saved ledger has no open entry: a save refuses one, and a
+load refuses a state file that holds one.  So a bill with an open entry
+is always kept, and a stored bill holds every entry of its scope."""
 
 from __future__ import annotations
 
@@ -52,11 +53,6 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def canonical(value) -> bytes:
     """Compact key-sorted JSON: the saved bytes of a row or a bill."""
     return _CANONICAL(value).encode()
-
-
-def snapshot(record) -> dict:
-    """A dataclass's fields as JSON values, with each Fraction as a string."""
-    return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(record).items()}
 
 
 class Tail:
@@ -170,25 +166,18 @@ class CostLedger:
         """Whether ``scope`` holds a bill; no stored bill is decoded."""
         return scope in self._bills
 
-    def _decode(self, scope: str, stored) -> Bill:
-        """A stored bill decoded, with its scope's open entries, which a
-        stored bill leaves out until then."""
-        bill = decode_bill(scope, self.tail.read(stored))
-        bill.entries += [e for e in self._open.values() if e.scope == scope]
-        return bill
-
     def _read(self, scope: str) -> Optional[Bill]:
         """``scope``'s bill, None if it was never charged; a stored bill is
         decoded for the answer and stays as it is."""
         bill = self._bills.get(scope)
-        return bill if bill is None or type(bill) is Bill else self._decode(scope, bill)
+        return bill if bill is None or type(bill) is Bill else decode_bill(scope, self.tail.read(bill))
 
     def _charge(self, scope: str) -> Bill:
         """``scope``'s bill, decoded to be kept, or started if it was never charged."""
         stored = self._bills.get(scope)
         if type(stored) is Bill:
             return stored
-        bill = self._bills[scope] = Bill() if stored is None else self._decode(scope, stored)
+        bill = self._bills[scope] = Bill() if stored is None else decode_bill(scope, self.tail.read(stored))
         self.tail.drop(stored)
         return bill
 
@@ -217,11 +206,7 @@ class CostLedger:
             open_time=as_fraction(open_time),
             scope=scope,
         )
-        bill = self._bills.get(scope)
-        if bill is None:
-            bill = self._bills[scope] = Bill()
-        if type(bill) is Bill:  # a stored bill takes its open entries in when it is decoded
-            bill.entries.append(entry)
+        self._charge(scope).entries.append(entry)
         self._open[resource_id] = entry
         return entry
 
@@ -231,7 +216,6 @@ class CostLedger:
             raise OpenLedger(f"no open entry for resource {resource_id!r}")
         if close_time < entry.open_time:
             raise OpenLedger(f"close {close_time} precedes open {entry.open_time}")
-        self._charge(entry.scope)  # so that a kept bill holds the entry it closes
         entry.close_time = as_fraction(close_time)
         del self._open[resource_id]
 
@@ -266,24 +250,24 @@ class CostLedger:
     # -- persistence -------------------------------------------------------
 
     def to_state(self) -> dict:
-        """The open entries, and each bill as ``[scope, part]`` in
-        first-charge order: a bill never charged is still what it was loaded
-        as, bytes or a reference into the tail; a charged one is its bytes.
-        Prices come from the catalog and are not captured."""
+        """Each bill as ``[scope, part]`` in first-charge order: a bill never
+        charged is still what it was loaded as, bytes or a reference into the
+        tail; a charged one is its bytes.  ``open`` is always empty, since an
+        open entry raises OpenLedger naming its resource and scope.  Prices
+        come from the catalog and are not captured."""
+        for entry in self._open.values():
+            raise OpenLedger(f"{entry.category} {entry.resource_id!r} of scope {entry.scope!r} is still open")
         return {
             "bills": [
                 [scope, encode_bill(bill) if type(bill) is Bill else bill]
                 for scope, bill in self._bills.items()
             ],
-            "open": [snapshot(e) for e in self._open.values()],
+            "open": [],
         }
 
     def restore_state(self, state: dict) -> None:
-        """Take in a ``to_state`` snapshot, each bill checked by the tail,
-        and open its open entries again, leaving their stored bills as they are."""
+        """Take in a ``to_state`` snapshot, each bill checked by the tail; a
+        non-empty ``open`` raises ValueError, as no save writes one."""
+        if state["open"] != []:
+            raise ValueError(f"ledger.open is {state['open']!r}, but a saved ledger has no open entry")
         self._bills = {scope: self.tail.check(part) for scope, part in state["bills"]}
-        for item in state["open"]:
-            item = dict(item)
-            if item.pop("close_time", None) is not None:
-                raise ValueError(f"open entry {item['resource_id']!r} has a close time")
-            self.open_entry(**item)

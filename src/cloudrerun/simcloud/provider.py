@@ -24,15 +24,19 @@ back as it is.
 A state file is the line ``cloudrerun-state/3``, one index line of compact,
 key-sorted JSON ``{"state": to_state(), "tail_bytes": n}``, then the tail:
 the ``n`` raw bytes of every stored version, row and bill, each named in the
-index by an ``[offset, length]`` reference.  The index holds what is live
-or small: the clock and counters, each live cluster as ``[cluster_id,
-instance_count]``, live networks, open ledger entries, each table as
-``[execution_id, reference]`` pairs in the order the ids were first
-written, and each bill as ``[scope, reference]`` in first-charge order.  A
-row's bytes are its compact key-sorted JSON; a bill's are
-``ledger.encode_bill``'s.  Every reference is checked at load, but a damaged
-row or bill shows only when a command reads it.  This is the one layout
-that loads: a file of any other layout is refused.
+index by an ``[offset, length]`` reference.  The index holds what is
+small: the clock and counters, each table as ``[execution_id, reference]``
+pairs in the order the ids were first written, and each bill as ``[scope,
+reference]`` in first-charge order.  A row's bytes are its compact
+key-sorted JSON; a bill's are ``ledger.encode_bill``'s.  Every reference is
+checked at load, but a damaged row or bill shows only when a command reads
+it.  This is the one layout that loads: a file of any other layout is
+refused.
+
+A saved environment has nothing live.  A live cluster or network is an
+open ledger entry until it is deleted, so a save while one is open raises
+``OpenLedger``, and the index's ``clusters``, ``networks`` and ledger
+``open`` are always empty lists; a file in which one is not is refused.
 
 A loaded environment keeps the file's tail as one ``ledger.Tail`` and every
 stored version, row and bill as its reference into it, sliced only when
@@ -442,15 +446,17 @@ class SimCloud:
     def to_state(self) -> dict:
         """What commands change, with each stored version, row and bill as its part: bytes,
         or the reference into the loaded tail it still is.  The bus, pending completions,
-        delays and prices belong to the running environment only."""
+        delays and prices belong to the running environment only.  A live cluster or
+        network, or any other open ledger entry, raises OpenLedger naming it and its scope."""
         return {
             "clock": str(self.clock.now()),
             "event_counter": self._event_counter,
             "providers": {
                 name: {
                     "counters": dict(p._counters),
-                    "clusters": [[cluster_id, count] for cluster_id, count in p.clusters.items()],
-                    "networks": sorted(p.networks),
+                    # a live cluster or network is an open entry, which the ledger refuses
+                    "clusters": [],
+                    "networks": [],
                     "stores": {s: {k: list(v) for k, v in keys.items()} for s, keys in p.stores.items()},
                     "tables": {
                         table: [[key, canonical(row) if type(row) is dict else row] for key, row in rows.items()]
@@ -464,10 +470,10 @@ class SimCloud:
 
     @classmethod
     def from_state(cls, state: dict, tail: bytes | memoryview) -> "SimCloud":
-        """The environment a snapshot describes, its open ledger entries opened again as on a
-        live ledger.  Each stored version, row and bill is bytes, or a reference into
-        ``tail``, which the environment keeps.  A counter or instance count that is not a
-        non-negative int, or a reference outside ``tail``, raises ValueError."""
+        """The environment a snapshot describes.  Each stored version, row and bill is
+        bytes, or a reference into ``tail``, which the environment keeps.  A counter that
+        is not a non-negative int, a reference outside ``tail``, or a live cluster,
+        network or open ledger entry, which no save writes, raises ValueError."""
 
         def count(value, field: str) -> int:
             if type(value) is not int or value < 0:
@@ -482,8 +488,9 @@ class SimCloud:
         for name, pstate in state["providers"].items():
             p = env.providers[name]
             p._counters = {k: count(v, f"providers.{name}.counters.{k}") for k, v in pstate["counters"].items()}
-            p.clusters = {c: count(n, f"providers.{name}.clusters.{c}") for c, n in pstate["clusters"]}
-            p.networks = set(pstate["networks"])
+            for key in ("clusters", "networks"):
+                if pstate[key] != []:
+                    raise ValueError(f"providers.{name}.{key} is {pstate[key]!r}, but a save holds nothing live")
             p.stores = {
                 store: {key: list(map(check, versions)) for key, versions in keys.items()}
                 for store, keys in pstate["stores"].items()
@@ -496,7 +503,9 @@ class SimCloud:
         """Write the state file and commit it atomically: a temp file beside ``path``
         is written, flushed and fsynced, then replaces ``path``, so a reader finds the
         old file or the new one, never part of one.  The directory is fsynced last,
-        since the rename is not durable before that (Pillai et al., OSDI 2014).
+        since the rename is not durable before that (Pillai et al., OSDI 2014).  An
+        environment with a live cluster, network or open ledger entry raises OpenLedger
+        before any file is touched.
 
         The tail written is the loaded one, unchanged, then every part written since,
         unless the loaded tail holds more dead bytes than live ones: then every part is

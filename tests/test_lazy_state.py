@@ -277,10 +277,12 @@ class TestCanonicalBytes:
             provider.db_put("t", row, row["execution_id"])
         for scope, operation in charges:
             env.ledger.charge_request(scope, operation)
-        provider.create_network("net")
+        network_id = provider.create_network("net")
         cluster_id = provider.create_cluster("c5d.large", 1, "run")
         env.clock.advance_to(Fraction(7, 2))
-        provider.delete_cluster(cluster_id)  # the network stays open, in another scope
+        provider.delete_cluster(cluster_id)
+        env.clock.advance_to(Fraction(9, 2))
+        provider.delete_network(network_id)  # closed later, in another scope
         path = tmp_path_factory.mktemp("state") / "simcloud.json"
         env.save_state(path)
         data = path.read_bytes()
@@ -292,6 +294,7 @@ class TestCanonicalBytes:
                 row = decode_row("aws", table, key, loaded.tail.read(part))
                 assert canonical(row) == canonical(provider.tables[table][key])
         assert loaded.ledger.breakdown("run") == env.ledger.breakdown("run")
+        assert loaded.ledger.breakdown("net") == env.ledger.breakdown("net")
         for scope in {scope for scope, _ in charges}:
             loaded.ledger.breakdown(scope)
         loaded.save_state(path)
@@ -479,11 +482,11 @@ class TestDamage:
     def test_each_stored_byte_check_fails_its_command_and_names_the_part(self, tmp_path, capsys, part):
         """A bill whose request count is no int, an open entry saved with a
         close time and a row that is not an object with its execution id each
-        fail the command that reads them, with one line naming the part."""
+        fail the command that reads them, with one line naming the part.  No
+        save writes an open entry, so a file holding one fails every command."""
         env = SimCloud()
         url = Orchestrator(env).run(generate_pipeline(make_request())).history_url
         execution_id = url.rsplit("/", 1)[1]
-        env.provider("aws").create_network("loose")  # an entry left open
         state = env.to_state()
         state_dir = tmp_path / "state"
         state_dir.mkdir()
@@ -502,12 +505,16 @@ class TestDamage:
         if part == "open-with-close":
             magic, line, tail = path.read_bytes().split(b"\n", 2)
             index = json.loads(line)
-            (entry,) = index["state"]["ledger"]["open"]
-            entry["close_time"] = "1"
+            assert index["state"]["ledger"]["open"] == []
+            # a network opened after the run, as a save that kept open entries wrote it, with a close time
+            index["state"]["ledger"]["open"] = [{
+                "category": "network", "close_time": "1", "open_time": str(env.clock.now()),
+                "resource_id": "aws-net-0002", "scope": "loose", "unit_price_hour": "1/100",
+            }]
             path.write_bytes(magic + b"\n" + json.dumps(index).encode() + b"\n" + tail)
             personal = _input(tmp_path, "personal.ini", personal_text())
             argvs = [["history"], ["history", "--url", url], ["reproduce", url, "--personal", personal]]
-            message = f"error: {path}: malformed state file: ValueError: open entry 'aws-net-0002' has a close time"
+            message = f"error: {path}: malformed state file: ValueError: ledger.open is [{{'category': 'network'"
         saved = path.read_bytes()
         for argv in argvs:
             assert main(argv + ["--state-dir", str(state_dir)]) == EXIT_USAGE

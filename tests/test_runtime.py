@@ -444,8 +444,8 @@ class TestOneBusPerEnvironment:
 
     def test_a_loaded_environment_starts_with_its_own_empty_bus(self):
         env = SimCloud()
-        Orchestrator(env).start(Orchestrator(env).deploy(generate_pipeline(make_request())))
-        assert env.run_next_completion()  # hardware ready: one event queued
+        Orchestrator(env).deploy(generate_pipeline(make_request()))  # rules installed, nothing live
+        env.emit("aws:instance:elsewhere", "HardwareEnvReady", "lifecycle")  # one event queued
         assert len(env.bus.queue) == 1 and len(env.bus.rules) == 4
         state = env.to_state()
         assert set(state) == {"clock", "event_counter", "providers", "ledger"}
@@ -771,6 +771,7 @@ class TestModeEquivalenceSweep:
                             measure(outcome, env.ledger)
                         else:
                             assert env.ledger.open_entries() == [], case
+                        env.to_state()  # so the environment saves: a live resource would raise OpenLedger
                     (out_a, err_a, env_a), (out_b, err_b, env_b) = results.values()
                     if err_a is not None or err_b is not None:
                         assert repr(err_a) == repr(err_b), case

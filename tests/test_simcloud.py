@@ -29,7 +29,7 @@ from cloudrerun.errors import (
 from cloudrerun.history import HistoryStore, find_record_table, parse_url
 from cloudrerun.runtime import ExecutionState, Orchestrator
 from cloudrerun.simcloud.clock import VirtualClock, as_fraction
-from cloudrerun.simcloud.ledger import CostLedger, price_catalog, snapshot
+from cloudrerun.simcloud.ledger import CostLedger, price_catalog
 from cloudrerun.simcloud.provider import MAX_INSTANCES, PROVIDERS, SimCloud
 from cloudrerun.simcloud.workload import (
     WorkloadProfile,
@@ -415,7 +415,6 @@ class TestProvider:
         provider.db_put("t", {"execution_id": "e1", "status": "Completed"}, "e1")
         provider.delete_cluster(cluster_id)
         provider.delete_network(net)
-        open_net = provider.create_network("r2")
 
         path = tmp_path / "state.json"
         env.save_state(path)
@@ -423,50 +422,50 @@ class TestProvider:
         assert again.clock.now() == env.clock.now()
         assert again.ledger.entries == env.ledger.entries
         assert again.ledger.request_counts == env.ledger.request_counts
-        assert [e.resource_id for e in again.ledger.open_entries()] == [open_net]
+        assert again.ledger.open_entries() == []
         assert again.provider("aws").storage_get("bucket", "k", "r") == b"payload"
         # a loaded row stays the reference to the bytes it was saved as
         assert {t: {k: json.loads(again.tail.read(row)) for k, row in rows.items()}
                 for t, rows in again.provider("aws").tables.items()} == provider.tables
-        assert again.provider("aws").inventory() == {"clusters": [], "networks": [open_net]}
-        assert again.provider("aws").clusters == {}
+        assert again.provider("aws").inventory() == {"clusters": [], "networks": []}
         assert SimCloud.from_state(env.to_state(), b"").to_state() == env.to_state()
+        # the id counters go on where they stopped
+        assert again.provider("aws").create_network("r2") == provider.create_network("r2") == "aws-net-0002"
 
     def test_saved_state_format(self):
-        """The exact saved shape of a live cluster, of an open ledger entry
-        and of a bill: every field, with Fractions written as strings, so a
-        field dropped on both the saving and the loading side still shows."""
+        """The exact saved shape of a bill: every field, with Fractions
+        written as strings, so a field dropped on both the saving and the
+        loading side still shows.  A live network or cluster is not saved:
+        it is refused, naming it and its scope, ready or not."""
         env = SimCloud()
         provider = env.provider("aws")
         net = provider.create_network("run-1")
-        provider.create_cluster("c5d.large", 2, "run-1")
-        cluster = ["aws-cluster-0001", 2]
-        assert json.loads(json.dumps(env.to_state()["providers"]))["aws"]["clusters"] == [cluster]
+        cluster_id = provider.create_cluster("c5d.large", 2, "run-1")
+        with pytest.raises(OpenLedger, match="^network 'aws-net-0001' of scope 'run-1' is still open$"):
+            env.to_state()
 
         env.run_next_completion()
         env.clock.advance_to(Fraction(45))
         provider.delete_network(net)
         provider.storage_put("bucket", "k", b"", "run-1")
+        with pytest.raises(OpenLedger, match="^compute 'aws-cluster-0001' of scope 'run-1' is still open$"):
+            env.to_state()
+        env.clock.advance_to(Fraction(60))
+        provider.delete_cluster(cluster_id)
         state = env.to_state()
         providers = json.loads(json.dumps(state["providers"], default=bytes.decode))
-        assert providers["aws"]["clusters"] == [cluster]  # turning ready changes nothing saved
+        assert providers["aws"]["clusters"] == providers["aws"]["networks"] == []
         assert state["ledger"] == {
             "bills": [[
                 "run-1",
-                b'{"entries":[["aws-net-0001","network","1/100","0","45"]],"requests":{"storage_put":1}}',
+                b'{"entries":[["aws-net-0001","network","1/100","0","45"],'
+                b'["aws-cluster-0001","compute","24/125","0","60"]],"requests":{"storage_put":1}}',
             ]],
-            "open": [{
-                "resource_id": "aws-cluster-0001",
-                "category": "compute",
-                "unit_price_hour": "24/125",
-                "open_time": "0",
-                "close_time": None,
-                "scope": "run-1",
-            }],
+            "open": [],
         }
 
         again = SimCloud.from_state(state, b"")
-        assert again.provider("aws").clusters == provider.clusters
+        assert again.provider("aws").clusters == provider.clusters == {}
         assert again.ledger.entries == env.ledger.entries
 
 
@@ -526,7 +525,8 @@ def _older_state(env: SimCloud, version) -> dict:
             for store, keys in pstate["stores"].items()
         }
     state["ledger"] = {
-        "entries": [snapshot(e) for e in env.ledger.entries],
+        "entries": [{k: str(v) if isinstance(v, Fraction) else v for k, v in vars(e).items()}
+                    for e in env.ledger.entries],
         "request_counts": [
             {"scope": scope, "operation": op, "count": n} for (scope, op), n in sorted(env.ledger.request_counts.items())
         ],
@@ -664,33 +664,41 @@ class TestStateFile:
             assert path.read_bytes() == content
 
     @pytest.mark.parametrize(
-        "clusters",
+        ("key", "live"),
         [
-            [{"cluster_id": "aws-cluster-0001", "instance_type": "c5d.large", "instance_count": 2,
-              "network_id": "aws-net-0001", "scope": "run-1", "state": "Ready", "ready_at": "30"}],
-            [["aws-cluster-0001", -1]],
-            [["aws-cluster-0001", "2"]],
-            [["aws-cluster-0001", 2.0]],
-            [["aws-cluster-0001", True]],
-            [["aws-cluster-0001", None]],
-            [["aws-cluster-0001"]],
-            [["aws-cluster-0001", 2, "c5d.large"]],
+            ("clusters", [{"cluster_id": "aws-cluster-0001", "instance_type": "c5d.large", "instance_count": 2,
+                           "network_id": "aws-net-0001", "scope": "run-1", "state": "Ready", "ready_at": "30"}]),
+            ("clusters", [["aws-cluster-0001", -1]]),
+            ("clusters", [["aws-cluster-0001", "2"]]),
+            ("clusters", [["aws-cluster-0001", 2.0]]),
+            ("clusters", [["aws-cluster-0001", True]]),
+            ("clusters", [["aws-cluster-0001", None]]),
+            ("clusters", [["aws-cluster-0001"]]),
+            ("clusters", [["aws-cluster-0001", 2, "c5d.large"]]),
+            ("clusters", [["aws-cluster-0001", 2]]),
+            ("networks", ["aws-net-0001"]),
+            ("open", [{"category": "compute", "close_time": None, "open_time": "0",
+                       "resource_id": "aws-cluster-0001", "scope": "run-1", "unit_price_hour": "24/125"}]),
         ],
-        ids=["older-dict", "negative", "str", "float", "bool", "null", "no-count", "triple"],
+        ids=["older-dict", "negative", "str", "float", "bool", "null", "no-count", "triple",
+             "pair", "network", "open-entry"],
     )
-    def test_a_live_cluster_saved_as_anything_but_an_id_and_a_count_is_refused(self, tmp_path, capsys, clusters):
-        """Only a library caller saves a live cluster: a CLI command saves
-        after its run, whose end deleted the cluster.  A file holding one in
-        the shape before ``[cluster_id, instance_count]``, or a pair whose
-        count is no non-negative int, is refused and left as it is."""
+    def test_a_live_cluster_saved_as_anything_but_an_id_and_a_count_is_refused(self, tmp_path, capsys, key, live):
+        """No save writes a live cluster, network or open ledger entry.  A
+        file holding one, in the shape a save once wrote it, in the shape
+        before ``[cluster_id, instance_count]`` or as a pair whose count is
+        no non-negative int, is refused with one error line and left as it is."""
         env = SimCloud()
         provider = env.provider("aws")
-        provider.create_network("run-1")
-        provider.create_cluster("c5d.large", 2, "run-1")
+        net = provider.create_network("run-1")
+        cluster_id = provider.create_cluster("c5d.large", 2, "run-1")
         env.run_next_completion()
+        provider.delete_cluster(cluster_id)
+        provider.delete_network(net)
         state = env.to_state()
-        assert state["providers"]["aws"]["clusters"] == [["aws-cluster-0001", 2]]
-        state["providers"]["aws"]["clusters"] = clusters
+        assert state["providers"]["aws"]["clusters"] == state["providers"]["aws"]["networks"] == []
+        assert state["ledger"]["open"] == []
+        (state["ledger"] if key == "open" else state["providers"]["aws"])[key] = live
         path = tmp_path / "simcloud.json"
         content = _state_file(state)
         path.write_bytes(content)
@@ -699,6 +707,7 @@ class TestStateFile:
         assert main(["history", "--state-dir", str(tmp_path)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: malformed state file") and captured.out == ""
+        assert captured.err.count("\n") == 1
         assert path.read_bytes() == content
 
     def test_a_clock_whose_exponent_exceeds_the_int_digit_limit_is_refused(self, tmp_path, capsys):
@@ -712,41 +721,25 @@ class TestStateFile:
         assert captured.err.startswith(f"error: {path}: malformed state file: ValueError: the exponent")
         assert path.read_bytes() == content
 
-    def test_a_run_saved_mid_flight_loads_with_its_live_resources(self, tmp_path):
-        """A run saved after its first completion, with a cluster, a network
-        and their two entries open, loads to a ledger that ends the run as the
-        original does."""
-        env = SimCloud()
-        events = []
-        env.subscribers.append(events.append)
+    def test_a_run_saved_mid_flight_is_refused_and_touches_no_file(self, tmp_path):
+        """A save after a run's hardware is ready, with its cluster and
+        network live, raises OpenLedger naming one of them and the run's
+        scope; the file saved before the run stays as it was, and no temp
+        file is left beside it."""
+        env = _environment_with_history(2)
+        path = tmp_path / "simcloud.json"
+        env.save_state(path)
+        saved = path.read_bytes()
         orchestrator = Orchestrator(env)
         inst = orchestrator.deploy(generate_pipeline(make_request()))
         orchestrator.start(inst)
-        assert env.run_next_completion() and [e.name for e in events] == ["HardwareEnvReady"]
+        assert env.run_next_completion()
         assert env.provider(inst.provider).clusters == {inst.cluster_id: inst.node_count}
-        scope, provider = inst.instance_id, inst.provider
-        path = tmp_path / "simcloud.json"
-        env.save_state(path)
-        clouds = [env, SimCloud.load_state(path)]
-
-        def before(cloud):
-            p = cloud.provider(provider)
-            return cloud.ledger.open_entries(), p.inventory(), p.clusters
-
-        def after(cloud):
-            cloud.clock.advance_to(Fraction(45))
-            p = cloud.provider(provider)
-            p.delete_cluster(inst.cluster_id)
-            p.delete_network(inst.network_id)
-            entries = [e for e in cloud.ledger.entries if e.scope == scope]
-            return cloud.ledger.open_entries(), entries, cloud.ledger.breakdown(scope), p.inventory()
-
-        seen = [before(cloud) for cloud in clouds]
-        assert [e.resource_id for e in seen[0][0]] == [inst.network_id, inst.cluster_id]
-        assert seen == [seen[0]] * len(clouds)
-        ended = [after(cloud) for cloud in clouds]
-        assert ended[0][0] == [] and [e.close_time for e in ended[0][1]] == [45, 45]
-        assert ended == [ended[0]] * len(clouds)
+        live = f"({re.escape(inst.network_id)}|{re.escape(inst.cluster_id)})"
+        with pytest.raises(OpenLedger, match=f"'{live}' of scope '{re.escape(inst.instance_id)}' is still open"):
+            env.save_state(path)
+        assert path.read_bytes() == saved
+        assert os.listdir(tmp_path) == ["simcloud.json"]
 
     def test_stored_bytes_round_trip(self, tmp_path):
         """Empty, newline-bearing and non-UTF-8 versions, several per key,
@@ -795,7 +788,7 @@ class TestStateFile:
         path = tmp_path / "simcloud.json"
         env.save_state(path)
         before = path.read_bytes()
-        env.provider("aws").create_network("later")
+        env.provider("aws").storage_put("bucket", "later", b"", "later")
         if where == "while-writing":
             # the encoder meets the object before the temp file is written
             env.provider("aws").tables["broken"] = {"x": {"value": object()}}
@@ -809,7 +802,7 @@ class TestStateFile:
             env.save_state(path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["simcloud.json"]
-        assert SimCloud.load_state(path).provider("aws").networks == set()
+        assert not SimCloud.load_state(path).provider("aws").storage_has("bucket", "later")
 
     def test_the_directory_is_fsynced_after_the_rename(self, tmp_path, monkeypatch):
         """The temp file is fsynced before it replaces the file, the directory after."""
